@@ -15,6 +15,13 @@ Two construction procedures are implemented and cross-validated:
     keep the intersection in a different quadrant (equivalently the one that
     moves up when the body moves forward), then proceed as above.
 
+Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
+scanned on a coarse grid of COARSE_SCAN_NODES phases, and each sign change is
+refined by safeguarded Newton (rtsafe, Numerical Recipes 9.4) with the exact
+slope g'(s) = (c - x(s)) x a(s), which the same elliptic evaluation as g
+provides.  Only when the coarse scan does not find exactly four tangency
+points is the search repeated on the dense SCAN_NODES grid.
+
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
 EPS_AXIS of a coordinate axis make the selection rules ambiguous and raise
 instead of guessing.
@@ -28,12 +35,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, position, triple, velocity
+from .orbit import TripleState, Vec2, body_state, position, triple
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
+COARSE_SCAN_NODES = 256
 SCAN_NODES = 4096
 BISECT_TOL = 1e-13
+NEWTON_MAXIT = 100
 PERTURB = 1e-5
 DISC_TOL = 1e-12
 
@@ -119,52 +128,71 @@ def hyperbola_residual(c: Vec2) -> float:
 
 @lru_cache(maxsize=4)
 def _scan_grid(ctx: EllipticContext, n: int):
-    # Orbit samples reused by every tangency scan against the same context.
+    # Flat orbit samples (x, y, vx, vy), one elliptic evaluation per node,
+    # reused by every tangency scan against the same context.
     period = ctx.period
-    xs, vs = [], []
-    for j in range(n):
-        s = j * period / n
-        xs.append(position(s, ctx))
-        vs.append(velocity(s, ctx))
-    return xs, vs
+    states = [body_state(j * period / n, ctx) for j in range(n)]
+    return (
+        [b.pos.x for b in states],
+        [b.pos.y for b in states],
+        [b.vel.x for b in states],
+        [b.vel.y for b in states],
+    )
 
 
-def _tangency_gap(c: Vec2, s: float, ctx: EllipticContext) -> float:
-    # Zero exactly when the tangent line at phase s passes through c.
-    return (c - position(s, ctx)).cross(velocity(s, ctx))
+def _gap_and_slope(cx: float, cy: float, s: float, ctx: EllipticContext) -> tuple[float, float]:
+    # g(s) = (c - x(s)) x v(s) is zero exactly when the tangent line at phase
+    # s passes through c; g'(s) = (c - x(s)) x a(s) because v x v = 0.
+    b = body_state(s, ctx)
+    ex = cx - b.pos.x
+    ey = cy - b.pos.y
+    return ex * b.vel.y - ey * b.vel.x, ex * b.acc.y - ey * b.acc.x
 
 
-def tangents_from_point(
-    c: Vec2, ctx: EllipticContext, n_scan: int = SCAN_NODES
-) -> list[TangencyCandidate]:
-    """All orbit phases whose tangent line passes through c.
+def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float,
+            ctx: EllipticContext) -> float:
+    # Safeguarded Newton (Numerical Recipes 9.4) on a bracket [lo, hi] over
+    # which the gap changes sign, starting at its midpoint.  A Newton step
+    # that would leave the bracket, or that fails to halve the step before
+    # last, is replaced by a bisection; a NaN gap or slope also bisects.
+    xl, xh = (lo, hi) if g_lo < 0.0 else (hi, lo)
+    s = 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    for _ in range(NEWTON_MAXIT):
+        g, dg = _gap_and_slope(cx, cy, s, ctx)
+        if g == 0.0:
+            return s
+        if g < 0.0:
+            xl = s
+        else:
+            xh = s
+        if ((s - xh) * dg - g) * ((s - xl) * dg - g) < 0.0 and abs(2.0 * g) <= abs(dx_old * dg):
+            dx_old, dx = dx, g / dg
+            s -= dx
+        else:
+            dx_old, dx = dx, 0.5 * (xh - xl)
+            s = xl + dx
+        if abs(dx) < BISECT_TOL:
+            return s
+    # The iteration bound of rtsafe; pure bisection needs ~40 steps, and s
+    # still lies inside the bracket.
+    return s
 
-    Dense scan over one period brackets the sign changes of the tangency gap
-    g(s) = (c - x(s)) x v(s); each bracket is bisected to BISECT_TOL in s.
-    Generically four candidates exist; any other count emits a warning.
-    """
+
+def _tangency_roots(c: Vec2, ctx: EllipticContext, n: int) -> list[float]:
+    # Sign changes of the gap on an n-node grid, each refined by _rtsafe,
+    # merged within 1e-9 across the period seam.
     period = ctx.period
-    xs, vs = _scan_grid(ctx, n_scan)
-    g = [(c - xs[j]).cross(vs[j]) for j in range(n_scan)]
+    cx, cy = c.x, c.y
+    xs, ys, vxs, vys = _scan_grid(ctx, n)
+    g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in zip(xs, ys, vxs, vys)]
     roots = []
-    for j in range(n_scan):
-        gj, gk = g[j], g[(j + 1) % n_scan]
-        a = j * period / n_scan
+    for j in range(n):
+        gj, gk = g[j], g[(j + 1) % n]
         if gj == 0.0:
-            roots.append(a)
-            continue
-        if gj * gk >= 0.0:
-            continue
-        b = (j + 1) * period / n_scan
-        fa = gj
-        while b - a > BISECT_TOL:
-            mid = 0.5 * (a + b)
-            fm = _tangency_gap(c, mid, ctx)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+            roots.append(j * period / n)
+        elif gj * gk < 0.0:
+            roots.append(_rtsafe(cx, cy, j * period / n, (j + 1) * period / n, gj, ctx))
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -172,9 +200,28 @@ def tangents_from_point(
             merged.append(r)
     if len(merged) > 1 and (merged[0] + period) - merged[-1] <= 1e-9:
         merged.pop()
+    return merged
 
-    out = [TangencyCandidate(s=r, point=position(r, ctx), quadrant=_quadrant_or_zero(position(r, ctx)))
-           for r in merged]
+
+def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate]:
+    """All orbit phases whose tangent line passes through c.
+
+    The tangency gap g(s) = (c - x(s)) x v(s) is scanned on a coarse grid of
+    COARSE_SCAN_NODES phases over one period, and each sign change is refined
+    to BISECT_TOL in s by safeguarded Newton (rtsafe) with the exact slope
+    g'(s) = (c - x(s)) x a(s), bisecting whenever Newton would leave the
+    bracket.  Generically four candidates exist; if the coarse scan finds any
+    other count, the search is repeated on the dense SCAN_NODES grid, and a
+    count other than four there emits a warning.
+    """
+    roots = _tangency_roots(c, ctx, COARSE_SCAN_NODES)
+    if len(roots) != 4:
+        roots = _tangency_roots(c, ctx, SCAN_NODES)
+
+    out = []
+    for r in roots:
+        p = position(r, ctx)
+        out.append(TangencyCandidate(s=r, point=p, quadrant=_quadrant_or_zero(p)))
     if len(out) != 4:
         warnings.warn(
             f"expected 4 tangency candidates from {c}, found {len(out)}",
@@ -273,8 +320,8 @@ def complete_triple_from_point(
     remaining two bodies are then read off the tangent construction at that
     point, ordered as (x2, x3) = phases (x1 + 4K/3, x1 - 4K/3).
     """
-    x1 = position(x1_phase, ctx)
-    v1 = velocity(x1_phase, ctx)
+    b1 = body_state(x1_phase, ctx)
+    x1, v1 = b1.pos, b1.vel
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(x1)
@@ -291,9 +338,8 @@ def complete_triple_from_point(
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
     # Forward cross-check: nudge the phase and re-intersect.
-    moved = tangent_hyperbola_intersections(
-        position(x1_phase + PERTURB, ctx), velocity(x1_phase + PERTURB, ctx)
-    )
+    b1_moved = body_state(x1_phase + PERTURB, ctx)
+    moved = tangent_hyperbola_intersections(b1_moved.pos, b1_moved.vel)
     sel_moved = min(moved, key=lambda p: (p - d_sel).norm())
     rej_moved = min(moved, key=lambda p: (p - d_rej).norm())
     if not (sel_moved.y > d_sel.y and rej_moved.y < d_rej.y):
@@ -313,9 +359,8 @@ def complete_triple_from_point(
     x3 = by_offset(-third).point
 
     lambdas = []
-    for p, v in ((x1, v1), (position(x1_phase + third, ctx), velocity(x1_phase + third, ctx)),
-                 (position(x1_phase - third, ctx), velocity(x1_phase - third, ctx))):
-        lambdas.append((d_sel - p).dot(v) / v.norm_sq())
+    for b in (b1, body_state(x1_phase + third, ctx), body_state(x1_phase - third, ctx)):
+        lambdas.append((d_sel - b.pos).dot(b.vel) / b.vel.norm_sq())
     return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas), finite=True)
 
 

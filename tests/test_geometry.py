@@ -1,9 +1,17 @@
 import math
+import random
+import warnings
+from functools import lru_cache
 
 import pytest
 
 from lemnichor.geometry import (
+    BISECT_TOL,
+    COARSE_SCAN_NODES,
+    SCAN_NODES,
     AxisAmbiguityError,
+    _gap_and_slope,
+    _tangency_roots,
     complete_triple_from_point,
     concurrency_point,
     hyperbola_residual,
@@ -13,7 +21,7 @@ from lemnichor.geometry import (
     tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, position, triple, velocity
+from lemnichor.orbit import Vec2, body_state, position, triple, velocity
 
 
 def line_distance(c, point, direction):
@@ -22,6 +30,65 @@ def line_distance(c, point, direction):
 
 def sample_times(period, n, skip_large_c=None):
     return [(j + 0.431) * period / n for j in range(n)]
+
+
+@lru_cache(maxsize=1)
+def _oracle_grid(ctx):
+    nodes = [j * ctx.period / SCAN_NODES for j in range(SCAN_NODES)]
+    return [position(s, ctx) for s in nodes], [velocity(s, ctx) for s in nodes]
+
+
+def dense_bisection_roots(c, ctx):
+    """Reference tangency search without Newton or a coarse scan.
+
+    The gap (c - x(s)) x v(s) at SCAN_NODES orbit samples, each sign change
+    bisected to BISECT_TOL, position and velocity evaluated separately.
+    """
+    period = ctx.period
+    n = SCAN_NODES
+    xs, vs = _oracle_grid(ctx)
+    g = [(c.x - x.x) * v.y - (c.y - x.y) * v.x for x, v in zip(xs, vs)]
+    roots = []
+    for j in range(n):
+        gj, gk = g[j], g[(j + 1) % n]
+        a = j * period / n
+        if gj == 0.0:
+            roots.append(a)
+            continue
+        if gj * gk >= 0.0:
+            continue
+        b = (j + 1) * period / n
+        fa = gj
+        while b - a > BISECT_TOL:
+            mid = 0.5 * (a + b)
+            fm = (c - position(mid, ctx)).cross(velocity(mid, ctx))
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    if len(merged) > 1 and (merged[0] + period) - merged[-1] <= 1e-9:
+        merged.pop()
+    return merged
+
+
+def assert_search_matches_oracle(points, ctx):
+    """Same root count and roots within 1e-12; returns how many points fell back."""
+    fallbacks = 0
+    for c in points:
+        ref = dense_bisection_roots(c, ctx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = [cand.s for cand in tangents_from_point(c, ctx)]
+        assert len(got) == len(ref), c
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref)), c
+        fallbacks += len(_tangency_roots(c, ctx, COARSE_SCAN_NODES)) != 4
+    return fallbacks
 
 
 class TestConcurrencyPoint:
@@ -139,9 +206,55 @@ class TestTangentsFromPoint:
             ) <= 1e-8
 
     def test_degenerate_point_warns(self, ctx):
+        # The coarse scan does not find four roots, so the dense fallback
+        # runs, and it warns.
+        c = Vec2(0.5, 0.05)
+        assert len(_tangency_roots(c, ctx, COARSE_SCAN_NODES)) != 4
         with pytest.warns(UserWarning):
-            cands = tangents_from_point(Vec2(0.5, 0.05), ctx)
+            cands = tangents_from_point(c, ctx)
         assert len(cands) != 4
+
+    def test_nan_point_brackets_nothing(self, ctx):
+        # A NaN gap has no sign, so no node opens a bracket.
+        with pytest.warns(UserWarning):
+            assert tangents_from_point(Vec2(math.nan, 1.0), ctx) == []
+
+    def test_matches_dense_bisection_on_hyperbola(self, ctx):
+        rng = random.Random(20021)
+        points = []
+        for _ in range(984):
+            u = rng.uniform(-4.0, 4.0)
+            points.append(Vec2(rng.choice((-1.0, 1.0)) * math.cosh(u), math.sinh(u)))
+        for cy in (1e-1, 1e-2, 1e-3, 1e-4):
+            for sx in (-1.0, 1.0):
+                for sy in (-1.0, 1.0):
+                    points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
+        assert {quadrant(c) for c in points} == {1, 2, 3, 4}
+        # On the hyperbola the coarse scan alone must find all four roots.
+        assert assert_search_matches_oracle(points, ctx) == 0
+
+    def test_matches_dense_bisection_in_box(self, ctx, period):
+        rng = random.Random(20022)
+        points = [Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(1000)]
+        # 1e-5 off the curve two tangency roots can share one coarse cell, so
+        # only the dense fallback finds them.
+        for _ in range(200):
+            b = body_state(rng.uniform(0.0, period), ctx)
+            off = rng.choice((-1e-5, 1e-5)) / b.vel.norm()
+            points.append(Vec2(b.pos.x - off * b.vel.y, b.pos.y + off * b.vel.x))
+        # Points with other than four tangents also exercise the fallback.
+        assert assert_search_matches_oracle(points, ctx) >= 100
+
+    def test_newton_slope_matches_central_difference(self, ctx, period):
+        rng = random.Random(20023)
+        h = 1e-5
+        for _ in range(200):
+            cx, cy = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            s = rng.uniform(0.0, period)
+            _, slope = _gap_and_slope(cx, cy, s, ctx)
+            g_up, _ = _gap_and_slope(cx, cy, s + h, ctx)
+            g_down, _ = _gap_and_slope(cx, cy, s - h, ctx)
+            assert slope == pytest.approx((g_up - g_down) / (2.0 * h), rel=1e-7, abs=1e-8)
 
 
 class TestSelectChoreographic:
