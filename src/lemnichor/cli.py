@@ -2,9 +2,9 @@
 
 Data outputs are deterministic: CSV uses '.' decimal, ',' delimiter, LF line
 endings and 17 significant digits, and carries no timestamps; run metadata
-goes to a separate ``<output>.meta.json`` sidecar.  The environment variable
-LEMNICHOR_SEED is reserved and currently unused (all computation is
-deterministic).
+goes to a separate ``<output>.meta.json`` sidecar.  Each subcommand takes
+only the flags it reads; --n-samples, --steps, --dt and --tolerance-scale are
+validated before any output is written.
 
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error, 3 I/O error.
@@ -16,12 +16,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from . import analytic, dynamics, geometry, invariants
+from . import __version__, analytic, dynamics, geometry, invariants
 from .elliptic import CHOREO_M, choreography_context
-from .orbit import position, triple, velocity
+from .orbit import body_state, triple
 
 # Default residual tolerances, overridable by --tolerance-scale.
 DEFAULT_TOLERANCES = {
@@ -52,11 +52,6 @@ class RunConfig:
     init: str = "analytic"
     from_c: tuple[float, float] | None = None
     from_point: float | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write_text(cfg: RunConfig, text: str) -> None:
@@ -75,7 +70,7 @@ def _write_text(cfg: RunConfig, text: str) -> None:
             "affine": cfg.affine,
             "tolerance_scale": cfg.tolerance_scale,
         },
-        "tool": "lemnichor 0.1.0",
+        "tool": f"lemnichor {__version__}",
     }
     Path(str(cfg.output_path) + ".meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -83,10 +78,8 @@ def _write_text(cfg: RunConfig, text: str) -> None:
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    fmt = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -104,8 +97,8 @@ def cmd_sample(cfg: RunConfig) -> int:
     rows = []
     for j in range(cfg.n_samples):
         t = j * period / cfg.n_samples
-        p = position(t, ctx)
-        v = velocity(t, ctx)
+        b = body_state(t, ctx)
+        p, v = b.pos, b.vel
         y = CHOREO_M * p.y if cfg.affine else p.y
         rows.append([t, p.x, y, v.x, v.y])
     if cfg.format == "json":
@@ -285,9 +278,7 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    if cfg.n_samples < 1 or cfg.steps < 1 or (cfg.dt is not None and cfg.dt <= 0):
-        raise ValueError("n_samples and steps must be >= 1 and dt > 0")
+    """Execute one command configured by main(); returns the process exit code."""
     try:
         return _COMMANDS[cfg.command](cfg)
     except OSError as exc:
@@ -306,70 +297,73 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lemnichor",
         description="Sample, verify and explore the exact three-body "
         "choreography on the Bernoulli lemniscate.",
-        epilog="LEMNICHOR_SEED is reserved; all computation is deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, summary, n_samples=False, tolerance=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", type=Path, default=None, help="write data here (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--n-samples", type=int, default=None)
-        p.add_argument("--tolerance-scale", type=float, default=1.0)
+        if n_samples:
+            p.add_argument("--n-samples", type=int, default=None)
+        if tolerance:
+            p.add_argument("--tolerance-scale", type=float, default=1.0,
+                           help="multiply every tolerance by this finite positive factor")
+        return p
 
-    p = sub.add_parser("sample", help="sample the analytic orbit over one period")
-    common(p)
+    p = add("sample", "sample the analytic orbit over one period", n_samples=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--affine", action="store_true",
                    help="scale exported y by the squared modulus")
 
-    p = sub.add_parser("verify", help="run the conservation-law suite")
-    common(p)
+    add("verify", "run the conservation-law suite", n_samples=True, tolerance=True)
 
-    p = sub.add_parser("integrate", help="velocity-Verlet integration")
-    common(p)
+    p = add("integrate", "velocity-Verlet integration")
     p.add_argument("--variant", choices=("U", "V"), default="U")
     p.add_argument("--dt", type=float, default=None, help="step (default: period / 65536)")
     p.add_argument("--steps", type=int, default=65536)
     p.add_argument("--init", default="analytic",
                    help="'analytic' or a JSON file with positions/velocities")
 
-    p = sub.add_parser("geometry", help="tangent-line geometry sweep or constructions")
-    common(p)
+    p = add("geometry", "tangent-line geometry sweep or constructions",
+            n_samples=True, tolerance=True)
     p.add_argument("--from-c", default=None, metavar="CX,CY",
                    help="construct the triple from a hyperbola point")
     p.add_argument("--from-point", type=float, default=None, metavar="S",
                    help="construct the triple from one orbit phase")
 
-    p = sub.add_parser("analytic", help="run the complex-analytic check suite")
-    common(p)
+    add("analytic", "run the complex-analytic check suite", tolerance=True)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.output is not None:
-        cfg.output_path = args.output
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    if getattr(args, "n_samples", None) is not None:
-        cfg.n_samples = args.n_samples
+    """The validated RunConfig; raises ValueError on any bad value."""
+    cfg = RunConfig(command=args.command, output_path=args.output)
+    cfg.format = getattr(args, "format", cfg.format)
+    n_samples = getattr(args, "n_samples", None)
+    if n_samples is not None:
+        cfg.n_samples = n_samples
     elif args.command == "geometry":
         cfg.n_samples = 200
-    cfg.tolerance_scale = args.tolerance_scale
+    cfg.tolerance_scale = getattr(args, "tolerance_scale", cfg.tolerance_scale)
     cfg.affine = getattr(args, "affine", False)
     if getattr(args, "variant", None):
         cfg.variant = dynamics.PotentialVariant(args.variant)
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "steps", None) is not None:
-        cfg.steps = args.steps
-    cfg.init = getattr(args, "init", "analytic")
+    cfg.dt = getattr(args, "dt", None)
+    cfg.steps = getattr(args, "steps", cfg.steps)
+    cfg.init = getattr(args, "init", cfg.init)
     if getattr(args, "from_c", None) is not None:
         parts = args.from_c.split(",")
         if len(parts) != 2:
             raise ValueError("--from-c expects CX,CY")
         cfg.from_c = (float(parts[0]), float(parts[1]))
-    if getattr(args, "from_point", None) is not None:
-        cfg.from_point = args.from_point
+    cfg.from_point = getattr(args, "from_point", None)
+
+    if cfg.n_samples < 1 or cfg.steps < 1:
+        raise ValueError("--n-samples and --steps must be >= 1")
+    for flag, x in (("--dt", cfg.dt), ("--tolerance-scale", cfg.tolerance_scale)):
+        # The chained comparison is also False for NaN.
+        if x is not None and not 0.0 < x < math.inf:
+            raise ValueError(f"{flag} must be finite and > 0, got {x!r}")
     return cfg
 
 
@@ -378,11 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if cfg.n_samples < 1 or cfg.steps < 1 or (cfg.dt is not None and cfg.dt <= 0):
-            raise ValueError("n_samples and steps must be >= 1 and dt > 0")
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-        return 2
+        parser.error(str(exc))  # exits 2 before any output is written
     return run(cfg)
 
 

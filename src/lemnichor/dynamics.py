@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import EllipticContext
-from .orbit import Vec2, acceleration, triple_phases, position, velocity
+from .orbit import Vec2, triple
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,91 +50,91 @@ class CollisionError(RuntimeError):
         self.partial = partial
 
 
-def _check_separations(positions) -> None:
+def _forces(px, py, central: bool):
+    """Force components (fx, fy) on the three bodies at flat positions.
+
+    Newton pairs are accumulated i < j with equal and opposite terms; the
+    repulsion is the central (sqrt(3)/4) x_i or the pairwise
+    -(sqrt(3)/12) sum_j (x_j - x_i).  This and _potential are the only places
+    the dynamics is coded, and the only collision rule: r_ij^2 < DELTA_COLL^2.
+    """
+    fx = [0.0, 0.0, 0.0]
+    fy = [0.0, 0.0, 0.0]
     for i in range(3):
         for j in range(i + 1, 3):
-            if (positions[i] - positions[j]).norm() < DELTA_COLL:
-                raise CollisionError(
-                    f"bodies {i} and {j} closer than {DELTA_COLL}"
-                )
+            dx = px[j] - px[i]
+            dy = py[j] - py[i]
+            r2 = dx * dx + dy * dy
+            if r2 < DELTA_COLL * DELTA_COLL:
+                raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
+            gx = 0.5 * dx / r2
+            gy = 0.5 * dy / r2
+            fx[i] += gx
+            fy[i] += gy
+            fx[j] -= gx
+            fy[j] -= gy
+    if central:
+        for i in range(3):
+            fx[i] += SQRT3 / 4.0 * px[i]
+            fy[i] += SQRT3 / 4.0 * py[i]
+    else:
+        for i in range(3):
+            sx = px[0] + px[1] + px[2] - 3.0 * px[i]
+            sy = py[0] + py[1] + py[2] - 3.0 * py[i]
+            fx[i] -= SQRT3 / 12.0 * sx
+            fy[i] -= SQRT3 / 12.0 * sy
+    return fx, fy
 
 
-def force_newton(positions, i: int) -> Vec2:
-    """Two-dimensional Newtonian (log-potential) attraction on body i."""
-    fx = fy = 0.0
-    pi = positions[i]
-    for j in range(3):
-        if j == i:
-            continue
-        d = positions[j] - pi
-        r2 = d.norm_sq()
-        if r2 < DELTA_COLL * DELTA_COLL:
-            raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
-        fx += 0.5 * d.x / r2
-        fy += 0.5 * d.y / r2
-    return Vec2(fx, fy)
-
-
-def force_repulsive1(x: Vec2) -> Vec2:
-    """Central repulsion (sqrt(3)/4) x."""
-    return Vec2(SQRT3 / 4.0 * x.x, SQRT3 / 4.0 * x.y)
-
-
-def force_repulsive2(positions, i: int) -> Vec2:
-    """Pairwise repulsion -(sqrt(3)/12) sum_{j != i} (x_j - x_i)."""
-    sx = sy = 0.0
-    for j in range(3):
-        if j == i:
-            continue
-        d = positions[j] - positions[i]
-        sx += d.x
-        sy += d.y
-    return Vec2(-SQRT3 / 12.0 * sx, -SQRT3 / 12.0 * sy)
-
-
-def force_total(positions, i: int, variant: PotentialVariant) -> Vec2:
-    rep = (
-        force_repulsive1(positions[i])
-        if variant is PotentialVariant.U_CENTRAL
-        else force_repulsive2(positions, i)
-    )
-    return force_newton(positions, i) + rep
-
-
-def potential(positions, variant: PotentialVariant) -> float:
-    """Potential energy of the configuration under the given variant.
-
-    (1/2) ln r_ij is evaluated as (1/4) ln(r_ij^2) to avoid square roots.
-    """
-    _check_separations(positions)
+def _potential(px, py, central: bool) -> float:
+    """Potential energy at flat positions; (1/2) ln r is (1/4) ln(r^2)."""
     pe = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
-            r2 = (positions[i] - positions[j]).norm_sq()
+            r2 = (px[j] - px[i]) ** 2 + (py[j] - py[i]) ** 2
+            if r2 < DELTA_COLL * DELTA_COLL:
+                raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
             pe += 0.25 * math.log(r2)
-            if variant is PotentialVariant.V_PAIRWISE:
+            if not central:
                 pe -= SQRT3 / 24.0 * r2
-    if variant is PotentialVariant.U_CENTRAL:
+    if central:
         for i in range(3):
-            pe -= SQRT3 / 8.0 * positions[i].norm_sq()
+            pe -= SQRT3 / 8.0 * (px[i] * px[i] + py[i] * py[i])
     return pe
+
+
+def _kinetic(vx, vy) -> float:
+    return 0.5 * sum(vx[i] * vx[i] + vy[i] * vy[i] for i in range(3))
+
+
+def forces(positions, variant: PotentialVariant) -> list[Vec2]:
+    """Total force F_newton(i) + F_repulsive(i) on each body."""
+    fx, fy = _forces(
+        [p.x for p in positions], [p.y for p in positions],
+        variant is PotentialVariant.U_CENTRAL,
+    )
+    return [Vec2(fx[i], fy[i]) for i in range(3)]
+
+
+def potential(positions, variant: PotentialVariant) -> float:
+    """Potential energy of the configuration under the given variant."""
+    return _potential(
+        [p.x for p in positions], [p.y for p in positions],
+        variant is PotentialVariant.U_CENTRAL,
+    )
 
 
 def total_energy(positions, velocities, variant: PotentialVariant) -> float:
     """Kinetic (with the conventional 1/2 factor) plus potential energy."""
-    ke = 0.5 * sum(v.norm_sq() for v in velocities)
+    ke = _kinetic([v.x for v in velocities], [v.y for v in velocities])
     return ke + potential(positions, variant)
 
 
 def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> float:
     """Max over bodies of |a_i(analytic) - F_newton(i) - F_repulsive(i)|."""
-    phases = triple_phases(t, ctx)
-    positions = [position(p, ctx) for p in phases]
-    worst = 0.0
-    for i, p in enumerate(phases):
-        f = force_total(positions, i, variant)
-        worst = max(worst, (acceleration(p, ctx) - f).norm())
-    return worst
+    s = triple(t, ctx)
+    f = forces(s.positions, variant)
+    return max((b.acc - fi).norm() for b, fi in zip(s.bodies, f))
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,15 @@ class Trajectory:
         return self.points[-1]
 
 
+def _point(t, px, py, vx, vy, energy) -> TrajectoryPoint:
+    return TrajectoryPoint(
+        t=t,
+        positions=(Vec2(px[0], py[0]), Vec2(px[1], py[1]), Vec2(px[2], py[2])),
+        velocities=(Vec2(vx[0], vy[0]), Vec2(vx[1], vy[1]), Vec2(vx[2], vy[2])),
+        energy=energy,
+    )
+
+
 def integrate(
     positions,
     velocities,
@@ -175,102 +184,47 @@ def integrate(
 ) -> Trajectory:
     """Velocity-Verlet trajectory from the given initial condition.
 
-    Raises CollisionError (carrying the step index and partial trajectory)
-    if any pairwise distance drops below DELTA_COLL.
+    The energy is evaluated once per step.  Raises CollisionError (carrying
+    the step index and partial trajectory) if any pairwise distance drops
+    below DELTA_COLL.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    _check_separations(positions)
 
     central = variant is PotentialVariant.U_CENTRAL
     px = [p.x for p in positions]
     py = [p.y for p in positions]
     vx = [v.x for v in velocities]
     vy = [v.y for v in velocities]
-
-    def forces():
-        fx = [0.0, 0.0, 0.0]
-        fy = [0.0, 0.0, 0.0]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dx = px[j] - px[i]
-                dy = py[j] - py[i]
-                r2 = dx * dx + dy * dy
-                if r2 < DELTA_COLL * DELTA_COLL:
-                    raise CollisionError(
-                        f"bodies {i} and {j} collided", step_index=step, partial=snapshot()
-                    )
-                gx = 0.5 * dx / r2
-                gy = 0.5 * dy / r2
-                fx[i] += gx
-                fy[i] += gy
-                fx[j] -= gx
-                fy[j] -= gy
-        if central:
-            for i in range(3):
-                fx[i] += SQRT3 / 4.0 * px[i]
-                fy[i] += SQRT3 / 4.0 * py[i]
-        else:
-            for i in range(3):
-                sx = px[0] + px[1] + px[2] - 3.0 * px[i]
-                sy = py[0] + py[1] + py[2] - 3.0 * py[i]
-                fx[i] -= SQRT3 / 12.0 * sx
-                fy[i] -= SQRT3 / 12.0 * sy
-        return fx, fy
-
-    def energy():
-        ke = 0.5 * sum(vx[i] * vx[i] + vy[i] * vy[i] for i in range(3))
-        pe = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                r2 = (px[j] - px[i]) ** 2 + (py[j] - py[i]) ** 2
-                pe += 0.25 * math.log(r2)
-                if not central:
-                    pe -= SQRT3 / 24.0 * r2
-        if central:
-            for i in range(3):
-                pe -= SQRT3 / 8.0 * (px[i] * px[i] + py[i] * py[i])
-        return ke + pe
-
-    def record(t):
-        points.append(
-            TrajectoryPoint(
-                t=t,
-                positions=(Vec2(px[0], py[0]), Vec2(px[1], py[1]), Vec2(px[2], py[2])),
-                velocities=(Vec2(vx[0], vy[0]), Vec2(vx[1], vy[1]), Vec2(vx[2], vy[2])),
-                energy=energy(),
-            )
-        )
-
-    def snapshot():
-        return Trajectory(
-            points=points, dt=dt, variant=variant,
-            record_every=record_every, energy_drift=drift,
-        )
-
     points: list[TrajectoryPoint] = []
     step = 0
     drift = 0.0
-    e0 = energy()
-    record(0.0)
     half = 0.5 * dt
-    fx, fy = forces()
-    for step in range(1, n_steps + 1):
-        for i in range(3):
-            vx[i] += half * fx[i]
-            vy[i] += half * fy[i]
-            px[i] += dt * vx[i]
-            py[i] += dt * vy[i]
-        fx, fy = forces()
-        for i in range(3):
-            vx[i] += half * fx[i]
-            vy[i] += half * fy[i]
-        drift = max(drift, abs(energy() - e0))
-        if step % record_every == 0 or step == n_steps:
-            record(step * dt)
-    return snapshot()
+    try:
+        e0 = _kinetic(vx, vy) + _potential(px, py, central)
+        points.append(_point(0.0, px, py, vx, vy, e0))
+        fx, fy = _forces(px, py, central)
+        for step in range(1, n_steps + 1):
+            for i in range(3):
+                vx[i] += half * fx[i]
+                vy[i] += half * fy[i]
+                px[i] += dt * vx[i]
+                py[i] += dt * vy[i]
+            fx, fy = _forces(px, py, central)
+            for i in range(3):
+                vx[i] += half * fx[i]
+                vy[i] += half * fy[i]
+            energy = _kinetic(vx, vy) + _potential(px, py, central)
+            drift = max(drift, abs(energy - e0))
+            if step % record_every == 0 or step == n_steps:
+                points.append(_point(step * dt, px, py, vx, vy, energy))
+    except CollisionError as exc:
+        exc.step_index = step
+        exc.partial = Trajectory(points, dt, variant, record_every, drift)
+        raise
+    return Trajectory(points, dt, variant, record_every, drift)
 
 
 def integrate_choreography(
@@ -282,15 +236,8 @@ def integrate_choreography(
     t0: float = 0.0,
 ) -> Trajectory:
     """integrate() starting from the analytic triple at time t0."""
-    phases = triple_phases(t0, ctx)
-    return integrate(
-        [position(p, ctx) for p in phases],
-        [velocity(p, ctx) for p in phases],
-        variant,
-        dt,
-        n_steps,
-        record_every=record_every,
-    )
+    s = triple(t0, ctx)
+    return integrate(s.positions, s.velocities, variant, dt, n_steps, record_every=record_every)
 
 
 # --- one-body motion on the lemniscate under a central 1/r^6 potential ---

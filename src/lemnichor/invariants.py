@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import EllipticContext, make_context
-from .orbit import TripleState, Vec2, acceleration, position, triple, velocity
+from .orbit import TripleState, Vec2, acceleration, body_state, triple, velocity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -71,8 +71,9 @@ def velocity_relation_residual(t: float, m: float, ctx: EllipticContext | None =
     """|v^2 + (m - 1/2) x^2 - 1/2| at modulus m; tiny at every modulus."""
     if ctx is None or ctx.m != m:
         ctx = make_context(m)
-    x2 = position(t, ctx).norm_sq()
-    v2 = velocity(t, ctx).norm_sq()
+    b = body_state(t, ctx)
+    x2 = b.pos.norm_sq()
+    v2 = b.vel.norm_sq()
     return abs(v2 + (m - 0.5) * x2 - 0.5)
 
 

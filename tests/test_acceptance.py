@@ -263,7 +263,7 @@ def test_criterion_9_property_suite(ctx, period):
         triples_done += 1
         for variant in (U, V):
             for i in range(3):
-                f = dynamics.force_total(pts, i, variant)
+                f = dynamics.forces(pts, variant)[i]
                 for axis in range(2):
                     bump = Vec2(h, 0.0) if axis == 0 else Vec2(0.0, h)
                     up, dn = list(pts), list(pts)

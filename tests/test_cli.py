@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -190,8 +192,66 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command, flag", [
+        ("integrate", "--dt"),
+        ("verify", "--tolerance-scale"),
+        ("geometry", "--tolerance-scale"),
+        ("analytic", "--tolerance-scale"),
+    ])
+    def test_non_finite_or_non_positive_value_rejected(self, command, flag, value, tmp_path, capsys):
+        # A NaN tolerance would make every "residual > tolerance" gate pass.
+        out = tmp_path / "out.dat"
+        with pytest.raises(SystemExit) as err:
+            main([command, f"{flag}={value}", "--output", str(out)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--format", "json"],
+        ["integrate", "--n-samples", "10"],
+        ["analytic", "--n-samples", "10"],
+        ["geometry", "--format", "json"],
+        ["verify", "--format", "json"],
+        ["sample", "--tolerance-scale", "2"],
+        ["integrate", "--tolerance-scale", "2"],
+    ])
+    def test_flag_not_taken_by_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         code, _, err = run_cli(["sample", "--n-samples", "2", "--output", str(missing)], capsys)
         assert code == 3
         assert "i/o error" in err
+
+
+def readme_cli_examples():
+    """The command lines of the sh block under '## CLI' in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def _readme_params():
+    params = []
+    for words in readme_cli_examples():
+        marks = []
+        if "--from-c=1.37,0.94" in words:
+            # ROADMAP item 4: a c ~1e-4 off the hyperbola fails the
+            # forward-motion rule and exits 1.
+            marks.append(pytest.mark.xfail(strict=True, reason="ROADMAP item 4: --from-c off the hyperbola"))
+        params.append(pytest.param(words, marks=marks, id=" ".join(words[1:])))
+    return params
+
+
+@pytest.mark.parametrize("words", _readme_params())
+def test_readme_cli_example_exits_zero(words, capsys):
+    assert words[0] == "lemnichor"
+    code = main(words[1:])
+    capsys.readouterr()
+    assert code == 0

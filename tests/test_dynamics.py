@@ -7,10 +7,7 @@ from lemnichor.dynamics import (
     CollisionError,
     PotentialVariant,
     eom_residual,
-    force_newton,
-    force_repulsive1,
-    force_repulsive2,
-    force_total,
+    forces,
     integrate,
     integrate_choreography,
     one_body_lemniscate_residual,
@@ -35,69 +32,105 @@ def random_triple(rng, min_sep=0.15):
             return ps
 
 
+def central_push(x):
+    """Closed-form repulsion of variant U on a body at x: (sqrt(3)/4) x."""
+    return (SQRT3 / 4.0) * x
+
+
+def newton(pts, i):
+    """Closed-form log-potential attraction on body i: (1/2) sum_j d / |d|^2."""
+    f = Vec2(0.0, 0.0)
+    for j in range(3):
+        if j != i:
+            d = pts[j] - pts[i]
+            f = f + (0.5 / d.norm_sq()) * d
+    return f
+
+
 class TestForces:
     def test_newton_equilateral_points_inward(self):
         pts = [
             Vec2(math.cos(a), math.sin(a))
             for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
         ]
+        f_all = forces(pts, U)
         for i, p in enumerate(pts):
-            f = force_newton(pts, i)
+            f = f_all[i] - central_push(p)
             # force is antiparallel to the position vector by symmetry
             assert f.cross(p) == pytest.approx(0.0, abs=1e-14)
             assert f.dot(p) < 0.0
 
     def test_newton_cancels_for_body_at_origin(self, ctx):
         s = triple(0.0, ctx)
-        assert force_newton(s.positions, 0).norm() <= 1e-13
+        f = forces(s.positions, U)[0] - central_push(s.positions[0])
+        assert f.norm() <= 1e-13
 
     def test_newton_matches_rearranged_equation_of_motion(self, ctx):
         s = triple(0.0, ctx)
-        f = force_newton(s.positions, 1)
-        want = acceleration(4.0 * ctx.K / 3.0, ctx) - force_repulsive1(s.positions[1])
+        f = forces(s.positions, U)[1] - central_push(s.positions[1])
+        want = acceleration(4.0 * ctx.K / 3.0, ctx) - central_push(s.positions[1])
         assert (f - want).norm() <= 1e-10
 
     def test_newton_collision_error(self):
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
-        with pytest.raises(CollisionError):
-            force_newton(pts, 0)
+        for variant in (U, V):
+            with pytest.raises(CollisionError):
+                forces(pts, variant)
 
     def test_repulsive1_values(self):
-        assert force_repulsive1(Vec2(0.0, 0.0)) == Vec2(0.0, 0.0)
-        f = force_repulsive1(Vec2(1.0, 0.0))
-        assert f.x == pytest.approx(SQRT3 / 4.0, abs=0.0)
-        assert f.y == 0.0
+        # Variant U's repulsion is what is left after the attraction.
+        pts = [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(-0.4, 0.9)]
+        f = forces(pts, U)
+        rep = [f[i] - newton(pts, i) for i in range(3)]
+        assert rep[0].norm() <= 1e-15
+        assert rep[1].x == pytest.approx(SQRT3 / 4.0, abs=1e-15)
+        assert rep[1].y == pytest.approx(0.0, abs=1e-15)
 
     def test_repulsive1_linearity(self):
-        x = Vec2(0.3, -0.8)
-        doubled = force_repulsive1(2.0 * x)
-        single = force_repulsive1(x)
-        assert doubled.x == 2.0 * single.x
-        assert doubled.y == 2.0 * single.y
+        # A rigid shift leaves the attraction alone: U's force moves by
+        # (sqrt(3)/4) shift, V's (pairwise) force does not move.
+        rng = random.Random(44)
+        shift = Vec2(0.3, -0.8)
+        for _ in range(20):
+            pts = random_triple(rng)
+            moved = [p + shift for p in pts]
+            for i in range(3):
+                d_u = forces(moved, U)[i] - forces(pts, U)[i]
+                assert (d_u - central_push(shift)).norm() <= 1e-13
+                assert (forces(moved, V)[i] - forces(pts, V)[i]).norm() <= 1e-13
 
     def test_repulsive2_equals_repulsive1_when_centered(self):
         rng = random.Random(42)
-        for _ in range(50):
+        done = 0
+        while done < 50:
             p1 = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             p2 = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             pts = [p1, p2, -1.0 * (p1 + p2)]
+            # Keep the attraction O(1), so that 1e-13 is a few ulps of the force.
+            if min((pts[i] - pts[j]).norm() for i in range(3) for j in range(i + 1, 3)) < 0.15:
+                continue
+            done += 1
+            f_u, f_v = forces(pts, U), forces(pts, V)
             for i in range(3):
-                d = force_repulsive2(pts, i) - force_repulsive1(pts[i])
-                assert d.norm() <= 1e-13
+                assert (f_v[i] - f_u[i]).norm() <= 1e-13
 
     def test_repulsive2_offset_by_center_of_mass(self):
         rng = random.Random(43)
         shift = Vec2(0.4, -0.2)
-        pts = [p + shift for p in random_triple(rng)]
-        com = (1.0 / 3.0) * (pts[0] + pts[1] + pts[2])
-        for i in range(3):
-            d = force_repulsive1(pts[i]) - force_repulsive2(pts, i)
-            want = (SQRT3 / 4.0) * com
-            assert (d - want).norm() <= 1e-13
+        for _ in range(50):
+            pts = [p + shift for p in random_triple(rng)]
+            com = (1.0 / 3.0) * (pts[0] + pts[1] + pts[2])
+            f_u, f_v = forces(pts, U), forces(pts, V)
+            for i in range(3):
+                d = f_u[i] - f_v[i]
+                want = (SQRT3 / 4.0) * com
+                assert (d - want).norm() <= 1e-13
 
     def test_repulsive2_zero_for_body_between_antipodes(self, ctx):
+        # Body 0 sits at the origin between antipodal partners: both the
+        # attraction and the pairwise push on it vanish.
         s = triple(0.0, ctx)
-        assert force_repulsive2(s.positions, 0).norm() <= 1e-13
+        assert forces(s.positions, V)[0].norm() <= 1e-13
 
 
 class TestPotential:
@@ -130,7 +163,7 @@ class TestPotential:
         for _ in range(20):
             pts = random_triple(rng)
             for i in range(3):
-                f = force_total(pts, i, variant)
+                f = forces(pts, variant)[i]
                 for axis in range(2):
                     bump = Vec2(h, 0.0) if axis == 0 else Vec2(0.0, h)
                     up = list(pts)
@@ -151,6 +184,15 @@ class TestEquationOfMotion:
     def test_wrong_modulus_negative_control(self):
         bad = make_context(0.5)
         assert eom_residual(bad.K / 6.0, U, bad) > 1e-2
+
+    def test_one_elliptic_evaluation_per_body(self, ctx, monkeypatch):
+        import lemnichor.orbit as orbit
+
+        calls = []
+        real = orbit.sn_cn_dn
+        monkeypatch.setattr(orbit, "sn_cn_dn", lambda t, c: calls.append(t) or real(t, c))
+        eom_residual(0.3, U, ctx)
+        assert len(calls) == 3
 
     def test_variants_identical_on_orbit(self, ctx, period):
         for i in range(100):
@@ -235,6 +277,28 @@ class TestIntegrate:
                 for pt in traj.points
             ]
             assert max(abs(l) for l in l_vals) < 1e-12
+
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_recorded_energy_is_total_energy(self, ctx, variant):
+        traj = integrate_choreography(ctx, variant, 0.01, 64, record_every=4, t0=0.7)
+        assert len(traj.points) == 17
+        for pt in traj.points:
+            assert pt.energy == total_energy(pt.positions, pt.velocities, variant)
+
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_energy_drift_is_max_over_every_step(self, ctx, variant):
+        traj = integrate_choreography(ctx, variant, 0.05, 200, record_every=1)
+        e0 = traj.points[0].energy
+        assert traj.energy_drift > 0.0
+        assert traj.energy_drift == max(abs(pt.energy - e0) for pt in traj.points)
+
+    def test_collision_at_start_reports_step_zero(self):
+        pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
+        vels = [Vec2(0.0, 0.0)] * 3
+        with pytest.raises(CollisionError) as err:
+            integrate(pts, vels, U, dt=0.1, n_steps=10)
+        assert err.value.step_index == 0
+        assert err.value.partial.points == []
 
     def test_recorded_samples_uniform(self, ctx, period):
         traj = integrate_choreography(ctx, V, 0.01, 32)
