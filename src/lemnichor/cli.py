@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from . import __version__, analytic, dynamics, geometry, invariants
@@ -37,6 +38,10 @@ DEFAULT_TOLERANCES = {
     "hyperbola": 1e-8,
 }
 
+# Rows per CSV text chunk (~0.6 MB of trajectory text): bounds the text held in
+# memory at once, whatever the number of rows.
+CSV_CHUNK_ROWS = 2048
+
 
 @dataclass
 class RunConfig:
@@ -54,11 +59,13 @@ class RunConfig:
     from_point: float | None = None
 
 
-def _write_text(cfg: RunConfig, text: str) -> None:
+def _write_text(cfg: RunConfig, chunks) -> None:
+    """Write the text chunks to --output (plus its sidecar) or to stdout."""
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    cfg.output_path.write_text(text, encoding="utf-8", newline="\n")
+    with cfg.output_path.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(chunks)
     sidecar = {
         "command": cfg.command,
         "config": {
@@ -77,9 +84,18 @@ def _write_text(cfg: RunConfig, text: str) -> None:
     )
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
+def _csv(rows, header):
+    """The CSV text of an iterable of rows, in chunks of CSV_CHUNK_ROWS rows."""
     fmt = ",".join(["%.17g"] * len(header))
-    return "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while chunk := [fmt % tuple(row) for row in islice(rows, CSV_CHUNK_ROWS)]:
+        yield "\n".join(chunk) + "\n"
+
+
+def _fold_max(worst: float, r: float) -> float:
+    """max(worst, r), except that a NaN on either side is kept."""
+    return r if r > worst or math.isnan(r) else worst
 
 
 def _json_text(obj) -> str:
@@ -102,9 +118,9 @@ def cmd_sample(cfg: RunConfig) -> int:
         y = CHOREO_M * p.y if cfg.affine else p.y
         rows.append([t, p.x, y, v.x, v.y])
     if cfg.format == "json":
-        _write_text(cfg, _json_text([
+        _write_text(cfg, [_json_text([
             {"t": r[0], "x": r[1], "y": r[2], "vx": r[3], "vy": r[4]} for r in rows
-        ]))
+        ])])
     else:
         _write_text(cfg, _csv(rows, ["t", "x", "y", "vx", "vy"]))
     return 0
@@ -118,12 +134,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         t = j * period / cfg.n_samples
         rep = invariants.full_report(t, ctx)
         for name, r in rep.residuals.items():
-            worst[name] = max(worst.get(name, 0.0), r)
+            worst[name] = _fold_max(worst.get(name, 0.0), r)
         for variant in dynamics.PotentialVariant:
             r = dynamics.eom_residual(t, variant, ctx)
-            worst["eom_residual"] = max(worst.get("eom_residual", 0.0), r)
+            worst["eom_residual"] = _fold_max(worst.get("eom_residual", 0.0), r)
     tolerances = {k: DEFAULT_TOLERANCES[k] * cfg.tolerance_scale for k in worst}
-    failures = {k: worst[k] for k in worst if worst[k] > tolerances[k]}
+    # Written so that a NaN residual fails.
+    failures = {k: worst[k] for k in worst if not worst[k] <= tolerances[k]}
     report = {
         "n_samples": cfg.n_samples,
         "max_residuals": worst,
@@ -131,7 +148,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _write_text(cfg, _json_text(report))
+    _write_text(cfg, [_json_text(report)])
     return 0 if not failures else 1
 
 
@@ -155,18 +172,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
         positions, velocities = _load_init(Path(cfg.init))
         traj = dynamics.integrate(positions, velocities, cfg.variant, dt, cfg.steps)
 
-    header = ["t"]
-    for i in (1, 2, 3):
-        header += [f"x{i}", f"y{i}", f"vx{i}", f"vy{i}"]
-    header.append("energy")
-    rows = []
-    for pt in traj.points:
-        row = [pt.t]
-        for p, v in zip(pt.positions, pt.velocities):
-            row += [p.x, p.y, v.x, v.y]
-        row.append(pt.energy)
-        rows.append(row)
-    _write_text(cfg, _csv(rows, header))
+    _write_text(cfg, _csv(traj.iter_rows(), dynamics.ROW_FIELDS))
 
     if cfg.init == "analytic":
         t_final = cfg.steps * dt
@@ -189,24 +195,24 @@ def cmd_geometry(cfg: RunConfig) -> int:
         c = geometry.Vec2(*cfg.from_c)
         candidates = geometry.tangents_from_point(c, ctx)
         selected = geometry.select_choreographic(c, candidates, ctx)
-        _write_text(cfg, _json_text({
+        _write_text(cfg, [_json_text({
             "c": [c.x, c.y],
             "candidates": [
                 {"s": cand.s, "point": [cand.point.x, cand.point.y], "quadrant": cand.quadrant}
                 for cand in candidates
             ],
             "selected_phases": [cand.s for cand in selected],
-        }))
+        })])
         return 0
     if cfg.from_point is not None:
         (x2, x3), cp = geometry.complete_triple_from_point(cfg.from_point, ctx)
-        _write_text(cfg, _json_text({
+        _write_text(cfg, [_json_text({
             "x1_phase": cfg.from_point,
             "x2": [x2.x, x2.y],
             "x3": [x3.x, x3.y],
             "c": [cp.c.x, cp.c.y],
             "lambdas": list(cp.lambdas),
-        }))
+        })])
         return 0
 
     period = ctx.period
@@ -222,7 +228,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
             rec["hyperbola_residual"],
         ])
         if rec["finite"] and math.hypot(rec["cx"], rec["cy"]) < 50.0:
-            worst_hyp = max(worst_hyp, abs(rec["hyperbola_residual"]))
+            worst_hyp = _fold_max(worst_hyp, abs(rec["hyperbola_residual"]))
     _write_text(cfg, _csv(rows, [
         "t", "cx", "cy", "lambda1", "lambda2", "lambda3",
         "quadrant_c", "quadrant_1", "quadrant_2", "quadrant_3", "hyperbola_residual",
@@ -264,7 +270,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
         }
         for r in results
     ]
-    _write_text(cfg, _json_text(report))
+    _write_text(cfg, [_json_text(report)])
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -364,6 +370,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         # The chained comparison is also False for NaN.
         if x is not None and not 0.0 < x < math.inf:
             raise ValueError(f"{flag} must be finite and > 0, got {x!r}")
+    if cfg.from_c is not None and not all(map(math.isfinite, cfg.from_c)):
+        raise ValueError(f"--from-c coordinates must be finite, got {args.from_c!r}")
+    if cfg.from_point is not None and not math.isfinite(cfg.from_point):
+        raise ValueError(f"--from-point must be finite, got {cfg.from_point!r}")
     return cfg
 
 

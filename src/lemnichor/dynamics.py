@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 
 from .elliptic import EllipticContext
@@ -145,33 +146,58 @@ class TrajectoryPoint:
     energy: float
 
 
+# The layout of one recorded row in Trajectory.rows, and the trajectory CSV
+# columns.
+ROW_FIELDS = (
+    "t",
+    "x1", "y1", "vx1", "vy1",
+    "x2", "y2", "vx2", "vy2",
+    "x3", "y3", "vx3", "vy3",
+    "energy",
+)
+ROW_WIDTH = len(ROW_FIELDS)
+
+
+def _as_point(row) -> TrajectoryPoint:
+    t, x1, y1, vx1, vy1, x2, y2, vx2, vy2, x3, y3, vx3, vy3, energy = row
+    return TrajectoryPoint(
+        t=t,
+        positions=(Vec2(x1, y1), Vec2(x2, y2), Vec2(x3, y3)),
+        velocities=(Vec2(vx1, vy1), Vec2(vx2, vy2), Vec2(vx3, vy3)),
+        energy=energy,
+    )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled integrator output.
 
-    points are spaced dt * record_every apart; energy_drift is the maximum
+    rows holds ROW_WIDTH doubles per recorded point, laid out as ROW_FIELDS;
+    points and final build TrajectoryPoints from it on demand.  Points are
+    spaced dt * record_every apart; energy_drift is the maximum
     |E(t) - E(0)| observed over every integration step, not just recorded
     ones.
     """
 
-    points: list[TrajectoryPoint]
+    rows: array
     dt: float
     variant: PotentialVariant
     record_every: int
     energy_drift: float
 
+    def iter_rows(self):
+        """The recorded rows as ROW_WIDTH-tuples, read straight from rows."""
+        return zip(*[iter(self.rows)] * ROW_WIDTH)
+
+    @property
+    def points(self) -> list[TrajectoryPoint]:
+        return [_as_point(row) for row in self.iter_rows()]
+
     @property
     def final(self) -> TrajectoryPoint:
-        return self.points[-1]
-
-
-def _point(t, px, py, vx, vy, energy) -> TrajectoryPoint:
-    return TrajectoryPoint(
-        t=t,
-        positions=(Vec2(px[0], py[0]), Vec2(px[1], py[1]), Vec2(px[2], py[2])),
-        velocities=(Vec2(vx[0], vy[0]), Vec2(vx[1], vy[1]), Vec2(vx[2], vy[2])),
-        energy=energy,
-    )
+        if not self.rows:
+            raise IndexError("empty trajectory")
+        return _as_point(self.rows[-ROW_WIDTH:])
 
 
 def integrate(
@@ -198,13 +224,23 @@ def integrate(
     py = [p.y for p in positions]
     vx = [v.x for v in velocities]
     vy = [v.y for v in velocities]
-    points: list[TrajectoryPoint] = []
+    rows = array("d")
+
+    def record(t, energy):
+        rows.extend((
+            t,
+            px[0], py[0], vx[0], vy[0],
+            px[1], py[1], vx[1], vy[1],
+            px[2], py[2], vx[2], vy[2],
+            energy,
+        ))
+
     step = 0
     drift = 0.0
     half = 0.5 * dt
     try:
         e0 = _kinetic(vx, vy) + _potential(px, py, central)
-        points.append(_point(0.0, px, py, vx, vy, e0))
+        record(0.0, e0)
         fx, fy = _forces(px, py, central)
         for step in range(1, n_steps + 1):
             for i in range(3):
@@ -219,12 +255,12 @@ def integrate(
             energy = _kinetic(vx, vy) + _potential(px, py, central)
             drift = max(drift, abs(energy - e0))
             if step % record_every == 0 or step == n_steps:
-                points.append(_point(step * dt, px, py, vx, vy, energy))
+                record(step * dt, energy)
     except CollisionError as exc:
         exc.step_index = step
-        exc.partial = Trajectory(points, dt, variant, record_every, drift)
+        exc.partial = Trajectory(rows, dt, variant, record_every, drift)
         raise
-    return Trajectory(points, dt, variant, record_every, drift)
+    return Trajectory(rows, dt, variant, record_every, drift)
 
 
 def integrate_choreography(

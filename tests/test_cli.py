@@ -1,12 +1,14 @@
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from lemnichor import cli, dynamics, geometry, invariants
 from lemnichor.cli import main
-from lemnichor.elliptic import CHOREO_M
+from lemnichor.elliptic import CHOREO_M, choreography_context
 from lemnichor.orbit import position, triple, velocity
 
 
@@ -80,6 +82,60 @@ class TestVerify:
         assert report["passed"] is False
         assert report["failures"]
 
+    def test_nan_eom_residual_fails(self, monkeypatch, capsys):
+        # The NaN comes first, so a fold that drops it would end on a finite max.
+        real = dynamics.eom_residual
+        calls = []
+
+        def stub(t, variant, ctx):
+            calls.append(t)
+            return math.nan if len(calls) == 1 else real(t, variant, ctx)
+
+        monkeypatch.setattr(dynamics, "eom_residual", stub)
+        code, out, _ = run_cli(["verify", "--n-samples", "4"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert math.isnan(report["failures"]["eom_residual"])
+        assert list(report["failures"]) == ["eom_residual"]
+
+    def test_nan_invariant_residual_fails(self, monkeypatch, capsys):
+        real = invariants.full_report
+        calls = []
+
+        def stub(t, ctx):
+            rep = real(t, ctx)
+            calls.append(t)
+            if len(calls) == 2:
+                rep.residuals["kinetic_energy"] = math.nan
+            return rep
+
+        monkeypatch.setattr(invariants, "full_report", stub)
+        code, out, _ = run_cli(["verify", "--n-samples", "4"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert list(report["failures"]) == ["kinetic_energy"]
+        assert math.isnan(report["max_residuals"]["kinetic_energy"])
+
+
+def _old_trajectory_csv(traj) -> bytes:
+    """The trajectory CSV of traj.points, unstreamed: one list per point, one
+    "%.17g" row format, one join."""
+    header = ["t"]
+    for i in (1, 2, 3):
+        header += [f"x{i}", f"y{i}", f"vx{i}", f"vy{i}"]
+    header.append("energy")
+    fmt = ",".join(["%.17g"] * len(header))
+    rows = []
+    for pt in traj.points:
+        row = [pt.t]
+        for p, v in zip(pt.positions, pt.velocities):
+            row += [p.x, p.y, v.x, v.y]
+        row.append(pt.energy)
+        rows.append(fmt % tuple(row))
+    return ("\n".join([",".join(header)] + rows) + "\n").encode()
+
 
 class TestIntegrate:
     def test_csv_shape_and_energy_column(self, ctx, capsys):
@@ -121,6 +177,70 @@ class TestIntegrate:
         assert meta["command"] == "integrate"
         assert meta["config"]["steps"] == 4
 
+    @pytest.mark.parametrize("init", ["analytic", "file"])
+    @pytest.mark.parametrize("variant", ["U", "V"])
+    def test_streamed_csv_is_byte_identical(self, variant, init, tmp_path, capsys):
+        steps = 5000
+        assert (steps + 1) % cli.CSV_CHUNK_ROWS != 0  # a partial last chunk
+        ctx = choreography_context()
+        dt = ctx.period / 65536.0
+        pv = dynamics.PotentialVariant(variant)
+        argv = ["integrate", "--variant", variant, "--steps", str(steps)]
+        if init == "analytic":
+            traj = dynamics.integrate_choreography(ctx, pv, dt, steps)
+        else:
+            s = triple(0.37, ctx)
+            path = tmp_path / "init.json"
+            path.write_text(json.dumps({
+                "positions": [[p.x, p.y] for p in s.positions],
+                "velocities": [[v.x, v.y] for v in s.velocities],
+            }))
+            traj = dynamics.integrate(s.positions, s.velocities, pv, dt, steps)
+            argv += ["--init", str(path)]
+        expected = _old_trajectory_csv(traj)
+
+        out = tmp_path / "traj.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+
+    def test_peak_memory_grows_by_about_one_row_per_step(self, tmp_path, capsys):
+        # The CSV text is bounded by CSV_CHUNK_ROWS rows; what grows with the
+        # step count is the 14 recorded doubles (112 bytes) per step.
+        assert cli.CSV_CHUNK_ROWS <= 2048  # both runs hold one full chunk
+
+        def peak(steps):
+            out = tmp_path / "traj.csv"
+            tracemalloc.start()
+            try:
+                assert main(["integrate", "--steps", str(steps), "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # lazy set-up outside the measurement
+        growth = peak(8192) - peak(2048)
+        capsys.readouterr()
+        assert growth <= 256 * (8192 - 2048)
+
+    @pytest.mark.parametrize("positions, velocities, dt", [
+        ([[0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]], [[0.0, 0.0]] * 3, "0.1"),
+        ([[-1e-10, 0.0], [1e-10, 0.0], [1.0, 1.0]], [[0.95, 0.0], [-0.95, 0.0], [0.0, 0.0]], "1e-10"),
+    ], ids=["coincident", "approaching"])
+    def test_collision_writes_nothing(self, positions, velocities, dt, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"positions": positions, "velocities": velocities}))
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run_cli(
+            ["integrate", "--init", str(init), "--dt", dt, "--steps", "10", "--output", str(out)], capsys
+        )
+        assert code == 1
+        assert json.loads(err)["passed"] is False
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [init]
+
 
 class TestGeometry:
     def test_sweep_default(self, capsys):
@@ -157,6 +277,23 @@ class TestGeometry:
         period = 4.0 * ctx.K
         for p in (t, t + period / 3.0, t - period / 3.0):
             assert min(abs(s - p % period) for s in data["selected_phases"]) <= 1e-7
+
+
+    def test_nan_hyperbola_residual_fails(self, monkeypatch, capsys):
+        real = geometry.sweep_row
+        hit = []
+
+        def stub(t, ctx):
+            rec = real(t, ctx)
+            if not hit and rec["finite"] and math.hypot(rec["cx"], rec["cy"]) < 50.0:
+                hit.append(t)
+                rec["hyperbola_residual"] = math.nan
+            return rec
+
+        monkeypatch.setattr(geometry, "sweep_row", stub)
+        code, _, _ = run_cli(["geometry", "--n-samples", "8"], capsys)
+        assert hit
+        assert code == 1
 
 
 class TestAnalytic:
@@ -207,6 +344,18 @@ class TestExitCodes:
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--from-point={}", "--from-c={},1", "--from-c=1,{}"],
+                             ids=["from-point", "from-c-x", "from-c-y"])
+    def test_non_finite_construction_input_rejected(self, flag, value, tmp_path, capsys, recwarn):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main(["geometry", flag.format(value), "--output", str(out)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("argv", [
         ["integrate", "--format", "json"],

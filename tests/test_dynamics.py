@@ -4,8 +4,10 @@ import random
 import pytest
 
 from lemnichor.dynamics import (
+    ROW_WIDTH,
     CollisionError,
     PotentialVariant,
+    TrajectoryPoint,
     eom_residual,
     forces,
     integrate,
@@ -304,6 +306,38 @@ class TestIntegrate:
         traj = integrate_choreography(ctx, V, 0.01, 32)
         ts = [pt.t for pt in traj.points]
         assert ts == pytest.approx([0.01 * i for i in range(33)], abs=1e-12)
+
+    def test_rows_are_one_flat_array(self, ctx):
+        traj = integrate_choreography(ctx, U, 0.01, 10, record_every=3)
+        assert traj.rows.typecode == "d"
+        assert len(traj.rows) == ROW_WIDTH * len(traj.points) == ROW_WIDTH * 5
+        flat = []
+        for pt in traj.points:
+            flat.append(pt.t)
+            for p, v in zip(pt.positions, pt.velocities):
+                flat += [p.x, p.y, v.x, v.y]
+            flat.append(pt.energy)
+        assert list(traj.rows) == flat
+        assert traj.final == traj.points[-1]
+
+    def test_collision_partial_points_are_trajectory_points(self):
+        pts = [Vec2(-1e-10, 0.0), Vec2(1e-10, 0.0), Vec2(1.0, 1.0)]
+        vels = [Vec2(0.95, 0.0), Vec2(-0.95, 0.0), Vec2(0.0, 0.0)]
+        with pytest.raises(CollisionError) as err:
+            integrate(pts, vels, V, dt=1e-10, n_steps=10)
+        partial = err.value.partial.points
+        assert isinstance(partial, list)
+        assert len(partial) == err.value.step_index
+        assert all(isinstance(pt, TrajectoryPoint) for pt in partial)
+        assert partial[0].positions == tuple(pts)
+        assert partial[0].velocities == tuple(vels)
+
+    def test_empty_partial_has_no_final(self):
+        pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
+        with pytest.raises(CollisionError) as err:
+            integrate(pts, [Vec2(0.0, 0.0)] * 3, U, dt=0.1, n_steps=10)
+        with pytest.raises(IndexError):
+            err.value.partial.final
 
 
 class TestOneBody:
