@@ -6,6 +6,8 @@ goes to a separate ``<output>.meta.json`` sidecar.  Each subcommand takes
 only the flags it reads; --n-samples, --steps, --dt and --tolerance-scale are
 validated before any output is written.
 
+JSON is strict (RFC 8259): a NaN or infinite value is written as null.
+
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error, 3 I/O error.
 """
@@ -66,22 +68,11 @@ def _write_text(cfg: RunConfig, chunks) -> None:
         return
     with cfg.output_path.open("w", encoding="utf-8", newline="\n") as f:
         f.writelines(chunks)
-    sidecar = {
-        "command": cfg.command,
-        "config": {
-            "n_samples": cfg.n_samples,
-            "dt": cfg.dt,
-            "steps": cfg.steps,
-            "variant": cfg.variant.value,
-            "format": cfg.format,
-            "affine": cfg.affine,
-            "tolerance_scale": cfg.tolerance_scale,
-        },
-        "tool": f"lemnichor {__version__}",
-    }
-    Path(str(cfg.output_path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # Every setting of the run, so that the run can be replayed from it.
+    config = {k: v for k, v in vars(cfg).items() if k not in ("command", "output_path")}
+    config["variant"] = cfg.variant.value
+    sidecar = {"command": cfg.command, "config": config, "tool": f"lemnichor {__version__}"}
+    Path(str(cfg.output_path) + ".meta.json").write_text(_json_text(sidecar), encoding="utf-8")
 
 
 def _csv(rows, header):
@@ -99,7 +90,10 @@ def _fold_max(worst: float, r: float) -> float:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # Strict JSON: the round trip turns each NaN or infinity into None and
+    # leaves every other value as it was (float repr round-trips exactly).
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cplx(z) -> list[float]:
@@ -194,7 +188,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
     if cfg.from_c is not None:
         c = geometry.Vec2(*cfg.from_c)
         candidates = geometry.tangents_from_point(c, ctx)
-        selected = geometry.select_choreographic(c, candidates, ctx)
+        selected = geometry.select_choreographic(c, candidates)
         _write_text(cfg, [_json_text({
             "c": [c.x, c.y],
             "candidates": [
@@ -372,6 +366,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{flag} must be finite and > 0, got {x!r}")
     if cfg.from_c is not None and not all(map(math.isfinite, cfg.from_c)):
         raise ValueError(f"--from-c coordinates must be finite, got {args.from_c!r}")
+    if cfg.from_c is not None:
+        # Relative to |c|^2: far out on a branch, rounding alone puts an exact
+        # point ~1e-8 off.  Off the curve the phases would not be 4K/3 apart.
+        c = geometry.Vec2(*cfg.from_c)
+        tol = DEFAULT_TOLERANCES["hyperbola"] * cfg.tolerance_scale
+        if not abs(geometry.hyperbola_residual(c)) <= tol * c.norm_sq():
+            raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {args.from_c!r}")
     if cfg.from_point is not None and not math.isfinite(cfg.from_point):
         raise ValueError(f"--from-point must be finite, got {cfg.from_point!r}")
     return cfg

@@ -9,11 +9,11 @@ Two construction procedures are implemented and cross-validated:
 
   * from a point c on the hyperbola: draw the (generically four) tangent
     lines to the lemniscate from c and keep the three contact points whose
-    quadrant differs from c's; equivalently, the three that move forward
-    (phase increasing) when c is nudged up along the hyperbola.
+    quadrant differs from c's; equivalently, the three whose phase advances
+    as c moves up along the hyperbola (a closed-form rate at each root).
   * from one body position: intersect its tangent line with the hyperbola,
-    keep the intersection in a different quadrant (equivalently the one that
-    moves up when the body moves forward), then proceed as above.
+    keep the intersection in a different quadrant (equivalently, in closed
+    form, the one that moves up as the body moves forward), then as above.
 
 Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
 scanned on a coarse grid of COARSE_SCAN_NODES phases, and each sign change is
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, body_state, position, triple
+from .orbit import TripleState, Vec2, body_state, triple
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
@@ -43,7 +43,6 @@ COARSE_SCAN_NODES = 256
 SCAN_NODES = 4096
 BISECT_TOL = 1e-13
 NEWTON_MAXIT = 100
-PERTURB = 1e-5
 DISC_TOL = 1e-12
 
 
@@ -75,6 +74,8 @@ class TangencyCandidate:
     s: float
     point: Vec2
     quadrant: int
+    velocity: Vec2  # v(s)
+    slope: float  # g'(s) = (c - x(s)) x a(s), the Newton slope of the search
 
 
 def quadrant(p: Vec2) -> int:
@@ -220,8 +221,9 @@ def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate
 
     out = []
     for r in roots:
-        p = position(r, ctx)
-        out.append(TangencyCandidate(s=r, point=p, quadrant=_quadrant_or_zero(p)))
+        b = body_state(r, ctx)
+        out.append(TangencyCandidate(s=r, point=b.pos, quadrant=_quadrant_or_zero(b.pos),
+                                     velocity=b.vel, slope=(c - b.pos).cross(b.acc)))
     if len(out) != 4:
         warnings.warn(
             f"expected 4 tangency candidates from {c}, found {len(out)}",
@@ -241,23 +243,18 @@ def _wrap(ds: float, period: float) -> float:
     return ds - period * round(ds / period)
 
 
-def _nudge_up_hyperbola(c: Vec2, delta: float) -> Vec2:
-    # Move along the hyperbola branch of c, increasing y by delta.
-    y = c.y + delta
-    return Vec2(math.copysign(math.sqrt(1.0 + y * y), c.x), y)
-
-
 def select_choreographic(
     c: Vec2,
     candidates: list[TangencyCandidate],
-    ctx: EllipticContext,
 ) -> list[TangencyCandidate]:
     """Pick the three contact points that are choreographic partners of c.
 
     Quadrant rule: keep candidates whose quadrant differs from c's.  The
-    forward rule is then run as a cross-check: after nudging c up the
-    hyperbola by PERTURB, the kept phases must advance and the discarded one
-    must retreat; disagreement raises MethodDisagreementError.
+    forward rule is the cross-check: as c moves up along dc = sign(cx) (cy, cx),
+    the tangent of its level set of cx^2 - cy^2, implicit differentiation of
+    the gap g(s) = (c - x(s)) x v(s) gives ds/de = -(dc x v(s)) / g'(s).  The
+    kept phases must advance and the discarded one must retreat; disagreement
+    raises MethodDisagreementError.
     """
     if len(candidates) != 4:
         raise ValueError(f"need exactly 4 candidates, got {len(candidates)}")
@@ -273,15 +270,10 @@ def select_choreographic(
             f"quadrant rule kept {len(selected)} of 4 candidates"
         )
 
-    c_up = _nudge_up_hyperbola(c, PERTURB)
-    moved = tangents_from_point(c_up, ctx)
-    period = ctx.period
-
-    def phase_shift(cand: TangencyCandidate) -> float:
-        nearest = min(moved, key=lambda mc: abs(_wrap(mc.s - cand.s, period)))
-        return _wrap(nearest.s - cand.s, period)
-
-    if any(phase_shift(cand) <= 0.0 for cand in selected) or phase_shift(rejected[0]) >= 0.0:
+    dc = math.copysign(1.0, c.x) * Vec2(c.y, c.x)
+    # The sign of ds/de, as a product so that a zero slope gives 0, not an error.
+    advance = [-dc.cross(cand.velocity) * cand.slope for cand in selected + rejected]
+    if not (all(a > 0.0 for a in advance[:3]) and advance[3] < 0.0):
         raise MethodDisagreementError(
             "forward-motion rule disagrees with the quadrant rule"
         )
@@ -316,9 +308,9 @@ def complete_triple_from_point(
 
     The tangent line at x1 crosses the hyperbola in d1, d2; the concurrency
     point is the crossing in a different quadrant from x1 (cross-checked:
-    it is the one that moves up when x1 moves forward by PERTURB).  The
-    remaining two bodies are then read off the tangent construction at that
-    point, ordered as (x2, x3) = phases (x1 + 4K/3, x1 - 4K/3).
+    it is the one that moves up as x1 moves forward).  The remaining two
+    bodies are then read off the tangent construction at that point, ordered
+    as (x2, x3) = phases (x1 + 4K/3, x1 - 4K/3).
     """
     b1 = body_state(x1_phase, ctx)
     x1, v1 = b1.pos, b1.vel
@@ -337,18 +329,19 @@ def complete_triple_from_point(
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
-    # Forward cross-check: nudge the phase and re-intersect.
-    b1_moved = body_state(x1_phase + PERTURB, ctx)
-    moved = tangent_hyperbola_intersections(b1_moved.pos, b1_moved.vel)
-    sel_moved = min(moved, key=lambda p: (p - d_sel).norm())
-    rej_moved = min(moved, key=lambda p: (p - d_rej).norm())
-    if not (sel_moved.y > d_sel.y and rej_moved.y < d_rej.y):
+    def rise(d: Vec2) -> float:
+        # d'_y of the crossing d = x1 + lam v1 as x1 moves forward, from
+        # d_x^2 - d_y^2 = 1; the denominator is nonzero at a simple crossing.
+        lam = (d - x1).dot(v1) / v1.norm_sq()
+        return lam * d.x * v1.cross(b1.acc) / (d.x * v1.x - d.y * v1.y)
+
+    if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError(
             "upward-motion rule disagrees with the quadrant rule"
         )
 
     candidates = tangents_from_point(d_sel, ctx)
-    partners = select_choreographic(d_sel, candidates, ctx)
+    partners = select_choreographic(d_sel, candidates)
     period = ctx.period
     third = period / 3.0
 

@@ -187,7 +187,7 @@ def test_criterion_7_geometry(ctx, period):
     worst_rt1 = worst_rt2 = 0.0
     for t, s, cp, _ in samples[::4]:
         picked = geometry.select_choreographic(
-            cp.c, geometry.tangents_from_point(cp.c, ctx), ctx
+            cp.c, geometry.tangents_from_point(cp.c, ctx)
         )
         for body in s.positions:
             worst_rt1 = max(

@@ -18,6 +18,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(text):
+    """json.loads that, like RFC 8259, rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -94,9 +103,10 @@ class TestVerify:
         monkeypatch.setattr(dynamics, "eom_residual", stub)
         code, out, _ = run_cli(["verify", "--n-samples", "4"], capsys)
         assert code == 1
-        report = json.loads(out)
+        # A NaN is written as null, and the failing gate still lists it.
+        report = strict_json(out)
         assert report["passed"] is False
-        assert math.isnan(report["failures"]["eom_residual"])
+        assert report["failures"]["eom_residual"] is None
         assert list(report["failures"]) == ["eom_residual"]
 
     def test_nan_invariant_residual_fails(self, monkeypatch, capsys):
@@ -113,10 +123,10 @@ class TestVerify:
         monkeypatch.setattr(invariants, "full_report", stub)
         code, out, _ = run_cli(["verify", "--n-samples", "4"], capsys)
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["passed"] is False
         assert list(report["failures"]) == ["kinetic_energy"]
-        assert math.isnan(report["max_residuals"]["kinetic_energy"])
+        assert report["max_residuals"]["kinetic_energy"] is None
 
 
 def _old_trajectory_csv(traj) -> bytes:
@@ -176,6 +186,19 @@ class TestIntegrate:
         meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
         assert meta["command"] == "integrate"
         assert meta["config"]["steps"] == 4
+        assert meta["config"]["init"] == "analytic"
+
+    def test_sidecar_names_the_init_file(self, ctx, tmp_path):
+        s = triple(0.3, ctx)
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({
+            "positions": [[p.x, p.y] for p in s.positions],
+            "velocities": [[v.x, v.y] for v in s.velocities],
+        }))
+        out = tmp_path / "traj.csv"
+        assert main(["integrate", "--init", str(path), "--steps", "4", "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / "traj.csv.meta.json").read_text())
+        assert meta["config"]["init"] == str(path)
 
     @pytest.mark.parametrize("init", ["analytic", "file"])
     @pytest.mark.parametrize("variant", ["U", "V"])
@@ -279,6 +302,30 @@ class TestGeometry:
             assert min(abs(s - p % period) for s in data["selected_phases"]) <= 1e-7
 
 
+    @pytest.mark.parametrize("u", [-10.0, -3.0, -0.5, 0.5, 3.0, 10.0])
+    @pytest.mark.parametrize("sx", [1.0, -1.0])
+    def test_from_c_exact_point_far_out(self, u, sx, ctx, capsys):
+        # Far out, rounding alone makes cx^2 - cy^2 - 1 ~1e-8; relative to
+        # |c|^2 the point is on the curve.
+        cx, cy = sx * math.cosh(u), math.sinh(u)
+        code, out, _ = run_cli(["geometry", f"--from-c={cx!r},{cy!r}"], capsys)
+        assert code == 0
+        phases = sorted(json.loads(out)["selected_phases"])
+        third = ctx.period / 3.0
+        gaps = [phases[1] - phases[0], phases[2] - phases[1], phases[0] + ctx.period - phases[2]]
+        assert all(abs(g - third) <= 1e-7 for g in gaps)
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["geometry", "--from-c=1.4142135623730951,1"], "from_c", [1.4142135623730951, 1.0]),
+        (["geometry", "--from-point", "0.55"], "from_point", 0.55),
+    ])
+    def test_sidecar_names_the_construction(self, argv, key, value, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
+        assert config[key] == value
+        assert {"init", "from_c", "from_point"} <= set(config)
+
     def test_nan_hyperbola_residual_fails(self, monkeypatch, capsys):
         real = geometry.sweep_row
         hit = []
@@ -357,6 +404,16 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("c", ["1.37,0.94", "1.5,0.5"])
+    def test_off_curve_from_c_rejected(self, c, tmp_path, capsys):
+        # Constructed from off the curve, the phases would not be 4K/3 apart.
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main(["geometry", f"--from-c={c}", "--output", str(out)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [
         ["integrate", "--format", "json"],
         ["integrate", "--n-samples", "10"],
@@ -391,9 +448,13 @@ def _readme_params():
     for words in readme_cli_examples():
         marks = []
         if "--from-c=1.37,0.94" in words:
-            # ROADMAP item 4: a c ~1e-4 off the hyperbola fails the
-            # forward-motion rule and exits 1.
-            marks.append(pytest.mark.xfail(strict=True, reason="ROADMAP item 4: --from-c off the hyperbola"))
+            # ROADMAP item 2: this c is off the hyperbola (cx^2 - cy^2 - 1 =
+            # -6.7e-3), so it is refused with exit 2; bench/test_bench.py:150
+            # pins this failure of the construct workload.
+            marks.append(pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 2: --from-c=1.37,0.94 is off the hyperbola "
+                       "(residual -6.7e-3) and exits 2; pinned by bench/test_bench.py:150"))
         params.append(pytest.param(words, marks=marks, id=" ".join(words[1:])))
     return params
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -5,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from lemnichor.cli import main
 from lemnichor.geometry import (
     BISECT_TOL,
     COARSE_SCAN_NODES,
@@ -12,6 +14,7 @@ from lemnichor.geometry import (
     AxisAmbiguityError,
     _gap_and_slope,
     _tangency_roots,
+    _wrap,
     complete_triple_from_point,
     concurrency_point,
     hyperbola_residual,
@@ -89,6 +92,39 @@ def assert_search_matches_oracle(points, ctx):
         assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref)), c
         fallbacks += len(_tangency_roots(c, ctx, COARSE_SCAN_NODES)) != 4
     return fallbacks
+
+
+# Step of the finite-difference oracles below.
+PERTURB = 1e-5
+
+
+def _nudge_up_hyperbola(c, delta):
+    # Move along the hyperbola branch of c, increasing y by delta.
+    y = c.y + delta
+    return Vec2(math.copysign(math.sqrt(1.0 + y * y), c.x), y)
+
+
+def fd_phase_shifts(c, candidates, ctx):
+    """Finite-difference forward rule: how far each candidate's phase moves
+    when c is nudged up its hyperbola branch by PERTURB, found by a second
+    tangency search and nearest-neighbour matching of the phases."""
+    moved = tangents_from_point(_nudge_up_hyperbola(c, PERTURB), ctx)
+    period = ctx.period
+    shifts = []
+    for cand in candidates:
+        nearest = min(moved, key=lambda mc: abs(_wrap(mc.s - cand.s, period)))
+        shifts.append(_wrap(nearest.s - cand.s, period))
+    return shifts
+
+
+def fd_rising_crossings(t, ctx):
+    """Finite-difference upward rule: the crossings of the tangent line at
+    phase t with the hyperbola that move up when t advances by PERTURB."""
+    b = body_state(t, ctx)
+    moved_b = body_state(t + PERTURB, ctx)
+    moved = tangent_hyperbola_intersections(moved_b.pos, moved_b.vel)
+    return [d for d in tangent_hyperbola_intersections(b.pos, b.vel)
+            if min(moved, key=lambda p: (p - d).norm()).y > d.y]
 
 
 class TestConcurrencyPoint:
@@ -262,14 +298,14 @@ class TestSelectChoreographic:
         t = ctx.K / 7.0
         s = triple(t, ctx)
         cp = concurrency_point(s)
-        picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx), ctx)
+        picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
         for body in s.positions:
             assert min((cand.point - body).norm() for cand in picked) <= 1e-7
 
     def test_selected_tangents_reintersect_at_c(self, ctx):
         t = 0.8
         cp = concurrency_point(triple(t, ctx))
-        picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx), ctx)
+        picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
         for cand in picked:
             assert line_distance(cp.c, cand.point, velocity(cand.s, ctx)) <= 1e-8
 
@@ -284,18 +320,36 @@ class TestSelectChoreographic:
             if not cp.finite or cp.c.norm() > 20.0:
                 continue
             try:
-                picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx), ctx)
+                picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
             except AxisAmbiguityError:
                 continue
             assert len(picked) == 3
             checked += 1
         assert checked >= 100
 
+    def test_closed_form_matches_finite_difference_oracle(self, ctx):
+        rng = random.Random(20024)
+        points = []
+        for _ in range(1000):
+            u = rng.uniform(-4.0, 4.0)
+            points.append(Vec2(rng.choice((-1.0, 1.0)) * math.cosh(u), math.sinh(u)))
+        for cy in (1e-1, 1e-2, 1e-3, 1e-4):
+            for sx in (-1.0, 1.0):
+                for sy in (-1.0, 1.0):
+                    points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
+        assert {quadrant(c) for c in points} == {1, 2, 3, 4}
+        for c in points:
+            cands = tangents_from_point(c, ctx)
+            picked = {cand.s for cand in select_choreographic(c, cands)}
+            shifts = fd_phase_shifts(c, cands, ctx)
+            assert {cand.s for cand, d in zip(cands, shifts) if d > 0.0} == picked, c
+            assert sum(d < 0.0 for d in shifts) == 1, c
+
     def test_wrong_candidate_count_rejected(self, ctx):
         cp = concurrency_point(triple(0.8, ctx))
         cands = tangents_from_point(cp.c, ctx)
         with pytest.raises(ValueError):
-            select_choreographic(cp.c, cands[:3], ctx)
+            select_choreographic(cp.c, cands[:3])
 
 
 class TestCompleteTripleFromPoint:
@@ -330,6 +384,32 @@ class TestCompleteTripleFromPoint:
         rej2 = min(moved, key=lambda p: (p - rej).norm())
         assert sel2.y > sel.y
         assert rej2.y < rej.y
+
+    def test_closed_form_matches_finite_difference_oracle(self, ctx, period):
+        rng = random.Random(20025)
+        done = 0
+        for _ in range(1000):
+            t = rng.uniform(0.0, period)
+            try:
+                _, cp = complete_triple_from_point(t, ctx)
+            except AxisAmbiguityError:
+                continue
+            assert fd_rising_crossings(t, ctx) == [cp.c], t
+            done += 1
+        assert done >= 990
+
+    def test_far_concurrency_point(self, ctx, capsys):
+        # A body 6e-5 from the origin puts c ~4659 out on an asymptote, where
+        # a finite-difference nudge of PERTURB is too coarse to tell the
+        # crossings apart; the closed-form rule is not.
+        t = 23.98975665873551
+        code = main(["geometry", f"--from-point={t!r}"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert math.hypot(*data["c"]) > 4000.0
+        s = triple(t, ctx)
+        for key, body in (("x2", s.positions[1]), ("x3", s.positions[2])):
+            assert math.dist(data[key], (body.x, body.y)) <= 1e-7
 
     def test_round_trip_many_phases(self, ctx, period):
         done = 0
