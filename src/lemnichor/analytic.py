@@ -1,19 +1,28 @@
 """Complex-plane certification of the machinery behind the choreography.
 
 The orbit in complex form is x(t) = sn(t) / (1 - i cn(t)) (with conjugate
-partner sn / (1 + i cn)), an elliptic function of degree 4 whose poles in the
-fundamental cell -2K <= Re t < 2K, -2K' <= Im t < 2K' sit at
+partner sn / (1 + i cn)), an elliptic function of degree 4 with periods 4K and
+4iK' whose poles in the fundamental cell -2K <= Re t < 2K,
+-2K' <= Im t < 2K' sit at
 
-    +-a2, +-a3   with   a2 = K/3 + iK',  a3 = 5K/3 + iK'.
+    +-a2, +-a3   with   a2 = K/3 + iK',  a3 = 5K/3 + iK',
+
+and whose zeros are the zeros 0, 2K, 2iK', 2K + 2iK' of sn.
 
 Everything this module checks is a consequence of pole/residue bookkeeping:
 summed residues cancel in the three-phase sums, the difference
 x^-(t + 4K/3) - x^-(t) has triple zeros whose series coefficients are known
 in closed form, and the complex equation of motion follows from matching
-principal parts.  All checks are numerical: residues and Laurent/Taylor
-coefficients come from trapezoidal contour means on small circles (spectrally
-accurate for analytic integrands), pole locations are confirmed by
-argument-principle winding numbers and first moments.
+principal parts.  All checks are numerical.  Poles are counted by strip
+windings: because 4K is a period, the argument principle on a horizontal
+strip of one real period reduces to the difference of two line integrals of
+x^+'/x^+, each taken by the trapezoid rule on a periodic integrand (spectrally
+accurate).  Lines at Im t = -3K'/2, -K'/2, K'/2, 3K'/2, 5K'/2 cut the cell
+into four strips with Z - P = -2, +2, -2, +2; the first and last lines agree
+because 4iK' is a period.  Local windings and first moments of f'/f on small
+circles place each zero and pole, and residues and Laurent/Taylor
+coefficients come from trapezoidal contour means on small circles.  Every
+log-derivative is in closed form, one complex evaluation per node.
 """
 
 from __future__ import annotations
@@ -22,14 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import (
-    CHOREO_M,
-    Cplx,
-    EllipticContext,
-    PoleProximityError,
-    sn_cn_dn,
-    sn_cn_dn_complex,
-)
+from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex
 from .invariants import angular_momentum
 from .orbit import triple
 
@@ -37,8 +39,16 @@ SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
 
 CONTOUR_RADIUS = 1e-2
-CONTOUR_NODES = 256
-COEFF_RADII = (1e-2, 5e-3)
+CONTOUR_NODES = 32
+COEFF_RADII = (0.2, 0.1)
+
+# Census lines Im t = y K' over one real period, and the claimed Z - P of x^+
+# in the strip between each adjacent pair, bottom to top.
+CENSUS_LINES = (-1.5, -0.5, 0.5, 1.5, 2.5)
+CENSUS_LINE_LABELS = ("-3K'/2", "-K'/2", "K'/2", "3K'/2", "5K'/2")
+CENSUS_LINE_NODES = 64
+STRIP_WINDINGS = (-2, 2, -2, 2)
+WINDING_TOL = 1e-9
 
 # Eq-of-motion sum constant for 1/(1 - i cn): (3 + sqrt(3)) / 2.
 CN_SUM_CONSTANT = (3.0 + SQRT3) / 2.0
@@ -59,6 +69,14 @@ class ContourCrossingError(ValueError):
     """Another pole lies too close to the requested integration contour."""
 
 
+class CensusError(ValueError):
+    """The strip windings disagree with the claimed zeros and poles."""
+
+
+class NoZeroOrPoleError(ValueError):
+    """A locate_pole circle has winding 0: no zero or pole left inside."""
+
+
 @dataclass(frozen=True)
 class PoleSpec:
     """A pole inside the fundamental cell with its claimed local data."""
@@ -66,7 +84,6 @@ class PoleSpec:
     location: Cplx
     order: int
     claimed_residue: Cplx | None = None
-    claimed_leading: Cplx | None = None
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,12 @@ def x_plus_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
     return d * (c - 1j) / (u * u)
 
 
+def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
+    """x^+' / x^+ in closed form: dn (cn - i) / (sn (1 - i cn))."""
+    s, c, d = sn_cn_dn_complex(t, ctx)
+    return d * (c - 1j) / (s * (1.0 - 1j * c))
+
+
 def x_plus_d2(t: Cplx, ctx: EllipticContext) -> Cplx:
     """d^2 x^+ / dt^2 in closed form."""
     s, c, d = sn_cn_dn_complex(t, ctx)
@@ -130,6 +153,20 @@ def delta_x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
     """x^-(t + 4K/3) - x^-(t)."""
     third = 4.0 * ctx.K / 3.0
     return x_minus(t + third, ctx) - x_minus(t, ctx)
+
+
+def _x_minus_and_d1(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx]:
+    # x^- and x^-' = dn (cn + i) / (1 + i cn)^2 from one evaluation.
+    s, c, d = sn_cn_dn_complex(t, ctx)
+    u = 1.0 + 1j * c
+    return s / u, d * (c + 1j) / (u * u)
+
+
+def delta_x_minus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
+    """(d/dt delta x^-) / delta x^- in closed form, one evaluation per point."""
+    f1, d1 = _x_minus_and_d1(t + 4.0 * ctx.K / 3.0, ctx)
+    f0, d0 = _x_minus_and_d1(t, ctx)
+    return (d1 - d0) / (f1 - f0)
 
 
 _FUNCTIONS = {
@@ -370,69 +407,105 @@ def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext,
     ]
 
 
-def locate_pole(f, approx: Cplx, ctx: EllipticContext, f_d1=None,
+def locate_pole(log_d1, approx: Cplx, ctx: EllipticContext,
                 radius: float = 5e-2) -> tuple[int, Cplx]:
-    """(winding number, refined location) of an isolated pole/zero of f.
+    """(winding number, refined location) of an isolated zero or pole.
 
-    Winding of f around a circle is Z - P by the argument principle; the
-    first moment of f'/f recovers the location.  f' is taken numerically
-    unless a closed form is supplied.
+    ``log_d1(t, ctx)`` is the closed-form log-derivative f'/f of the function
+    whose zero or pole is sought.  Its mean times (t - approx) around the
+    circle is Z - P by the argument principle; the first moment recovers the
+    location.
     """
-    if f_d1 is None:
-        eps = 1e-6
-        f_d1 = lambda z, c: (f(z + eps, c) - f(z - eps, c)) / (2.0 * eps)
     n = CONTOUR_NODES
     wind = 0j
     moment = 0j
     for j in range(n):
-        th = 2.0 * math.pi * j / n
-        z = cmath.rect(radius, th)
+        z = cmath.rect(radius, 2.0 * math.pi * j / n)
         t = approx + z
-        ratio = f_d1(t, ctx) / f(t, ctx)
-        wind += ratio * z
-        moment += t * ratio * z
+        ratio = log_d1(t, ctx) * z
+        wind += ratio
+        moment += t * ratio
     wind /= n
     moment /= n
     order = round(wind.real)
     if order == 0:
-        raise ValueError(f"no zero or pole detected near {approx}")
+        raise NoZeroOrPoleError(f"no zero or pole detected near {approx}")
     return order, moment / wind
 
 
-def pole_census(ctx: EllipticContext, grid: int = 128,
-                blowup: float = 8.0) -> list[tuple[Cplx, int, Cplx]]:
-    """Census of the poles of x^+ inside the fundamental cell.
+def line_windings(ctx: EllipticContext) -> list[Cplx]:
+    """(1/2 pi i) times the integral of x^+'/x^+ along each census line.
 
-    Scans |x^+| on a grid (skipping the removable 0/0 points of the sn/cn
-    machinery), clusters the blowup loci, and for each cluster returns
-    (refined location, winding number, cluster seed).  Exactly four loci are
-    expected, at +-a2 and +-a3.
+    Each line runs over one real period 4K, left to right, by the
+    trapezoid rule with CENSUS_LINE_NODES nodes.  The value is the winding
+    of the closed curve x^+(line) around 0, so an integer.
     """
-    K, Kp = ctx.K, ctx.Kprime
-    hits: list[Cplx] = []
-    for ix in range(grid):
-        for iy in range(grid):
-            t = complex(-2.0 * K + (ix + 0.5) * 4.0 * K / grid,
-                        -2.0 * Kp + (iy + 0.5) * 4.0 * Kp / grid)
-            try:
-                v = abs(x_plus(t, ctx))
-            except PoleProximityError:
-                continue
-            if v > blowup:
-                hits.append(t)
-    clusters: list[list[Cplx]] = []
-    for h in hits:
-        for cl in clusters:
-            if abs(h - cl[0]) < 0.5:
-                cl.append(h)
-                break
-        else:
-            clusters.append([h])
+    n = CENSUS_LINE_NODES
+    h = 4.0 * ctx.K / n
     out = []
-    for cl in clusters:
-        seed = sum(cl) / len(cl)
-        order, loc = locate_pole(x_plus, seed, ctx, f_d1=x_plus_d1)
-        out.append((loc, order, seed))
+    for y in CENSUS_LINES:
+        im = y * ctx.Kprime
+        acc = sum(x_plus_log_d1(complex(-2.0 * ctx.K + j * h, im), ctx) for j in range(n))
+        out.append(acc * h / (2j * math.pi))
+    return out
+
+
+def _strips(lines: list[Cplx]):
+    # (label, Z - P from the lines, claimed Z - P) per strip, bottom to top.
+    for i, claimed in enumerate(STRIP_WINDINGS):
+        label = f"{CENSUS_LINE_LABELS[i]} < Im t < {CENSUS_LINE_LABELS[i + 1]}"
+        yield label, lines[i] - lines[i + 1], claimed
+
+
+def check_strip_windings(ctx: EllipticContext, tol: float = WINDING_TOL) -> list[CheckResult]:
+    """Z - P of x^+ in each census strip against the claimed -2, +2, -2, +2."""
+    return [_result(f"strip winding of x_plus, {label}", claimed, observed, tol)
+            for label, observed, claimed in _strips(line_windings(ctx))]
+
+
+def _local_order(seed: Cplx, ctx: EllipticContext) -> tuple[int, Cplx]:
+    try:
+        return locate_pole(x_plus_log_d1, seed, ctx)
+    except NoZeroOrPoleError:
+        # A claimed locus with nothing there counts 0; the strip sum exposes it.
+        return 0, seed
+
+
+def pole_census(ctx: EllipticContext) -> list[tuple[Cplx, int, Cplx]]:
+    """Census of the poles of x^+ inside the fundamental cell, by strip windings.
+
+    The census lines (CENSUS_LINES) cut one period cell into four horizontal
+    strips; the difference of adjacent line windings is Z - P in the strip
+    between them and must come out -2, +2, -2, +2, and the first and last
+    lines must agree.  Then ``locate_pole`` runs at the claimed poles -a2, -a3
+    (first strip) and a2, a3 (third), winding -1 each, and at the sn zeros
+    0, 2K (second) and 2iK', 2K + 2iK' (fourth), winding +1 each.  Each
+    strip's winding must equal the sum of its local windings; otherwise
+    CensusError names the strip and both counts.  Returns (refined location,
+    winding number, claimed location) for the four poles.
+    """
+    lines = line_windings(ctx)
+    if abs(lines[0] - lines[-1]) > WINDING_TOL:
+        raise CensusError(
+            f"census lines Im t = {CENSUS_LINE_LABELS[0]} and {CENSUS_LINE_LABELS[-1]} "
+            f"differ by the period 4iK' but give windings {lines[0]} and {lines[-1]}"
+        )
+    a2, a3 = alpha2(ctx), alpha3(ctx)
+    two_k, two_kp = 2.0 * ctx.K, 2.0j * ctx.Kprime
+    loci = ([-a2, -a3], [0j, complex(two_k)], [a2, a3], [two_kp, two_k + two_kp])
+    out = []
+    for (label, wind, claimed), seeds in zip(_strips(lines), loci):
+        if abs(wind - claimed) > WINDING_TOL:
+            raise CensusError(f"strip {label}: winding {wind}, claimed {claimed}")
+        found = [_local_order(seed, ctx) for seed in seeds]
+        total = sum(order for order, _ in found)
+        if total != claimed:
+            raise CensusError(
+                f"strip {label}: winding {claimed} from the census lines, "
+                f"but the local windings at {seeds} sum to {total}"
+            )
+        if claimed < 0:
+            out += [(loc, order, seed) for (order, loc), seed in zip(found, seeds)]
     return out
 
 
@@ -446,6 +519,6 @@ def delta_x_minus_simple_poles(ctx: EllipticContext) -> list[tuple[Cplx, int]]:
     locs += [-p for p in locs]
     out = []
     for p in locs:
-        order, refined = locate_pole(delta_x_minus, p, ctx, radius=2e-2)
+        order, refined = locate_pole(delta_x_minus_log_d1, p, ctx, radius=2e-2)
         out.append((refined, order))
     return out

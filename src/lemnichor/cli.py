@@ -246,6 +246,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
                 residual=abs(res - pole.claimed_residue),
                 passed=abs(res - pole.claimed_residue) <= 1e-6 * scale,
             ))
+    results += analytic.check_strip_windings(ctx, tol=analytic.WINDING_TOL * scale)
     for t in (0.3, 1.3, complex(0.2, 0.3)):
         results += analytic.check_sum_identities(t, ctx)
     for t in (ctx.K / 4.0, 0.9):

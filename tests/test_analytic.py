@@ -2,11 +2,16 @@ import math
 
 import pytest
 
+from lemnichor import analytic
 from lemnichor.analytic import (
     CN_SUM_CONSTANT,
+    COEFF_RADII,
     PRINCIPAL_2A,
+    STRIP_WINDINGS,
     TRIPLE_ZERO_C3,
+    CensusError,
     ContourCrossingError,
+    NoZeroOrPoleError,
     PoleSpec,
     alpha1,
     alpha2,
@@ -15,17 +20,23 @@ from lemnichor.analytic import (
     check_j_identity,
     check_modulus_identity,
     check_special_values,
+    check_strip_windings,
     check_sum_identities,
     check_triple_zero_and_pole,
     delta_x_minus,
+    delta_x_minus_log_d1,
     delta_x_minus_simple_poles,
     eom_complex_residual,
+    line_windings,
+    locate_pole,
     one_over_one_minus_icn,
     pole_census,
     pole_table,
     residue_at,
     x_plus,
+    x_plus_d1,
     x_plus_d2,
+    x_plus_log_d1,
 )
 from lemnichor.dynamics import PotentialVariant, eom_residual
 from lemnichor.elliptic import make_context
@@ -168,6 +179,30 @@ class TestTripleZero:
         with pytest.raises(ValueError):
             check_triple_zero_and_pole(complex(0.1, 0.1), ctx)
 
+    @pytest.mark.parametrize("which", ["a2", "-a3"])
+    def test_nothing_else_within_twice_the_larger_radius(self, ctx, which):
+        # Z - P = 3 with first moment 3 t0 on the circle of radius 2 x the
+        # larger coefficient radius: only the triple zero lies inside, so the
+        # Cauchy means see a function analytic out to twice their radius.
+        t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
+        order, loc = locate_pole(delta_x_minus_log_d1, t0, ctx, radius=2.0 * max(COEFF_RADII))
+        assert order == 3
+        assert abs(loc - t0) <= 1e-9
+
+    @pytest.mark.parametrize("which", ["a2", "-a3"])
+    def test_coefficient_misses_no_larger_than_before_resizing(self, ctx, which):
+        # Misses at the old contour size (256 nodes, radii 1e-2 and 5e-3).
+        before = {
+            "leading coefficient h^3": 3.6e-11,
+            "next coefficient h^5": 3.1e-6,
+            "principal part h^-3 of reciprocal": 6.7e-10,
+            "principal part h^-1 of reciprocal": 5.7e-5,
+        }
+        t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
+        results = {r.name: r for r in check_triple_zero_and_pole(t0, ctx)}
+        for name, bound in before.items():
+            assert results[name].residual <= bound, (name, results[name].residual)
+
 
 class TestComplexEquationOfMotion:
     def test_generic_complex_sample(self, ctx):
@@ -215,6 +250,37 @@ class TestPoleCensus:
         for refined, order in conj_poles:
             assert order == -1
             assert min(abs(refined - e) for e in expected) <= 1e-6
+
+    def test_strip_windings_are_integers_and_lines_close_up(self, ctx):
+        lines = line_windings(ctx)
+        assert len(lines) == 5
+        # 4iK' is a period: the first and last lines are the same curve.
+        assert abs(lines[0] - lines[-1]) <= 1e-9
+        for line in lines:
+            assert abs(line - round(line.real)) <= 1e-9
+        results = check_strip_windings(ctx)
+        assert [r.claimed for r in results] == list(STRIP_WINDINGS)
+        for r in results:
+            assert r.passed, f"{r.name}: residual {r.residual}"
+            assert r.residual <= 1e-9
+
+    def test_census_fails_on_a_misplaced_pole(self, ctx, monkeypatch):
+        # Negative control: claim a2 0.3 away from the true pole.
+        true_a2 = alpha2(ctx)
+        monkeypatch.setattr(analytic, "alpha2", lambda c: true_a2 + 0.3)
+        with pytest.raises(CensusError, match="strip -3K'/2 < Im t < -K'/2.* sum to -1"):
+            pole_census(ctx)
+
+    def test_locate_pole_refuses_a_regular_point(self, ctx):
+        with pytest.raises(NoZeroOrPoleError):
+            locate_pole(x_plus_log_d1, complex(0.5, 0.5), ctx)
+
+    def test_closed_form_log_derivatives(self, ctx):
+        eps = 1e-6
+        for t in (complex(0.5, 0.4), complex(-1.2, 0.9), complex(2.0, -0.3)):
+            assert abs(x_plus_log_d1(t, ctx) - x_plus_d1(t, ctx) / x_plus(t, ctx)) <= 1e-12
+            fd = (delta_x_minus(t + eps, ctx) - delta_x_minus(t - eps, ctx)) / (2.0 * eps)
+            assert abs(delta_x_minus_log_d1(t, ctx) - fd / delta_x_minus(t, ctx)) <= 1e-7
 
     def test_x_plus_bounded_on_real_axis(self, ctx, period):
         worst = max(abs(x_plus(complex(i * period / 200.0, 0.0), ctx)) for i in range(200))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lemnichor import cli, dynamics, geometry, invariants
+from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context
 from lemnichor.orbit import position, triple, velocity
@@ -352,6 +352,17 @@ class TestAnalytic:
         assert all(entry["pass"] for entry in report)
         names = {entry["name"] for entry in report}
         assert any(name.startswith("residue of x_plus") for name in names)
+        strips = [e for e in report if e["name"].startswith("strip winding")]
+        assert [e["claimed"] for e in strips] == [[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 0.0]]
+        assert all(e["residual"] <= 1e-9 for e in strips)
+
+    def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
+        real = analytic.x_plus_log_d1
+        monkeypatch.setattr(analytic, "x_plus_log_d1", lambda t, ctx: 0.5 * real(t, ctx))
+        code, out, _ = run_cli(["analytic"], capsys)
+        assert code == 1
+        failed = [e["name"] for e in json.loads(out) if not e["pass"]]
+        assert failed and all(name.startswith("strip winding") for name in failed)
 
 
 class TestExitCodes:
