@@ -31,6 +31,9 @@ SQRT3 = math.sqrt(3.0)
 # Any pairwise approach below this is a genuinely different trajectory: the
 # analytic orbit's minimum squared separation is sqrt(3)/2.
 DELTA_COLL = 1e-10
+_DELTA_COLL_SQ = DELTA_COLL * DELTA_COLL
+
+_C4, _C8, _C12, _C24 = SQRT3 / 4.0, SQRT3 / 8.0, SQRT3 / 12.0, SQRT3 / 24.0
 
 
 class PotentialVariant(enum.Enum):
@@ -51,84 +54,104 @@ class CollisionError(RuntimeError):
         self.partial = partial
 
 
-def _forces(px, py, central: bool):
-    """Force components (fx, fy) on the three bodies at flat positions.
+def _coords(vecs) -> tuple[float, float, float, float, float, float]:
+    a, b, c = vecs
+    return a.x, a.y, b.x, b.y, c.x, c.y
 
-    Newton pairs are accumulated i < j with equal and opposite terms; the
-    repulsion is the central (sqrt(3)/4) x_i or the pairwise
-    -(sqrt(3)/12) sum_j (x_j - x_i).  This and _potential are the only places
-    the dynamics is coded, and the only collision rule: r_ij^2 < DELTA_COLL^2.
+
+def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
+    """Forces on, and potential energy of, three bodies at (x0, y0), (x1, y1), (x2, y2).
+
+    Returns (fx0, fy0, fx1, fy1, fx2, fy2, pe).  Each pair's difference is
+    formed once, and the one collision rule of the dynamics is checked once, on
+    the force's r_ij^2 < DELTA_COLL^2.  Newton pairs give equal and opposite
+    terms 0.5 d / r^2; the repulsion is the central (sqrt(3)/4) x_i (pe term
+    -(sqrt(3)/8) |x_i|^2) or the pairwise -(sqrt(3)/12) sum_j (x_j - x_i) (pe
+    term -(sqrt(3)/24) r_ij^2); (1/2) ln r is (1/4) ln(r^2).
+
+    Every sum keeps the order of a loop over pairs i < j accumulating from 0.0
+    (the 0.0 fixes the sign of a zero force), and the potential's r^2 is
+    dx ** 2 + dy ** 2: pow is not always correctly rounded, so x ** 2 differs
+    from x * x for about one x in a thousand.  The tests pin these bits
+    against that loop.  Together with _energy, whose kinetic sum has a fixed
+    order on every Python version, this is all the dynamics.
     """
-    fx = [0.0, 0.0, 0.0]
-    fy = [0.0, 0.0, 0.0]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dx = px[j] - px[i]
-            dy = py[j] - py[i]
-            r2 = dx * dx + dy * dy
-            if r2 < DELTA_COLL * DELTA_COLL:
-                raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
-            gx = 0.5 * dx / r2
-            gy = 0.5 * dy / r2
-            fx[i] += gx
-            fy[i] += gy
-            fx[j] -= gx
-            fy[j] -= gy
+    dx01 = x1 - x0
+    dy01 = y1 - y0
+    dx02 = x2 - x0
+    dy02 = y2 - y0
+    dx12 = x2 - x1
+    dy12 = y2 - y1
+    r01 = dx01 * dx01 + dy01 * dy01
+    r02 = dx02 * dx02 + dy02 * dy02
+    r12 = dx12 * dx12 + dy12 * dy12
+    if r01 < _DELTA_COLL_SQ or r02 < _DELTA_COLL_SQ or r12 < _DELTA_COLL_SQ:
+        i, j = (0, 1) if r01 < _DELTA_COLL_SQ else (0, 2) if r02 < _DELTA_COLL_SQ else (1, 2)
+        raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
+    gx01 = 0.5 * dx01 / r01
+    gy01 = 0.5 * dy01 / r01
+    gx02 = 0.5 * dx02 / r02
+    gy02 = 0.5 * dy02 / r02
+    gx12 = 0.5 * dx12 / r12
+    gy12 = 0.5 * dy12 / r12
+    fx0 = 0.0 + gx01 + gx02
+    fy0 = 0.0 + gy01 + gy02
+    fx1 = 0.0 - gx01 + gx12
+    fy1 = 0.0 - gy01 + gy12
+    fx2 = 0.0 - gx02 - gx12
+    fy2 = 0.0 - gy02 - gy12
+    s01 = dx01 ** 2 + dy01 ** 2
+    s02 = dx02 ** 2 + dy02 ** 2
+    s12 = dx12 ** 2 + dy12 ** 2
     if central:
-        for i in range(3):
-            fx[i] += SQRT3 / 4.0 * px[i]
-            fy[i] += SQRT3 / 4.0 * py[i]
-    else:
-        for i in range(3):
-            sx = px[0] + px[1] + px[2] - 3.0 * px[i]
-            sy = py[0] + py[1] + py[2] - 3.0 * py[i]
-            fx[i] -= SQRT3 / 12.0 * sx
-            fy[i] -= SQRT3 / 12.0 * sy
-    return fx, fy
+        pe = (
+            0.25 * math.log(s01) + 0.25 * math.log(s02) + 0.25 * math.log(s12)
+            - _C8 * (x0 * x0 + y0 * y0) - _C8 * (x1 * x1 + y1 * y1) - _C8 * (x2 * x2 + y2 * y2)
+        )
+        return (
+            fx0 + _C4 * x0, fy0 + _C4 * y0,
+            fx1 + _C4 * x1, fy1 + _C4 * y1,
+            fx2 + _C4 * x2, fy2 + _C4 * y2,
+            pe,
+        )
+    pe = (
+        0.25 * math.log(s01) - _C24 * s01
+        + 0.25 * math.log(s02) - _C24 * s02
+        + 0.25 * math.log(s12) - _C24 * s12
+    )
+    sx = x0 + x1 + x2
+    sy = y0 + y1 + y2
+    return (
+        fx0 - _C12 * (sx - 3.0 * x0), fy0 - _C12 * (sy - 3.0 * y0),
+        fx1 - _C12 * (sx - 3.0 * x1), fy1 - _C12 * (sy - 3.0 * y1),
+        fx2 - _C12 * (sx - 3.0 * x2), fy2 - _C12 * (sy - 3.0 * y2),
+        pe,
+    )
 
 
-def _potential(px, py, central: bool) -> float:
-    """Potential energy at flat positions; (1/2) ln r is (1/4) ln(r^2)."""
-    pe = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            r2 = (px[j] - px[i]) ** 2 + (py[j] - py[i]) ** 2
-            if r2 < DELTA_COLL * DELTA_COLL:
-                raise CollisionError(f"bodies {i} and {j} closer than {DELTA_COLL}")
-            pe += 0.25 * math.log(r2)
-            if not central:
-                pe -= SQRT3 / 24.0 * r2
-    if central:
-        for i in range(3):
-            pe -= SQRT3 / 8.0 * (px[i] * px[i] + py[i] * py[i])
-    return pe
+def _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe: float) -> float:
+    """Kinetic plus potential energy; the kinetic sum is (k0 + k1) + k2.
 
-
-def _kinetic(vx, vy) -> float:
-    return 0.5 * sum(vx[i] * vx[i] + vy[i] * vy[i] for i in range(3))
+    Written out rather than sum(): from Python 3.12 sum() of floats is
+    compensated, which would change the energy's last bits by interpreter.
+    """
+    return 0.5 * (vx0 * vx0 + vy0 * vy0 + (vx1 * vx1 + vy1 * vy1) + (vx2 * vx2 + vy2 * vy2)) + pe
 
 
 def forces(positions, variant: PotentialVariant) -> list[Vec2]:
     """Total force F_newton(i) + F_repulsive(i) on each body."""
-    fx, fy = _forces(
-        [p.x for p in positions], [p.y for p in positions],
-        variant is PotentialVariant.U_CENTRAL,
-    )
-    return [Vec2(fx[i], fy[i]) for i in range(3)]
+    f = _kernel(*_coords(positions), variant is PotentialVariant.U_CENTRAL)
+    return [Vec2(f[0], f[1]), Vec2(f[2], f[3]), Vec2(f[4], f[5])]
 
 
 def potential(positions, variant: PotentialVariant) -> float:
     """Potential energy of the configuration under the given variant."""
-    return _potential(
-        [p.x for p in positions], [p.y for p in positions],
-        variant is PotentialVariant.U_CENTRAL,
-    )
+    return _kernel(*_coords(positions), variant is PotentialVariant.U_CENTRAL)[6]
 
 
 def total_energy(positions, velocities, variant: PotentialVariant) -> float:
     """Kinetic (with the conventional 1/2 factor) plus potential energy."""
-    ke = _kinetic([v.x for v in velocities], [v.y for v in velocities])
-    return ke + potential(positions, variant)
+    return _energy(*_coords(velocities), potential(positions, variant))
 
 
 def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> float:
@@ -220,42 +243,42 @@ def integrate(
         raise ValueError("n_steps must be >= 1")
 
     central = variant is PotentialVariant.U_CENTRAL
-    px = [p.x for p in positions]
-    py = [p.y for p in positions]
-    vx = [v.x for v in velocities]
-    vy = [v.y for v in velocities]
+    x0, y0, x1, y1, x2, y2 = _coords(positions)
+    vx0, vy0, vx1, vy1, vx2, vy2 = _coords(velocities)
     rows = array("d")
-
-    def record(t, energy):
-        rows.extend((
-            t,
-            px[0], py[0], vx[0], vy[0],
-            px[1], py[1], vx[1], vy[1],
-            px[2], py[2], vx[2], vy[2],
-            energy,
-        ))
-
     step = 0
     drift = 0.0
     half = 0.5 * dt
     try:
-        e0 = _kinetic(vx, vy) + _potential(px, py, central)
-        record(0.0, e0)
-        fx, fy = _forces(px, py, central)
+        fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
+        e0 = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
+        rows.extend((0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0))
         for step in range(1, n_steps + 1):
-            for i in range(3):
-                vx[i] += half * fx[i]
-                vy[i] += half * fy[i]
-                px[i] += dt * vx[i]
-                py[i] += dt * vy[i]
-            fx, fy = _forces(px, py, central)
-            for i in range(3):
-                vx[i] += half * fx[i]
-                vy[i] += half * fy[i]
-            energy = _kinetic(vx, vy) + _potential(px, py, central)
-            drift = max(drift, abs(energy - e0))
+            vx0 += half * fx0
+            vy0 += half * fy0
+            vx1 += half * fx1
+            vy1 += half * fy1
+            vx2 += half * fx2
+            vy2 += half * fy2
+            x0 += dt * vx0
+            y0 += dt * vy0
+            x1 += dt * vx1
+            y1 += dt * vy1
+            x2 += dt * vx2
+            y2 += dt * vy2
+            fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
+            vx0 += half * fx0
+            vy0 += half * fy0
+            vx1 += half * fx1
+            vy1 += half * fy1
+            vx2 += half * fx2
+            vy2 += half * fy2
+            energy = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
+            d = abs(energy - e0)
+            if d > drift:
+                drift = d
             if step % record_every == 0 or step == n_steps:
-                record(step * dt, energy)
+                rows.extend((step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy))
     except CollisionError as exc:
         exc.step_index = step
         exc.partial = Trajectory(rows, dt, variant, record_every, drift)

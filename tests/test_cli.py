@@ -180,6 +180,27 @@ class TestIntegrate:
         assert rows[0][1] == pytest.approx(s.positions[0].x, abs=1e-15)
         assert rows[0][5] == pytest.approx(s.positions[1].x, abs=1e-15)
 
+    @pytest.mark.parametrize("init", ["analytic", "file"])
+    def test_stderr_summary(self, ctx, init, tmp_path, capsys):
+        argv = ["integrate", "--steps", "8", "--dt", "0.001"]
+        keys = ["energy_drift", "final_time", "position_error_vs_analytic"]
+        s = triple(0.0, ctx)
+        if init == "file":
+            path = tmp_path / "init.json"
+            path.write_text(json.dumps({
+                "positions": [[p.x, p.y] for p in s.positions],
+                "velocities": [[v.x, v.y] for v in s.velocities],
+            }))
+            argv += ["--init", str(path)]
+            keys.remove("position_error_vs_analytic")  # no reference orbit
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        summary = json.loads(err)
+        assert sorted(summary) == keys
+        assert summary["final_time"] == 8 * 0.001
+        traj = dynamics.integrate(s.positions, s.velocities, dynamics.PotentialVariant.U_CENTRAL, 0.001, 8)
+        assert summary["energy_drift"] == traj.energy_drift
+
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["integrate", "--steps", "4", "--output", str(out)]) == 0

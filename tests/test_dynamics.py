@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -338,6 +339,205 @@ class TestIntegrate:
             integrate(pts, [Vec2(0.0, 0.0)] * 3, U, dt=0.1, n_steps=10)
         with pytest.raises(IndexError):
             err.value.partial.final
+
+
+# The loop kernel that the unrolled one replaced, kept as the bit-exact
+# reference: same pair order, same `** 2` in the potential, and the kinetic sum
+# written out left to right as sum() did it before Python 3.12.
+
+
+def loop_forces(px, py, central):
+    fx = [0.0, 0.0, 0.0]
+    fy = [0.0, 0.0, 0.0]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            dx = px[j] - px[i]
+            dy = py[j] - py[i]
+            r2 = dx * dx + dy * dy
+            gx = 0.5 * dx / r2
+            gy = 0.5 * dy / r2
+            fx[i] += gx
+            fy[i] += gy
+            fx[j] -= gx
+            fy[j] -= gy
+    if central:
+        for i in range(3):
+            fx[i] += SQRT3 / 4.0 * px[i]
+            fy[i] += SQRT3 / 4.0 * py[i]
+    else:
+        for i in range(3):
+            sx = px[0] + px[1] + px[2] - 3.0 * px[i]
+            sy = py[0] + py[1] + py[2] - 3.0 * py[i]
+            fx[i] -= SQRT3 / 12.0 * sx
+            fy[i] -= SQRT3 / 12.0 * sy
+    return fx, fy
+
+
+def loop_potential(px, py, central):
+    pe = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            r2 = (px[j] - px[i]) ** 2 + (py[j] - py[i]) ** 2
+            pe += 0.25 * math.log(r2)
+            if not central:
+                pe -= SQRT3 / 24.0 * r2
+    if central:
+        for i in range(3):
+            pe -= SQRT3 / 8.0 * (px[i] * px[i] + py[i] * py[i])
+    return pe
+
+
+def loop_kinetic(vx, vy):
+    k = 0.0
+    for i in range(3):
+        k += vx[i] * vx[i] + vy[i] * vy[i]
+    return 0.5 * k
+
+
+def loop_integrate(positions, velocities, central, dt, n_steps, record_every):
+    """(recorded rows, energy drift) of the loop-kernel velocity Verlet."""
+    px = [p.x for p in positions]
+    py = [p.y for p in positions]
+    vx = [v.x for v in velocities]
+    vy = [v.y for v in velocities]
+    rows = []
+
+    def record(t, energy):
+        rows.append(t)
+        for i in range(3):
+            rows.extend((px[i], py[i], vx[i], vy[i]))
+        rows.append(energy)
+
+    half = 0.5 * dt
+    e0 = loop_kinetic(vx, vy) + loop_potential(px, py, central)
+    record(0.0, e0)
+    drift = 0.0
+    fx, fy = loop_forces(px, py, central)
+    for step in range(1, n_steps + 1):
+        for i in range(3):
+            vx[i] += half * fx[i]
+            vy[i] += half * fy[i]
+            px[i] += dt * vx[i]
+            py[i] += dt * vy[i]
+        fx, fy = loop_forces(px, py, central)
+        for i in range(3):
+            vx[i] += half * fx[i]
+            vy[i] += half * fy[i]
+        energy = loop_kinetic(vx, vy) + loop_potential(px, py, central)
+        drift = max(drift, abs(energy - e0))
+        if step % record_every == 0 or step == n_steps:
+            record(step * dt, energy)
+    return rows, drift
+
+
+def bits(xs):
+    """The IEEE bytes of a float sequence: unlike ==, tells -0.0 from 0.0."""
+    return array("d", xs).tobytes()
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_forces_potential_energy_bit_equal(self, variant):
+        rng = random.Random(8 if variant is U else 9)
+        central = variant is U
+        for _ in range(1000):
+            pts = random_triple(rng)
+            vels = [Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3)]
+            px, py = [p.x for p in pts], [p.y for p in pts]
+            fx, fy = loop_forces(px, py, central)
+            got = [c for f in forces(pts, variant) for c in (f.x, f.y)]
+            assert bits(got) == bits([c for i in range(3) for c in (fx[i], fy[i])])
+            pe = loop_potential(px, py, central)
+            assert bits([potential(pts, variant)]) == bits([pe])
+            ke = loop_kinetic([v.x for v in vels], [v.y for v in vels])
+            assert bits([total_energy(pts, vels, variant)]) == bits([ke + pe])
+
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_signed_zeros_bit_equal(self, variant):
+        # Bodies on the y axis with every sign of x = 0 and of vx = 0: only the
+        # order of the sums decides the sign of a zero force or velocity.
+        central = variant is U
+        for signs in range(8):
+            xs = [-0.0 if signs >> k & 1 else 0.0 for k in range(3)]
+            pts = [Vec2(x, y) for x, y in zip(xs, (0.7, -0.2, -0.6))]
+            vels = [Vec2(x, vy) for x, vy in zip(xs, (0.1, 0.4, -0.3))]
+            fx, fy = loop_forces(xs, [p.y for p in pts], central)
+            got = [c for f in forces(pts, variant) for c in (f.x, f.y)]
+            assert bits(got) == bits([c for i in range(3) for c in (fx[i], fy[i])])
+            traj = integrate(pts, vels, variant, 0.01, 50)
+            rows, _ = loop_integrate(pts, vels, central, 0.01, 50, 1)
+            assert bits(traj.rows) == bits(rows)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("init", ["analytic", "seeded"])
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_integrate_bit_equal(self, ctx, period, variant, init, record_every):
+        if init == "analytic":
+            s = triple(0.0, ctx)
+            pts, vels, dt = s.positions, s.velocities, period / 65536.0
+        else:
+            rng = random.Random(12)
+            pts = random_triple(rng, min_sep=0.5)
+            vels = [Vec2(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3)]
+            dt = 1e-3
+        n = 5000
+        traj = integrate(pts, vels, variant, dt, n, record_every=record_every)
+        rows, drift = loop_integrate(pts, vels, variant is U, dt, n, record_every)
+        assert len(rows) == ROW_WIDTH * (n // record_every + 1 + (n % record_every != 0))
+        assert bits(traj.rows) == bits(rows)
+        assert bits([traj.energy_drift]) == bits([drift])
+
+
+class TestCollisions:
+    """One collision rule, r_ij^2 < DELTA_COLL^2, behind every entry point."""
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_coincident_bodies_raise_everywhere(self, variant, pair):
+        pts = [Vec2(0.3, -0.2) if k in pair else Vec2(1.0, 1.0) for k in range(3)]
+        vels = [Vec2(0.1, 0.0)] * 3
+        message = f"bodies {pair[0]} and {pair[1]} closer than"
+        for call in (
+            lambda: forces(pts, variant),
+            lambda: potential(pts, variant),
+            lambda: total_energy(pts, vels, variant),
+        ):
+            with pytest.raises(CollisionError, match=message):
+                call()
+        with pytest.raises(CollisionError, match=message) as err:
+            integrate(pts, vels, variant, dt=0.1, n_steps=10)
+        assert err.value.step_index == 0
+        assert err.value.partial.points == []
+
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_collision_at_later_step(self, variant):
+        # Bodies 0 and 1 run head-on, mirror images of each other about x = 0,
+        # so body 0 sits at x = 0 exactly when they meet.  Bisect the speed
+        # until they meet at step k: below 16 body 0 is short of x = 0 at
+        # step k, above 24 it is past it.
+        k, dt = 5, 0.01
+
+        def head_on(v):
+            pts = [Vec2(-1.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 3.0)]
+            return pts, [Vec2(v, 0.0), Vec2(-v, 0.0), Vec2(0.0, 0.0)]
+
+        lo, hi = 16.0, 24.0
+        for _ in range(100):
+            v = 0.5 * (lo + hi)
+            try:
+                x = integrate(*head_on(v), variant, dt, k).final.positions[0].x
+            except CollisionError as exc:
+                err = exc
+                break
+            lo, hi = (v, hi) if x < 0.0 else (lo, v)
+        else:
+            pytest.fail("the bisection found no collision")
+        assert err.step_index == k
+        # Every step before the collision is recorded, none after it.
+        assert len(err.partial.points) == k
+        before = integrate(*head_on(v), variant, dt, k - 1)
+        assert bits(err.partial.rows) == bits(before.rows)
+        assert err.partial.energy_drift == before.energy_drift
 
 
 class TestOneBody:
