@@ -20,9 +20,9 @@ x^+'/x^+, each taken by the trapezoid rule on a periodic integrand (spectrally
 accurate).  Lines at Im t = -3K'/2, -K'/2, K'/2, 3K'/2, 5K'/2 cut the cell
 into four strips with Z - P = -2, +2, -2, +2; the first and last lines agree
 because 4iK' is a period.  Local windings and first moments of f'/f on small
-circles place each zero and pole, and residues and Laurent/Taylor
-coefficients come from trapezoidal contour means on small circles.  Every
-log-derivative is in closed form, one complex evaluation per node.
+circles place each zero and pole; residues and Laurent/Taylor coefficients
+are weighted means of one circle of values.  Log-derivatives are in closed
+form, and each check evaluates sn, cn, dn once per point.
 """
 
 from __future__ import annotations
@@ -113,26 +113,49 @@ def alpha1(ctx: EllipticContext) -> Cplx:
     return complex(-ctx.K, ctx.Kprime)
 
 
-def x_plus(t: Cplx, ctx: EllipticContext) -> Cplx:
-    s, c, _ = sn_cn_dn_complex(t, ctx)
+# The same quantities from (sn, cn, dn) at one point.
+def _x_plus(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return s / (1.0 - 1j * c)
 
 
-def x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
-    s, c, _ = sn_cn_dn_complex(t, ctx)
+def _x_minus(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return s / (1.0 + 1j * c)
 
 
-def one_over_one_minus_icn(t: Cplx, ctx: EllipticContext) -> Cplx:
-    _, c, _ = sn_cn_dn_complex(t, ctx)
+def _one_over_one_minus_icn(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return 1.0 / (1.0 - 1j * c)
+
+
+def _x_plus_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+    u = 1.0 - 1j * c
+    return d * (c - 1j) / (u * u)
+
+
+def _x_plus_d2(s: Cplx, c: Cplx, d: Cplx, m: float) -> Cplx:
+    u = 1.0 - 1j * c
+    return -s * ((m * c * (c - 1j) + d * d) / (u * u)
+                 + 2j * d * d * (c - 1j) / (u * u * u))
+
+
+def _j(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+    return _x_minus(s, c, d) * _x_plus_d1(s, c, d)
+
+
+def x_plus(t: Cplx, ctx: EllipticContext) -> Cplx:
+    return _x_plus(*sn_cn_dn_complex(t, ctx))
+
+
+def x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
+    return _x_minus(*sn_cn_dn_complex(t, ctx))
+
+
+def one_over_one_minus_icn(t: Cplx, ctx: EllipticContext) -> Cplx:
+    return _one_over_one_minus_icn(*sn_cn_dn_complex(t, ctx))
 
 
 def x_plus_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
     """d x^+ / dt in closed form: dn (cn - i) / (1 - i cn)^2."""
-    _, c, d = sn_cn_dn_complex(t, ctx)
-    u = 1.0 - 1j * c
-    return d * (c - 1j) / (u * u)
+    return _x_plus_d1(*sn_cn_dn_complex(t, ctx))
 
 
 def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
@@ -143,10 +166,7 @@ def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
 
 def x_plus_d2(t: Cplx, ctx: EllipticContext) -> Cplx:
     """d^2 x^+ / dt^2 in closed form."""
-    s, c, d = sn_cn_dn_complex(t, ctx)
-    u = 1.0 - 1j * c
-    return -s * ((ctx.m * c * (c - 1j) + d * d) / (u * u)
-                 + 2j * d * d * (c - 1j) / (u * u * u))
+    return _x_plus_d2(*sn_cn_dn_complex(t, ctx), ctx.m)
 
 
 def delta_x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
@@ -169,10 +189,33 @@ def delta_x_minus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
     return (d1 - d0) / (f1 - f0)
 
 
-_FUNCTIONS = {
-    "x_plus": x_plus,
-    "one_over_one_minus_icn": one_over_one_minus_icn,
-}
+def _three_phases(t: Cplx, ctx: EllipticContext) -> list:
+    # (sn, cn, dn) at t, t + 4K/3 and t - 4K/3, one evaluation each.
+    third = 4.0 * ctx.K / 3.0
+    return [sn_cn_dn_complex(u, ctx) for u in (t, t + third, t - third)]
+
+
+def _phase_sum(g, phases) -> Cplx:
+    return g(*phases[0]) + g(*phases[1]) + g(*phases[2])
+
+
+def _circle(f, center: Cplx, radius: float) -> list[Cplx]:
+    """f at the CONTOUR_NODES nodes center + r e^{i th_j}, th_j = 2 pi j / N."""
+    n = CONTOUR_NODES
+    return [f(center + cmath.rect(radius, 2.0 * math.pi * j / n)) for j in range(n)]
+
+
+def _mean(vals: list[Cplx], k: int) -> Cplx:
+    # (1/N) sum_j f_j e^{-i k th_j} of the values of _circle; equals the Laurent
+    # coefficient c_k times r^k for f analytic in a punctured neighborhood.
+    n = len(vals)
+    acc = 0j
+    for j, v in enumerate(vals):
+        acc += v * cmath.exp(complex(0.0, -k * (2.0 * math.pi * j / n)))
+    return acc / n
+
+
+_FUNCTIONS = {"x_plus": x_plus, "one_over_one_minus_icn": one_over_one_minus_icn}
 
 
 def pole_table(ctx: EllipticContext) -> dict[str, list[PoleSpec]]:
@@ -196,23 +239,6 @@ def pole_table(ctx: EllipticContext) -> dict[str, list[PoleSpec]]:
     }
 
 
-def _all_pole_locations(ctx: EllipticContext) -> list[Cplx]:
-    a2, a3 = alpha2(ctx), alpha3(ctx)
-    return [a2, a3, -a2, -a3]
-
-
-def _contour_mean(f, center: Cplx, radius: float, weight_k: int,
-                  nodes: int = CONTOUR_NODES) -> Cplx:
-    # (1/N) sum f(center + r e^{i th}) e^{-i k th}; equals the Laurent
-    # coefficient c_k times r^k for f analytic in a punctured neighborhood.
-    acc = 0j
-    for j in range(nodes):
-        th = 2.0 * math.pi * j / nodes
-        z = cmath.rect(radius, th)
-        acc += f(center + z) * cmath.exp(complex(0.0, -weight_k * th))
-    return acc / nodes
-
-
 def residue_at(pole: PoleSpec, f: str, ctx: EllipticContext,
                radius: float = CONTOUR_RADIUS) -> Cplx:
     """Residue of the named function at a simple pole by contour quadrature.
@@ -225,14 +251,20 @@ def residue_at(pole: PoleSpec, f: str, ctx: EllipticContext,
         raise ValueError(f"unknown function id {f!r}; expected one of {sorted(_FUNCTIONS)}")
     if pole.order != 1:
         raise ValueError("residue_at handles simple poles only")
-    for other in _all_pole_locations(ctx):
-        d = abs(other - pole.location)
-        if 1e-9 < d < 2.0 * radius:
+    for other in pole_table(ctx)[f]:
+        if 1e-9 < abs(other.location - pole.location) < 2.0 * radius:
             raise ContourCrossingError(
-                f"pole at {other} lies within 2x contour radius of {pole.location}"
+                f"pole at {other.location} lies within 2x contour radius of {pole.location}"
             )
     func = _FUNCTIONS[f]
-    return _contour_mean(lambda z: func(z, ctx), pole.location, radius, weight_k=-1) * radius
+    return _mean(_circle(lambda z: func(z, ctx), pole.location, radius), -1) * radius
+
+
+def check_residues(ctx: EllipticContext, tol: float = 1e-6) -> list[CheckResult]:
+    """residue_at against the claimed residue at each pole of pole_table."""
+    return [_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
+                    residue_at(pole, f_id, ctx), tol)
+            for f_id, poles in pole_table(ctx).items() for pole in poles]
 
 
 def check_special_values(ctx: EllipticContext, tol: float = 1e-12) -> list[CheckResult]:
@@ -274,67 +306,45 @@ def check_modulus_identity(ctx: EllipticContext, tol: float = 1e-12) -> list[Che
     ]
 
 
-def _three_phase_sum(f, t: Cplx, ctx: EllipticContext) -> Cplx:
-    third = 4.0 * ctx.K / 3.0
-    return f(t, ctx) + f(t + third, ctx) + f(t - third, ctx)
-
-
 def check_sum_identities(t: Cplx, ctx: EllipticContext,
                          tol_real: float = 1e-11, tol_complex: float = 1e-9) -> list[CheckResult]:
     """Three-phase sums: x^+ cancels to 0, 1/(1 - i cn) to (3 + sqrt3)/2."""
     t = complex(t)
     tol = tol_real if t.imag == 0.0 else tol_complex
+    phases = _three_phases(t, ctx)
     return [
-        _result("three-phase sum of x_plus", 0.0, _three_phase_sum(x_plus, t, ctx), tol),
+        _result("three-phase sum of x_plus", 0.0, _phase_sum(_x_plus, phases), tol),
         _result("three-phase sum of 1/(1-i cn)", CN_SUM_CONSTANT,
-                _three_phase_sum(one_over_one_minus_icn, t, ctx), tol),
+                _phase_sum(_one_over_one_minus_icn, phases), tol),
     ]
 
 
 def j_plus_product(t: Cplx, ctx: EllipticContext) -> Cplx:
     """j(t) = x^-(t) * dx^+/dt; real part is (1/2) d|x|^2/dt, imaginary part
     the single-body angular momentum."""
-    return x_minus(t, ctx) * x_plus_d1(t, ctx)
-
-
-def j_plus_derivative(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """Same quantity as d/dt [1/(1 - i cn)] = -i sn dn / (1 - i cn)^2."""
-    s, c, d = sn_cn_dn_complex(t, ctx)
-    u = 1.0 - 1j * c
-    return -1j * s * d / (u * u)
+    return _j(*sn_cn_dn_complex(t, ctx))
 
 
 def check_j_identity(t: Cplx, ctx: EllipticContext, tol: float = 1e-10) -> list[CheckResult]:
     """Both representations of j agree and the three-phase sum vanishes.
 
+    The second representation is d/dt [1/(1 - i cn)] = -i sn dn / (1 - i cn)^2.
     On the real axis the vanishing sum is the simultaneous conservation of
     the moment of inertia (real part) and angular momentum (imaginary part).
     """
     t = complex(t)
+    phases = _three_phases(t, ctx)
+    s, c, d = phases[0]
+    u = 1.0 - 1j * c
+    total = _phase_sum(_j, phases)
     out = [
-        _result("j product form vs derivative form",
-                j_plus_derivative(t, ctx), j_plus_product(t, ctx), tol),
-        _result("three-phase sum of j", 0.0, _three_phase_sum(j_plus_product, t, ctx), tol),
+        _result("j product form vs derivative form", -1j * s * d / (u * u), _j(s, c, d), tol),
+        _result("three-phase sum of j", 0.0, total, tol),
     ]
     if t.imag == 0.0:
-        s = _three_phase_sum(j_plus_product, t, ctx)
         ang = angular_momentum(triple(t.real, ctx))
-        out.append(_result("Im(j sum) vs angular momentum", ang, s.imag, 1e-11))
+        out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11))
     return out
-
-
-def taylor_coefficient(f, center: Cplx, k: int, ctx: EllipticContext,
-                       radii: tuple[float, float] = COEFF_RADII) -> Cplx:
-    """k-th Laurent/Taylor coefficient of f at center via Cauchy means.
-
-    Evaluated on circles of two radii and averaged; with uniformly spaced
-    nodes the harmonic projection already annihilates every other series
-    term below the aliasing order, so the second radius serves as an
-    agreement check rather than an extrapolation basis.
-    """
-    vals = [_contour_mean(lambda z: f(z, ctx), center, r, weight_k=k) / r**k
-            for r in radii]
-    return sum(vals) / len(vals)
 
 
 def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResult]:
@@ -368,11 +378,15 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResu
         (a - mh) ** 2 for a in logs_h
     )
 
-    c3 = taylor_coefficient(delta_x_minus, t0, 3, ctx)
-    c5 = taylor_coefficient(delta_x_minus, t0, 5, ctx)
-    inv = lambda z, ctx_: 1.0 / delta_x_minus(z, ctx_)
-    p3 = taylor_coefficient(inv, t0, -3, ctx)
-    p1 = taylor_coefficient(inv, t0, -1, ctx)
+    # c3, c5 of delta x^- and p3, p1 of its reciprocal from one circle per
+    # radius, averaged over COEFF_RADII.  Uniform nodes already annihilate the
+    # other terms below aliasing order: the second radius is a cross-check.
+    per_radius = []
+    for r in COEFF_RADII:
+        vals = _circle(lambda z: delta_x_minus(z, ctx), t0, r)
+        inv = [1.0 / v for v in vals]
+        per_radius.append([_mean(f, k) / r**k for f, k in ((vals, 3), (vals, 5), (inv, -3), (inv, -1))])
+    c3, c5, p3, p1 = (sum(pair) / len(pair) for pair in zip(*per_radius))
 
     h = complex(0.3, 0.2)
     odd = delta_x_minus(t0 + h, ctx) + delta_x_minus(t0 - h, ctx)
@@ -391,10 +405,11 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResu
 
 def eom_complex_residual(t: Cplx, ctx: EllipticContext) -> float:
     """|d^2 x^+/dt^2 - (1/2)(1/dx^-(t) - 1/dx^-(t - 4K/3)) - (sqrt3/4) x^+|."""
-    third = 4.0 * ctx.K / 3.0
-    rhs = 0.5 * (1.0 / delta_x_minus(t, ctx) - 1.0 / delta_x_minus(t - third, ctx))
-    rhs += SQRT3 / 4.0 * x_plus(t, ctx)
-    return abs(x_plus_d2(t, ctx) - rhs)
+    here, ahead, behind = _three_phases(t, ctx)
+    xm = _x_minus(*here)
+    rhs = 0.5 * (1.0 / (_x_minus(*ahead) - xm) - 1.0 / (xm - _x_minus(*behind)))
+    rhs += SQRT3 / 4.0 * _x_plus(*here)
+    return abs(_x_plus_d2(*here, ctx.m) - rhs)
 
 
 def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext,
@@ -412,25 +427,16 @@ def locate_pole(log_d1, approx: Cplx, ctx: EllipticContext,
     """(winding number, refined location) of an isolated zero or pole.
 
     ``log_d1(t, ctx)`` is the closed-form log-derivative f'/f of the function
-    whose zero or pole is sought.  Its mean times (t - approx) around the
-    circle is Z - P by the argument principle; the first moment recovers the
-    location.
+    whose zero or pole is sought.  By the argument principle its mean times
+    (t - approx) around the circle, r mean_{-1}, is Z - P; the first moment,
+    r^2 mean_{-2}, over it is the offset of the location from approx.
     """
-    n = CONTOUR_NODES
-    wind = 0j
-    moment = 0j
-    for j in range(n):
-        z = cmath.rect(radius, 2.0 * math.pi * j / n)
-        t = approx + z
-        ratio = log_d1(t, ctx) * z
-        wind += ratio
-        moment += t * ratio
-    wind /= n
-    moment /= n
-    order = round(wind.real)
+    vals = _circle(lambda t: log_d1(t, ctx), approx, radius)
+    m1 = _mean(vals, -1)
+    order = round((radius * m1).real)
     if order == 0:
         raise NoZeroOrPoleError(f"no zero or pole detected near {approx}")
-    return order, moment / wind
+    return order, approx + radius * _mean(vals, -2) / m1
 
 
 def line_windings(ctx: EllipticContext) -> list[Cplx]:

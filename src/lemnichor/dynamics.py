@@ -157,8 +157,9 @@ def total_energy(positions, velocities, variant: PotentialVariant) -> float:
 def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> float:
     """Max over bodies of |a_i(analytic) - F_newton(i) - F_repulsive(i)|."""
     s = triple(t, ctx)
-    f = forces(s.positions, variant)
-    return max((b.acc - fi).norm() for b, fi in zip(s.bodies, f))
+    f = _kernel(*_coords(s.positions), variant is PotentialVariant.U_CENTRAL)
+    return max(math.hypot(b.acc.x - fx, b.acc.y - fy)
+               for b, fx, fy in zip(s.bodies, f[0:6:2], f[1:6:2]))
 
 
 @dataclass(frozen=True)
@@ -233,14 +234,18 @@ def integrate(
 ) -> Trajectory:
     """Velocity-Verlet trajectory from the given initial condition.
 
-    The energy is evaluated once per step.  Raises CollisionError (carrying
-    the step index and partial trajectory) if any pairwise distance drops
-    below DELTA_COLL.
+    The energy is evaluated once per step.  The start, every record_every-th
+    step and the last step are recorded.  Raises ValueError unless dt > 0,
+    n_steps >= 1 and record_every >= 1, and CollisionError (carrying the step
+    index and partial trajectory) if any pairwise distance drops below
+    DELTA_COLL.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
 
     central = variant is PotentialVariant.U_CENTRAL
     x0, y0, x1, y1, x2, y2 = _coords(positions)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -6,6 +7,8 @@ from lemnichor import analytic
 from lemnichor.analytic import (
     CN_SUM_CONSTANT,
     COEFF_RADII,
+    CONTOUR_NODES,
+    CONTOUR_RADIUS,
     PRINCIPAL_2A,
     STRIP_WINDINGS,
     TRIPLE_ZERO_C3,
@@ -39,7 +42,7 @@ from lemnichor.analytic import (
     x_plus_log_d1,
 )
 from lemnichor.dynamics import PotentialVariant, eom_residual
-from lemnichor.elliptic import make_context
+from lemnichor.elliptic import make_context, sn_cn_dn_complex
 
 from conftest import ROOT4_3, SQRT3
 
@@ -285,3 +288,205 @@ class TestPoleCensus:
     def test_x_plus_bounded_on_real_axis(self, ctx, period):
         worst = max(abs(x_plus(complex(i * period / 200.0, 0.0), ctx)) for i in range(200))
         assert worst < 1.2
+
+
+# The circle quadrature, coefficient average, pole locator and phase sums that
+# analytic.py computed before each circle of values was evaluated once and
+# shared; kept as an oracle, with the point functions as they were written.
+def oracle_x_plus(t, ctx):
+    s, c, _ = sn_cn_dn_complex(t, ctx)
+    return s / (1.0 - 1j * c)
+
+
+def oracle_x_minus(t, ctx):
+    s, c, _ = sn_cn_dn_complex(t, ctx)
+    return s / (1.0 + 1j * c)
+
+
+def oracle_one_over_one_minus_icn(t, ctx):
+    _, c, _ = sn_cn_dn_complex(t, ctx)
+    return 1.0 / (1.0 - 1j * c)
+
+
+def oracle_x_plus_d1(t, ctx):
+    _, c, d = sn_cn_dn_complex(t, ctx)
+    u = 1.0 - 1j * c
+    return d * (c - 1j) / (u * u)
+
+
+def oracle_x_plus_d2(t, ctx):
+    s, c, d = sn_cn_dn_complex(t, ctx)
+    u = 1.0 - 1j * c
+    return -s * ((ctx.m * c * (c - 1j) + d * d) / (u * u)
+                 + 2j * d * d * (c - 1j) / (u * u * u))
+
+
+def oracle_delta_x_minus(t, ctx):
+    third = 4.0 * ctx.K / 3.0
+    return oracle_x_minus(t + third, ctx) - oracle_x_minus(t, ctx)
+
+
+def oracle_contour_mean(f, center, radius, weight_k, nodes=CONTOUR_NODES):
+    acc = 0j
+    for j in range(nodes):
+        th = 2.0 * math.pi * j / nodes
+        z = cmath.rect(radius, th)
+        acc += f(center + z) * cmath.exp(complex(0.0, -weight_k * th))
+    return acc / nodes
+
+
+def oracle_residue(pole, f, ctx):
+    func = {"x_plus": oracle_x_plus, "one_over_one_minus_icn": oracle_one_over_one_minus_icn}[f]
+    return oracle_contour_mean(lambda z: func(z, ctx), pole.location, CONTOUR_RADIUS, weight_k=-1) * CONTOUR_RADIUS
+
+
+def oracle_taylor_coefficient(f, center, k, ctx):
+    vals = [oracle_contour_mean(lambda z: f(z, ctx), center, r, weight_k=k) / r**k for r in COEFF_RADII]
+    return sum(vals) / len(vals)
+
+
+def oracle_locate_pole(log_d1, approx, ctx, radius=5e-2):
+    n = CONTOUR_NODES
+    wind = 0j
+    moment = 0j
+    for j in range(n):
+        z = cmath.rect(radius, 2.0 * math.pi * j / n)
+        t = approx + z
+        ratio = log_d1(t, ctx) * z
+        wind += ratio
+        moment += t * ratio
+    wind /= n
+    moment /= n
+    return round(wind.real), moment / wind
+
+
+def oracle_three_phase_sum(f, t, ctx):
+    third = 4.0 * ctx.K / 3.0
+    return f(t, ctx) + f(t + third, ctx) + f(t - third, ctx)
+
+
+def oracle_j_product(t, ctx):
+    return oracle_x_minus(t, ctx) * oracle_x_plus_d1(t, ctx)
+
+
+def oracle_j_derivative(t, ctx):
+    s, c, d = sn_cn_dn_complex(t, ctx)
+    u = 1.0 - 1j * c
+    return -1j * s * d / (u * u)
+
+
+def oracle_eom_complex_residual(t, ctx):
+    third = 4.0 * ctx.K / 3.0
+    rhs = 0.5 * (1.0 / oracle_delta_x_minus(t, ctx) - 1.0 / oracle_delta_x_minus(t - third, ctx))
+    rhs += SQRT3 / 4.0 * oracle_x_plus(t, ctx)
+    return abs(oracle_x_plus_d2(t, ctx) - rhs)
+
+
+def cbits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def sample_points(ctx):
+    """The `lemnichor analytic` points, then a real and a complex grid."""
+    cli = [0.3, 1.3, complex(0.2, 0.3), ctx.K / 4.0, 0.9, complex(0.5, 0.4), ctx.K / 6.0]
+    grid = [j * ctx.period / 97 for j in range(97)]
+    return [complex(t) for t in cli + grid] + [complex(t - ctx.K, 0.37) for t in grid]
+
+
+class TestOneEvaluationPerNode:
+    def test_residues_bit_equal(self, ctx):
+        results = analytic.check_residues(ctx)
+        want = [(f_id, p) for f_id, poles in pole_table(ctx).items() for p in poles]
+        assert len(results) == len(want) == 8
+        for r, (f_id, pole) in zip(results, want):
+            assert r.name == f"residue of {f_id} at {pole.location}"
+            assert cbits(r.observed) == cbits(oracle_residue(pole, f_id, ctx))
+            assert cbits(r.observed) == cbits(residue_at(pole, f_id, ctx))
+            assert r.residual == abs(r.observed - pole.claimed_residue)
+
+    @pytest.mark.parametrize("which", ["a2", "-a3"])
+    def test_triple_zero_coefficients_bit_equal(self, ctx, which):
+        t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
+        got = {r.name: r.observed for r in check_triple_zero_and_pole(t0, ctx)}
+        inv = lambda z, c: 1.0 / oracle_delta_x_minus(z, c)
+        for name, f, k in (("leading coefficient h^3", oracle_delta_x_minus, 3),
+                           ("next coefficient h^5", oracle_delta_x_minus, 5),
+                           ("principal part h^-3 of reciprocal", inv, -3),
+                           ("principal part h^-1 of reciprocal", inv, -1)):
+            assert cbits(got[name]) == cbits(oracle_taylor_coefficient(f, t0, k, ctx)), name
+
+    def test_sum_and_j_bit_equal(self, ctx):
+        for t in sample_points(ctx):
+            sums = check_sum_identities(t, ctx)
+            assert cbits(sums[0].observed) == cbits(oracle_three_phase_sum(oracle_x_plus, t, ctx))
+            assert cbits(sums[1].observed) == cbits(
+                oracle_three_phase_sum(oracle_one_over_one_minus_icn, t, ctx))
+            js = check_j_identity(t, ctx)
+            assert cbits(js[0].claimed) == cbits(oracle_j_derivative(t, ctx))
+            assert cbits(js[0].observed) == cbits(oracle_j_product(t, ctx))
+            total = oracle_three_phase_sum(oracle_j_product, t, ctx)
+            assert cbits(js[1].observed) == cbits(total)
+            assert len(js) == (3 if t.imag == 0.0 else 2)
+            if t.imag == 0.0:
+                assert js[2].observed.hex() == total.imag.hex()
+
+    def test_eom_bit_equal_where_the_phase_round_trip_is_exact(self, ctx):
+        # The old form took x^-(t) of 1/dx^-(t - 4K/3) at (t - 4K/3) + 4K/3,
+        # which is t only when that round trip is exact, as it is at both
+        # `lemnichor analytic` points.  Elsewhere the two differ by rounding.
+        third = 4.0 * ctx.K / 3.0
+        exact = 0
+        for t in sample_points(ctx):
+            got, want = eom_complex_residual(t, ctx), oracle_eom_complex_residual(t, ctx)
+            if (t - third) + third == t:
+                exact += 1
+                assert got.hex() == want.hex(), t
+            else:
+                assert abs(got - want) <= 4e-15, t
+        assert exact > 100
+        for t in (complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)):
+            assert (t - third) + third == t
+        results = check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
+        assert [r.observed for r in results] == [
+            oracle_eom_complex_residual(complex(0.5, 0.4), ctx),
+            oracle_eom_complex_residual(complex(ctx.K / 6.0, 0.0), ctx),
+        ]
+
+    @pytest.mark.parametrize("log_d1, radius, seeds", [
+        (x_plus_log_d1, 5e-2, "poles"),
+        (x_plus_log_d1, 5e-2, "zeros"),
+        (delta_x_minus_log_d1, 2e-2, "dxm"),
+    ])
+    def test_locate_pole_matches_the_loop(self, ctx, log_d1, radius, seeds):
+        a1, a2, a3 = alpha1(ctx), alpha2(ctx), alpha3(ctx)
+        points = {
+            "poles": [a2, a3, -a2, -a3],
+            "zeros": [0j, complex(2.0 * ctx.K), 2j * ctx.Kprime],
+            "dxm": [p.conjugate() for p in (a1, a2, a3)] + [-p.conjugate() for p in (a1, a2, a3)],
+        }[seeds]
+        for seed in points:
+            order, loc = locate_pole(log_d1, seed, ctx, radius=radius)
+            want_order, want_loc = oracle_locate_pole(log_d1, seed, ctx, radius=radius)
+            assert order == want_order
+            assert abs(loc - want_loc) <= 1e-15
+
+    @pytest.mark.parametrize("check, t, calls", [
+        ("check_triple_zero_and_pole", "a2", 150),
+        ("check_triple_zero_and_pole", "-a3", 150),
+        ("check_j_identity", 0.9, 3),
+        ("check_j_identity", complex(0.2, 0.3), 3),
+        ("check_sum_identities", 0.3, 3),
+        ("check_sum_identities", complex(0.2, 0.3), 3),
+        ("eom_complex_residual", complex(0.5, 0.4), 3),
+        ("j_plus_product", 0.9, 1),
+    ])
+    def test_complex_evaluation_counts(self, ctx, monkeypatch, check, t, calls):
+        # Each node and each phase is evaluated once (the earlier forms made
+        # 534, 15, 6 and 6 calls and j_plus_product 2).
+        t = {"a2": alpha2(ctx), "-a3": -alpha3(ctx)}.get(t, t)
+        seen = []
+        real = analytic.sn_cn_dn_complex
+        monkeypatch.setattr(analytic, "sn_cn_dn_complex", lambda z, c: seen.append(z) or real(z, c))
+        getattr(analytic, check)(t, ctx)
+        assert len(seen) == calls

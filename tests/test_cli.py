@@ -286,6 +286,51 @@ class TestIntegrate:
         assert list(tmp_path.iterdir()) == [init]
 
 
+    _GOOD = [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]]
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        '{"positions": 5, "velocities": 5}',
+        '[[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]]',
+        json.dumps({"positions": _GOOD}),
+        json.dumps({"positions": _GOOD[:2], "velocities": _GOOD}),
+        json.dumps({"positions": _GOOD, "velocities": _GOOD + [[0.0, 1.0]]}),
+        json.dumps({"positions": _GOOD, "velocities": [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+        json.dumps({"positions": _GOOD, "velocities": [[0.0], [1.0, 0.0], [0.0, 1.0]]}),
+        json.dumps({"positions": [["0.0", 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": _GOOD}),
+        json.dumps({"positions": [[True, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": _GOOD}),
+        json.dumps({"positions": [[None, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": _GOOD}),
+        '{"positions": [[NaN, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": [[0, 0], [0, 0], [0, 0]]}',
+        '{"positions": [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": [[0, 0], [0, -Infinity], [0, 0]]}',
+        '{"positions": [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": [[0, 0], [0, 1e400], [0, 0]]}',
+        '{"positions": [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": [[0, 0], [0, 1%s], [0, 0]]}'
+        % ("0" * 400),
+        "{not json",
+    ], ids=["empty", "numbers", "list", "no-velocities", "two-positions", "four-velocities",
+            "triple-pair", "single", "string", "bool", "null", "nan", "-inf", "1e400", "huge-int",
+            "syntax"])
+    def test_malformed_init_file_is_a_usage_error(self, text, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(text)
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run_cli(
+            ["integrate", "--init", str(init), "--steps", "4", "--output", str(out)], capsys
+        )
+        assert code == 2
+        assert "invalid input" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [init]  # no --output file, no sidecar
+        assert run_cli(["integrate", "--init", str(init), "--steps", "4"], capsys)[:2] == (2, "")
+
+    def test_integer_init_coordinates_accepted(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"positions": [[0, 0], [1, 0], [0, 1]], "velocities": [[0, 0]] * 3}))
+        code, out, _ = run_cli(["integrate", "--init", str(init), "--dt", "0.001", "--steps", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][1:3] == [0.0, 0.0] and rows[0][5:7] == [1.0, 0.0]
+
+
 class TestGeometry:
     def test_sweep_default(self, capsys):
         code, out, _ = run_cli(["geometry", "--n-samples", "50"], capsys)

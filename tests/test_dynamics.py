@@ -203,6 +203,17 @@ class TestEquationOfMotion:
             d = abs(eom_residual(t, U, ctx) - eom_residual(t, V, ctx))
             assert d < 1e-12
 
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_bit_equal_to_vec2_form(self, ctx, period, variant):
+        # eom_residual reads the kernel's force tuple; the Vec2 form it
+        # replaced is kept here as the oracle.
+        rng = random.Random(20 if variant is U else 21)
+        for _ in range(1000):
+            t = rng.uniform(0.0, period)
+            s = triple(t, ctx)
+            want = max((b.acc - fi).norm() for b, fi in zip(s.bodies, forces(s.positions, variant)))
+            assert bits([eom_residual(t, variant, ctx)]) == bits([want])
+
 
 class TestTotalEnergy:
     def test_initial_value(self, ctx):
@@ -226,6 +237,15 @@ class TestIntegrate:
             integrate(s.positions, s.velocities, U, dt=-0.1, n_steps=10)
         with pytest.raises(ValueError):
             integrate(s.positions, s.velocities, U, dt=0.1, n_steps=0)
+
+    @pytest.mark.parametrize("record_every", [0, -2])
+    def test_record_every_below_one_rejected(self, ctx, record_every):
+        # 0 used to divide by zero at step 1 and -2 to record as 2 does.
+        s = triple(0.0, ctx)
+        with pytest.raises(ValueError, match="record_every"):
+            integrate(s.positions, s.velocities, U, 0.01, 5, record_every=record_every)
+        with pytest.raises(ValueError, match="record_every"):
+            integrate_choreography(ctx, V, 0.01, 5, record_every=record_every)
 
     def test_collision_abort_keeps_partial_trajectory(self):
         pts = [Vec2(-1e-10, 0.0), Vec2(1e-10, 0.0), Vec2(1.0, 1.0)]
