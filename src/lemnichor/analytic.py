@@ -19,10 +19,13 @@ strip of one real period reduces to the difference of two line integrals of
 x^+'/x^+, each taken by the trapezoid rule on a periodic integrand (spectrally
 accurate).  Lines at Im t = -3K'/2, -K'/2, K'/2, 3K'/2, 5K'/2 cut the cell
 into four strips with Z - P = -2, +2, -2, +2; the first and last lines agree
-because 4iK' is a period.  Local windings and first moments of f'/f on small
-circles place each zero and pole; residues and Laurent/Taylor coefficients
-are weighted means of one circle of values.  Log-derivatives are in closed
-form, and each check evaluates sn, cn, dn once per point.
+because 4iK' is a period.  The lines share their abscissae, so they are
+evaluated as one grid by ``sn_cn_dn_lines``.  Local windings and first
+moments of f'/f on small circles place each zero and pole; residues and
+Laurent/Taylor coefficients are weighted means of one circle of values, and
+x^+ and 1/(1 - i cn), which share their poles, take their residues from one
+circle of (sn, cn, dn) per pole.  Log-derivatives are in closed form, and
+each check evaluates sn, cn, dn once per point.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex
+from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex, sn_cn_dn_lines
 from .invariants import angular_momentum
 from .orbit import triple
 
@@ -137,6 +140,10 @@ def _x_plus_d2(s: Cplx, c: Cplx, d: Cplx, m: float) -> Cplx:
                  + 2j * d * d * (c - 1j) / (u * u * u))
 
 
+def _x_plus_log_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+    return d * (c - 1j) / (s * (1.0 - 1j * c))
+
+
 def _j(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return _x_minus(s, c, d) * _x_plus_d1(s, c, d)
 
@@ -160,8 +167,7 @@ def x_plus_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
 
 def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
     """x^+' / x^+ in closed form: dn (cn - i) / (sn (1 - i cn))."""
-    s, c, d = sn_cn_dn_complex(t, ctx)
-    return d * (c - 1j) / (s * (1.0 - 1j * c))
+    return _x_plus_log_d1(*sn_cn_dn_complex(t, ctx))
 
 
 def x_plus_d2(t: Cplx, ctx: EllipticContext) -> Cplx:
@@ -215,7 +221,7 @@ def _mean(vals: list[Cplx], k: int) -> Cplx:
     return acc / n
 
 
-_FUNCTIONS = {"x_plus": x_plus, "one_over_one_minus_icn": one_over_one_minus_icn}
+_FUNCTIONS = {"x_plus": _x_plus, "one_over_one_minus_icn": _one_over_one_minus_icn}
 
 
 def pole_table(ctx: EllipticContext) -> dict[str, list[PoleSpec]]:
@@ -251,20 +257,42 @@ def residue_at(pole: PoleSpec, f: str, ctx: EllipticContext,
         raise ValueError(f"unknown function id {f!r}; expected one of {sorted(_FUNCTIONS)}")
     if pole.order != 1:
         raise ValueError("residue_at handles simple poles only")
-    for other in pole_table(ctx)[f]:
+    _refuse_crossing(pole, pole_table(ctx)[f], radius)
+    circle = _circle(lambda z: sn_cn_dn_complex(z, ctx), pole.location, radius)
+    return _residue(_FUNCTIONS[f], circle, radius)
+
+
+def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec], radius: float) -> None:
+    for other in poles:
         if 1e-9 < abs(other.location - pole.location) < 2.0 * radius:
             raise ContourCrossingError(
                 f"pole at {other.location} lies within 2x contour radius of {pole.location}"
             )
-    func = _FUNCTIONS[f]
-    return _mean(_circle(lambda z: func(z, ctx), pole.location, radius), -1) * radius
+
+
+def _residue(g, circle: list, radius: float) -> Cplx:
+    # r mean_{-1} of g(sn, cn, dn) over a circle of (sn, cn, dn) around the pole.
+    return _mean([g(*scd) for scd in circle], -1) * radius
 
 
 def check_residues(ctx: EllipticContext, tol: float = 1e-6) -> list[CheckResult]:
-    """residue_at against the claimed residue at each pole of pole_table."""
-    return [_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
-                    residue_at(pole, f_id, ctx), tol)
-            for f_id, poles in pole_table(ctx).items() for pole in poles]
+    """residue_at against the claimed residue at each pole of pole_table.
+
+    x^+ and 1/(1 - i cn) share their poles, so each pole's circle of
+    (sn, cn, dn) is evaluated once and serves both residues.
+    """
+    circles = {}
+    out = []
+    for f_id, poles in pole_table(ctx).items():
+        for pole in poles:
+            _refuse_crossing(pole, poles, CONTOUR_RADIUS)
+            if pole.location not in circles:
+                circles[pole.location] = _circle(lambda z: sn_cn_dn_complex(z, ctx),
+                                                 pole.location, CONTOUR_RADIUS)
+            observed = _residue(_FUNCTIONS[f_id], circles[pole.location], CONTOUR_RADIUS)
+            out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
+                               observed, tol))
+    return out
 
 
 def check_special_values(ctx: EllipticContext, tol: float = 1e-12) -> list[CheckResult]:
@@ -448,12 +476,9 @@ def line_windings(ctx: EllipticContext) -> list[Cplx]:
     """
     n = CENSUS_LINE_NODES
     h = 4.0 * ctx.K / n
-    out = []
-    for y in CENSUS_LINES:
-        im = y * ctx.Kprime
-        acc = sum(x_plus_log_d1(complex(-2.0 * ctx.K + j * h, im), ctx) for j in range(n))
-        out.append(acc * h / (2j * math.pi))
-    return out
+    us = [-2.0 * ctx.K + j * h for j in range(n)]
+    lines = sn_cn_dn_lines(us, [y * ctx.Kprime for y in CENSUS_LINES], ctx)
+    return [sum(_x_plus_log_d1(*scd) for scd in line) * h / (2j * math.pi) for line in lines]
 
 
 def _strips(lines: list[Cplx]):

@@ -9,7 +9,8 @@ the --init file are validated before any output is written.
 JSON is strict (RFC 8259): a NaN or infinite value is written as null.
 
 Exit codes: 0 success, 1 verification residual above tolerance (a
-machine-readable report is still written), 2 usage error, 3 I/O error.
+machine-readable report is still written), 2 usage error or input whose
+arithmetic overflows, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -71,7 +73,9 @@ def _write_text(cfg: RunConfig, chunks) -> None:
     # Every setting of the run, so that the run can be replayed from it.
     config = {k: v for k, v in vars(cfg).items() if k not in ("command", "output_path")}
     config["variant"] = cfg.variant.value
-    sidecar = {"command": cfg.command, "config": config, "tool": f"lemnichor {__version__}"}
+    # The interpreter too: output bits can depend on it (sum() of floats changed in 3.12).
+    sidecar = {"command": cfg.command, "config": config, "python": platform.python_version(),
+               "tool": f"lemnichor {__version__}"}
     Path(str(cfg.output_path) + ".meta.json").write_text(_json_text(sidecar), encoding="utf-8")
 
 
@@ -289,6 +293,11 @@ def run(cfg: RunConfig) -> int:
         return 1
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
+        return 2
+    except OverflowError as exc:
+        # Finite input whose arithmetic leaves the float range (an --init file
+        # with coordinates near 1e308): the input is unusable, no residual failed.
+        sys.stderr.write(f"invalid input: arithmetic overflow: {exc}\n")
         return 2
 
 

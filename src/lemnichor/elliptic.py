@@ -9,10 +9,14 @@ any real argument.
 
 Complex arguments are handled by the addition theorem combined with the
 imaginary-argument transformation, which reduces sn(u + iv) to real
-evaluations at u (modulus k) and v (complementary modulus k').  That route
-breaks down on the common pole lattice of sn/cn/dn, so complex evaluation
-refuses arguments within ``DELTA_POLE`` of a pole; residue work near poles
-belongs to contour quadrature, not direct evaluation.
+evaluations at u (modulus k) and v (complementary modulus k').  One private
+combine holds that formula.  ``sn_cn_dn_complex`` feeds it one point;
+``sn_cn_dn_lines`` feeds it a product grid of abscissae and horizontal lines,
+evaluating each u and each v once, with bit-equal results.  The route breaks
+down on the common pole lattice of sn/cn/dn, so complex evaluation refuses
+arguments within ``DELTA_POLE`` of a pole (the line evaluator refuses whole
+lines within ``DELTA_POLE`` of a pole row); residue work near poles belongs
+to contour quadrature, not direct evaluation.
 """
 
 from __future__ import annotations
@@ -140,11 +144,27 @@ def sn_cn_dn(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
     return _sn_cn_dn_reduced(t, 4.0 * ctx.K, ctx.landen_chain)
 
 
+def _pole_row_distance(v: float, ctx: EllipticContext) -> float:
+    # Distance from the line Im t = v to the nearest pole row Im t = (2l+1) K'.
+    im = v - 2.0 * ctx.Kprime * round(v / (2.0 * ctx.Kprime))
+    return min(abs(im - ctx.Kprime), abs(im + ctx.Kprime))
+
+
 def _pole_distance(t: Cplx, ctx: EllipticContext) -> float:
     # Poles of sn, cn, dn sit on the lattice 2nK + (2l+1) i K'.
     re = t.real - 2.0 * ctx.K * round(t.real / (2.0 * ctx.K))
-    im = t.imag - 2.0 * ctx.Kprime * round(t.imag / (2.0 * ctx.Kprime))
-    return min(math.hypot(re, im - ctx.Kprime), math.hypot(re, im + ctx.Kprime))
+    return math.hypot(re, _pole_row_distance(t.imag, ctx))
+
+
+def _combine(s: float, c: float, d: float, s1: float, c1: float, d1: float,
+             m: float) -> tuple[Cplx, Cplx, Cplx]:
+    # Addition theorem with the imaginary-argument transformation: (sn, cn, dn)
+    # at u + iv from (s, c, d) at u (parameter m) and (s1, c1, d1) at v (1 - m).
+    den = c1 * c1 + m * s * s * s1 * s1
+    sn = complex(s * d1, c * d * s1 * c1) / den
+    cn = complex(c * c1, -s * d * s1 * d1) / den
+    dn = complex(d * c1 * d1, -m * s * c * s1) / den
+    return sn, cn, dn
 
 
 def sn_cn_dn_complex(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx, Cplx]:
@@ -162,9 +182,28 @@ def sn_cn_dn_complex(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx, Cplx]:
         )
     s, c, d = _sn_cn_dn_reduced(t.real, 4.0 * ctx.K, ctx.landen_chain)
     s1, c1, d1 = _sn_cn_dn_reduced(t.imag, 4.0 * ctx.Kprime, ctx.landen_chain_comp)
+    return _combine(s, c, d, s1, c1, d1, ctx.m)
+
+
+def sn_cn_dn_lines(us: list[float], vs: list[float],
+                   ctx: EllipticContext) -> list[list[tuple[Cplx, Cplx, Cplx]]]:
+    """(sn, cn, dn)(u + iv) on each horizontal line Im t = v at the abscissae us.
+
+    One list per v, in the order of us; each value is bit-equal to
+    ``sn_cn_dn_complex(complex(u, v), ctx)``, but each u and each v costs one
+    real evaluation, not one per node.  Raises PoleProximityError for a line
+    within DELTA_POLE of a pole row Im t = (2l+1) K': every node of a line
+    farther out is at least that far from the pole lattice.
+    """
+    for v in vs:
+        if _pole_row_distance(v, ctx) < DELTA_POLE:
+            raise PoleProximityError(
+                f"line Im t = {v} is within {DELTA_POLE} of a pole row of sn/cn/dn"
+            )
+    at_u = [_sn_cn_dn_reduced(u, 4.0 * ctx.K, ctx.landen_chain) for u in us]
     m = ctx.m
-    den = c1 * c1 + m * s * s * s1 * s1
-    sn = complex(s * d1, c * d * s1 * c1) / den
-    cn = complex(c * c1, -s * d * s1 * d1) / den
-    dn = complex(d * c1 * d1, -m * s * c * s1) / den
-    return sn, cn, dn
+    out = []
+    for v in vs:
+        s1, c1, d1 = _sn_cn_dn_reduced(v, 4.0 * ctx.Kprime, ctx.landen_chain_comp)
+        out.append([_combine(s, c, d, s1, c1, d1, m) for s, c, d in at_u])
+    return out

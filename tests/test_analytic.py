@@ -5,6 +5,8 @@ import pytest
 
 from lemnichor import analytic
 from lemnichor.analytic import (
+    CENSUS_LINE_NODES,
+    CENSUS_LINES,
     CN_SUM_CONSTANT,
     COEFF_RADII,
     CONTOUR_NODES,
@@ -99,6 +101,11 @@ class TestResidues:
         pole = pole_table(ctx)["x_plus"][0]
         with pytest.raises(ContourCrossingError):
             residue_at(pole, "x_plus", ctx, radius=2.0)
+
+    def test_contour_crossing_guard_of_the_shared_circles(self, ctx, monkeypatch):
+        monkeypatch.setattr(analytic, "CONTOUR_RADIUS", 2.0)
+        with pytest.raises(ContourCrossingError):
+            analytic.check_residues(ctx)
 
     def test_unknown_function_id(self, ctx):
         pole = pole_table(ctx)["x_plus"][0]
@@ -314,6 +321,23 @@ def oracle_x_plus_d1(t, ctx):
     return d * (c - 1j) / (u * u)
 
 
+def oracle_x_plus_log_d1(t, ctx):
+    s, c, d = sn_cn_dn_complex(t, ctx)
+    return d * (c - 1j) / (s * (1.0 - 1j * c))
+
+
+def oracle_line_windings(ctx):
+    # One point evaluation per census node.
+    n = CENSUS_LINE_NODES
+    h = 4.0 * ctx.K / n
+    out = []
+    for y in CENSUS_LINES:
+        im = y * ctx.Kprime
+        acc = sum(oracle_x_plus_log_d1(complex(-2.0 * ctx.K + j * h, im), ctx) for j in range(n))
+        out.append(acc * h / (2j * math.pi))
+    return out
+
+
 def oracle_x_plus_d2(t, ctx):
     s, c, d = sn_cn_dn_complex(t, ctx)
     u = 1.0 - 1j * c
@@ -405,6 +429,11 @@ class TestOneEvaluationPerNode:
             assert cbits(r.observed) == cbits(residue_at(pole, f_id, ctx))
             assert r.residual == abs(r.observed - pole.claimed_residue)
 
+    def test_line_windings_bit_equal(self, ctx):
+        got, want = line_windings(ctx), oracle_line_windings(ctx)
+        assert len(got) == len(want) == len(CENSUS_LINES)
+        assert [cbits(z) for z in got] == [cbits(z) for z in want]
+
     @pytest.mark.parametrize("which", ["a2", "-a3"])
     def test_triple_zero_coefficients_bit_equal(self, ctx, which):
         t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
@@ -480,13 +509,17 @@ class TestOneEvaluationPerNode:
         ("check_sum_identities", complex(0.2, 0.3), 3),
         ("eom_complex_residual", complex(0.5, 0.4), 3),
         ("j_plus_product", 0.9, 1),
+        ("check_residues", None, 128),
+        ("line_windings", None, 0),
     ])
     def test_complex_evaluation_counts(self, ctx, monkeypatch, check, t, calls):
         # Each node and each phase is evaluated once (the earlier forms made
-        # 534, 15, 6 and 6 calls and j_plus_product 2).
+        # 534, 15, 6 and 6 calls, j_plus_product 2 and check_residues 256;
+        # line_windings made 320 point calls and now evaluates its grid by lines).
         t = {"a2": alpha2(ctx), "-a3": -alpha3(ctx)}.get(t, t)
         seen = []
         real = analytic.sn_cn_dn_complex
         monkeypatch.setattr(analytic, "sn_cn_dn_complex", lambda z, c: seen.append(z) or real(z, c))
-        getattr(analytic, check)(t, ctx)
+        args = (ctx,) if t is None else (t, ctx)
+        getattr(analytic, check)(*args)
         assert len(seen) == calls

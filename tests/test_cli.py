@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -208,6 +209,7 @@ class TestIntegrate:
         assert meta["command"] == "integrate"
         assert meta["config"]["steps"] == 4
         assert meta["config"]["init"] == "analytic"
+        assert meta["python"] == platform.python_version()
 
     def test_sidecar_names_the_init_file(self, ctx, tmp_path):
         s = triple(0.3, ctx)
@@ -322,6 +324,21 @@ class TestIntegrate:
         assert list(tmp_path.iterdir()) == [init]  # no --output file, no sidecar
         assert run_cli(["integrate", "--init", str(init), "--steps", "4"], capsys)[:2] == (2, "")
 
+    @pytest.mark.parametrize("variant", ["U", "V"])
+    def test_overflowing_init_is_a_usage_error(self, variant, tmp_path, capsys):
+        # Every coordinate is finite, but the squared separations overflow.
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"positions": [[1e308, 0], [-1e308, 0], [0, 1]],
+                                    "velocities": [[0, 0]] * 3}))
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run_cli(["integrate", "--variant", variant, "--init", str(init),
+                                     "--steps", "4", "--output", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("invalid input:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [init]  # no --output file, no sidecar
+
     def test_integer_init_coordinates_accepted(self, tmp_path, capsys):
         init = tmp_path / "init.json"
         init.write_text(json.dumps({"positions": [[0, 0], [1, 0], [0, 1]], "velocities": [[0, 0]] * 3}))
@@ -423,8 +440,9 @@ class TestAnalytic:
         assert all(e["residual"] <= 1e-9 for e in strips)
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
-        real = analytic.x_plus_log_d1
-        monkeypatch.setattr(analytic, "x_plus_log_d1", lambda t, ctx: 0.5 * real(t, ctx))
+        # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.
+        real = analytic._x_plus_log_d1
+        monkeypatch.setattr(analytic, "_x_plus_log_d1", lambda s, c, d: 0.5 * real(s, c, d))
         code, out, _ = run_cli(["analytic"], capsys)
         assert code == 1
         failed = [e["name"] for e in json.loads(out) if not e["pass"]]

@@ -7,10 +7,12 @@ from scipy.special import ellipj
 
 from lemnichor.elliptic import (
     CHOREO_M,
+    DELTA_POLE,
     PoleProximityError,
     make_context,
     sn_cn_dn,
     sn_cn_dn_complex,
+    sn_cn_dn_lines,
 )
 
 from conftest import ROOT4_3, SQRT3
@@ -178,3 +180,30 @@ class TestComplexEvaluation:
             sn_cn_dn_complex(pole + 2.0 * ctx.K + 2j * ctx.Kprime + 5e-4, ctx)
         vals = sn_cn_dn_complex(pole + 2e-3, ctx)
         assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals)
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+class TestLineEvaluation:
+    def test_bit_equal_to_point_evaluation(self, ctx):
+        rng = random.Random(11)
+        kp = ctx.Kprime
+        us = [rng.uniform(-3.0 * ctx.K, 3.0 * ctx.K) for _ in range(24)] + [0.0, -2.0 * ctx.K, ctx.K / 3.0]
+        vs = [rng.uniform(-3.0 * kp, 3.0 * kp) for _ in range(8)]
+        vs += [0.0, -0.5 * kp, 2.5 * kp, kp + 1.5 * DELTA_POLE, -kp - 1.5 * DELTA_POLE,
+               3.0 * kp - 1.5 * DELTA_POLE]
+        lines = sn_cn_dn_lines(us, vs, ctx)
+        assert len(lines) == len(vs)
+        for v, line in zip(vs, lines):
+            assert len(line) == len(us)
+            for u, got in zip(us, line):
+                assert _bits(got) == _bits(sn_cn_dn_complex(complex(u, v), ctx)), (u, v)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("row", [1.0, -1.0, 3.0])
+    def test_refuses_a_line_near_a_pole_row(self, ctx, row, offset):
+        v = row * ctx.Kprime + offset * DELTA_POLE
+        with pytest.raises(PoleProximityError):
+            sn_cn_dn_lines([0.1, 1.0], [0.0, v], ctx)
