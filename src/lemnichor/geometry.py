@@ -16,11 +16,11 @@ Two construction procedures are implemented and cross-validated:
     form, the one that moves up as the body moves forward), then as above.
 
 Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
-scanned on a coarse grid of COARSE_SCAN_NODES phases, and each sign change is
+scanned once on a grid of TANGENCY_NODES phases, and each sign change is
 refined by safeguarded Newton (rtsafe, Numerical Recipes 9.4) with the exact
 slope g'(s) = (c - x(s)) x a(s), which the same elliptic evaluation as g
-provides.  Only when the coarse scan does not find exactly four tangency
-points is the search repeated on the dense SCAN_NODES grid.
+provides.  For c on the hyperbola every tangency point is found; off it, two
+contact points that share one scan cell can be missed.
 
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
 EPS_AXIS of a coordinate axis make the selection rules ambiguous and raise
@@ -30,7 +30,6 @@ instead of guessing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,8 +38,7 @@ from .orbit import TripleState, Vec2, body_state, triple
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
-COARSE_SCAN_NODES = 256
-SCAN_NODES = 4096
+TANGENCY_NODES = 256
 BISECT_TOL = 1e-13
 NEWTON_MAXIT = 100
 DISC_TOL = 1e-12
@@ -128,10 +126,11 @@ def hyperbola_residual(c: Vec2) -> float:
 
 
 @lru_cache(maxsize=4)
-def _scan_grid(ctx: EllipticContext, n: int):
+def _scan_grid(ctx: EllipticContext):
     # Flat orbit samples (x, y, vx, vy), one elliptic evaluation per node,
     # reused by every tangency scan against the same context.
     period = ctx.period
+    n = TANGENCY_NODES
     states = [body_state(j * period / n, ctx) for j in range(n)]
     return (
         [b.pos.x for b in states],
@@ -180,12 +179,21 @@ def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float,
     return s
 
 
-def _tangency_roots(c: Vec2, ctx: EllipticContext, n: int) -> list[float]:
-    # Sign changes of the gap on an n-node grid, each refined by _rtsafe,
-    # merged within 1e-9 across the period seam.
+def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate]:
+    """All orbit phases whose tangent line passes through c.
+
+    The tangency gap g(s) = (c - x(s)) x v(s) is scanned once on a grid of
+    TANGENCY_NODES phases over one period, and each sign change is refined
+    to BISECT_TOL in s by safeguarded Newton (rtsafe) with the exact slope
+    g'(s) = (c - x(s)) x a(s), bisecting whenever Newton would leave the
+    bracket; roots within 1e-9 are merged across the period seam.  Every root
+    is found when c lies on the hyperbola (generically four); off it, two
+    contact points sharing one scan cell can be missed.
+    """
     period = ctx.period
+    n = TANGENCY_NODES
     cx, cy = c.x, c.y
-    xs, ys, vxs, vys = _scan_grid(ctx, n)
+    xs, ys, vxs, vys = _scan_grid(ctx)
     g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in zip(xs, ys, vxs, vys)]
     roots = []
     for j in range(n):
@@ -201,34 +209,12 @@ def _tangency_roots(c: Vec2, ctx: EllipticContext, n: int) -> list[float]:
             merged.append(r)
     if len(merged) > 1 and (merged[0] + period) - merged[-1] <= 1e-9:
         merged.pop()
-    return merged
-
-
-def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate]:
-    """All orbit phases whose tangent line passes through c.
-
-    The tangency gap g(s) = (c - x(s)) x v(s) is scanned on a coarse grid of
-    COARSE_SCAN_NODES phases over one period, and each sign change is refined
-    to BISECT_TOL in s by safeguarded Newton (rtsafe) with the exact slope
-    g'(s) = (c - x(s)) x a(s), bisecting whenever Newton would leave the
-    bracket.  Generically four candidates exist; if the coarse scan finds any
-    other count, the search is repeated on the dense SCAN_NODES grid, and a
-    count other than four there emits a warning.
-    """
-    roots = _tangency_roots(c, ctx, COARSE_SCAN_NODES)
-    if len(roots) != 4:
-        roots = _tangency_roots(c, ctx, SCAN_NODES)
 
     out = []
-    for r in roots:
+    for r in merged:
         b = body_state(r, ctx)
         out.append(TangencyCandidate(s=r, point=b.pos, quadrant=_quadrant_or_zero(b.pos),
                                      velocity=b.vel, slope=(c - b.pos).cross(b.acc)))
-    if len(out) != 4:
-        warnings.warn(
-            f"expected 4 tangency candidates from {c}, found {len(out)}",
-            stacklevel=2,
-        )
     return out
 
 
@@ -254,11 +240,13 @@ def select_choreographic(
     the tangent of its level set of cx^2 - cy^2, implicit differentiation of
     the gap g(s) = (c - x(s)) x v(s) gives ds/de = -(dc x v(s)) / g'(s).  The
     kept phases must advance and the discarded one must retreat; disagreement
-    raises MethodDisagreementError.
+    raises MethodDisagreementError.  A c within EPS_AXIS of an axis raises
+    AxisAmbiguityError before the candidates are counted; this refuses the
+    hyperbola vertices (+-1, 0), where two contact points merge.
     """
+    qc = quadrant(c)
     if len(candidates) != 4:
         raise ValueError(f"need exactly 4 candidates, got {len(candidates)}")
-    qc = quadrant(c)
     for cand in candidates:
         if cand.quadrant == 0:
             raise AxisAmbiguityError(f"candidate at s={cand.s} lies on an axis")

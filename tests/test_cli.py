@@ -9,7 +9,7 @@ import pytest
 
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
-from lemnichor.elliptic import CHOREO_M, choreography_context
+from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
 from lemnichor.orbit import position, triple, velocity
 
 
@@ -91,6 +91,27 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert report["failures"]
+
+    @pytest.mark.parametrize("rel", [1e-8, -1e-8])
+    def test_near_miss_modulus_fails_every_gate(self, rel, monkeypatch, capsys):
+        # A modulus 1e-8 off the choreographic one fails all eight gates
+        # (measured 36x the tolerance for the EOM up to 1230x for the
+        # product of distances); no tolerance is loosened to get there.
+        monkeypatch.setattr(cli, "choreography_context",
+                            lambda: make_context(CHOREO_M * (1.0 + rel)))
+        code, out, _ = run_cli(["verify", "--n-samples", "200"], capsys)
+        assert code == 1
+        report = strict_json(out)
+        assert len(report["failures"]) == 8
+        assert set(report["failures"]) == set(report["max_residuals"])
+
+    def test_exact_model_keeps_headroom(self, capsys):
+        # The exact model sits at <= 1e-3 of every tolerance (measured ~5e-5).
+        code, out, _ = run_cli(["verify", "--n-samples", "200"], capsys)
+        assert code == 0
+        report = strict_json(out)
+        for name, r in report["max_residuals"].items():
+            assert r <= 1e-3 * report["tolerances"][name], name
 
     def test_nan_eom_residual_fails(self, monkeypatch, capsys):
         # The NaN comes first, so a fold that drops it would end on a finite max.
@@ -385,15 +406,19 @@ class TestGeometry:
             assert min(abs(s - p % period) for s in data["selected_phases"]) <= 1e-7
 
 
-    @pytest.mark.parametrize("u", [-10.0, -3.0, -0.5, 0.5, 3.0, 10.0])
+    @pytest.mark.parametrize("u", [-10.0, -3.0, -0.5, -1e-5, -1e-6, -1e-7,
+                                   1e-7, 1e-6, 1e-5, 0.5, 3.0, 10.0])
     @pytest.mark.parametrize("sx", [1.0, -1.0])
     def test_from_c_exact_point_far_out(self, u, sx, ctx, capsys):
         # Far out, rounding alone makes cx^2 - cy^2 - 1 ~1e-8; relative to
-        # |c|^2 the point is on the curve.
+        # |c|^2 the point is on the curve.  Near the vertices (|u| <= 1e-5)
+        # two contact points nearly merge, and the one scan still finds both.
         cx, cy = sx * math.cosh(u), math.sinh(u)
         code, out, _ = run_cli(["geometry", f"--from-c={cx!r},{cy!r}"], capsys)
         assert code == 0
-        phases = sorted(json.loads(out)["selected_phases"])
+        data = json.loads(out)
+        assert len(data["candidates"]) == 4
+        phases = sorted(data["selected_phases"])
         third = ctx.period / 3.0
         gaps = [phases[1] - phases[0], phases[2] - phases[1], phases[0] + ctx.period - phases[2]]
         assert all(abs(g - third) <= 1e-7 for g in gaps)
@@ -499,6 +524,21 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("c", ["1,0", "-1,0"])
+    def test_hyperbola_vertex_refused_by_axis_rule(self, c, tmp_path, capsys):
+        # The vertices lie on the lemniscate too, where two contact points
+        # merge; c on an axis is refused before the candidates are counted.
+        out = tmp_path / "out.json"
+        code = main(["geometry", f"--from-c={c}", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: point ")
+        assert captured.err.endswith(" lies within 1e-08 of an axis\n")
+        assert captured.err.count("\n") == 1
+        assert "Warning" not in captured.err
+
     @pytest.mark.parametrize("c", ["1.37,0.94", "1.5,0.5"])
     def test_off_curve_from_c_rejected(self, c, tmp_path, capsys):
         # Constructed from off the curve, the phases would not be 4K/3 apart.
@@ -543,12 +583,12 @@ def _readme_params():
     for words in readme_cli_examples():
         marks = []
         if "--from-c=1.37,0.94" in words:
-            # ROADMAP item 2: this c is off the hyperbola (cx^2 - cy^2 - 1 =
-            # -6.7e-3), so it is refused with exit 2; bench/test_bench.py:150
+            # An open ROADMAP item: this c is off the hyperbola (cx^2 - cy^2 - 1
+            # = -6.7e-3), so it is refused with exit 2; bench/test_bench.py:150
             # pins this failure of the construct workload.
             marks.append(pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 2: --from-c=1.37,0.94 is off the hyperbola "
+                reason="open ROADMAP item: --from-c=1.37,0.94 is off the hyperbola "
                        "(residual -6.7e-3) and exits 2; pinned by bench/test_bench.py:150"))
         params.append(pytest.param(words, marks=marks, id=" ".join(words[1:])))
     return params

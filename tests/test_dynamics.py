@@ -4,6 +4,7 @@ from array import array
 
 import pytest
 
+from lemnichor import dynamics
 from lemnichor.dynamics import (
     ROW_WIDTH,
     CollisionError,
@@ -187,6 +188,20 @@ class TestEquationOfMotion:
     def test_wrong_modulus_negative_control(self):
         bad = make_context(0.5)
         assert eom_residual(bad.K / 6.0, U, bad) > 1e-2
+
+    @pytest.mark.parametrize("rel", [1e-7, -1e-7])
+    @pytest.mark.parametrize("name, broken", [("_C4", U), ("_C12", V)])
+    def test_near_miss_coefficient_fails_its_variant_only(self, ctx, period, monkeypatch,
+                                                          name, broken, rel):
+        # _C4 enters only the central force of U and _C12 only the pairwise
+        # force of V; 1e-7 off fails that variant's gate (measured ~43x the
+        # 1e-9 tolerance over 200 samples) and leaves the other at ~1e-6 of it.
+        monkeypatch.setattr(dynamics, name, getattr(dynamics, name) * (1.0 + rel))
+        times = [j * period / 200 for j in range(200)]
+        worst = {v: max(eom_residual(t, v, ctx) for t in times) for v in (U, V)}
+        intact = V if broken is U else U
+        assert worst[broken] > 1e-9
+        assert worst[intact] <= 1e-3 * 1e-9
 
     def test_one_elliptic_evaluation_per_body(self, ctx, monkeypatch):
         import lemnichor.orbit as orbit

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import warnings
 from functools import lru_cache
 
 import pytest
@@ -9,11 +8,8 @@ import pytest
 from lemnichor.cli import main
 from lemnichor.geometry import (
     BISECT_TOL,
-    COARSE_SCAN_NODES,
-    SCAN_NODES,
     AxisAmbiguityError,
     _gap_and_slope,
-    _tangency_roots,
     _wrap,
     complete_triple_from_point,
     concurrency_point,
@@ -35,20 +31,24 @@ def sample_times(period, n, skip_large_c=None):
     return [(j + 0.431) * period / n for j in range(n)]
 
 
+# Grid of the bisection oracle, 16 times denser than the tangency scan.
+ORACLE_NODES = 4096
+
+
 @lru_cache(maxsize=1)
 def _oracle_grid(ctx):
-    nodes = [j * ctx.period / SCAN_NODES for j in range(SCAN_NODES)]
+    nodes = [j * ctx.period / ORACLE_NODES for j in range(ORACLE_NODES)]
     return [position(s, ctx) for s in nodes], [velocity(s, ctx) for s in nodes]
 
 
 def dense_bisection_roots(c, ctx):
-    """Reference tangency search without Newton or a coarse scan.
+    """Reference tangency search without Newton.
 
-    The gap (c - x(s)) x v(s) at SCAN_NODES orbit samples, each sign change
+    The gap (c - x(s)) x v(s) at ORACLE_NODES orbit samples, each sign change
     bisected to BISECT_TOL, position and velocity evaluated separately.
     """
     period = ctx.period
-    n = SCAN_NODES
+    n = ORACLE_NODES
     xs, vs = _oracle_grid(ctx)
     g = [(c.x - x.x) * v.y - (c.y - x.y) * v.x for x, v in zip(xs, vs)]
     roots = []
@@ -81,17 +81,12 @@ def dense_bisection_roots(c, ctx):
 
 
 def assert_search_matches_oracle(points, ctx):
-    """Same root count and roots within 1e-12; returns how many points fell back."""
-    fallbacks = 0
+    """Same root count and roots within 1e-12 at every point."""
     for c in points:
         ref = dense_bisection_roots(c, ctx)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            got = [cand.s for cand in tangents_from_point(c, ctx)]
+        got = [cand.s for cand in tangents_from_point(c, ctx)]
         assert len(got) == len(ref), c
         assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref)), c
-        fallbacks += len(_tangency_roots(c, ctx, COARSE_SCAN_NODES)) != 4
-    return fallbacks
 
 
 # Step of the finite-difference oracles below.
@@ -242,18 +237,16 @@ class TestTangentsFromPoint:
             ) <= 1e-8
 
     def test_degenerate_point_warns(self, ctx):
-        # The coarse scan does not find four roots, so the dense fallback
-        # runs, and it warns.
+        # Off the hyperbola a count other than four is returned as it is,
+        # without a warning (warnings are errors in this suite).
         c = Vec2(0.5, 0.05)
-        assert len(_tangency_roots(c, ctx, COARSE_SCAN_NODES)) != 4
-        with pytest.warns(UserWarning):
-            cands = tangents_from_point(c, ctx)
+        cands = tangents_from_point(c, ctx)
         assert len(cands) != 4
+        assert len(cands) == len(dense_bisection_roots(c, ctx))
 
     def test_nan_point_brackets_nothing(self, ctx):
         # A NaN gap has no sign, so no node opens a bracket.
-        with pytest.warns(UserWarning):
-            assert tangents_from_point(Vec2(math.nan, 1.0), ctx) == []
+        assert tangents_from_point(Vec2(math.nan, 1.0), ctx) == []
 
     def test_matches_dense_bisection_on_hyperbola(self, ctx):
         rng = random.Random(20021)
@@ -266,20 +259,22 @@ class TestTangentsFromPoint:
                 for sy in (-1.0, 1.0):
                     points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
         assert {quadrant(c) for c in points} == {1, 2, 3, 4}
-        # On the hyperbola the coarse scan alone must find all four roots.
-        assert assert_search_matches_oracle(points, ctx) == 0
+        # On the hyperbola the one scan finds every root.
+        assert_search_matches_oracle(points, ctx)
 
     def test_matches_dense_bisection_in_box(self, ctx, period):
         rng = random.Random(20022)
         points = [Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(1000)]
-        # 1e-5 off the curve two tangency roots can share one coarse cell, so
-        # only the dense fallback finds them.
+        assert_search_matches_oracle(points, ctx)
+        # 1e-5 off the curve two tangency roots can share one scan cell and
+        # be missed; every root that is returned is still a true one.
         for _ in range(200):
             b = body_state(rng.uniform(0.0, period), ctx)
             off = rng.choice((-1e-5, 1e-5)) / b.vel.norm()
-            points.append(Vec2(b.pos.x - off * b.vel.y, b.pos.y + off * b.vel.x))
-        # Points with other than four tangents also exercise the fallback.
-        assert assert_search_matches_oracle(points, ctx) >= 100
+            c = Vec2(b.pos.x - off * b.vel.y, b.pos.y + off * b.vel.x)
+            ref = dense_bisection_roots(c, ctx)
+            for cand in tangents_from_point(c, ctx):
+                assert min(abs(_wrap(cand.s - r, period)) for r in ref) <= 1e-12, c
 
     def test_newton_slope_matches_central_difference(self, ctx, period):
         rng = random.Random(20023)
