@@ -68,24 +68,43 @@ def _write_text(cfg: RunConfig, chunks) -> None:
     if cfg.output_path is None:
         sys.stdout.writelines(chunks)
         return
+    sidecar_path = Path(str(cfg.output_path) + ".meta.json")
     with cfg.output_path.open("w", encoding="utf-8", newline="\n") as f:
-        f.writelines(chunks)
+        try:
+            f.writelines(chunks)
+        except BaseException:
+            # The chunks can be computed as they are written (integrate), so a
+            # run can fail half-way: leave no partial data file, and no sidecar
+            # of an earlier run beside the missing file.  A device or FIFO
+            # given as --output is not a file to remove.
+            f.close()
+            for path in (cfg.output_path, sidecar_path):
+                if path.is_file():
+                    path.unlink()
+            raise
     # Every setting of the run, so that the run can be replayed from it.
     config = {k: v for k, v in vars(cfg).items() if k not in ("command", "output_path")}
     config["variant"] = cfg.variant.value
     # The interpreter too: output bits can depend on it (sum() of floats changed in 3.12).
     sidecar = {"command": cfg.command, "config": config, "python": platform.python_version(),
                "tool": f"lemnichor {__version__}"}
-    Path(str(cfg.output_path) + ".meta.json").write_text(_json_text(sidecar), encoding="utf-8")
+    sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
 
 
 def _csv(rows, header):
-    """The CSV text of an iterable of rows, in chunks of CSV_CHUNK_ROWS rows."""
+    """The CSV text of an iterable of rows, in chunks of CSV_CHUNK_ROWS rows.
+
+    The header goes out with the first chunk, so a run that fails within its
+    first CSV_CHUNK_ROWS rows writes nothing.
+    """
     fmt = ",".join(["%.17g"] * len(header))
-    yield ",".join(header) + "\n"
+    text = ",".join(header) + "\n"
     rows = iter(rows)
     while chunk := [fmt % tuple(row) for row in islice(rows, CSV_CHUNK_ROWS)]:
-        yield "\n".join(chunk) + "\n"
+        yield text + "\n".join(chunk) + "\n"
+        text = ""
+    if text:
+        yield text
 
 
 def _fold_max(worst: float, r: float) -> float:
@@ -177,12 +196,15 @@ def cmd_integrate(cfg: RunConfig) -> int:
     ctx = choreography_context()
     dt = cfg.dt if cfg.dt is not None else ctx.period / 65536.0
     if cfg.init == "analytic":
-        traj = dynamics.integrate_choreography(ctx, cfg.variant, dt, cfg.steps)
+        start = triple(0.0, ctx)
+        positions, velocities = start.positions, start.velocities
     else:
         positions, velocities = _load_init(Path(cfg.init))
-        traj = dynamics.integrate(positions, velocities, cfg.variant, dt, cfg.steps)
-
-    _write_text(cfg, _csv(traj.iter_rows(), dynamics.ROW_FIELDS))
+    # Each row is written as the Verlet loop records it; traj keeps only the last.
+    traj = dynamics.integrate(
+        positions, velocities, cfg.variant, dt, cfg.steps,
+        consume=lambda rows: _write_text(cfg, _csv(rows, dynamics.ROW_FIELDS)),
+    )
 
     summary = {"final_time": cfg.steps * dt, "energy_drift": traj.energy_drift}
     if cfg.init == "analytic":
@@ -288,8 +310,11 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    except (dynamics.CollisionError, RuntimeError) as exc:
-        sys.stderr.write(_json_text({"error": str(exc), "passed": False}))
+    except RuntimeError as exc:
+        report = {"error": str(exc), "passed": False}
+        if isinstance(exc, dynamics.CollisionError):
+            report["step"] = exc.step_index
+        sys.stderr.write(_json_text(report))
         return 1
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")

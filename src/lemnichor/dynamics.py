@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .elliptic import EllipticContext
 from .orbit import Vec2, triple
@@ -209,13 +209,9 @@ class Trajectory:
     record_every: int
     energy_drift: float
 
-    def iter_rows(self):
-        """The recorded rows as ROW_WIDTH-tuples, read straight from rows."""
-        return zip(*[iter(self.rows)] * ROW_WIDTH)
-
     @property
     def points(self) -> list[TrajectoryPoint]:
-        return [_as_point(row) for row in self.iter_rows()]
+        return [_as_point(row) for row in zip(*[iter(self.rows)] * ROW_WIDTH)]
 
     @property
     def final(self) -> TrajectoryPoint:
@@ -224,40 +220,28 @@ class Trajectory:
         return _as_point(self.rows[-ROW_WIDTH:])
 
 
-def integrate(
-    positions,
-    velocities,
-    variant: PotentialVariant,
-    dt: float,
-    n_steps: int,
-    record_every: int = 1,
-) -> Trajectory:
-    """Velocity-Verlet trajectory from the given initial condition.
+def _verlet(positions, velocities, variant: PotentialVariant, dt: float, n_steps: int,
+            record_every: int):
+    """The velocity-Verlet loop, recording as it runs.
 
-    The energy is evaluated once per step.  The start, every record_every-th
-    step and the last step are recorded.  Raises ValueError unless dt > 0,
-    n_steps >= 1 and record_every >= 1, and CollisionError (carrying the step
-    index and partial trajectory) if any pairwise distance drops below
-    DELTA_COLL.
+    Yields the start, every record_every-th step and the last step as
+    ROW_WIDTH-tuples in ROW_FIELDS order, each as soon as the loop reaches it,
+    and returns (energy_drift, last row).  The energy is evaluated once per
+    step.  A CollisionError leaves carrying its step index and a partial
+    Trajectory with the drift up to that step; the generator keeps no rows, so
+    the partial holds none.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-
     central = variant is PotentialVariant.U_CENTRAL
     x0, y0, x1, y1, x2, y2 = _coords(positions)
     vx0, vy0, vx1, vy1, vx2, vy2 = _coords(velocities)
-    rows = array("d")
     step = 0
     drift = 0.0
     half = 0.5 * dt
     try:
         fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
         e0 = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
-        rows.extend((0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0))
+        row = (0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0)
+        yield row
         for step in range(1, n_steps + 1):
             vx0 += half * fx0
             vy0 += half * fy0
@@ -283,10 +267,61 @@ def integrate(
             if d > drift:
                 drift = d
             if step % record_every == 0 or step == n_steps:
-                rows.extend((step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy))
+                row = (step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy)
+                yield row
     except CollisionError as exc:
         exc.step_index = step
-        exc.partial = Trajectory(rows, dt, variant, record_every, drift)
+        exc.partial = Trajectory(array("d"), dt, variant, record_every, drift)
+        raise
+    return drift, row
+
+
+def integrate(
+    positions,
+    velocities,
+    variant: PotentialVariant,
+    dt: float,
+    n_steps: int,
+    record_every: int = 1,
+    *,
+    consume=None,
+) -> Trajectory:
+    """Velocity-Verlet trajectory from the given initial condition.
+
+    The energy is evaluated once per step.  The start, every record_every-th
+    step and the last step are recorded.  Raises ValueError unless dt > 0,
+    n_steps >= 1 and record_every >= 1, and CollisionError (carrying the step
+    index and the partial trajectory kept so far) if any pairwise distance
+    drops below DELTA_COLL.
+
+    With consume, the recorded rows are not kept: consume is called once with
+    an iterator that yields each row (a ROW_WIDTH-tuple in ROW_FIELDS order)
+    as the loop reaches it, and must exhaust it.  The Trajectory then holds
+    the last row only, so memory does not grow with n_steps.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+
+    rows = array("d")
+    drift, last = 0.0, ()
+
+    def recorded():
+        nonlocal drift, last
+        drift, last = yield from _verlet(positions, velocities, variant, dt, n_steps, record_every)
+
+    try:
+        if consume is None:
+            for row in recorded():
+                rows.extend(row)
+        else:
+            consume(recorded())
+            rows.extend(last)
+    except CollisionError as exc:
+        exc.partial = replace(exc.partial, rows=rows)
         raise
     return Trajectory(rows, dt, variant, record_every, drift)
 

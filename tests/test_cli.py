@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import platform
 import shlex
+import stat
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -273,9 +276,9 @@ class TestIntegrate:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == expected
 
-    def test_peak_memory_grows_by_about_one_row_per_step(self, tmp_path, capsys):
-        # The CSV text is bounded by CSV_CHUNK_ROWS rows; what grows with the
-        # step count is the 14 recorded doubles (112 bytes) per step.
+    def test_peak_memory_is_independent_of_steps(self, tmp_path, capsys):
+        # Rows stream from the Verlet loop into CSV chunks of CSV_CHUNK_ROWS
+        # rows, so only one chunk of text is held, whatever the step count.
         assert cli.CSV_CHUNK_ROWS <= 2048  # both runs hold one full chunk
 
         def peak(steps):
@@ -288,9 +291,9 @@ class TestIntegrate:
                 tracemalloc.stop()
 
         peak(16)  # lazy set-up outside the measurement
-        growth = peak(8192) - peak(2048)
+        growth = peak(65536) - peak(2048)
         capsys.readouterr()
-        assert growth <= 256 * (8192 - 2048)
+        assert growth <= 64 * 1024
 
     @pytest.mark.parametrize("positions, velocities, dt", [
         ([[0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]], [[0.0, 0.0]] * 3, "0.1"),
@@ -308,6 +311,64 @@ class TestIntegrate:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [init]
 
+
+    @staticmethod
+    def _collide_after(calls, monkeypatch):
+        """Make the force kernel raise CollisionError on its calls-th call."""
+        kernel = dynamics._kernel
+        count = 0
+
+        def late_collision(*args):
+            nonlocal count
+            count += 1
+            if count == calls:
+                raise dynamics.CollisionError("bodies 0 and 1 closer than 1e-10")
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, "_kernel", late_collision)
+
+    def test_late_collision_removes_the_streamed_output(self, tmp_path, capsys, monkeypatch):
+        # A stale pair from an earlier run goes too: no sidecar is left
+        # beside a missing data file.
+        out = tmp_path / "traj.csv"
+        out.write_text("earlier run\n")
+        (tmp_path / "traj.csv.meta.json").write_text("{}\n")
+        calls = 3 * cli.CSV_CHUNK_ROWS  # the kernel runs once per step, plus once at the start
+        self._collide_after(calls, monkeypatch)
+        code, stdout, err = run_cli(["integrate", "--steps", "10000", "--output", str(out)], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "bodies 0 and 1 closer than 1e-10", "passed": False,
+                                   "step": calls - 1}
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_collision_on_stdout_keeps_the_rows_before_it(self, capsys, monkeypatch):
+        calls = 3 * cli.CSV_CHUNK_ROWS
+        self._collide_after(calls, monkeypatch)
+        code, stdout, err = run_cli(["integrate", "--steps", "10000"], capsys)
+        assert code == 1
+        assert json.loads(err)["step"] == calls - 1
+        # Whole chunks only: the rows of steps 0 .. 2 * CSV_CHUNK_ROWS - 1.
+        header, rows = parse_csv(stdout)
+        assert header == list(dynamics.ROW_FIELDS)
+        assert len(rows) == 2 * cli.CSV_CHUNK_ROWS
+
+    def test_late_collision_leaves_a_fifo_output_in_place(self, tmp_path, capsys, monkeypatch):
+        fifo = tmp_path / "traj.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        self._collide_after(3 * cli.CSV_CHUNK_ROWS, monkeypatch)
+        try:
+            code, _, _ = run_cli(["integrate", "--steps", "10000", "--output", str(fifo)], capsys)
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 1
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo]  # and no sidecar
+        assert received[0].count(b"\n") == 1 + 2 * cli.CSV_CHUNK_ROWS
 
     _GOOD = [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]]
 

@@ -236,7 +236,7 @@ class TestTangentsFromPoint:
                 for p in phases
             ) <= 1e-8
 
-    def test_degenerate_point_warns(self, ctx):
+    def test_degenerate_point_returns_oracle_count(self, ctx):
         # Off the hyperbola a count other than four is returned as it is,
         # without a warning (warnings are errors in this suite).
         c = Vec2(0.5, 0.05)
