@@ -82,11 +82,10 @@ class NoZeroOrPoleError(ValueError):
 
 @dataclass(frozen=True)
 class PoleSpec:
-    """A pole inside the fundamental cell with its claimed local data."""
+    """A simple pole inside the fundamental cell with its claimed residue."""
 
     location: Cplx
-    order: int
-    claimed_residue: Cplx | None = None
+    claimed_residue: Cplx
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def alpha1(ctx: EllipticContext) -> Cplx:
     return complex(-ctx.K, ctx.Kprime)
 
 
-# The same quantities from (sn, cn, dn) at one point.
+# The formula layer: each quantity from (sn, cn, dn) at one point.
 def _x_plus(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return s / (1.0 - 1j * c)
 
@@ -130,6 +129,7 @@ def _one_over_one_minus_icn(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
 
 
 def _x_plus_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+    # d x^+ / dt = dn (cn - i) / (1 - i cn)^2.
     u = 1.0 - 1j * c
     return d * (c - 1j) / (u * u)
 
@@ -145,24 +145,9 @@ def _x_plus_log_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
 
 
 def _j(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+    # j = x^- dx^+/dt: real part (1/2) d|x|^2/dt, imaginary part the
+    # single-body angular momentum.
     return _x_minus(s, c, d) * _x_plus_d1(s, c, d)
-
-
-def x_plus(t: Cplx, ctx: EllipticContext) -> Cplx:
-    return _x_plus(*sn_cn_dn_complex(t, ctx))
-
-
-def x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
-    return _x_minus(*sn_cn_dn_complex(t, ctx))
-
-
-def one_over_one_minus_icn(t: Cplx, ctx: EllipticContext) -> Cplx:
-    return _one_over_one_minus_icn(*sn_cn_dn_complex(t, ctx))
-
-
-def x_plus_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """d x^+ / dt in closed form: dn (cn - i) / (1 - i cn)^2."""
-    return _x_plus_d1(*sn_cn_dn_complex(t, ctx))
 
 
 def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
@@ -170,15 +155,10 @@ def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
     return _x_plus_log_d1(*sn_cn_dn_complex(t, ctx))
 
 
-def x_plus_d2(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """d^2 x^+ / dt^2 in closed form."""
-    return _x_plus_d2(*sn_cn_dn_complex(t, ctx), ctx.m)
-
-
 def delta_x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
     """x^-(t + 4K/3) - x^-(t)."""
     third = 4.0 * ctx.K / 3.0
-    return x_minus(t + third, ctx) - x_minus(t, ctx)
+    return _x_minus(*sn_cn_dn_complex(t + third, ctx)) - _x_minus(*sn_cn_dn_complex(t, ctx))
 
 
 def _x_minus_and_d1(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx]:
@@ -231,65 +211,47 @@ def pole_table(ctx: EllipticContext) -> dict[str, list[PoleSpec]]:
     ri = 1.0 / ROOT4_3
     return {
         "x_plus": [
-            PoleSpec(a2, 1, claimed_residue=rt),
-            PoleSpec(a3, 1, claimed_residue=-rt),
-            PoleSpec(-a2, 1, claimed_residue=rt),
-            PoleSpec(-a3, 1, claimed_residue=-rt),
+            PoleSpec(a2, rt),
+            PoleSpec(a3, -rt),
+            PoleSpec(-a2, rt),
+            PoleSpec(-a3, -rt),
         ],
         "one_over_one_minus_icn": [
-            PoleSpec(a2, 1, claimed_residue=ri),
-            PoleSpec(a3, 1, claimed_residue=-ri),
-            PoleSpec(-a2, 1, claimed_residue=-ri),
-            PoleSpec(-a3, 1, claimed_residue=ri),
+            PoleSpec(a2, ri),
+            PoleSpec(a3, -ri),
+            PoleSpec(-a2, -ri),
+            PoleSpec(-a3, ri),
         ],
     }
 
 
-def residue_at(pole: PoleSpec, f: str, ctx: EllipticContext,
-               radius: float = CONTOUR_RADIUS) -> Cplx:
-    """Residue of the named function at a simple pole by contour quadrature.
-
-    Computes (1/2 pi i) of the circular contour integral as the mean of
-    f(z) (z - pole) over the circle.  Refuses contours within 2*radius of a
-    different pole of the same function.
-    """
-    if f not in _FUNCTIONS:
-        raise ValueError(f"unknown function id {f!r}; expected one of {sorted(_FUNCTIONS)}")
-    if pole.order != 1:
-        raise ValueError("residue_at handles simple poles only")
-    _refuse_crossing(pole, pole_table(ctx)[f], radius)
-    circle = _circle(lambda z: sn_cn_dn_complex(z, ctx), pole.location, radius)
-    return _residue(_FUNCTIONS[f], circle, radius)
-
-
-def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec], radius: float) -> None:
+def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec]) -> None:
     for other in poles:
-        if 1e-9 < abs(other.location - pole.location) < 2.0 * radius:
+        if 1e-9 < abs(other.location - pole.location) < 2.0 * CONTOUR_RADIUS:
             raise ContourCrossingError(
                 f"pole at {other.location} lies within 2x contour radius of {pole.location}"
             )
 
 
-def _residue(g, circle: list, radius: float) -> Cplx:
-    # r mean_{-1} of g(sn, cn, dn) over a circle of (sn, cn, dn) around the pole.
-    return _mean([g(*scd) for scd in circle], -1) * radius
-
-
 def check_residues(ctx: EllipticContext, tol: float = 1e-6) -> list[CheckResult]:
-    """residue_at against the claimed residue at each pole of pole_table.
+    """The residue at each simple pole of pole_table against the claimed one.
 
-    x^+ and 1/(1 - i cn) share their poles, so each pole's circle of
-    (sn, cn, dn) is evaluated once and serves both residues.
+    The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
+    around the pole.  x^+ and 1/(1 - i cn) share their poles, so each pole's
+    circle of (sn, cn, dn) is evaluated once and serves both residues.
+    Refuses contours within 2 CONTOUR_RADIUS of a different pole of the same
+    function.
     """
     circles = {}
     out = []
     for f_id, poles in pole_table(ctx).items():
         for pole in poles:
-            _refuse_crossing(pole, poles, CONTOUR_RADIUS)
+            _refuse_crossing(pole, poles)
             if pole.location not in circles:
                 circles[pole.location] = _circle(lambda z: sn_cn_dn_complex(z, ctx),
                                                  pole.location, CONTOUR_RADIUS)
-            observed = _residue(_FUNCTIONS[f_id], circles[pole.location], CONTOUR_RADIUS)
+            g = _FUNCTIONS[f_id]
+            observed = _mean([g(*scd) for scd in circles[pole.location]], -1) * CONTOUR_RADIUS
             out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
                                observed, tol))
     return out
@@ -345,12 +307,6 @@ def check_sum_identities(t: Cplx, ctx: EllipticContext,
         _result("three-phase sum of 1/(1-i cn)", CN_SUM_CONSTANT,
                 _phase_sum(_one_over_one_minus_icn, phases), tol),
     ]
-
-
-def j_plus_product(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """j(t) = x^-(t) * dx^+/dt; real part is (1/2) d|x|^2/dt, imaginary part
-    the single-body angular momentum."""
-    return _j(*sn_cn_dn_complex(t, ctx))
 
 
 def check_j_identity(t: Cplx, ctx: EllipticContext, tol: float = 1e-10) -> list[CheckResult]:

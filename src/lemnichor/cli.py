@@ -360,10 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("geometry", "tangent-line geometry sweep or constructions",
             n_samples=True, tolerance=True)
-    p.add_argument("--from-c", default=None, metavar="CX,CY",
-                   help="construct the triple from a hyperbola point")
-    p.add_argument("--from-point", type=float, default=None, metavar="S",
-                   help="construct the triple from one orbit phase")
+    construction = p.add_mutually_exclusive_group()
+    construction.add_argument("--from-c", default=None, metavar="CX,CY",
+                              help="construct the triple from a hyperbola point")
+    construction.add_argument("--from-point", type=float, default=None, metavar="S",
+                              help="construct the triple from one orbit phase")
 
     add("analytic", "run the complex-analytic check suite", tolerance=True)
     return parser

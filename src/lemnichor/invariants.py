@@ -105,23 +105,6 @@ class InvariantReport:
     product_sq_distances: float
     residuals: dict[str, float]
 
-    def as_flat_dict(self) -> dict[str, float]:
-        """Flat JSON-ready mapping: observed values plus *_residual keys."""
-        out = {
-            "t": self.t,
-            "center_of_mass_x": self.center_of_mass.x,
-            "center_of_mass_y": self.center_of_mass.y,
-            "moment_of_inertia": self.moment_of_inertia,
-            "angular_momentum": self.angular_momentum,
-            "kinetic_energy": self.kinetic_energy,
-            "curvature_sq_sum": self.curvature_sq_sum,
-            "sum_sq_distances": self.sum_sq_distances,
-            "product_sq_distances": self.product_sq_distances,
-        }
-        for name, r in self.residuals.items():
-            out[name + "_residual"] = r
-        return out
-
 
 def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
     s = triple(t, ctx)

@@ -121,24 +121,17 @@ def test_criterion_5_special_values(ctx):
 
 def test_criterion_6_complex_analysis(ctx, period):
     gate = _Gate(6, "residues, sum constant, triple-zero structure", 5.0)
-    for f_id, poles in analytic.pole_table(ctx).items():
-        for pole in poles:
-            res = analytic.residue_at(pole, f_id, ctx)
-            gate.check(
-                f"residue {f_id}@{pole.location:.3f}",
-                abs(res - pole.claimed_residue) < 1e-6,
-            )
-    third = period / 3.0
-    vals = []
+    # The rows `lemnichor analytic` prints, at its tolerances.
+    residues = analytic.check_residues(ctx, tol=1e-6)
+    gate.check("eight residues", len(residues) == 8)
+    for r in residues:
+        gate.check(f"{r.name}: {r.residual:.2e}", r.passed)
+    rows = []
     for i in range(300):
-        t = complex(i * period / 300.0, 0.0)
-        vals.append(
-            analytic.one_over_one_minus_icn(t, ctx)
-            + analytic.one_over_one_minus_icn(t + third, ctx)
-            + analytic.one_over_one_minus_icn(t - third, ctx)
-        )
-    worst = max(abs(v - analytic.CN_SUM_CONSTANT) for v in vals)
-    gate.check(f"cn-sum constant {worst:.2e}", worst < 1e-11)
+        sums = analytic.check_sum_identities(complex(i * period / 300.0, 0.0), ctx)
+        rows += [r for r in sums if r.name == "three-phase sum of 1/(1-i cn)"]
+    worst = max(r.residual for r in rows)
+    gate.check(f"cn-sum constant {worst:.2e}", len(rows) == 300 and all(r.passed for r in rows))
 
     results = {r.name: r for r in analytic.check_triple_zero_and_pole(analytic.alpha2(ctx), ctx)}
     slope = results["zero order (log-log slope)"].observed

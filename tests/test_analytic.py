@@ -17,13 +17,13 @@ from lemnichor.analytic import (
     CensusError,
     ContourCrossingError,
     NoZeroOrPoleError,
-    PoleSpec,
     alpha1,
     alpha2,
     alpha3,
     check_eom_pole_cancellation,
     check_j_identity,
     check_modulus_identity,
+    check_residues,
     check_special_values,
     check_strip_windings,
     check_sum_identities,
@@ -34,13 +34,8 @@ from lemnichor.analytic import (
     eom_complex_residual,
     line_windings,
     locate_pole,
-    one_over_one_minus_icn,
     pole_census,
     pole_table,
-    residue_at,
-    x_plus,
-    x_plus_d1,
-    x_plus_d2,
     x_plus_log_d1,
 )
 from lemnichor.dynamics import PotentialVariant, eom_residual
@@ -84,38 +79,25 @@ class TestModulusIdentity:
 
 class TestResidues:
     def test_all_eight_table_entries(self, ctx):
-        for f_id, poles in pole_table(ctx).items():
-            for pole in poles:
-                res = residue_at(pole, f_id, ctx)
-                assert abs(res - pole.claimed_residue) <= 1e-6, (f_id, pole.location)
+        results = check_residues(ctx)
+        poles = [p for table in pole_table(ctx).values() for p in table]
+        assert len(results) == len(poles) == 8
+        for r, pole in zip(results, poles):
+            assert r.claimed == pole.claimed_residue
+            assert abs(r.observed - pole.claimed_residue) <= 1e-6, r.name
+            assert r.passed
 
     def test_three_named_entries(self, ctx):
         a2, a3 = alpha2(ctx), alpha3(ctx)
-        specs = {p.location: p for p in pole_table(ctx)["x_plus"]}
-        assert abs(residue_at(specs[a2], "x_plus", ctx) - math.sqrt(2.0) / ROOT4_3) <= 1e-6
-        assert abs(residue_at(specs[-a3], "x_plus", ctx) + math.sqrt(2.0) / ROOT4_3) <= 1e-6
-        icn = {p.location: p for p in pole_table(ctx)["one_over_one_minus_icn"]}
-        assert abs(residue_at(icn[-a2], "one_over_one_minus_icn", ctx) + 1.0 / ROOT4_3) <= 1e-6
-
-    def test_contour_crossing_guard(self, ctx):
-        pole = pole_table(ctx)["x_plus"][0]
-        with pytest.raises(ContourCrossingError):
-            residue_at(pole, "x_plus", ctx, radius=2.0)
+        got = {r.name: r.observed for r in check_residues(ctx)}
+        assert abs(got[f"residue of x_plus at {a2}"] - math.sqrt(2.0) / ROOT4_3) <= 1e-6
+        assert abs(got[f"residue of x_plus at {-a3}"] + math.sqrt(2.0) / ROOT4_3) <= 1e-6
+        assert abs(got[f"residue of one_over_one_minus_icn at {-a2}"] + 1.0 / ROOT4_3) <= 1e-6
 
     def test_contour_crossing_guard_of_the_shared_circles(self, ctx, monkeypatch):
         monkeypatch.setattr(analytic, "CONTOUR_RADIUS", 2.0)
         with pytest.raises(ContourCrossingError):
             analytic.check_residues(ctx)
-
-    def test_unknown_function_id(self, ctx):
-        pole = pole_table(ctx)["x_plus"][0]
-        with pytest.raises(ValueError):
-            residue_at(pole, "nope", ctx)
-
-    def test_higher_order_pole_rejected(self, ctx):
-        bad = PoleSpec(location=alpha2(ctx), order=3)
-        with pytest.raises(ValueError):
-            residue_at(bad, "x_plus", ctx)
 
 
 class TestSumIdentities:
@@ -127,15 +109,10 @@ class TestSumIdentities:
     def test_cn_sum_constant_over_many_samples(self, ctx, period):
         vals = []
         for i in range(500):
-            t = complex(i * period / 500.0, 0.0)
-            third = period / 3.0
-            vals.append(
-                (
-                    one_over_one_minus_icn(t, ctx)
-                    + one_over_one_minus_icn(t + third, ctx)
-                    + one_over_one_minus_icn(t - third, ctx)
-                ).real
-            )
+            rows = {r.name: r for r in check_sum_identities(complex(i * period / 500.0, 0.0), ctx)}
+            row = rows["three-phase sum of 1/(1-i cn)"]
+            assert row.passed, row.residual  # at the real-t tolerance, 1e-11
+            vals.append(row.observed.real)
         assert max(vals) - min(vals) < 1e-11
         assert vals[0] == pytest.approx(CN_SUM_CONSTANT, abs=1e-11)
 
@@ -152,12 +129,12 @@ class TestJIdentity:
 
     def test_product_form_decomposes_into_planar_parts(self, ctx):
         # j = (x vx + y vy) + i (x vy - y vx) for a single body on the axis.
-        from lemnichor.analytic import j_plus_product
         from lemnichor.orbit import position, velocity
 
         for t in (0.4, 1.6, 3.1):
             p, v = position(t, ctx), velocity(t, ctx)
-            j = j_plus_product(complex(t, 0.0), ctx)
+            rows = {r.name: r for r in check_j_identity(t, ctx)}
+            j = rows["j product form vs derivative form"].observed
             assert j.real == pytest.approx(p.dot(v), abs=1e-12)
             assert j.imag == pytest.approx(p.cross(v), abs=1e-12)
 
@@ -238,7 +215,7 @@ class TestComplexEquationOfMotion:
 
         for t in (0.3, 1.7, 2.2):
             a = acceleration(t, ctx)
-            z = x_plus_d2(complex(t, 0.0), ctx)
+            z = analytic._x_plus_d2(*sn_cn_dn_complex(complex(t, 0.0), ctx), ctx.m)
             assert abs(z - complex(a.x, a.y)) <= 1e-12
 
 
@@ -288,12 +265,13 @@ class TestPoleCensus:
     def test_closed_form_log_derivatives(self, ctx):
         eps = 1e-6
         for t in (complex(0.5, 0.4), complex(-1.2, 0.9), complex(2.0, -0.3)):
-            assert abs(x_plus_log_d1(t, ctx) - x_plus_d1(t, ctx) / x_plus(t, ctx)) <= 1e-12
+            quotient = oracle_x_plus_d1(t, ctx) / oracle_x_plus(t, ctx)
+            assert abs(x_plus_log_d1(t, ctx) - quotient) <= 1e-12
             fd = (delta_x_minus(t + eps, ctx) - delta_x_minus(t - eps, ctx)) / (2.0 * eps)
             assert abs(delta_x_minus_log_d1(t, ctx) - fd / delta_x_minus(t, ctx)) <= 1e-7
 
     def test_x_plus_bounded_on_real_axis(self, ctx, period):
-        worst = max(abs(x_plus(complex(i * period / 200.0, 0.0), ctx)) for i in range(200))
+        worst = max(abs(oracle_x_plus(complex(i * period / 200.0, 0.0), ctx)) for i in range(200))
         assert worst < 1.2
 
 
@@ -426,7 +404,6 @@ class TestOneEvaluationPerNode:
         for r, (f_id, pole) in zip(results, want):
             assert r.name == f"residue of {f_id} at {pole.location}"
             assert cbits(r.observed) == cbits(oracle_residue(pole, f_id, ctx))
-            assert cbits(r.observed) == cbits(residue_at(pole, f_id, ctx))
             assert r.residual == abs(r.observed - pole.claimed_residue)
 
     def test_line_windings_bit_equal(self, ctx):
@@ -508,13 +485,12 @@ class TestOneEvaluationPerNode:
         ("check_sum_identities", 0.3, 3),
         ("check_sum_identities", complex(0.2, 0.3), 3),
         ("eom_complex_residual", complex(0.5, 0.4), 3),
-        ("j_plus_product", 0.9, 1),
         ("check_residues", None, 128),
         ("line_windings", None, 0),
     ])
     def test_complex_evaluation_counts(self, ctx, monkeypatch, check, t, calls):
         # Each node and each phase is evaluated once (the earlier forms made
-        # 534, 15, 6 and 6 calls, j_plus_product 2 and check_residues 256;
+        # 534, 15, 6 and 6 calls and check_residues 256;
         # line_windings made 320 point calls and now evaluates its grid by lines).
         t = {"a2": alpha2(ctx), "-a3": -alpha3(ctx)}.get(t, t)
         seen = []

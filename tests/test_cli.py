@@ -2,10 +2,13 @@ import json
 import math
 import os
 import platform
+import re
 import shlex
 import stat
 import threading
 import tracemalloc
+from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,12 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+def near_miss_context(monkeypatch, rel):
+    """Run the CLI at the modulus m (1 + rel) instead of the choreographic m."""
+    monkeypatch.setattr(cli, "choreography_context",
+                        lambda: make_context(CHOREO_M * (1.0 + rel)))
 
 
 class TestSample:
@@ -100,8 +109,7 @@ class TestVerify:
         # A modulus 1e-8 off the choreographic one fails all eight gates
         # (measured 36x the tolerance for the EOM up to 1230x for the
         # product of distances); no tolerance is loosened to get there.
-        monkeypatch.setattr(cli, "choreography_context",
-                            lambda: make_context(CHOREO_M * (1.0 + rel)))
+        near_miss_context(monkeypatch, rel)
         code, out, _ = run_cli(["verify", "--n-samples", "200"], capsys)
         assert code == 1
         report = strict_json(out)
@@ -442,6 +450,29 @@ class TestGeometry:
             if math.hypot(cx, cy) < 50.0:
                 assert abs(res) < 1e-8
 
+    @staticmethod
+    def _worst_hyperbola_ratio(out):
+        # The sweep's gate: |c| < 50 rows only (a non-finite c has |c| = inf).
+        _, rows = parse_csv(out)
+        worst = max(abs(row[10]) for row in rows if math.hypot(row[1], row[2]) < 50.0)
+        return worst / cli.DEFAULT_TOLERANCES["hyperbola"]
+
+    @pytest.mark.parametrize("rel", [1e-10, -1e-10])
+    def test_near_miss_modulus_fails_the_hyperbola_gate(self, rel, monkeypatch, capsys):
+        # A modulus 1e-10 off the choreographic one puts the worst hyperbola
+        # residual at 21.7x its tolerance (measured, both signs); no
+        # tolerance is loosened or tightened to get there.
+        near_miss_context(monkeypatch, rel)
+        code, out, _ = run_cli(["geometry", "--n-samples", "200"], capsys)
+        assert code == 1
+        assert self._worst_hyperbola_ratio(out) > 20.0
+
+    def test_exact_model_keeps_headroom(self, capsys):
+        # The exact model sits at <= 1e-3 of the tolerance (measured 2.2e-4).
+        code, out, _ = run_cli(["geometry", "--n-samples", "200"], capsys)
+        assert code == 0
+        assert self._worst_hyperbola_ratio(out) <= 1e-3
+
     def test_from_point(self, ctx, capsys):
         t = ctx.K / 5.0
         code, out, _ = run_cli(["geometry", "--from-point", str(t)], capsys)
@@ -512,14 +543,46 @@ class TestGeometry:
         assert code == 1
 
 
+TRIPLE_ZERO_ROWS = (
+    "zero order (log-log slope)", "leading coefficient h^3", "next coefficient h^5",
+    "principal part h^-3 of reciprocal", "principal part h^-1 of reciprocal",
+    "oddness around the zero",
+)
+
+
+def analytic_group(name):
+    """The check group of one `lemnichor analytic` row, by its name."""
+    if re.fullmatch(r"(sn|cn|dn)\([1245]K/3\)", name):
+        return "special values"
+    if name == "modulus from sn(K/3)" or name.startswith("sn(10K/3) shift vs "):
+        return "modulus"
+    if re.fullmatch(r"residue of (x_plus|one_over_one_minus_icn) at \(.*\)", name):
+        return "residues"
+    if name.startswith("strip winding of x_plus, "):
+        return "strips"
+    if name in ("three-phase sum of x_plus", "three-phase sum of 1/(1-i cn)"):
+        return "sums"
+    if name in ("j product form vs derivative form", "three-phase sum of j",
+                "Im(j sum) vs angular momentum"):
+        return "j"
+    if name in TRIPLE_ZERO_ROWS:
+        return "triple zero"
+    if name.startswith("complex equation of motion at t="):
+        return "complex EOM"
+    return None
+
+
 class TestAnalytic:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run_cli(["analytic"], capsys)
         assert code == 0
-        report = json.loads(out)
-        assert len(report) > 30
+        report = strict_json(out)
+        assert len(report) == 47
+        names = [e["name"] for e in report]
+        groups = [(g, len(list(rows))) for g, rows in groupby(names, analytic_group)]
+        assert groups == [("special values", 12), ("modulus", 3), ("residues", 8), ("strips", 4),
+                          ("sums", 6), ("j", 6), ("triple zero", 6), ("complex EOM", 2)]
         assert all(entry["pass"] for entry in report)
-        names = {entry["name"] for entry in report}
         assert any(name.startswith("residue of x_plus") for name in names)
         strips = [e for e in report if e["name"].startswith("strip winding")]
         assert [e["claimed"] for e in strips] == [[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 0.0]]
@@ -534,6 +597,39 @@ class TestAnalytic:
         failed = [e["name"] for e in json.loads(out) if not e["pass"]]
         assert failed and all(name.startswith("strip winding") for name in failed)
 
+    @pytest.mark.parametrize("rel", [1e-10, -1e-10])
+    def test_near_miss_modulus_fails(self, rel, monkeypatch, capsys):
+        # A modulus 1e-10 off the choreographic one fails 19 of the 47 rows
+        # (measured): the twelve special values, the modulus rebuilt from
+        # sn(K/3), and the three-phase sums of x^+, 1/(1 - i cn) and j at the
+        # real points.  No tolerance is loosened or tightened to get there.
+        near_miss_context(monkeypatch, rel)
+        code, out, _ = run_cli(["analytic"], capsys)
+        assert code == 1
+        report = strict_json(out)
+        assert len(report) == 47
+        failed = Counter(analytic_group(e["name"]) for e in report if not e["pass"])
+        assert failed == {"special values": 12, "modulus": 1, "sums": 4, "j": 2}
+
+    @pytest.mark.parametrize("rel", [1e-3, -1e-3])
+    def test_only_modulus_free_identities_pass_far_off(self, rel, monkeypatch, capsys):
+        # At m (1 +- 1e-3) 36 of the 47 rows fail.  The 11 that pass are
+        # identities that hold at every modulus: both sn(10K/3) shift rows,
+        # the four strip windings, both j product-vs-derivative rows, both
+        # Im(j sum) rows, and the oddness of delta x^- around its zero.
+        near_miss_context(monkeypatch, rel)
+        code, out, _ = run_cli(["analytic"], capsys)
+        assert code == 1
+        report = strict_json(out)
+        passed = [e["name"] for e in report if e["pass"]]
+        assert len(report) - len(passed) == 36
+        assert Counter(map(analytic_group, passed)) == {
+            "modulus": 2, "strips": 4, "j": 4, "triple zero": 1}
+        assert {name for name in passed if analytic_group(name) != "strips"} == {
+            "sn(10K/3) shift vs duplication", "sn(10K/3) shift vs direct",
+            "j product form vs derivative form", "Im(j sum) vs angular momentum",
+            "oddness around the zero"}
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self):
@@ -545,6 +641,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["geometry", "--from-c", "1,2,3"])
         assert err.value.code == 2
+
+    def test_usage_error_both_constructions(self, tmp_path, capsys):
+        # --from-c and --from-point name two constructions; neither is ignored.
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main(["geometry", "--from-c=1.4142135623730951,1", "--from-point", "0.55",
+                  "--output", str(out)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
 
     def test_usage_error_bad_counts(self):
         with pytest.raises(SystemExit) as err:

@@ -192,15 +192,6 @@ class TestFullReport:
         assert max(rep.residuals.values()) < 1e-10
         assert curvature(2.0 * ctx.K, ctx) <= 1e-12
 
-    def test_flat_dict_round_trip(self, ctx):
-        rep = full_report(0.4, ctx)
-        flat = rep.as_flat_dict()
-        assert flat["moment_of_inertia"] == rep.moment_of_inertia
-        assert flat["moment_of_inertia_residual"] == rep.residuals["moment_of_inertia"]
-        assert set(k for k in flat if k.endswith("_residual")) == {
-            n + "_residual" for n in rep.residuals
-        }
-
     def test_expected_constants(self):
         assert EXPECTED_MOMENT_OF_INERTIA == pytest.approx(SQRT3)
         assert EXPECTED_KINETIC_SUM == 0.75
