@@ -18,10 +18,8 @@ from .invariants import InvariantReport, full_report
 from .dynamics import (
     CollisionError,
     PotentialVariant,
-    Trajectory,
     eom_residual,
     integrate,
-    integrate_choreography,
     one_body_lemniscate_residual,
     total_energy,
 )

@@ -296,11 +296,13 @@ def check_modulus_identity(ctx: EllipticContext, tol: float = 1e-12) -> list[Che
     ]
 
 
-def check_sum_identities(t: Cplx, ctx: EllipticContext,
-                         tol_real: float = 1e-11, tol_complex: float = 1e-9) -> list[CheckResult]:
-    """Three-phase sums: x^+ cancels to 0, 1/(1 - i cn) to (3 + sqrt3)/2."""
+def check_sum_identities(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+    """Three-phase sums: x^+ cancels to 0, 1/(1 - i cn) to (3 + sqrt3)/2.
+
+    The tolerance is 1e-11 at a real t and 1e-9 off the axis, times scale.
+    """
     t = complex(t)
-    tol = tol_real if t.imag == 0.0 else tol_complex
+    tol = (1e-11 if t.imag == 0.0 else 1e-9) * scale
     phases = _three_phases(t, ctx)
     return [
         _result("three-phase sum of x_plus", 0.0, _phase_sum(_x_plus, phases), tol),
@@ -309,13 +311,15 @@ def check_sum_identities(t: Cplx, ctx: EllipticContext,
     ]
 
 
-def check_j_identity(t: Cplx, ctx: EllipticContext, tol: float = 1e-10) -> list[CheckResult]:
+def check_j_identity(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
     """Both representations of j agree and the three-phase sum vanishes.
 
     The second representation is d/dt [1/(1 - i cn)] = -i sn dn / (1 - i cn)^2.
     On the real axis the vanishing sum is the simultaneous conservation of
     the moment of inertia (real part) and angular momentum (imaginary part).
+    The tolerances (1e-10, and 1e-11 for the angular momentum) are times scale.
     """
+    tol = 1e-10 * scale
     t = complex(t)
     phases = _three_phases(t, ctx)
     s, c, d = phases[0]
@@ -327,17 +331,18 @@ def check_j_identity(t: Cplx, ctx: EllipticContext, tol: float = 1e-10) -> list[
     ]
     if t.imag == 0.0:
         ang = angular_momentum(triple(t.real, ctx))
-        out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11))
+        out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11 * scale))
     return out
 
 
-def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResult]:
+def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
+                               scale: float = 1.0) -> list[CheckResult]:
     """Local structure of delta x^- at one of its triple zeros.
 
     Checks: log-log slope 3 of |delta x^-| on shrinking circles, the leading
     and next Taylor coefficients, oddness around the zero, and the principal
     part (2a / h^3 - b / h, up to the sign of the mirror zero) of the
-    reciprocal.
+    reciprocal.  Every row's tolerance is times scale.
     """
     t0 = complex(t0)
     a2, a3 = alpha2(ctx), alpha3(ctx)
@@ -376,14 +381,14 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResu
     odd = delta_x_minus(t0 + h, ctx) + delta_x_minus(t0 - h, ctx)
 
     return [
-        _result("zero order (log-log slope)", 3.0, slope, 0.01),
-        _result("leading coefficient h^3", sign * TRIPLE_ZERO_C3, c3, 1e-5),
-        _result("next coefficient h^5", sign * TRIPLE_ZERO_C5, c5, 1e-4),
-        _result("principal part h^-3 of reciprocal", sign * PRINCIPAL_2A, p3, 1e-5),
+        _result("zero order (log-log slope)", 3.0, slope, 0.01 * scale),
+        _result("leading coefficient h^3", sign * TRIPLE_ZERO_C3, c3, 1e-5 * scale),
+        _result("next coefficient h^5", sign * TRIPLE_ZERO_C5, c5, 1e-4 * scale),
+        _result("principal part h^-3 of reciprocal", sign * PRINCIPAL_2A, p3, 1e-5 * scale),
         # The 1/h coefficient rides on top of the cancelled 1/h^3 term, which
         # costs three orders of floating-point headroom at the smaller radius.
-        _result("principal part h^-1 of reciprocal", -sign * PRINCIPAL_B, p1, 1e-4),
-        _result("oddness around the zero", 0.0, odd, 1e-10),
+        _result("principal part h^-1 of reciprocal", -sign * PRINCIPAL_B, p1, 1e-4 * scale),
+        _result("oddness around the zero", 0.0, odd, 1e-10 * scale),
     ]
 
 

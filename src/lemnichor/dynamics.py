@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
-from dataclasses import dataclass, replace
 
 from .elliptic import EllipticContext
 from .orbit import Vec2, triple
@@ -44,14 +42,12 @@ class PotentialVariant(enum.Enum):
 class CollisionError(RuntimeError):
     """A pairwise distance fell below DELTA_COLL.
 
-    When raised by integrate(), carries the step index and the partial
-    trajectory accumulated so far.
+    When raised by integrate(), carries the index of the step it happened at.
     """
 
-    def __init__(self, message: str, step_index: int | None = None, partial=None):
+    def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
-        self.partial = partial
 
 
 def _coords(vecs) -> tuple[float, float, float, float, float, float]:
@@ -162,16 +158,7 @@ def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> f
                for b, fx, fy in zip(s.bodies, f[0:6:2], f[1:6:2]))
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    positions: tuple[Vec2, Vec2, Vec2]
-    velocities: tuple[Vec2, Vec2, Vec2]
-    energy: float
-
-
-# The layout of one recorded row in Trajectory.rows, and the trajectory CSV
-# columns.
+# The layout of one row of integrate(), and the trajectory CSV columns.
 ROW_FIELDS = (
     "t",
     "x1", "y1", "vx1", "vy1",
@@ -179,164 +166,77 @@ ROW_FIELDS = (
     "x3", "y3", "vx3", "vy3",
     "energy",
 )
-ROW_WIDTH = len(ROW_FIELDS)
 
 
-def _as_point(row) -> TrajectoryPoint:
-    t, x1, y1, vx1, vy1, x2, y2, vx2, vy2, x3, y3, vx3, vy3, energy = row
-    return TrajectoryPoint(
-        t=t,
-        positions=(Vec2(x1, y1), Vec2(x2, y2), Vec2(x3, y3)),
-        velocities=(Vec2(vx1, vy1), Vec2(vx2, vy2), Vec2(vx3, vy3)),
-        energy=energy,
-    )
+def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_steps: int, *,
+              consume):
+    """Velocity-Verlet integration from the given initial condition.
 
+    consume is called once with an iterator over the n_steps + 1 rows, the
+    start and every step, each a tuple in ROW_FIELDS order; it must exhaust
+    the iterator.  Each row is yielded as the loop reaches it and none is
+    kept, so memory does not grow with n_steps.  The energy is evaluated
+    once per step.  Returns (energy_drift, last row), energy_drift being the
+    largest |E(t) - E(0)| over every step.
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled integrator output.
-
-    rows holds ROW_WIDTH doubles per recorded point, laid out as ROW_FIELDS;
-    points and final build TrajectoryPoints from it on demand.  Points are
-    spaced dt * record_every apart; energy_drift is the maximum
-    |E(t) - E(0)| observed over every integration step, not just recorded
-    ones.
-    """
-
-    rows: array
-    dt: float
-    variant: PotentialVariant
-    record_every: int
-    energy_drift: float
-
-    @property
-    def points(self) -> list[TrajectoryPoint]:
-        return [_as_point(row) for row in zip(*[iter(self.rows)] * ROW_WIDTH)]
-
-    @property
-    def final(self) -> TrajectoryPoint:
-        if not self.rows:
-            raise IndexError("empty trajectory")
-        return _as_point(self.rows[-ROW_WIDTH:])
-
-
-def _verlet(positions, velocities, variant: PotentialVariant, dt: float, n_steps: int,
-            record_every: int):
-    """The velocity-Verlet loop, recording as it runs.
-
-    Yields the start, every record_every-th step and the last step as
-    ROW_WIDTH-tuples in ROW_FIELDS order, each as soon as the loop reaches it,
-    and returns (energy_drift, last row).  The energy is evaluated once per
-    step.  A CollisionError leaves carrying its step index and a partial
-    Trajectory with the drift up to that step; the generator keeps no rows, so
-    the partial holds none.
-    """
-    central = variant is PotentialVariant.U_CENTRAL
-    x0, y0, x1, y1, x2, y2 = _coords(positions)
-    vx0, vy0, vx1, vy1, vx2, vy2 = _coords(velocities)
-    step = 0
-    drift = 0.0
-    half = 0.5 * dt
-    try:
-        fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
-        e0 = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
-        row = (0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0)
-        yield row
-        for step in range(1, n_steps + 1):
-            vx0 += half * fx0
-            vy0 += half * fy0
-            vx1 += half * fx1
-            vy1 += half * fy1
-            vx2 += half * fx2
-            vy2 += half * fy2
-            x0 += dt * vx0
-            y0 += dt * vy0
-            x1 += dt * vx1
-            y1 += dt * vy1
-            x2 += dt * vx2
-            y2 += dt * vy2
-            fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
-            vx0 += half * fx0
-            vy0 += half * fy0
-            vx1 += half * fx1
-            vy1 += half * fy1
-            vx2 += half * fx2
-            vy2 += half * fy2
-            energy = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
-            d = abs(energy - e0)
-            if d > drift:
-                drift = d
-            if step % record_every == 0 or step == n_steps:
-                row = (step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy)
-                yield row
-    except CollisionError as exc:
-        exc.step_index = step
-        exc.partial = Trajectory(array("d"), dt, variant, record_every, drift)
-        raise
-    return drift, row
-
-
-def integrate(
-    positions,
-    velocities,
-    variant: PotentialVariant,
-    dt: float,
-    n_steps: int,
-    record_every: int = 1,
-    *,
-    consume=None,
-) -> Trajectory:
-    """Velocity-Verlet trajectory from the given initial condition.
-
-    The energy is evaluated once per step.  The start, every record_every-th
-    step and the last step are recorded.  Raises ValueError unless dt > 0,
-    n_steps >= 1 and record_every >= 1, and CollisionError (carrying the step
-    index and the partial trajectory kept so far) if any pairwise distance
-    drops below DELTA_COLL.
-
-    With consume, the recorded rows are not kept: consume is called once with
-    an iterator that yields each row (a ROW_WIDTH-tuple in ROW_FIELDS order)
-    as the loop reaches it, and must exhaust it.  The Trajectory then holds
-    the last row only, so memory does not grow with n_steps.
+    Raises ValueError unless dt > 0 and n_steps >= 1, and CollisionError
+    (carrying the step index) if any pairwise distance drops below
+    DELTA_COLL; consume has then received the rows of every earlier step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    result = None
 
-    rows = array("d")
-    drift, last = 0.0, ()
+    def rows():
+        nonlocal result
+        central = variant is PotentialVariant.U_CENTRAL
+        x0, y0, x1, y1, x2, y2 = _coords(positions)
+        vx0, vy0, vx1, vy1, vx2, vy2 = _coords(velocities)
+        step = 0
+        drift = 0.0
+        half = 0.5 * dt
+        try:
+            fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
+            e0 = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
+            row = (0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0)
+            yield row
+            for step in range(1, n_steps + 1):
+                vx0 += half * fx0
+                vy0 += half * fy0
+                vx1 += half * fx1
+                vy1 += half * fy1
+                vx2 += half * fx2
+                vy2 += half * fy2
+                x0 += dt * vx0
+                y0 += dt * vy0
+                x1 += dt * vx1
+                y1 += dt * vy1
+                x2 += dt * vx2
+                y2 += dt * vy2
+                fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
+                vx0 += half * fx0
+                vy0 += half * fy0
+                vx1 += half * fx1
+                vy1 += half * fy1
+                vx2 += half * fx2
+                vy2 += half * fy2
+                energy = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
+                d = abs(energy - e0)
+                if d > drift:
+                    drift = d
+                row = (step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy)
+                yield row
+        except CollisionError as exc:
+            exc.step_index = step
+            raise
+        result = drift, row
 
-    def recorded():
-        nonlocal drift, last
-        drift, last = yield from _verlet(positions, velocities, variant, dt, n_steps, record_every)
-
-    try:
-        if consume is None:
-            for row in recorded():
-                rows.extend(row)
-        else:
-            consume(recorded())
-            rows.extend(last)
-    except CollisionError as exc:
-        exc.partial = replace(exc.partial, rows=rows)
-        raise
-    return Trajectory(rows, dt, variant, record_every, drift)
-
-
-def integrate_choreography(
-    ctx: EllipticContext,
-    variant: PotentialVariant,
-    dt: float,
-    n_steps: int,
-    record_every: int = 1,
-    t0: float = 0.0,
-) -> Trajectory:
-    """integrate() starting from the analytic triple at time t0."""
-    s = triple(t0, ctx)
-    return integrate(s.positions, s.velocities, variant, dt, n_steps, record_every=record_every)
+    consume(rows())
+    if result is None:
+        raise RuntimeError("consume did not exhaust the rows of integrate()")
+    return result
 
 
 # --- one-body motion on the lemniscate under a central 1/r^6 potential ---

@@ -7,7 +7,7 @@ import shlex
 import stat
 import threading
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from itertools import groupby
 from pathlib import Path
 
@@ -162,22 +162,15 @@ class TestVerify:
         assert report["max_residuals"]["kinetic_energy"] is None
 
 
-def _old_trajectory_csv(traj) -> bytes:
-    """The trajectory CSV of traj.points, unstreamed: one list per point, one
+def _old_trajectory_csv(rows) -> bytes:
+    """The trajectory CSV of the collected integrate() rows, unstreamed: one
     "%.17g" row format, one join."""
     header = ["t"]
     for i in (1, 2, 3):
         header += [f"x{i}", f"y{i}", f"vx{i}", f"vy{i}"]
     header.append("energy")
     fmt = ",".join(["%.17g"] * len(header))
-    rows = []
-    for pt in traj.points:
-        row = [pt.t]
-        for p, v in zip(pt.positions, pt.velocities):
-            row += [p.x, p.y, v.x, v.y]
-        row.append(pt.energy)
-        rows.append(fmt % tuple(row))
-    return ("\n".join([",".join(header)] + rows) + "\n").encode()
+    return ("\n".join([",".join(header)] + [fmt % row for row in rows]) + "\n").encode()
 
 
 class TestIntegrate:
@@ -231,8 +224,9 @@ class TestIntegrate:
         summary = json.loads(err)
         assert sorted(summary) == keys
         assert summary["final_time"] == 8 * 0.001
-        traj = dynamics.integrate(s.positions, s.velocities, dynamics.PotentialVariant.U_CENTRAL, 0.001, 8)
-        assert summary["energy_drift"] == traj.energy_drift
+        drift, _ = dynamics.integrate(s.positions, s.velocities, dynamics.PotentialVariant.U_CENTRAL,
+                                      0.001, 8, consume=deque(maxlen=0).extend)
+        assert summary["energy_drift"] == drift
 
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -265,7 +259,7 @@ class TestIntegrate:
         pv = dynamics.PotentialVariant(variant)
         argv = ["integrate", "--variant", variant, "--steps", str(steps)]
         if init == "analytic":
-            traj = dynamics.integrate_choreography(ctx, pv, dt, steps)
+            s = triple(0.0, ctx)
         else:
             s = triple(0.37, ctx)
             path = tmp_path / "init.json"
@@ -273,9 +267,10 @@ class TestIntegrate:
                 "positions": [[p.x, p.y] for p in s.positions],
                 "velocities": [[v.x, v.y] for v in s.velocities],
             }))
-            traj = dynamics.integrate(s.positions, s.velocities, pv, dt, steps)
             argv += ["--init", str(path)]
-        expected = _old_trajectory_csv(traj)
+        rows = []
+        dynamics.integrate(s.positions, s.velocities, pv, dt, steps, consume=rows.extend)
+        expected = _old_trajectory_csv(rows)
 
         out = tmp_path / "traj.csv"
         assert main(argv + ["--output", str(out)]) == 0
@@ -526,6 +521,18 @@ class TestGeometry:
         assert config[key] == value
         assert {"init", "from_c", "from_point"} <= set(config)
 
+    def test_from_c_takes_tolerance_scale(self, tmp_path, capsys):
+        # It scales the on-curve check: cx^2 - cy^2 - 1 = 1.1e-7 here, above
+        # the 1e-8 |c|^2 = 3e-8 allowed at 1x and below the 3e-6 at 100x.
+        argv = ["geometry", "--from-c=1.4142136,1"]
+        out = tmp_path / "g.json"
+        assert main(argv + ["--tolerance-scale", "100", "--output", str(out)]) == 0
+        config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
+        assert config["tolerance_scale"] == 100.0
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
     def test_nan_hyperbola_residual_fails(self, monkeypatch, capsys):
         real = geometry.sweep_row
         hit = []
@@ -587,6 +594,17 @@ class TestAnalytic:
         strips = [e for e in report if e["name"].startswith("strip winding")]
         assert [e["claimed"] for e in strips] == [[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 0.0]]
         assert all(e["residual"] <= 1e-9 for e in strips)
+
+    def test_tolerance_scale_reaches_every_row(self, capsys):
+        # At 1e-30 every tolerance is below every nonzero residual: only the
+        # three special values whose residual is exactly 0.0 still pass.
+        code, out, _ = run_cli(["analytic", "--tolerance-scale", "1e-30"], capsys)
+        assert code == 1
+        report = strict_json(out)
+        assert len(report) == 47
+        passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
+        assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
+        assert all(e["residual"] > 0.0 for e in report if not e["pass"])
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
         # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.
@@ -724,12 +742,20 @@ class TestExitCodes:
         ["verify", "--format", "json"],
         ["sample", "--tolerance-scale", "2"],
         ["integrate", "--tolerance-scale", "2"],
+        # A construction builds one triple from one input: no samples, and
+        # --from-point checks nothing against a tolerance.
+        ["geometry", "--from-point", "0.55", "--n-samples", "7"],
+        ["geometry", "--from-c=1.4142135623730951,1", "--n-samples", "7"],
+        ["geometry", "--from-point", "0.55", "--tolerance-scale", "2"],
+        ["geometry", "--from-point", "0.55", "--n-samples", "7", "--tolerance-scale", "1e-30"],
     ])
-    def test_flag_not_taken_by_subcommand(self, argv, capsys):
+    def test_flag_not_taken_by_subcommand(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.dat"
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(argv + ["--output", str(out)])
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -745,23 +771,8 @@ def readme_cli_examples():
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
 
 
-def _readme_params():
-    params = []
-    for words in readme_cli_examples():
-        marks = []
-        if "--from-c=1.37,0.94" in words:
-            # An open ROADMAP item: this c is off the hyperbola (cx^2 - cy^2 - 1
-            # = -6.7e-3), so it is refused with exit 2; bench/test_bench.py:150
-            # pins this failure of the construct workload.
-            marks.append(pytest.mark.xfail(
-                strict=True,
-                reason="open ROADMAP item: --from-c=1.37,0.94 is off the hyperbola "
-                       "(residual -6.7e-3) and exits 2; pinned by bench/test_bench.py:150"))
-        params.append(pytest.param(words, marks=marks, id=" ".join(words[1:])))
-    return params
-
-
-@pytest.mark.parametrize("words", _readme_params())
+@pytest.mark.parametrize("words", [pytest.param(words, id=" ".join(words[1:]))
+                                   for words in readme_cli_examples()])
 def test_readme_cli_example_exits_zero(words, capsys):
     assert words[0] == "lemnichor"
     code = main(words[1:])

@@ -1,19 +1,18 @@
 import math
 import random
 from array import array
+from collections import deque
 
 import pytest
 
 from lemnichor import dynamics
 from lemnichor.dynamics import (
-    ROW_WIDTH,
+    ROW_FIELDS,
     CollisionError,
     PotentialVariant,
-    TrajectoryPoint,
     eom_residual,
     forces,
     integrate,
-    integrate_choreography,
     one_body_lemniscate_residual,
     one_body_state,
     potential,
@@ -22,7 +21,7 @@ from lemnichor.dynamics import (
 from lemnichor.elliptic import make_context
 from lemnichor.orbit import Vec2, acceleration, position, triple, triple_phases, velocity
 
-from conftest import SQRT3
+from conftest import SQRT3, row_positions, row_velocities
 
 U = PotentialVariant.U_CENTRAL
 V = PotentialVariant.V_PAIRWISE
@@ -245,53 +244,55 @@ class TestTotalEnergy:
         assert max(vals) - min(vals) < 1e-9
 
 
+def collect(positions, velocities, variant, dt, n_steps):
+    """(rows, energy_drift, last row) of integrate(), every row kept."""
+    rows = []
+    drift, last = integrate(positions, velocities, variant, dt, n_steps, consume=rows.extend)
+    return rows, drift, last
+
+
+def final_row(positions, velocities, variant, dt, n_steps):
+    """The last row of integrate(), every other row thrown away."""
+    return integrate(positions, velocities, variant, dt, n_steps,
+                     consume=deque(maxlen=0).extend)[1]
+
+
 class TestIntegrate:
     def test_argument_validation(self, ctx):
         s = triple(0.0, ctx)
         with pytest.raises(ValueError):
-            integrate(s.positions, s.velocities, U, dt=-0.1, n_steps=10)
+            integrate(s.positions, s.velocities, U, dt=-0.1, n_steps=10, consume=list)
         with pytest.raises(ValueError):
-            integrate(s.positions, s.velocities, U, dt=0.1, n_steps=0)
+            integrate(s.positions, s.velocities, U, dt=0.1, n_steps=0, consume=list)
 
-    @pytest.mark.parametrize("record_every", [0, -2])
-    def test_record_every_below_one_rejected(self, ctx, record_every):
-        # 0 used to divide by zero at step 1 and -2 to record as 2 does.
+    def test_consume_must_exhaust_the_rows(self, ctx):
         s = triple(0.0, ctx)
-        with pytest.raises(ValueError, match="record_every"):
-            integrate(s.positions, s.velocities, U, 0.01, 5, record_every=record_every)
-        with pytest.raises(ValueError, match="record_every"):
-            integrate_choreography(ctx, V, 0.01, 5, record_every=record_every)
-
-    def test_collision_abort_keeps_partial_trajectory(self):
-        pts = [Vec2(-1e-10, 0.0), Vec2(1e-10, 0.0), Vec2(1.0, 1.0)]
-        vels = [Vec2(0.95, 0.0), Vec2(-0.95, 0.0), Vec2(0.0, 0.0)]
-        with pytest.raises(CollisionError) as err:
-            integrate(pts, vels, V, dt=1e-10, n_steps=10)
-        assert err.value.step_index is not None
-        assert err.value.partial is not None
-        assert len(err.value.partial.points) >= 1
+        with pytest.raises(RuntimeError, match="exhaust"):
+            integrate(s.positions, s.velocities, U, 0.01, 5, consume=next)
 
     def test_order_two_position_convergence(self, ctx, period):
         errs = []
+        s = triple(0.0, ctx)
         for n in (2**12, 2**13):
-            traj = integrate_choreography(ctx, V, period / n, n, record_every=n)
+            last = final_row(s.positions, s.velocities, V, period / n, n)
             ref = triple(period, ctx)
-            errs.append(
-                max((p - q).norm() for p, q in zip(traj.final.positions, ref.positions))
-            )
+            errs.append(max((p - q).norm() for p, q in zip(row_positions(last), ref.positions)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_energy_drift_order_two(self, ctx, period):
-        drifts = []
-        for n in (2**12, 2**13):
-            traj = integrate_choreography(ctx, U, period / n, n, record_every=n)
-            drifts.append(traj.energy_drift)
+        s = triple(0.0, ctx)
+        drifts = [
+            integrate(s.positions, s.velocities, U, period / n, n,
+                      consume=deque(maxlen=0).extend)[0]
+            for n in (2**12, 2**13)
+        ]
         assert 3.0 < drifts[0] / drifts[1] < 5.0
 
     def test_pairwise_variant_conserves_center_of_mass(self, ctx, period):
         n = 2**12
-        traj = integrate_choreography(ctx, V, period / n, n, record_every=n)
-        com = traj.final.positions[0] + traj.final.positions[1] + traj.final.positions[2]
+        s = triple(0.0, ctx)
+        final = row_positions(final_row(s.positions, s.velocities, V, period / n, n))
+        com = final[0] + final[1] + final[2]
         assert com.norm() < 1e-11
 
     def test_central_variant_translated_ic_drifts(self, ctx, period):
@@ -300,80 +301,71 @@ class TestIntegrate:
         pts = [position(p, ctx) + shift for p in phases]
         vels = [velocity(p, ctx) for p in phases]
         n = 2**12
-        traj = integrate(pts, vels, U, period / n, n, record_every=n)
-        com = (1.0 / 3.0) * (
-            traj.final.positions[0] + traj.final.positions[1] + traj.final.positions[2]
-        )
+        final = row_positions(final_row(pts, vels, U, period / n, n))
+        com = (1.0 / 3.0) * (final[0] + final[1] + final[2])
         assert (com - shift).norm() > 1e-3
 
     def test_angular_momentum_conserved(self, ctx, period):
         n = 2**12
+        s = triple(0.0, ctx)
         for variant in (U, V):
-            traj = integrate_choreography(ctx, variant, period / n, n, record_every=64)
+            rows, _, _ = collect(s.positions, s.velocities, variant, period / n, n)
             l_vals = [
-                sum(p.cross(v) for p, v in zip(pt.positions, pt.velocities))
-                for pt in traj.points
+                sum(p.cross(v) for p, v in zip(row_positions(row), row_velocities(row)))
+                for row in rows
             ]
+            assert len(l_vals) == n + 1
             assert max(abs(l) for l in l_vals) < 1e-12
 
     @pytest.mark.parametrize("variant", [U, V])
     def test_recorded_energy_is_total_energy(self, ctx, variant):
-        traj = integrate_choreography(ctx, variant, 0.01, 64, record_every=4, t0=0.7)
-        assert len(traj.points) == 17
-        for pt in traj.points:
-            assert pt.energy == total_energy(pt.positions, pt.velocities, variant)
+        s = triple(0.7, ctx)
+        rows, _, _ = collect(s.positions, s.velocities, variant, 0.01, 64)
+        assert len(rows) == 65
+        for row in rows:
+            assert row[-1] == total_energy(row_positions(row), row_velocities(row), variant)
 
     @pytest.mark.parametrize("variant", [U, V])
     def test_energy_drift_is_max_over_every_step(self, ctx, variant):
-        traj = integrate_choreography(ctx, variant, 0.05, 200, record_every=1)
-        e0 = traj.points[0].energy
-        assert traj.energy_drift > 0.0
-        assert traj.energy_drift == max(abs(pt.energy - e0) for pt in traj.points)
+        s = triple(0.0, ctx)
+        rows, drift, _ = collect(s.positions, s.velocities, variant, 0.05, 200)
+        e0 = rows[0][-1]
+        assert drift > 0.0
+        assert drift == max(abs(row[-1] - e0) for row in rows)
 
     def test_collision_at_start_reports_step_zero(self):
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
         vels = [Vec2(0.0, 0.0)] * 3
+        rows = []
         with pytest.raises(CollisionError) as err:
-            integrate(pts, vels, U, dt=0.1, n_steps=10)
+            integrate(pts, vels, U, dt=0.1, n_steps=10, consume=rows.extend)
         assert err.value.step_index == 0
-        assert err.value.partial.points == []
+        assert rows == []
 
-    def test_recorded_samples_uniform(self, ctx, period):
-        traj = integrate_choreography(ctx, V, 0.01, 32)
-        ts = [pt.t for pt in traj.points]
-        assert ts == pytest.approx([0.01 * i for i in range(33)], abs=1e-12)
+    def test_recorded_samples_uniform(self, ctx):
+        s = triple(0.0, ctx)
+        rows, _, _ = collect(s.positions, s.velocities, V, 0.01, 32)
+        assert [row[0] for row in rows] == pytest.approx([0.01 * i for i in range(33)], abs=1e-12)
 
-    def test_rows_are_one_flat_array(self, ctx):
-        traj = integrate_choreography(ctx, U, 0.01, 10, record_every=3)
-        assert traj.rows.typecode == "d"
-        assert len(traj.rows) == ROW_WIDTH * len(traj.points) == ROW_WIDTH * 5
-        flat = []
-        for pt in traj.points:
-            flat.append(pt.t)
-            for p, v in zip(pt.positions, pt.velocities):
-                flat += [p.x, p.y, v.x, v.y]
-            flat.append(pt.energy)
-        assert list(traj.rows) == flat
-        assert traj.final == traj.points[-1]
+    def test_rows_are_row_fields_tuples(self, ctx):
+        s = triple(0.0, ctx)
+        rows, _, last = collect(s.positions, s.velocities, U, 0.01, 10)
+        assert len(rows) == 11
+        assert all(type(row) is tuple and len(row) == len(ROW_FIELDS) for row in rows)
+        assert row_positions(rows[0]) == list(s.positions)
+        assert row_velocities(rows[0]) == list(s.velocities)
+        assert last is rows[-1]
 
-    def test_collision_partial_points_are_trajectory_points(self):
+    def test_collision_delivers_the_rows_before_it(self):
         pts = [Vec2(-1e-10, 0.0), Vec2(1e-10, 0.0), Vec2(1.0, 1.0)]
         vels = [Vec2(0.95, 0.0), Vec2(-0.95, 0.0), Vec2(0.0, 0.0)]
+        rows = []
         with pytest.raises(CollisionError) as err:
-            integrate(pts, vels, V, dt=1e-10, n_steps=10)
-        partial = err.value.partial.points
-        assert isinstance(partial, list)
-        assert len(partial) == err.value.step_index
-        assert all(isinstance(pt, TrajectoryPoint) for pt in partial)
-        assert partial[0].positions == tuple(pts)
-        assert partial[0].velocities == tuple(vels)
-
-    def test_empty_partial_has_no_final(self):
-        pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
-        with pytest.raises(CollisionError) as err:
-            integrate(pts, [Vec2(0.0, 0.0)] * 3, U, dt=0.1, n_steps=10)
-        with pytest.raises(IndexError):
-            err.value.partial.final
+            integrate(pts, vels, V, dt=1e-10, n_steps=10, consume=rows.extend)
+        assert err.value.step_index >= 1
+        assert len(rows) == err.value.step_index
+        assert row_positions(rows[0]) == pts
+        assert row_velocities(rows[0]) == vels
 
 
 # The loop kernel that the unrolled one replaced, kept as the bit-exact
@@ -429,8 +421,8 @@ def loop_kinetic(vx, vy):
     return 0.5 * k
 
 
-def loop_integrate(positions, velocities, central, dt, n_steps, record_every):
-    """(recorded rows, energy drift) of the loop-kernel velocity Verlet."""
+def loop_integrate(positions, velocities, central, dt, n_steps):
+    """(rows of every step, flattened; energy drift) of the loop-kernel velocity Verlet."""
     px = [p.x for p in positions]
     py = [p.y for p in positions]
     vx = [v.x for v in velocities]
@@ -460,14 +452,17 @@ def loop_integrate(positions, velocities, central, dt, n_steps, record_every):
             vy[i] += half * fy[i]
         energy = loop_kinetic(vx, vy) + loop_potential(px, py, central)
         drift = max(drift, abs(energy - e0))
-        if step % record_every == 0 or step == n_steps:
-            record(step * dt, energy)
+        record(step * dt, energy)
     return rows, drift
 
 
 def bits(xs):
     """The IEEE bytes of a float sequence: unlike ==, tells -0.0 from 0.0."""
     return array("d", xs).tobytes()
+
+
+def flat(rows):
+    return [x for row in rows for x in row]
 
 
 class TestLoopOracle:
@@ -499,14 +494,13 @@ class TestLoopOracle:
             fx, fy = loop_forces(xs, [p.y for p in pts], central)
             got = [c for f in forces(pts, variant) for c in (f.x, f.y)]
             assert bits(got) == bits([c for i in range(3) for c in (fx[i], fy[i])])
-            traj = integrate(pts, vels, variant, 0.01, 50)
-            rows, _ = loop_integrate(pts, vels, central, 0.01, 50, 1)
-            assert bits(traj.rows) == bits(rows)
+            rows, _, _ = collect(pts, vels, variant, 0.01, 50)
+            want, _ = loop_integrate(pts, vels, central, 0.01, 50)
+            assert bits(flat(rows)) == bits(want)
 
-    @pytest.mark.parametrize("record_every", [1, 3])
     @pytest.mark.parametrize("init", ["analytic", "seeded"])
     @pytest.mark.parametrize("variant", [U, V])
-    def test_integrate_bit_equal(self, ctx, period, variant, init, record_every):
+    def test_integrate_bit_equal(self, ctx, period, variant, init):
         if init == "analytic":
             s = triple(0.0, ctx)
             pts, vels, dt = s.positions, s.velocities, period / 65536.0
@@ -516,11 +510,11 @@ class TestLoopOracle:
             vels = [Vec2(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3)]
             dt = 1e-3
         n = 5000
-        traj = integrate(pts, vels, variant, dt, n, record_every=record_every)
-        rows, drift = loop_integrate(pts, vels, variant is U, dt, n, record_every)
-        assert len(rows) == ROW_WIDTH * (n // record_every + 1 + (n % record_every != 0))
-        assert bits(traj.rows) == bits(rows)
-        assert bits([traj.energy_drift]) == bits([drift])
+        rows, drift, _ = collect(pts, vels, variant, dt, n)
+        want, want_drift = loop_integrate(pts, vels, variant is U, dt, n)
+        assert len(rows) == n + 1
+        assert bits(flat(rows)) == bits(want)
+        assert bits([drift]) == bits([want_drift])
 
 
 class TestCollisions:
@@ -539,10 +533,11 @@ class TestCollisions:
         ):
             with pytest.raises(CollisionError, match=message):
                 call()
+        rows = []
         with pytest.raises(CollisionError, match=message) as err:
-            integrate(pts, vels, variant, dt=0.1, n_steps=10)
+            integrate(pts, vels, variant, dt=0.1, n_steps=10, consume=rows.extend)
         assert err.value.step_index == 0
-        assert err.value.partial.points == []
+        assert rows == []
 
     @pytest.mark.parametrize("variant", [U, V])
     def test_collision_at_later_step(self, variant):
@@ -559,8 +554,9 @@ class TestCollisions:
         lo, hi = 16.0, 24.0
         for _ in range(100):
             v = 0.5 * (lo + hi)
+            rows = []
             try:
-                x = integrate(*head_on(v), variant, dt, k).final.positions[0].x
+                x = integrate(*head_on(v), variant, dt, k, consume=rows.extend)[1][1]
             except CollisionError as exc:
                 err = exc
                 break
@@ -568,11 +564,12 @@ class TestCollisions:
         else:
             pytest.fail("the bisection found no collision")
         assert err.step_index == k
-        # Every step before the collision is recorded, none after it.
-        assert len(err.partial.points) == k
-        before = integrate(*head_on(v), variant, dt, k - 1)
-        assert bits(err.partial.rows) == bits(before.rows)
-        assert err.partial.energy_drift == before.energy_drift
+        # Every step before the collision is delivered, none after it: rows of
+        # steps 0 .. k - 1, bit-equal to a (k - 1)-step run, whose drift they give.
+        assert len(rows) == k
+        before, drift, _ = collect(*head_on(v), variant, dt, k - 1)
+        assert bits(flat(rows)) == bits(flat(before))
+        assert max(abs(row[-1] - rows[0][-1]) for row in rows) == drift
 
 
 class TestOneBody:
