@@ -13,7 +13,7 @@ from .elliptic import (
     sn_cn_dn,
     sn_cn_dn_complex,
 )
-from .orbit import BodyState, TripleState, Vec2, acceleration, position, triple, velocity
+from .orbit import BodyState, TripleState, Vec2, acceleration, triple, velocity
 from .invariants import InvariantReport, full_report
 from .dynamics import (
     CollisionError,

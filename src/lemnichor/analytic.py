@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex, sn_cn_dn_lines
 from .invariants import angular_momentum
@@ -80,16 +80,14 @@ class NoZeroOrPoleError(ValueError):
     """A locate_pole circle has winding 0: no zero or pole left inside."""
 
 
-@dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(NamedTuple):
     """A simple pole inside the fundamental cell with its claimed residue."""
 
     location: Cplx
     claimed_residue: Cplx
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     claimed: Cplx
     observed: Cplx

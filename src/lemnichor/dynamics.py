@@ -22,7 +22,7 @@ import enum
 import math
 
 from .elliptic import EllipticContext
-from .orbit import Vec2, triple
+from .orbit import Vec2, coords, triple_phases
 
 SQRT3 = math.sqrt(3.0)
 
@@ -151,11 +151,19 @@ def total_energy(positions, velocities, variant: PotentialVariant) -> float:
 
 
 def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> float:
-    """Max over bodies of |a_i(analytic) - F_newton(i) - F_repulsive(i)|."""
-    s = triple(t, ctx)
-    f = _kernel(*_coords(s.positions), variant is PotentialVariant.U_CENTRAL)
-    return max(math.hypot(b.acc.x - fx, b.acc.y - fy)
-               for b, fx, fy in zip(s.bodies, f[0:6:2], f[1:6:2]))
+    """Max over bodies of |a_i(analytic) - F_newton(i) - F_repulsive(i)|.
+
+    Reads each body's position and acceleration from orbit.coords, one
+    elliptic evaluation per body, and the forces from the kernel's tuple.
+    """
+    t0, t1, t2 = triple_phases(t, ctx)
+    x0, y0, _, _, ax0, ay0 = coords(t0, ctx)
+    x1, y1, _, _, ax1, ay1 = coords(t1, ctx)
+    x2, y2, _, _, ax2, ay2 = coords(t2, ctx)
+    f = _kernel(x0, y0, x1, y1, x2, y2, variant is PotentialVariant.U_CENTRAL)
+    return max(math.hypot(ax0 - f[0], ay0 - f[1]),
+               math.hypot(ax1 - f[2], ay1 - f[3]),
+               math.hypot(ax2 - f[4], ay2 - f[5]))
 
 
 # The layout of one row of integrate(), and the trajectory CSV columns.

@@ -22,7 +22,7 @@ to contour quadrature, not direct evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Squared modulus of the lemniscate choreography: the unique value for which
 # the three-body configuration keeps its center of mass fixed.
@@ -71,8 +71,7 @@ def _landen_chain(m: float) -> tuple[float, ...]:
     return tuple(ks)
 
 
-@dataclass(frozen=True)
-class EllipticContext:
+class EllipticContext(NamedTuple):
     """Immutable evaluation context for one squared modulus m.
 
     Holds the quarter periods K and K' (K' is the quarter period of the

@@ -30,8 +30,8 @@ instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .elliptic import EllipticContext
 from .orbit import TripleState, Vec2, body_state, triple
@@ -56,8 +56,7 @@ class NoIntersectionError(ValueError):
     """A tangent line misses the rectangular hyperbola."""
 
 
-@dataclass(frozen=True)
-class ConcurrencyPoint:
+class ConcurrencyPoint(NamedTuple):
     """Common intersection of the three tangent lines, c = x_i + lambda_i v_i."""
 
     c: Vec2
@@ -65,8 +64,7 @@ class ConcurrencyPoint:
     finite: bool
 
 
-@dataclass(frozen=True)
-class TangencyCandidate:
+class TangencyCandidate(NamedTuple):
     """A point of the lemniscate whose tangent line passes through a query point."""
 
     s: float

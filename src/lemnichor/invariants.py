@@ -17,7 +17,7 @@ rho^-2 = 9 |x|^2 and v^2 + (m - 1/2) x^2 = 1/2 (the latter at every modulus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import EllipticContext, make_context
 from .orbit import TripleState, Vec2, acceleration, body_state, triple, velocity
@@ -91,8 +91,7 @@ def product_sq_distances(s: TripleState) -> float:
     return r12 * r23 * r31
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """All conserved quantities at one time sample plus named residuals."""
 
     t: float
@@ -113,8 +112,9 @@ def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
     ang = angular_momentum(s)
     kin = kinetic_energy(s)
     csq = curvature_sq_sum(s, ctx)
-    ssd = sum_sq_distances(s)
-    psd = product_sq_distances(s)
+    pairs = _pair_sq_distances(s)
+    ssd = sum(pairs)
+    psd = pairs[0] * pairs[1] * pairs[2]
     residuals = {
         "center_of_mass": com.norm(),
         "moment_of_inertia": abs(moi - EXPECTED_MOMENT_OF_INERTIA),

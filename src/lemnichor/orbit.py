@@ -16,14 +16,17 @@ t - 4K/3 of the same orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import EllipticContext, sn_cn_dn
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Plane vector."""
+class Vec2(NamedTuple):
+    """Plane vector.
+
+    An immutable tuple underneath, with vector arithmetic: + and - are
+    componentwise and * scales, never tuple concatenation or repetition.
+    """
 
     x: float
     y: float
@@ -56,8 +59,7 @@ class Vec2:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class BodyState:
+class BodyState(NamedTuple):
     """Position, velocity and acceleration of one body at phase t."""
 
     pos: Vec2
@@ -66,8 +68,7 @@ class BodyState:
     t: float
 
 
-@dataclass(frozen=True)
-class TripleState:
+class TripleState(NamedTuple):
     """The three choreographic bodies at a common time.
 
     bodies are ordered by phase (t, t + 4K/3, t - 4K/3); downstream body
@@ -92,56 +93,47 @@ def lemniscate_residual(p: Vec2) -> float:
     return r2 * r2 - (p.x * p.x - p.y * p.y)
 
 
-def _derivs(s: float, c: float, d: float, m: float):
-    # First and second derivatives of (x, y) as rational functions of
-    # (sn, cn, dn); see module docstring for the differentiation rules.
+def coords(t: float, ctx: EllipticContext) -> tuple[float, float, float, float, float, float]:
+    """(x, y, vx, vy, ax, ay) of one body at phase t from one elliptic evaluation.
+
+    Velocity and acceleration are rational functions of (sn, cn, dn); see the
+    module docstring for the differentiation rules.
+    """
+    s, c, d = sn_cn_dn(t, ctx)
+    m = ctx.m
     cc = c * c
     dd = d * d
     one = 1.0 + cc
     one2 = one * one
     one3 = one2 * one
-    vx = c * d * (3.0 - cc) / one2
-    vy = d * (3.0 * cc - 1.0) / one2
-    ax = s * (
-        (-(dd + m * cc) * (3.0 - cc) + 2.0 * cc * dd) / one2
-        + 4.0 * cc * dd * (3.0 - cc) / one3
-    )
-    ay = (
+    return (
+        s / one,
+        s * c / one,
+        c * d * (3.0 - cc) / one2,
+        d * (3.0 * cc - 1.0) / one2,
+        s * (
+            (-(dd + m * cc) * (3.0 - cc) + 2.0 * cc * dd) / one2
+            + 4.0 * cc * dd * (3.0 - cc) / one3
+        ),
         (-m * s * c * (3.0 * cc - 1.0) - 6.0 * s * c * dd) / one2
-        + 4.0 * s * c * dd * (3.0 * cc - 1.0) / one3
+        + 4.0 * s * c * dd * (3.0 * cc - 1.0) / one3,
     )
-    return vx, vy, ax, ay
-
-
-def position(t: float, ctx: EllipticContext) -> Vec2:
-    s, c, _ = sn_cn_dn(t, ctx)
-    den = 1.0 + c * c
-    return Vec2(s / den, s * c / den)
 
 
 def velocity(t: float, ctx: EllipticContext) -> Vec2:
-    s, c, d = sn_cn_dn(t, ctx)
-    vx, vy, _, _ = _derivs(s, c, d, ctx.m)
+    _, _, vx, vy, _, _ = coords(t, ctx)
     return Vec2(vx, vy)
 
 
 def acceleration(t: float, ctx: EllipticContext) -> Vec2:
-    s, c, d = sn_cn_dn(t, ctx)
-    _, _, ax, ay = _derivs(s, c, d, ctx.m)
+    _, _, _, _, ax, ay = coords(t, ctx)
     return Vec2(ax, ay)
 
 
 def body_state(t: float, ctx: EllipticContext) -> BodyState:
     """Full state at phase t from a single elliptic evaluation."""
-    s, c, d = sn_cn_dn(t, ctx)
-    den = 1.0 + c * c
-    vx, vy, ax, ay = _derivs(s, c, d, ctx.m)
-    return BodyState(
-        pos=Vec2(s / den, s * c / den),
-        vel=Vec2(vx, vy),
-        acc=Vec2(ax, ay),
-        t=t,
-    )
+    x, y, vx, vy, ax, ay = coords(t, ctx)
+    return BodyState(Vec2(x, y), Vec2(vx, vy), Vec2(ax, ay), t)
 
 
 def triple_phases(t: float, ctx: EllipticContext) -> tuple[float, float, float]:

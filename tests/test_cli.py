@@ -16,7 +16,7 @@ import pytest
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
-from lemnichor.orbit import position, triple, velocity
+from lemnichor.orbit import body_state, triple, velocity
 
 
 def run_cli(args, capsys):
@@ -57,7 +57,7 @@ class TestSample:
         third = ctx.K / 3.0
         for j, row in enumerate(rows):
             assert row[0] == pytest.approx(j * third, abs=1e-12)
-            p = position(j * third, ctx)
+            p = body_state(j * third, ctx).pos
             assert row[1] == pytest.approx(p.x, abs=1e-15)
             assert row[2] == pytest.approx(p.y, abs=1e-15)
 
@@ -66,7 +66,7 @@ class TestSample:
         assert code == 0
         _, rows = parse_csv(out)
         t = rows[1][0]
-        p, v = position(t, ctx), velocity(t, ctx)
+        p, v = body_state(t, ctx).pos, velocity(t, ctx)
         assert rows[1][1] == pytest.approx(p.x, abs=1e-15)
         assert rows[1][2] == pytest.approx(CHOREO_M * p.y, abs=1e-15)
         assert rows[1][4] == pytest.approx(v.y, abs=1e-15)

@@ -20,7 +20,7 @@ from lemnichor.geometry import (
     tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, body_state, position, triple, velocity
+from lemnichor.orbit import Vec2, body_state, triple, velocity
 
 
 def line_distance(c, point, direction):
@@ -38,7 +38,7 @@ ORACLE_NODES = 4096
 @lru_cache(maxsize=1)
 def _oracle_grid(ctx):
     nodes = [j * ctx.period / ORACLE_NODES for j in range(ORACLE_NODES)]
-    return [position(s, ctx) for s in nodes], [velocity(s, ctx) for s in nodes]
+    return [body_state(s, ctx).pos for s in nodes], [velocity(s, ctx) for s in nodes]
 
 
 def dense_bisection_roots(c, ctx):
@@ -64,7 +64,7 @@ def dense_bisection_roots(c, ctx):
         fa = gj
         while b - a > BISECT_TOL:
             mid = 0.5 * (a + b)
-            fm = (c - position(mid, ctx)).cross(velocity(mid, ctx))
+            fm = (c - body_state(mid, ctx).pos).cross(velocity(mid, ctx))
             if fa * fm <= 0.0:
                 b = mid
             else:
@@ -209,7 +209,7 @@ class TestTangentsFromPoint:
         prev = None
         for j in range(n + 1):
             s = (j % n) * period / n
-            g = (c - position(s, ctx)).cross(velocity(s, ctx))
+            g = (c - body_state(s, ctx).pos).cross(velocity(s, ctx))
             if prev is not None and prev * g < 0.0:
                 signs += 1
             prev = g
@@ -219,9 +219,9 @@ class TestTangentsFromPoint:
     def test_tangency_gap_refined_below_threshold(self, ctx):
         c = Vec2(math.sqrt(2.0), 1.0)
         for cand in tangents_from_point(c, ctx):
-            g = (c - position(cand.s, ctx)).cross(velocity(cand.s, ctx))
+            g = (c - body_state(cand.s, ctx).pos).cross(velocity(cand.s, ctx))
             assert abs(g) < 1e-12
-            assert (cand.point - position(cand.s, ctx)).norm() <= 1e-10
+            assert (cand.point - body_state(cand.s, ctx).pos).norm() <= 1e-10
 
     def test_axis_point_candidates_pair_up(self, ctx, period):
         # For c on the x axis the tangency phases come in mirror pairs
@@ -367,13 +367,13 @@ class TestCompleteTripleFromPoint:
 
     def test_selected_intersection_moves_up_under_forward_nudge(self, ctx):
         t = ctx.K / 5.0
-        x1, v1 = position(t, ctx), velocity(t, ctx)
+        x1, v1 = body_state(t, ctx).pos, velocity(t, ctx)
         ds = tangent_hyperbola_intersections(x1, v1)
         assert len(ds) == 2
         sel = [d for d in ds if quadrant(d) != quadrant(x1)][0]
         rej = ds[0] if ds[1] is sel else ds[1]
         moved = tangent_hyperbola_intersections(
-            position(t + 1e-5, ctx), velocity(t + 1e-5, ctx)
+            body_state(t + 1e-5, ctx).pos, velocity(t + 1e-5, ctx)
         )
         sel2 = min(moved, key=lambda p: (p - sel).norm())
         rej2 = min(moved, key=lambda p: (p - rej).norm())
@@ -430,7 +430,7 @@ class TestTangentHyperbolaIntersections:
 
     def test_intersections_on_hyperbola(self, ctx):
         for t in (0.3, 1.1, 2.7):
-            ds = tangent_hyperbola_intersections(position(t, ctx), velocity(t, ctx))
+            ds = tangent_hyperbola_intersections(body_state(t, ctx).pos, velocity(t, ctx))
             for d in ds:
                 assert abs(hyperbola_residual(d)) <= 1e-10
 
@@ -527,7 +527,7 @@ class TestObservedProperties:
         # "Forward" is increasing t; at every origin passage the body must be
         # heading up, which pins the convention to the curve orientation.
         for t in (0.0, 2.0 * ctx.K):
-            assert position(t, ctx).norm() <= 1e-13
+            assert body_state(t, ctx).pos.norm() <= 1e-13
             assert velocity(t, ctx).y > 0.0
 
     def test_sweep_row_fields(self, ctx):

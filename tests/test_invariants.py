@@ -110,12 +110,12 @@ class TestCurvature:
         assert curvature(ctx.K, ctx) == pytest.approx(3.0, abs=1e-9)
 
     def test_pointwise_relation(self, ctx, period):
-        from lemnichor.orbit import position
+        from lemnichor.orbit import body_state
 
         for i in range(200):
             t = i * period / 200.0 + 0.003
             rho_inv = curvature(t, ctx)
-            assert abs(rho_inv**2 - 9.0 * position(t, ctx).norm_sq()) <= 1e-9
+            assert abs(rho_inv**2 - 9.0 * body_state(t, ctx).pos.norm_sq()) <= 1e-9
 
     def test_sum_over_triple(self, ctx, period):
         for i in range(100):

@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lemnichor
+from lemnichor.analytic import CheckResult, PoleSpec
+from lemnichor.elliptic import CHOREO_M, make_context
+from lemnichor.geometry import _scan_grid, concurrency_point, tangents_from_point
+from lemnichor.invariants import full_report
 from lemnichor.orbit import (
     Vec2,
     acceleration,
+    body_state,
     lemniscate_residual,
-    position,
     triple,
     velocity,
 )
@@ -24,33 +34,33 @@ def second_difference(f, t, h):
 
 class TestPosition:
     def test_origin(self, ctx):
-        assert position(0.0, ctx) == Vec2(0.0, 0.0)
+        assert body_state(0.0, ctx).pos == Vec2(0.0, 0.0)
 
     def test_right_apex(self, ctx):
-        p = position(ctx.K, ctx)
+        p = body_state(ctx.K, ctx).pos
         assert p.x == pytest.approx(1.0, abs=1e-14)
         assert p.y == pytest.approx(0.0, abs=1e-14)
 
     def test_four_thirds_closed_form(self, ctx):
         # Algebraic substitution of the K/3-grid special values into the
         # parameterization gives (p, q) below; confirmed numerically.
-        p = position(4.0 * ctx.K / 3.0, ctx)
+        p = body_state(4.0 * ctx.K / 3.0, ctx).pos
         assert p.x == pytest.approx(P0, abs=1e-13)
         assert p.y == pytest.approx(Q0, abs=1e-13)
 
     def test_on_lemniscate_everywhere(self, ctx, period):
         for i in range(500):
             t = i * period / 500.0
-            assert abs(lemniscate_residual(position(t, ctx))) <= 1e-12
+            assert abs(lemniscate_residual(body_state(t, ctx).pos)) <= 1e-12
 
     def test_periodicity(self, ctx, period):
         for t in (0.1, 0.9, 2.3, 3.7):
-            d = position(t + period, ctx) - position(t, ctx)
+            d = body_state(t + period, ctx).pos - body_state(t, ctx).pos
             assert d.norm() <= 1e-12
 
     def test_oddness(self, ctx):
         for t in (0.25, 1.1, 2.2, 4.9):
-            d = position(-t, ctx) + position(t, ctx)
+            d = body_state(-t, ctx).pos + body_state(t, ctx).pos
             assert d.norm() <= 1e-13
 
 
@@ -70,7 +80,7 @@ class TestVelocity:
         h = 1e-6
         for i in range(100):
             t = i * period / 100.0 + 0.0007
-            fd = central_difference(lambda u: position(u, ctx), t, h)
+            fd = central_difference(lambda u: body_state(u, ctx).pos, t, h)
             v = velocity(t, ctx)
             assert abs(v.x - fd.x) <= 1e-8
             assert abs(v.y - fd.y) <= 1e-8
@@ -83,7 +93,7 @@ class TestAcceleration:
         h = 1e-4
         for i in range(100):
             t = i * period / 100.0 + 0.0007
-            fd = second_difference(lambda u: position(u, ctx), t, h)
+            fd = second_difference(lambda u: body_state(u, ctx).pos, t, h)
             a = acceleration(t, ctx)
             assert abs(a.x - fd.x) <= 1e-6
             assert abs(a.y - fd.y) <= 1e-6
@@ -95,7 +105,7 @@ class TestAcceleration:
 
     def test_finite_at_apex(self, ctx):
         a = acceleration(ctx.K, ctx)
-        fd = second_difference(lambda u: position(u, ctx), ctx.K, 1e-4)
+        fd = second_difference(lambda u: body_state(u, ctx).pos, ctx.K, 1e-4)
         assert abs(a.x - fd.x) <= 1e-6
         assert abs(a.y - fd.y) <= 1e-6
 
@@ -140,8 +150,64 @@ class TestTriple:
         third = ctx.K / 3.0
         triples = [triple(j * third, ctx) for j in range(4)]
         for j in range(12):
-            p = position(j * third, ctx)
+            p = body_state(j * third, ctx).pos
             best = min(
                 (q - p).norm() for q in triples[j % 4].positions
             )
             assert best <= 1e-12
+
+
+class TestValueTypes:
+    def test_vector_arithmetic_is_componentwise(self):
+        v, w = Vec2(1.0, 2.0), Vec2(0.5, -4.0)
+        for got, want in (
+            (v + w, (1.5, -2.0)),
+            (v - w, (0.5, 6.0)),
+            (3.0 * v, (3.0, 6.0)),
+            (v * 3.0, (3.0, 6.0)),
+            (2 * v, (2.0, 4.0)),
+            (v * 2, (2.0, 4.0)),
+            (-v, (-1.0, -2.0)),
+        ):
+            assert type(got) is Vec2
+            assert (got.x, got.y) == want
+
+    def test_fields_cannot_be_assigned(self, ctx):
+        s = triple(0.3, ctx)
+        values = [
+            Vec2(1.0, 2.0), s.bodies[0], s, full_report(0.3, ctx), ctx,
+            concurrency_point(s), tangents_from_point(Vec2(2.0 ** 0.5, 1.0), ctx)[0],
+            PoleSpec(location=1j, claimed_residue=-1j),
+            CheckResult(name="n", claimed=0j, observed=0j, residual=0.0, passed=True),
+        ]
+        assert len({type(v) for v in values}) == 9
+        for value in values:
+            with pytest.raises(AttributeError):
+                setattr(value, value._fields[0], 0.0)
+
+    def test_repr(self):
+        assert repr(Vec2(1.0, 2.0)) == "Vec2(x=1.0, y=2.0)"
+
+    def test_context_is_a_value_key(self, ctx):
+        # EllipticContext keys the _scan_grid cache: a context rebuilt for the
+        # same modulus is equal, hashes the same and hits the cache.
+        again = make_context(CHOREO_M)
+        assert again is not ctx and again == ctx and hash(again) == hash(ctx)
+        assert _scan_grid(again) is _scan_grid(ctx)
+        assert make_context(0.5) != ctx
+
+    def test_import_does_not_load_dataclasses(self):
+        # A fresh interpreter, comparing sys.modules around the import, so
+        # that a module a site hook loads at start-up does not count.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import lemnichor\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        src = str(Path(lemnichor.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert "lemnichor.orbit" in out
+        assert "dataclasses" not in out
