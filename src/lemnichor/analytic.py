@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex, sn_cn_dn_lines
 from .invariants import angular_momentum
-from .orbit import triple
+from .orbit import ordered_sum, triple
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -359,9 +359,9 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
         v = abs(delta_x_minus(t0 + h * cmath.exp(0.7j), ctx))
         logs_h.append(math.log(h))
         logs_v.append(math.log(v))
-    mh = sum(logs_h) / n_h
-    mv = sum(logs_v) / n_h
-    slope = sum((a - mh) * (b - mv) for a, b in zip(logs_h, logs_v)) / sum(
+    mh = ordered_sum(logs_h) / n_h
+    mv = ordered_sum(logs_v) / n_h
+    slope = ordered_sum((a - mh) * (b - mv) for a, b in zip(logs_h, logs_v)) / ordered_sum(
         (a - mh) ** 2 for a in logs_h
     )
 
@@ -373,7 +373,7 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
         vals = _circle(lambda z: delta_x_minus(z, ctx), t0, r)
         inv = [1.0 / v for v in vals]
         per_radius.append([_mean(f, k) / r**k for f, k in ((vals, 3), (vals, 5), (inv, -3), (inv, -1))])
-    c3, c5, p3, p1 = (sum(pair) / len(pair) for pair in zip(*per_radius))
+    c3, c5, p3, p1 = (ordered_sum(pair) / len(pair) for pair in zip(*per_radius))
 
     h = complex(0.3, 0.2)
     odd = delta_x_minus(t0 + h, ctx) + delta_x_minus(t0 - h, ctx)
@@ -437,7 +437,7 @@ def line_windings(ctx: EllipticContext) -> list[Cplx]:
     h = 4.0 * ctx.K / n
     us = [-2.0 * ctx.K + j * h for j in range(n)]
     lines = sn_cn_dn_lines(us, [y * ctx.Kprime for y in CENSUS_LINES], ctx)
-    return [sum(_x_plus_log_d1(*scd) for scd in line) * h / (2j * math.pi) for line in lines]
+    return [ordered_sum(_x_plus_log_d1(*scd) for scd in line) * h / (2j * math.pi) for line in lines]
 
 
 def _strips(lines: list[Cplx]):

@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import platform
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from . import __version__, analytic, dynamics, geometry, invariants
+# The layers that only some commands run (analytic, geometry, invariants) are
+# imported inside those commands, so that a run loads no module it does not use.
+from . import __version__, dynamics
 from .elliptic import CHOREO_M, choreography_context
 from .orbit import Vec2, body_state, triple
 
@@ -47,20 +47,36 @@ DEFAULT_TOLERANCES = {
 CSV_CHUNK_ROWS = 2048
 
 
-@dataclass
 class RunConfig:
-    command: str
-    n_samples: int = 1000
-    dt: float | None = None
-    steps: int = 65536
-    variant: dynamics.PotentialVariant = dynamics.PotentialVariant.U_CENTRAL
-    output_path: Path | None = None
-    format: str = "csv"
-    affine: bool = False
-    tolerance_scale: float = 1.0
-    init: str = "analytic"
-    from_c: tuple[float, float] | None = None
-    from_point: float | None = None
+    """Every setting of one run; the sidecar's ``config`` is read from ``vars()``."""
+
+    def __init__(
+        self,
+        command: str,
+        n_samples: int = 1000,
+        dt: float | None = None,
+        steps: int = 65536,
+        variant: dynamics.PotentialVariant = dynamics.PotentialVariant.U_CENTRAL,
+        output_path: Path | None = None,
+        format: str = "csv",
+        affine: bool = False,
+        tolerance_scale: float = 1.0,
+        init: str = "analytic",
+        from_c: tuple[float, float] | None = None,
+        from_point: float | None = None,
+    ) -> None:
+        self.command = command
+        self.n_samples = n_samples
+        self.dt = dt
+        self.steps = steps
+        self.variant = variant
+        self.output_path = output_path
+        self.format = format
+        self.affine = affine
+        self.tolerance_scale = tolerance_scale
+        self.init = init
+        self.from_c = from_c
+        self.from_point = from_point
 
 
 def _write_text(cfg: RunConfig, chunks) -> None:
@@ -82,10 +98,12 @@ def _write_text(cfg: RunConfig, chunks) -> None:
                 if path.is_file():
                     path.unlink()
             raise
+    import platform
+
     # Every setting of the run, so that the run can be replayed from it.
     config = {k: v for k, v in vars(cfg).items() if k not in ("command", "output_path")}
     config["variant"] = cfg.variant.value
-    # The interpreter too: output bits can depend on it (sum() of floats changed in 3.12).
+    # The interpreter too, so that a run can be replayed on the same one.
     sidecar = {"command": cfg.command, "config": config, "python": platform.python_version(),
                "tool": f"lemnichor {__version__}"}
     sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
@@ -144,6 +162,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import invariants
+
     ctx = choreography_context()
     period = ctx.period
     worst: dict[str, float] = {}
@@ -219,9 +239,11 @@ def cmd_integrate(cfg: RunConfig) -> int:
 
 
 def cmd_geometry(cfg: RunConfig) -> int:
+    from . import geometry
+
     ctx = choreography_context()
     if cfg.from_c is not None:
-        c = geometry.Vec2(*cfg.from_c)
+        c = Vec2(*cfg.from_c)
         candidates = geometry.tangents_from_point(c, ctx)
         selected = geometry.select_choreographic(c, candidates)
         _write_text(cfg, [_json_text({
@@ -266,6 +288,8 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_analytic(cfg: RunConfig) -> int:
+    from . import analytic
+
     ctx = choreography_context()
     scale = cfg.tolerance_scale
     results: list[analytic.CheckResult] = []
@@ -411,9 +435,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.from_c is not None and not all(map(math.isfinite, cfg.from_c)):
         raise ValueError(f"--from-c coordinates must be finite, got {args.from_c!r}")
     if cfg.from_c is not None:
+        from . import geometry
+
         # Relative to |c|^2: far out on a branch, rounding alone puts an exact
         # point ~1e-8 off.  Off the curve the phases would not be 4K/3 apart.
-        c = geometry.Vec2(*cfg.from_c)
+        c = Vec2(*cfg.from_c)
         tol = DEFAULT_TOLERANCES["hyperbola"] * cfg.tolerance_scale
         if not abs(geometry.hyperbola_residual(c)) <= tol * c.norm_sq():
             raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {args.from_c!r}")

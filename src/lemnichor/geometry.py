@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, body_state, triple
+from .orbit import TripleState, Vec2, body_state, ordered_sum, triple
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
@@ -105,7 +105,7 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
     if not cs:
         return ConcurrencyPoint(c=Vec2(math.inf, math.inf), lambdas=(math.inf,) * 3,
                                 finite=False)
-    c = Vec2(sum(p.x for p in cs) / len(cs), sum(p.y for p in cs) / len(cs))
+    c = Vec2(ordered_sum(p.x for p in cs) / len(cs), ordered_sum(p.y for p in cs) / len(cs))
 
     lambdas = []
     for i in range(3):

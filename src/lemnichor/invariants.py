@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import EllipticContext, make_context
-from .orbit import TripleState, Vec2, acceleration, body_state, triple, velocity
+from .orbit import TripleState, Vec2, acceleration, body_state, ordered_sum, triple, velocity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,17 +40,17 @@ def center_of_mass(s: TripleState) -> Vec2:
 
 
 def moment_of_inertia(s: TripleState) -> float:
-    return sum(p.norm_sq() for p in s.positions)
+    return ordered_sum(p.norm_sq() for p in s.positions)
 
 
 def angular_momentum(s: TripleState) -> float:
     """z-component of the total angular momentum (unit masses)."""
-    return sum(b.pos.cross(b.vel) for b in s.bodies)
+    return ordered_sum(b.pos.cross(b.vel) for b in s.bodies)
 
 
 def kinetic_energy(s: TripleState) -> float:
     """Sum of squared speeds, without the conventional 1/2 factor."""
-    return sum(v.norm_sq() for v in s.velocities)
+    return ordered_sum(v.norm_sq() for v in s.velocities)
 
 
 def curvature(t: float, ctx: EllipticContext) -> float:
@@ -64,7 +64,7 @@ def curvature(t: float, ctx: EllipticContext) -> float:
 
 
 def curvature_sq_sum(s: TripleState, ctx: EllipticContext) -> float:
-    return sum(curvature(b.t, ctx) ** 2 for b in s.bodies)
+    return ordered_sum(curvature(b.t, ctx) ** 2 for b in s.bodies)
 
 
 def velocity_relation_residual(t: float, m: float, ctx: EllipticContext | None = None) -> float:
@@ -83,7 +83,7 @@ def _pair_sq_distances(s: TripleState) -> tuple[float, float, float]:
 
 
 def sum_sq_distances(s: TripleState) -> float:
-    return sum(_pair_sq_distances(s))
+    return ordered_sum(_pair_sq_distances(s))
 
 
 def product_sq_distances(s: TripleState) -> float:
@@ -113,7 +113,7 @@ def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
     kin = kinetic_energy(s)
     csq = curvature_sq_sum(s, ctx)
     pairs = _pair_sq_distances(s)
-    ssd = sum(pairs)
+    ssd = ordered_sum(pairs)
     psd = pairs[0] * pairs[1] * pairs[2]
     residuals = {
         "center_of_mass": com.norm(),

@@ -21,6 +21,18 @@ from typing import NamedTuple
 from .elliptic import EllipticContext, sn_cn_dn
 
 
+def ordered_sum(values):
+    """0.0 + v0 + v1 + ..., added left to right (float or complex values).
+
+    These are the bits of sum() up to Python 3.11.  From 3.12 sum() of floats
+    is compensated, so sum() would make output bits depend on the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class Vec2(NamedTuple):
     """Plane vector.
 

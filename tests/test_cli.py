@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -771,10 +772,37 @@ def readme_cli_examples():
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
 
 
+README_DIGESTS = Path(__file__).resolve().parent / "readme_digests.json"
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def test_readme_digest_table_names_every_example():
+    table = json.loads(README_DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(table) == sorted(" ".join(words[1:]) for words in readme_cli_examples())
+
+
 @pytest.mark.parametrize("words", [pytest.param(words, id=" ".join(words[1:]))
                                    for words in readme_cli_examples()])
-def test_readme_cli_example_exits_zero(words, capsys):
+def test_readme_cli_example_bytes(words, tmp_path, capsys):
+    # Each README command exits 0, and its bytes are pinned on every
+    # interpreter: a change that alters them updates readme_digests.json and
+    # says why.
     assert words[0] == "lemnichor"
-    code = main(words[1:])
-    capsys.readouterr()
+    want = json.loads(README_DIGESTS.read_text(encoding="utf-8"))[" ".join(words[1:])]
+    code, out, err = run_cli(words[1:], capsys)
     assert code == 0
+    assert (_sha256(out), _sha256(err)) == (want["stdout"], want["stderr"])
+
+    path = tmp_path / "out.dat"
+    code, out, err = run_cli(words[1:] + ["--output", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert _sha256(err) == want["stderr"]
+    assert _sha256(path.read_bytes()) == want["stdout"]
+    # The sidecar less its "python" line, which names the interpreter.
+    sidecar, n = re.subn(rb'\n  "python": "[^"\n]*",', b"",
+                         Path(str(path) + ".meta.json").read_bytes())
+    assert n == 1
+    assert _sha256(sidecar) == want["sidecar"]

@@ -1,11 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import lemnichor
 from lemnichor.analytic import CheckResult, PoleSpec
 from lemnichor.elliptic import CHOREO_M, make_context
 from lemnichor.geometry import _scan_grid, concurrency_point, tangents_from_point
@@ -195,19 +189,3 @@ class TestValueTypes:
         assert again is not ctx and again == ctx and hash(again) == hash(ctx)
         assert _scan_grid(again) is _scan_grid(ctx)
         assert make_context(0.5) != ctx
-
-    def test_import_does_not_load_dataclasses(self):
-        # A fresh interpreter, comparing sys.modules around the import, so
-        # that a module a site hook loads at start-up does not count.
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import lemnichor\n"
-            "print(' '.join(sorted(set(sys.modules) - before)))\n"
-        )
-        src = str(Path(lemnichor.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
-        assert "lemnichor.orbit" in out
-        assert "dataclasses" not in out
