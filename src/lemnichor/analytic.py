@@ -231,14 +231,14 @@ def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec]) -> None:
             )
 
 
-def check_residues(ctx: EllipticContext, tol: float = 1e-6) -> list[CheckResult]:
+def check_residues(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
     """The residue at each simple pole of pole_table against the claimed one.
 
     The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
     around the pole.  x^+ and 1/(1 - i cn) share their poles, so each pole's
     circle of (sn, cn, dn) is evaluated once and serves both residues.
     Refuses contours within 2 CONTOUR_RADIUS of a different pole of the same
-    function.
+    function.  The tolerance is 1e-6 times scale.
     """
     circles = {}
     out = []
@@ -251,12 +251,16 @@ def check_residues(ctx: EllipticContext, tol: float = 1e-6) -> list[CheckResult]
             g = _FUNCTIONS[f_id]
             observed = _mean([g(*scd) for scd in circles[pole.location]], -1) * CONTOUR_RADIUS
             out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
-                               observed, tol))
+                               observed, 1e-6 * scale))
     return out
 
 
-def check_special_values(ctx: EllipticContext, tol: float = 1e-12) -> list[CheckResult]:
-    """The twelve closed-form values of sn, cn, dn at multiples of K/3."""
+def check_special_values(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+    """The twelve closed-form values of sn, cn, dn at multiples of K/3.
+
+    The tolerance is 1e-12 times scale.
+    """
+    tol = 1e-12 * scale
     rt2 = math.sqrt(2.0)
     table = {
         1: (SQRT3 - 1.0, ROOT4_3 * (SQRT3 - 1.0) / rt2, 1.0 / rt2),
@@ -272,7 +276,7 @@ def check_special_values(ctx: EllipticContext, tol: float = 1e-12) -> list[Check
     return out
 
 
-def check_modulus_identity(ctx: EllipticContext, tol: float = 1e-12) -> list[CheckResult]:
+def check_modulus_identity(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
     """The special value sn(K/3) pins the modulus.
 
     With s = sn(K/3), evaluating sn(10K/3) by the 3K-shift and by the
@@ -280,8 +284,9 @@ def check_modulus_identity(ctx: EllipticContext, tol: float = 1e-12) -> list[Che
     modulus; at the choreographic s = sqrt(3) - 1 that value is (2+sqrt3)/4.
     The reported residual is the distance of the rebuilt value from the
     choreographic modulus, so it doubles as a negative control at other
-    moduli.
+    moduli.  The tolerance is 1e-12 times scale.
     """
+    tol = 1e-12 * scale
     s, c, d = sn_cn_dn(ctx.K / 3.0, ctx)
     rebuilt = (1.0 - 2.0 * s) / (s**4 - 2.0 * s**3)
     shift = -c / d
@@ -400,11 +405,14 @@ def eom_complex_residual(t: Cplx, ctx: EllipticContext) -> float:
 
 
 def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext,
-                                tol: float = 1e-8) -> list[CheckResult]:
-    """The complex equation of motion at points away from all poles."""
+                                scale: float = 1.0) -> list[CheckResult]:
+    """The complex equation of motion at points away from all poles.
+
+    The tolerance is 1e-8 times scale.
+    """
     return [
         _result(f"complex equation of motion at t={complex(t)}", 0.0,
-                eom_complex_residual(complex(t), ctx), tol)
+                eom_complex_residual(complex(t), ctx), 1e-8 * scale)
         for t in samples
     ]
 
@@ -447,9 +455,12 @@ def _strips(lines: list[Cplx]):
         yield label, lines[i] - lines[i + 1], claimed
 
 
-def check_strip_windings(ctx: EllipticContext, tol: float = WINDING_TOL) -> list[CheckResult]:
-    """Z - P of x^+ in each census strip against the claimed -2, +2, -2, +2."""
-    return [_result(f"strip winding of x_plus, {label}", claimed, observed, tol)
+def check_strip_windings(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+    """Z - P of x^+ in each census strip against the claimed -2, +2, -2, +2.
+
+    The tolerance is WINDING_TOL times scale.
+    """
+    return [_result(f"strip winding of x_plus, {label}", claimed, observed, WINDING_TOL * scale)
             for label, observed, claimed in _strips(line_windings(ctx))]
 
 

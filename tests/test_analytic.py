@@ -46,10 +46,10 @@ from conftest import ROOT4_3, SQRT3
 
 class TestSpecialValues:
     def test_all_twelve_entries(self, ctx):
-        results = check_special_values(ctx, tol=1e-12)
+        results = check_special_values(ctx)
         assert len(results) == 12
         for r in results:
-            assert r.passed, f"{r.name}: residual {r.residual}"
+            assert r.passed and r.residual <= 1e-12, f"{r.name}: residual {r.residual}"
 
     def test_three_named_entries(self, ctx):
         got = {r.name: r.observed for r in check_special_values(ctx)}
@@ -60,9 +60,9 @@ class TestSpecialValues:
 
 class TestModulusIdentity:
     def test_choreographic_modulus(self, ctx):
-        results = check_modulus_identity(ctx, tol=1e-12)
+        results = check_modulus_identity(ctx)
         for r in results:
-            assert r.passed, f"{r.name}: residual {r.residual}"
+            assert r.passed and r.residual <= 1e-12, f"{r.name}: residual {r.residual}"
         rebuilt = {r.name: r for r in results}["modulus from sn(K/3)"]
         assert abs(rebuilt.observed - (2.0 + SQRT3) / 4.0) <= 1e-12
 

@@ -394,9 +394,11 @@ class TestIntegrate:
         '{"positions": [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]], "velocities": [[0, 0], [0, 1%s], [0, 0]]}'
         % ("0" * 400),
         "{not json",
+        # Deeper than the JSON decoder recurses: a RecursionError, not a failed residual.
+        "[" * 100000 + "]" * 100000,
     ], ids=["empty", "numbers", "list", "no-velocities", "two-positions", "four-velocities",
             "triple-pair", "single", "string", "bool", "null", "nan", "-inf", "1e400", "huge-int",
-            "syntax"])
+            "syntax", "deep"])
     def test_malformed_init_file_is_a_usage_error(self, text, tmp_path, capsys):
         init = tmp_path / "init.json"
         init.write_text(text)
@@ -671,10 +673,15 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
 
-    def test_usage_error_bad_counts(self):
-        with pytest.raises(SystemExit) as err:
-            main(["sample", "--n-samples", "0"])
-        assert err.value.code == 2
+    def test_usage_error_bad_counts(self, capsys):
+        for argv, flag in ((["sample", "--n-samples", "0"], "--n-samples"),
+                           (["integrate", "--steps", "0"], "--steps")):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: " in captured.err
 
     def test_degenerate_geometry_query(self, ctx, capsys):
         # An axis phase makes the quadrant rules undecidable: bad input.
@@ -696,7 +703,9 @@ class TestExitCodes:
             main([command, f"{flag}={value}", "--output", str(out)])
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--from-point={}", "--from-c={},1", "--from-c=1,{}"],
