@@ -24,8 +24,11 @@ evaluated as one grid by ``sn_cn_dn_lines``.  Local windings and first
 moments of f'/f on small circles place each zero and pole; residues and
 Laurent/Taylor coefficients are weighted means of one circle of values, and
 x^+ and 1/(1 - i cn), which share their poles, take their residues from one
-circle of (sn, cn, dn) per pole.  Log-derivatives are in closed form, and
-each check evaluates sn, cn, dn once per point.
+circle of (sn, cn, dn) per pole.  Log-derivatives are in closed form.  Every
+complex (sn, cn, dn) comes from the batch evaluator ``sn_cn_dn_points``: a
+circle's nodes go in as one batch (for delta x^- with their 4K/3 shifts,
+which share their imaginary parts), the phases of a three-phase check as
+another, and the value-level formulas below are applied to the result.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_complex, sn_cn_dn_lines
+from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
 from .invariants import angular_momentum
 from .orbit import ordered_sum, triple
 
@@ -148,50 +151,67 @@ def _j(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
     return _x_minus(s, c, d) * _x_plus_d1(s, c, d)
 
 
-def x_plus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """x^+' / x^+ in closed form: dn (cn - i) / (sn (1 - i cn))."""
-    return _x_plus_log_d1(*sn_cn_dn_complex(t, ctx))
-
-
-def delta_x_minus(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """x^-(t + 4K/3) - x^-(t)."""
-    third = 4.0 * ctx.K / 3.0
-    return _x_minus(*sn_cn_dn_complex(t + third, ctx)) - _x_minus(*sn_cn_dn_complex(t, ctx))
-
-
-def _x_minus_and_d1(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx]:
-    # x^- and x^-' = dn (cn + i) / (1 + i cn)^2 from one evaluation.
-    s, c, d = sn_cn_dn_complex(t, ctx)
+def _x_minus_and_d1(s: Cplx, c: Cplx, d: Cplx) -> tuple[Cplx, Cplx]:
+    # x^- and x^-' = dn (cn + i) / (1 + i cn)^2.
     u = 1.0 + 1j * c
     return s / u, d * (c + 1j) / (u * u)
 
 
-def delta_x_minus_log_d1(t: Cplx, ctx: EllipticContext) -> Cplx:
-    """(d/dt delta x^-) / delta x^- in closed form, one evaluation per point."""
-    f1, d1 = _x_minus_and_d1(t + 4.0 * ctx.K / 3.0, ctx)
-    f0, d0 = _x_minus_and_d1(t, ctx)
-    return (d1 - d0) / (f1 - f0)
+# The point layer: each function maps a list of points to one value per point
+# from one batch of (sn, cn, dn).
+def x_plus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+    """x^+' / x^+ at each point of ts, in closed form: dn (cn - i) / (sn (1 - i cn))."""
+    return [_x_plus_log_d1(*scd) for scd in sn_cn_dn_points(ts, ctx)]
+
+
+def _shifted(ts: list[Cplx], ctx: EllipticContext) -> tuple[list, list]:
+    # (sn, cn, dn) at each t + 4K/3 and at each t, as one batch: a point and
+    # its shift share their imaginary part.
+    third = 4.0 * ctx.K / 3.0
+    n = len(ts)
+    scd = sn_cn_dn_points([t + third for t in ts] + ts, ctx)
+    return scd[:n], scd[n:]
+
+
+def delta_x_minus(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+    """x^-(t + 4K/3) - x^-(t) at each point of ts."""
+    return [_x_minus(*ahead) - _x_minus(*here) for ahead, here in zip(*_shifted(ts, ctx))]
+
+
+def delta_x_minus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+    """(d/dt delta x^-) / delta x^- at each point of ts, in closed form."""
+    out = []
+    for ahead, here in zip(*_shifted(ts, ctx)):
+        f1, d1 = _x_minus_and_d1(*ahead)
+        f0, d0 = _x_minus_and_d1(*here)
+        out.append((d1 - d0) / (f1 - f0))
+    return out
 
 
 def _three_phases(t: Cplx, ctx: EllipticContext) -> list:
-    # (sn, cn, dn) at t, t + 4K/3 and t - 4K/3, one evaluation each.
+    # (sn, cn, dn) at t, t + 4K/3 and t - 4K/3, as one batch.
     third = 4.0 * ctx.K / 3.0
-    return [sn_cn_dn_complex(u, ctx) for u in (t, t + third, t - third)]
+    return sn_cn_dn_points([t, t + third, t - third], ctx)
 
 
 def _phase_sum(g, phases) -> Cplx:
     return g(*phases[0]) + g(*phases[1]) + g(*phases[2])
 
 
-def _circle(f, center: Cplx, radius: float) -> list[Cplx]:
-    """f at the CONTOUR_NODES nodes center + r e^{i th_j}, th_j = 2 pi j / N."""
+def _circle(center: Cplx, radius: float) -> list[Cplx]:
+    """The CONTOUR_NODES nodes center + r e^{i th_j}, th_j = 2 pi j / N.
+
+    A circle's values come from one batch: a point-layer function (or
+    sn_cn_dn_points itself) applied to these nodes.
+    """
     n = CONTOUR_NODES
-    return [f(center + cmath.rect(radius, 2.0 * math.pi * j / n)) for j in range(n)]
+    return [center + cmath.rect(radius, 2.0 * math.pi * j / n) for j in range(n)]
 
 
 def _mean(vals: list[Cplx], k: int) -> Cplx:
-    # (1/N) sum_j f_j e^{-i k th_j} of the values of _circle; equals the Laurent
-    # coefficient c_k times r^k for f analytic in a punctured neighborhood.
+    # (1/N) sum_j f_j e^{-i k th_j} of the values at the nodes of _circle;
+    # equals the Laurent coefficient c_k times r^k for f analytic in a
+    # punctured neighborhood.
     n = len(vals)
     acc = 0j
     for j, v in enumerate(vals):
@@ -236,20 +256,25 @@ def check_residues(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult
 
     The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
     around the pole.  x^+ and 1/(1 - i cn) share their poles, so each pole's
-    circle of (sn, cn, dn) is evaluated once and serves both residues.
-    Refuses contours within 2 CONTOUR_RADIUS of a different pole of the same
+    circle of (sn, cn, dn) is evaluated once and serves both residues; the
+    circles of all poles are one batch.  Refuses, before evaluating any,
+    contours within 2 CONTOUR_RADIUS of a different pole of the same
     function.  The tolerance is 1e-6 times scale.
     """
-    circles = {}
-    out = []
-    for f_id, poles in pole_table(ctx).items():
+    table = pole_table(ctx)
+    for poles in table.values():
         for pole in poles:
             _refuse_crossing(pole, poles)
-            if pole.location not in circles:
-                circles[pole.location] = _circle(lambda z: sn_cn_dn_complex(z, ctx),
-                                                 pole.location, CONTOUR_RADIUS)
-            g = _FUNCTIONS[f_id]
-            observed = _mean([g(*scd) for scd in circles[pole.location]], -1) * CONTOUR_RADIUS
+    circles = dict.fromkeys(pole.location for poles in table.values() for pole in poles)
+    scd = sn_cn_dn_points([z for center in circles for z in _circle(center, CONTOUR_RADIUS)], ctx)
+    n = CONTOUR_NODES
+    for i, center in enumerate(circles):
+        circles[center] = scd[i * n:(i + 1) * n]
+    out = []
+    for f_id, poles in table.items():
+        g = _FUNCTIONS[f_id]
+        for pole in poles:
+            observed = _mean([g(*v) for v in circles[pole.location]], -1) * CONTOUR_RADIUS
             out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
                                observed, 1e-6 * scale))
     return out
@@ -269,8 +294,8 @@ def check_special_values(ctx: EllipticContext, scale: float = 1.0) -> list[Check
         5: (SQRT3 - 1.0, -ROOT4_3 * (SQRT3 - 1.0) / rt2, 1.0 / rt2),
     }
     out = []
-    for j, claimed in table.items():
-        s, c, d = sn_cn_dn_complex(complex(j * ctx.K / 3.0, 0.0), ctx)
+    values = sn_cn_dn_points([complex(j * ctx.K / 3.0, 0.0) for j in table], ctx)
+    for (j, claimed), (s, c, d) in zip(table.items(), values):
         for name, got, want in (("sn", s, claimed[0]), ("cn", c, claimed[1]), ("dn", d, claimed[2])):
             out.append(_result(f"{name}({j}K/3)", want, got, tol))
     return out
@@ -358,12 +383,9 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
 
     # Order of the zero by log-log fit over two decades of circle radii.
     n_h = 9
-    logs_h, logs_v = [], []
-    for i in range(n_h):
-        h = 1e-4 * (100.0 ** (i / (n_h - 1)))
-        v = abs(delta_x_minus(t0 + h * cmath.exp(0.7j), ctx))
-        logs_h.append(math.log(h))
-        logs_v.append(math.log(v))
+    hs = [1e-4 * (100.0 ** (i / (n_h - 1))) for i in range(n_h)]
+    logs_h = [math.log(h) for h in hs]
+    logs_v = [math.log(abs(v)) for v in delta_x_minus([t0 + h * cmath.exp(0.7j) for h in hs], ctx)]
     mh = ordered_sum(logs_h) / n_h
     mv = ordered_sum(logs_v) / n_h
     slope = ordered_sum((a - mh) * (b - mv) for a, b in zip(logs_h, logs_v)) / ordered_sum(
@@ -375,13 +397,14 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
     # other terms below aliasing order: the second radius is a cross-check.
     per_radius = []
     for r in COEFF_RADII:
-        vals = _circle(lambda z: delta_x_minus(z, ctx), t0, r)
+        vals = delta_x_minus(_circle(t0, r), ctx)
         inv = [1.0 / v for v in vals]
         per_radius.append([_mean(f, k) / r**k for f, k in ((vals, 3), (vals, 5), (inv, -3), (inv, -1))])
     c3, c5, p3, p1 = (ordered_sum(pair) / len(pair) for pair in zip(*per_radius))
 
     h = complex(0.3, 0.2)
-    odd = delta_x_minus(t0 + h, ctx) + delta_x_minus(t0 - h, ctx)
+    ahead, behind = delta_x_minus([t0 + h, t0 - h], ctx)
+    odd = ahead + behind
 
     return [
         _result("zero order (log-log slope)", 3.0, slope, 0.01 * scale),
@@ -421,12 +444,13 @@ def locate_pole(log_d1, approx: Cplx, ctx: EllipticContext,
                 radius: float = 5e-2) -> tuple[int, Cplx]:
     """(winding number, refined location) of an isolated zero or pole.
 
-    ``log_d1(t, ctx)`` is the closed-form log-derivative f'/f of the function
-    whose zero or pole is sought.  By the argument principle its mean times
-    (t - approx) around the circle, r mean_{-1}, is Z - P; the first moment,
+    ``log_d1(ts, ctx)`` is a point-layer function: the closed-form
+    log-derivative f'/f, at each point of ts, of the function whose zero or
+    pole is sought.  By the argument principle its mean times (t - approx)
+    around the circle, r mean_{-1}, is Z - P; the first moment,
     r^2 mean_{-2}, over it is the offset of the location from approx.
     """
-    vals = _circle(lambda t: log_d1(t, ctx), approx, radius)
+    vals = log_d1(_circle(approx, radius), ctx)
     m1 = _mean(vals, -1)
     order = round((radius * m1).real)
     if order == 0:

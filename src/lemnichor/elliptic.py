@@ -5,18 +5,21 @@ is squared down toward zero, the argument is rescaled, the trigonometric base
 case is evaluated, and the values are mapped back up the modulus chain.  Every
 step of the ascent is a rational map with positive denominators, so the
 recursion is free of cancellation and delivers close to machine precision for
-any real argument.
+any real argument.  Each context precomputes the chain of both parameters as a
+Landen plan, which one private function reads for every real evaluation.
 
 Complex arguments are handled by the addition theorem combined with the
 imaginary-argument transformation, which reduces sn(u + iv) to real
-evaluations at u (modulus k) and v (complementary modulus k').  One private
-combine holds that formula.  ``sn_cn_dn_complex`` feeds it one point;
-``sn_cn_dn_lines`` feeds it a product grid of abscissae and horizontal lines,
-evaluating each u and each v once, with bit-equal results.  The route breaks
-down on the common pole lattice of sn/cn/dn, so complex evaluation refuses
-arguments within ``DELTA_POLE`` of a pole (the line evaluator refuses whole
-lines within ``DELTA_POLE`` of a pole row); residue work near poles belongs
-to contour quadrature, not direct evaluation.
+evaluations at u (modulus k) and v (complementary modulus k').  One batch
+evaluator, ``sn_cn_dn_points``, holds that formula: it reduces each distinct
+real and imaginary part of its points once, with results bit-equal to
+evaluating each point alone.  ``sn_cn_dn_complex`` is the batch of one point
+and ``sn_cn_dn_lines`` the batch of a product grid of abscissae and
+horizontal lines.  The route breaks down on the common pole lattice of
+sn/cn/dn, so complex evaluation refuses arguments within ``DELTA_POLE`` of a
+pole (the line evaluator refuses whole lines within ``DELTA_POLE`` of a pole
+row); residue work near poles belongs to contour quadrature, not direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -71,20 +74,29 @@ def _landen_chain(m: float) -> tuple[float, ...]:
     return tuple(ks)
 
 
+def _landen_plan(m: float, four_k: float) -> tuple:
+    # (4K, descent divisors 1 + k, ascent pairs (k, 1 + k)) of the chain at m.
+    chain = _landen_chain(m)
+    return four_k, tuple(1.0 + k1 for k1 in chain), tuple((k1, 1.0 + k1) for k1 in reversed(chain))
+
+
 class EllipticContext(NamedTuple):
     """Immutable evaluation context for one squared modulus m.
 
     Holds the quarter periods K and K' (K' is the quarter period of the
     complementary parameter 1-m, computed by the same AGM routine) and the
-    precomputed Landen modulus chains for both parameters.  Safe to share
-    across threads; all evaluation functions are pure.
+    Landen plan of each parameter: the period 4K (4K' for the complement),
+    the descent divisors 1 + k of the modulus chain, and its ascent pairs
+    (k, 1 + k) in ascent order.  Safe to share across threads; all evaluation
+    functions are pure, and the complex evaluator's per-call tables live and
+    die inside one call.
     """
 
     m: float
     K: float
     Kprime: float
-    landen_chain: tuple[float, ...]
-    landen_chain_comp: tuple[float, ...]
+    plan: tuple
+    plan_comp: tuple
 
     @property
     def period(self) -> float:
@@ -96,12 +108,14 @@ def make_context(m: float) -> EllipticContext:
     """Build an EllipticContext for squared modulus m in (0, 1)."""
     if not (0.0 < m < 1.0) or not math.isfinite(m):
         raise ValueError(f"squared modulus must lie in (0, 1), got {m!r}")
+    k = _quarter_period_agm(m)
+    kprime = _quarter_period_agm(1.0 - m)
     return EllipticContext(
         m=m,
-        K=_quarter_period_agm(m),
-        Kprime=_quarter_period_agm(1.0 - m),
-        landen_chain=_landen_chain(m),
-        landen_chain_comp=_landen_chain(1.0 - m),
+        K=k,
+        Kprime=kprime,
+        plan=_landen_plan(m, 4.0 * k),
+        plan_comp=_landen_plan(1.0 - m, 4.0 * kprime),
     )
 
 
@@ -116,93 +130,99 @@ def choreography_context() -> EllipticContext:
 _CHOREO_CTX: EllipticContext | None = None
 
 
-def _sn_cn_dn_chain(u: float, chain: tuple[float, ...]) -> tuple[float, float, float]:
-    # Descend the argument, evaluate the trig base case, ascend the chain.
-    for k1 in chain:
-        u /= 1.0 + k1
+def _sn_cn_dn_real(t: float, plan: tuple) -> tuple[float, float, float]:
+    # Reduce to [-2K, 2K] and evaluate at |r|, restoring the sign of sn, so
+    # the parity symmetries hold exactly by construction; then descend the
+    # argument, evaluate the trig base case, and ascend the modulus chain.
+    four_k, divisors, ascent = plan
+    r = t - four_k * round(t / four_k)
+    u = -r if r < 0.0 else r
+    for q in divisors:
+        u /= q
     s, c, d = math.sin(u), math.cos(u), 1.0
-    for k1 in reversed(chain):
+    for k1, q in ascent:
         ks2 = k1 * s * s
         den = 1.0 + ks2
-        s, c, d = (1.0 + k1) * s / den, c * d / den, (1.0 - ks2) / den
-    return s, c, d
-
-
-def _sn_cn_dn_reduced(t: float, four_k: float, chain: tuple[float, ...]) -> tuple[float, float, float]:
-    # Reduce to [-2K, 2K], then use oddness of sn / evenness of cn, dn so the
-    # parity symmetries hold exactly by construction.
-    r = t - four_k * round(t / four_k)
-    if r < 0.0:
-        s, c, d = _sn_cn_dn_chain(-r, chain)
-        return -s, c, d
-    return _sn_cn_dn_chain(r, chain)
+        s, c, d = q * s / den, c * d / den, (1.0 - ks2) / den
+    return (-s, c, d) if r < 0.0 else (s, c, d)
 
 
 def sn_cn_dn(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
     """(sn(t), cn(t), dn(t)) at ctx.m for real t."""
-    return _sn_cn_dn_reduced(t, 4.0 * ctx.K, ctx.landen_chain)
+    return _sn_cn_dn_real(t, ctx.plan)
 
 
 def _pole_row_distance(v: float, ctx: EllipticContext) -> float:
     # Distance from the line Im t = v to the nearest pole row Im t = (2l+1) K'.
-    im = v - 2.0 * ctx.Kprime * round(v / (2.0 * ctx.Kprime))
+    two_kp = 2.0 * ctx.Kprime
+    im = v - two_kp * round(v / two_kp)
     return min(abs(im - ctx.Kprime), abs(im + ctx.Kprime))
 
 
-def _pole_distance(t: Cplx, ctx: EllipticContext) -> float:
-    # Poles of sn, cn, dn sit on the lattice 2nK + (2l+1) i K'.
-    re = t.real - 2.0 * ctx.K * round(t.real / (2.0 * ctx.K))
-    return math.hypot(re, _pole_row_distance(t.imag, ctx))
+def sn_cn_dn_points(ts: list[Cplx], ctx: EllipticContext) -> list[tuple[Cplx, Cplx, Cplx]]:
+    """(sn(t), cn(t), dn(t)) at each complex point t of ts, in order.
 
-
-def _combine(s: float, c: float, d: float, s1: float, c1: float, d1: float,
-             m: float) -> tuple[Cplx, Cplx, Cplx]:
-    # Addition theorem with the imaginary-argument transformation: (sn, cn, dn)
-    # at u + iv from (s, c, d) at u (parameter m) and (s1, c1, d1) at v (1 - m).
-    den = c1 * c1 + m * s * s * s1 * s1
-    sn = complex(s * d1, c * d * s1 * c1) / den
-    cn = complex(c * c1, -s * d * s1 * d1) / den
-    dn = complex(d * c1 * d1, -m * s * c * s1) / den
-    return sn, cn, dn
+    sn(u + iv) is assembled by the addition theorem from sn/cn/dn at u
+    (parameter m) and at v (complementary parameter 1-m).  Each distinct real
+    part and each distinct imaginary part of the batch is reduced once, and
+    each point's pole test is built from the same per-part values, so every
+    value is bit-equal to evaluating its point alone.  Parts are told apart
+    by their bits: 0.0 == -0.0, but sn(-0.0) is -0.0.  Raises
+    PoleProximityError, naming the first such point, if any point lies within
+    DELTA_POLE of the pole lattice 2nK + (2l+1) iK', where the common
+    denominator vanishes and direct evaluation is meaningless.
+    """
+    two_k = 2.0 * ctx.K
+    plan, plan_comp, m = ctx.plan, ctx.plan_comp, ctx.m
+    at_u: dict = {}
+    at_v: dict = {}
+    out = []
+    for t in ts:
+        u, v = t.real, t.imag
+        # A zero part is keyed by its repr, which keeps the two signs apart.
+        ku, kv = u or repr(u), v or repr(v)
+        a = at_u.get(ku)
+        if a is None:
+            a = at_u[ku] = (u - two_k * round(u / two_k), *_sn_cn_dn_real(u, plan))
+        b = at_v.get(kv)
+        if b is None:
+            b = at_v[kv] = (_pole_row_distance(v, ctx), *_sn_cn_dn_real(v, plan_comp))
+        re, s, c, d = a
+        row, s1, c1, d1 = b
+        if math.hypot(re, row) < DELTA_POLE:
+            raise PoleProximityError(
+                f"argument {complex(t)} is within {DELTA_POLE} of a pole of sn/cn/dn"
+            )
+        den = c1 * c1 + m * s * s * s1 * s1
+        out.append((complex(s * d1, c * d * s1 * c1) / den,
+                    complex(c * c1, -s * d * s1 * d1) / den,
+                    complex(d * c1 * d1, -m * s * c * s1) / den))
+    return out
 
 
 def sn_cn_dn_complex(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx, Cplx]:
-    """(sn(t), cn(t), dn(t)) for complex t via the addition theorem.
+    """(sn(t), cn(t), dn(t)) for one complex t: ``sn_cn_dn_points`` of [t].
 
-    sn(u + iv) is assembled from sn/cn/dn at u (parameter m) and at v
-    (complementary parameter 1-m).  Raises PoleProximityError within
-    DELTA_POLE of the shared pole lattice, where the common denominator
-    vanishes and direct evaluation is meaningless.
+    Raises PoleProximityError within DELTA_POLE of the shared pole lattice.
     """
-    t = complex(t)
-    if _pole_distance(t, ctx) < DELTA_POLE:
-        raise PoleProximityError(
-            f"argument {t} is within {DELTA_POLE} of a pole of sn/cn/dn"
-        )
-    s, c, d = _sn_cn_dn_reduced(t.real, 4.0 * ctx.K, ctx.landen_chain)
-    s1, c1, d1 = _sn_cn_dn_reduced(t.imag, 4.0 * ctx.Kprime, ctx.landen_chain_comp)
-    return _combine(s, c, d, s1, c1, d1, ctx.m)
+    return sn_cn_dn_points([complex(t)], ctx)[0]
 
 
 def sn_cn_dn_lines(us: list[float], vs: list[float],
                    ctx: EllipticContext) -> list[list[tuple[Cplx, Cplx, Cplx]]]:
     """(sn, cn, dn)(u + iv) on each horizontal line Im t = v at the abscissae us.
 
-    One list per v, in the order of us; each value is bit-equal to
-    ``sn_cn_dn_complex(complex(u, v), ctx)``, but each u and each v costs one
-    real evaluation, not one per node.  Raises PoleProximityError for a line
-    within DELTA_POLE of a pole row Im t = (2l+1) K': every node of a line
-    farther out is at least that far from the pole lattice.
+    One list per v, in the order of us: ``sn_cn_dn_points`` of the product
+    grid, so each u and each v costs one real evaluation.  Raises
+    PoleProximityError for a line within DELTA_POLE of a pole row
+    Im t = (2l+1) K': every node of a line farther out is at least that far
+    from the pole lattice.
     """
     for v in vs:
         if _pole_row_distance(v, ctx) < DELTA_POLE:
             raise PoleProximityError(
                 f"line Im t = {v} is within {DELTA_POLE} of a pole row of sn/cn/dn"
             )
-    at_u = [_sn_cn_dn_reduced(u, 4.0 * ctx.K, ctx.landen_chain) for u in us]
-    m = ctx.m
-    out = []
-    for v in vs:
-        s1, c1, d1 = _sn_cn_dn_reduced(v, 4.0 * ctx.Kprime, ctx.landen_chain_comp)
-        out.append([_combine(s, c, d, s1, c1, d1, m) for s, c, d in at_u])
-    return out
+    n = len(us)
+    grid = sn_cn_dn_points([complex(u, v) for v in vs for u in us], ctx)
+    return [grid[i * n:(i + 1) * n] for i in range(len(vs))]

@@ -1,9 +1,11 @@
 import cmath
 import math
+import sys
+import threading
 
 import pytest
 
-from lemnichor import analytic
+from lemnichor import analytic, elliptic
 from lemnichor.analytic import (
     CENSUS_LINE_NODES,
     CENSUS_LINES,
@@ -158,8 +160,8 @@ class TestTripleZero:
     def test_mirror_shift_symmetry(self, ctx):
         # delta x^-(-a3 + dt) = delta x^-(a2 - dt)
         for dt in (complex(0.1, 0.05), complex(-0.2, 0.3)):
-            lhs = delta_x_minus(-alpha3(ctx) + dt, ctx)
-            rhs = delta_x_minus(alpha2(ctx) - dt, ctx)
+            lhs = delta_x_minus([-alpha3(ctx) + dt], ctx)[0]
+            rhs = delta_x_minus([alpha2(ctx) - dt], ctx)[0]
             assert abs(lhs - rhs) <= 1e-12
 
     def test_rejects_other_points(self, ctx):
@@ -266,9 +268,10 @@ class TestPoleCensus:
         eps = 1e-6
         for t in (complex(0.5, 0.4), complex(-1.2, 0.9), complex(2.0, -0.3)):
             quotient = oracle_x_plus_d1(t, ctx) / oracle_x_plus(t, ctx)
-            assert abs(x_plus_log_d1(t, ctx) - quotient) <= 1e-12
-            fd = (delta_x_minus(t + eps, ctx) - delta_x_minus(t - eps, ctx)) / (2.0 * eps)
-            assert abs(delta_x_minus_log_d1(t, ctx) - fd / delta_x_minus(t, ctx)) <= 1e-7
+            assert abs(x_plus_log_d1([t], ctx)[0] - quotient) <= 1e-12
+            ahead, here, behind = delta_x_minus([t + eps, t, t - eps], ctx)
+            fd = (ahead - behind) / (2.0 * eps)
+            assert abs(delta_x_minus_log_d1([t], ctx)[0] - fd / here) <= 1e-7
 
     def test_x_plus_bounded_on_real_axis(self, ctx, period):
         worst = max(abs(oracle_x_plus(complex(i * period / 200.0, 0.0), ctx)) for i in range(200))
@@ -354,7 +357,7 @@ def oracle_locate_pole(log_d1, approx, ctx, radius=5e-2):
     for j in range(n):
         z = cmath.rect(radius, 2.0 * math.pi * j / n)
         t = approx + z
-        ratio = log_d1(t, ctx) * z
+        ratio = log_d1([t], ctx)[0] * z
         wind += ratio
         moment += t * ratio
     wind /= n
@@ -477,25 +480,77 @@ class TestOneEvaluationPerNode:
             assert order == want_order
             assert abs(loc - want_loc) <= 1e-15
 
-    @pytest.mark.parametrize("check, t, calls", [
-        ("check_triple_zero_and_pole", "a2", 150),
-        ("check_triple_zero_and_pole", "-a3", 150),
-        ("check_j_identity", 0.9, 3),
-        ("check_j_identity", complex(0.2, 0.3), 3),
-        ("check_sum_identities", 0.3, 3),
-        ("check_sum_identities", complex(0.2, 0.3), 3),
-        ("eom_complex_residual", complex(0.5, 0.4), 3),
-        ("check_residues", None, 128),
-        ("line_windings", None, 0),
+    @pytest.mark.parametrize("check, t, points, reductions", [
+        ("check_triple_zero_and_pole", "a2", 150, 144),
+        ("check_triple_zero_and_pole", "-a3", 150, 141),
+        ("check_j_identity", 0.9, 3, 7),
+        ("check_j_identity", complex(0.2, 0.3), 3, 4),
+        ("check_sum_identities", 0.3, 3, 4),
+        ("check_sum_identities", complex(0.2, 0.3), 3, 4),
+        ("eom_complex_residual", complex(0.5, 0.4), 3, 4),
+        ("check_special_values", None, 4, 5),
+        ("check_residues", None, 128, 104),
+        ("line_windings", None, 0, 69),
+        ("pole_census", None, 256, 393),
+        ("delta_x_minus_simple_poles", None, 384, 306),
     ])
-    def test_complex_evaluation_counts(self, ctx, monkeypatch, check, t, calls):
-        # Each node and each phase is evaluated once (the earlier forms made
-        # 534, 15, 6 and 6 calls and check_residues 256;
-        # line_windings made 320 point calls and now evaluates its grid by lines).
+    def test_complex_evaluation_counts(self, ctx, monkeypatch, check, t, points, reductions):
+        # Each node and each phase is handed to the batch evaluator once (the
+        # earlier forms made 534, 15, 6 and 6 point calls and check_residues
+        # 256; line_windings evaluates its grid by lines).  Each batch reduces
+        # each distinct real and imaginary part once: at one point per call,
+        # the same rows made 300, 300, 9, 6, 6, 6, 6, 8, 256, 69, 581 and 768
+        # real reductions.  check_j_identity on the axis counts the 3 real
+        # evaluations of its angular-momentum triple.
         t = {"a2": alpha2(ctx), "-a3": -alpha3(ctx)}.get(t, t)
-        seen = []
-        real = analytic.sn_cn_dn_complex
-        monkeypatch.setattr(analytic, "sn_cn_dn_complex", lambda z, c: seen.append(z) or real(z, c))
+        seen, reduced = [], []
+        batch, real = analytic.sn_cn_dn_points, elliptic._sn_cn_dn_real
+        monkeypatch.setattr(analytic, "sn_cn_dn_points", lambda ts, c: seen.extend(ts) or batch(ts, c))
+        monkeypatch.setattr(elliptic, "_sn_cn_dn_real", lambda x, plan: reduced.append(x) or real(x, plan))
         args = (ctx,) if t is None else (t, ctx)
         getattr(analytic, check)(*args)
-        assert len(seen) == calls
+        assert len(seen) == points
+        assert len(reduced) == reductions
+
+
+def _bits_of(value):
+    # Every float in a result, as hex, so equal means bit-equal.
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits_of(v) for v in value]
+    return value
+
+
+def test_shared_context_across_threads(ctx):
+    # EllipticContext is shared by every thread and the batch tables are
+    # per call: four threads, more than the cores CI has, with a short switch
+    # interval, must each reproduce the serial results bit for bit.
+    runs = [(check_residues, 2), (pole_census, 2), (delta_x_minus_simple_poles, 2)]
+    serial = [_bits_of(f(ctx)) for f, _ in runs]
+    results = {}
+
+    def work(i):
+        try:
+            results[i] = [[_bits_of(f(ctx)) for _ in range(n)] for f, n in runs]
+        except Exception as err:  # reported by the assertion below
+            results[i] = err
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert not isinstance(got, Exception), got
+        for want, repeats in zip(serial, got):
+            assert all(r == want for r in repeats)

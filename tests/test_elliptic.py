@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -5,14 +6,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj
 
+from lemnichor import elliptic
 from lemnichor.elliptic import (
     CHOREO_M,
     DELTA_POLE,
     PoleProximityError,
+    _landen_chain,
     make_context,
     sn_cn_dn,
     sn_cn_dn_complex,
     sn_cn_dn_lines,
+    sn_cn_dn_points,
 )
 
 from conftest import ROOT4_3, SQRT3
@@ -207,3 +211,162 @@ class TestLineEvaluation:
         v = row * ctx.Kprime + offset * DELTA_POLE
         with pytest.raises(PoleProximityError):
             sn_cn_dn_lines([0.1, 1.0], [0.0, v], ctx)
+
+
+# The real kernel and the one-point complex evaluator as they were written
+# before the Landen plan and the batch evaluator: a chain of moduli walked
+# down and up, and a per-point pole test and combine.  Kept as bit-level oracles.
+def oracle_chain(u, chain):
+    for k1 in chain:
+        u /= 1.0 + k1
+    s, c, d = math.sin(u), math.cos(u), 1.0
+    for k1 in reversed(chain):
+        ks2 = k1 * s * s
+        den = 1.0 + ks2
+        s, c, d = (1.0 + k1) * s / den, c * d / den, (1.0 - ks2) / den
+    return s, c, d
+
+
+def oracle_reduced(t, four_k, chain):
+    r = t - four_k * round(t / four_k)
+    if r < 0.0:
+        s, c, d = oracle_chain(-r, chain)
+        return -s, c, d
+    return oracle_chain(r, chain)
+
+
+def oracle_pole_distance(t, ctx):
+    re = t.real - 2.0 * ctx.K * round(t.real / (2.0 * ctx.K))
+    im = t.imag - 2.0 * ctx.Kprime * round(t.imag / (2.0 * ctx.Kprime))
+    return math.hypot(re, min(abs(im - ctx.Kprime), abs(im + ctx.Kprime)))
+
+
+def oracle_sn_cn_dn_complex(t, ctx):
+    t = complex(t)
+    if oracle_pole_distance(t, ctx) < DELTA_POLE:
+        raise PoleProximityError(f"argument {t} is within {DELTA_POLE} of a pole of sn/cn/dn")
+    m = ctx.m
+    s, c, d = oracle_reduced(t.real, 4.0 * ctx.K, _landen_chain(m))
+    s1, c1, d1 = oracle_reduced(t.imag, 4.0 * ctx.Kprime, _landen_chain(1.0 - m))
+    den = c1 * c1 + m * s * s * s1 * s1
+    sn = complex(s * d1, c * d * s1 * c1) / den
+    cn = complex(c * c1, -s * d * s1 * d1) / den
+    dn = complex(d * c1 * d1, -m * s * c * s1) / den
+    return sn, cn, dn
+
+
+def _real_bits(values):
+    return [x.hex() for x in values]
+
+
+KERNEL_MODULI = [CHOREO_M, 1e-6, 0.1, 0.5, 0.99]
+
+
+class TestRealKernelBits:
+    @pytest.mark.parametrize("m", KERNEL_MODULI)
+    def test_seeded_phases(self, m):
+        ctx = make_context(m)
+        four_k, chain = 4.0 * ctx.K, _landen_chain(m)
+        rng = random.Random(20261019)
+        for i in range(100_000):
+            if i % 5:
+                t = rng.uniform(-3.0 * four_k, 3.0 * four_k)
+            else:
+                t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
+            assert _real_bits(sn_cn_dn(t, ctx)) == _real_bits(oracle_reduced(t, four_k, chain)), t
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI)
+    def test_special_arguments(self, m):
+        ctx = make_context(m)
+        four_k, chain = 4.0 * ctx.K, _landen_chain(m)
+        k = ctx.K
+        points = [0.0, -0.0, k, -k, 2.0 * k, -2.0 * k, 4.0 * k, -4.0 * k,
+                  1e6, -1e6, 999_999.5, -123_456.789, math.nextafter(1e6, 0.0)]
+        for t in points:
+            assert _real_bits(sn_cn_dn(t, ctx)) == _real_bits(oracle_reduced(t, four_k, chain)), t
+        assert sn_cn_dn(-0.0, ctx)[0].hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI)
+    def test_complementary_plan_is_the_plan_at_one_minus_m(self, m):
+        # The imaginary parts of complex points are reduced with plan_comp,
+        # so the bit tests above at 1 - m cover that plan too.
+        assert make_context(m).plan_comp == make_context(1.0 - m).plan
+
+
+def _seeded_points(ctx, rng, n):
+    # Points drawn from small pools of real and imaginary parts, so parts
+    # repeat, with both signed zeros, kept only where the oracle evaluates.
+    kp = ctx.Kprime
+    us = [rng.uniform(-3.0 * ctx.K, 3.0 * ctx.K) for _ in range(12)]
+    us += [0.0, -0.0, ctx.K, -2.0 * ctx.K, ctx.K / 3.0]
+    vs = [rng.uniform(-3.0 * kp, 3.0 * kp) for _ in range(8)]
+    vs += [0.0, -0.0, 0.5 * kp, -2.0 * kp, kp + 1.5 * DELTA_POLE]
+    out = []
+    while len(out) < n:
+        t = complex(rng.choice(us), rng.choice(vs))
+        if oracle_pole_distance(t, ctx) >= DELTA_POLE:
+            out.append(t)
+    return out
+
+
+class TestBatchEvaluation:
+    def test_bit_equal_to_the_point_oracle(self, ctx):
+        rng = random.Random(5)
+        for _ in range(20):
+            points = _seeded_points(ctx, rng, 150)
+            got = sn_cn_dn_points(points, ctx)
+            assert len(got) == len(points)
+            for t, scd in zip(points, got):
+                assert _bits(scd) == _bits(oracle_sn_cn_dn_complex(t, ctx)), t
+                assert _bits(sn_cn_dn_complex(t, ctx)) == _bits(scd), t
+
+    def test_signed_zero_parts_stay_apart(self, ctx):
+        v = 0.4
+        for order in ([0.0, -0.0], [-0.0, 0.0]):
+            points = [complex(u, v) for u in order] + [complex(v, w) for w in order]
+            for t, scd in zip(points, sn_cn_dn_points(points, ctx)):
+                assert _bits(scd) == _bits(oracle_sn_cn_dn_complex(t, ctx)), t
+        # The two zeros give different bits, so one table entry cannot serve both.
+        for pair in ([complex(-0.0, v), complex(0.0, v)], [complex(v, -0.0), complex(v, 0.0)]):
+            neg, pos = sn_cn_dn_points(pair, ctx)
+            assert _bits(neg) != _bits(pos)
+
+    @pytest.mark.parametrize("distance", [0.5, 1.5])
+    def test_refuses_exactly_what_the_oracle_refuses(self, ctx, distance):
+        k, kp = ctx.K, ctx.Kprime
+        poles = [complex(0.0, kp), complex(2.0 * k, kp), complex(-2.0 * k, -kp),
+                 complex(4.0 * k, 3.0 * kp), complex(-6.0 * k, -5.0 * kp)]
+        refused = 0
+        for pole in poles:
+            for j in range(8):
+                t = pole + distance * DELTA_POLE * cmath.exp(2j * math.pi * (j + 0.5) / 8.0)
+                try:
+                    want = oracle_sn_cn_dn_complex(t, ctx)
+                except PoleProximityError as err:
+                    refused += 1
+                    with pytest.raises(PoleProximityError) as got:
+                        sn_cn_dn_points([t], ctx)
+                    assert str(got.value) == str(err)
+                    # In a batch, the first refused point is the one named.
+                    with pytest.raises(PoleProximityError) as got:
+                        sn_cn_dn_points([complex(0.3, 0.2), t, pole + 0.4 * DELTA_POLE], ctx)
+                    assert str(got.value) == str(err)
+                else:
+                    assert _bits(sn_cn_dn_points([complex(0.3, 0.2), t], ctx)[1]) == _bits(want)
+        assert refused == (40 if distance < 1.0 else 0)
+
+    def test_one_reduction_per_distinct_part(self, ctx, monkeypatch):
+        calls = []
+        real = elliptic._sn_cn_dn_real
+
+        def spy(t, plan):
+            calls.append(("u" if plan is ctx.plan else "v", t.hex()))
+            return real(t, plan)
+
+        monkeypatch.setattr(elliptic, "_sn_cn_dn_real", spy)
+        points = _seeded_points(ctx, random.Random(9), 200)
+        sn_cn_dn_points(points, ctx)
+        want = {("u", t.real.hex()) for t in points} | {("v", t.imag.hex()) for t in points}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == want
+        assert ("u", "-0x0.0p+0") in want and ("u", "0x0.0p+0") in want
