@@ -13,7 +13,9 @@ Everything this module checks is a consequence of pole/residue bookkeeping:
 summed residues cancel in the three-phase sums, the difference
 x^-(t + 4K/3) - x^-(t) has triple zeros whose series coefficients are known
 in closed form, and the complex equation of motion follows from matching
-principal parts.  All checks are numerical.  Poles are counted by strip
+principal parts.  All checks are numerical; each returns CheckResult rows,
+a residual with the tolerance it must meet, and the CLI applies its factor
+to those tolerances.  Poles are counted by strip
 windings: because 4K is a period, the argument principle on a horizontal
 strip of one real period reduces to the difference of two line integrals of
 x^+'/x^+, each taken by the trapezoid rule on a periodic integrand (spectrally
@@ -91,17 +93,22 @@ class PoleSpec(NamedTuple):
 
 
 class CheckResult(NamedTuple):
+    """One claim: its residual |observed - claimed| and the tolerance it must meet."""
+
     name: str
     claimed: Cplx
     observed: Cplx
     residual: float
-    passed: bool
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        # Written so that a NaN residual fails.
+        return self.residual <= self.tolerance
 
 
 def _result(name: str, claimed, observed, tol: float) -> CheckResult:
-    residual = abs(observed - claimed)
-    return CheckResult(name=name, claimed=claimed, observed=observed,
-                       residual=residual, passed=residual <= tol)
+    return CheckResult(name, claimed, observed, abs(observed - claimed), tol)
 
 
 def alpha2(ctx: EllipticContext) -> Cplx:
@@ -251,7 +258,7 @@ def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec]) -> None:
             )
 
 
-def check_residues(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+def check_residues(ctx: EllipticContext) -> list[CheckResult]:
     """The residue at each simple pole of pole_table against the claimed one.
 
     The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
@@ -259,7 +266,7 @@ def check_residues(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult
     circle of (sn, cn, dn) is evaluated once and serves both residues; the
     circles of all poles are one batch.  Refuses, before evaluating any,
     contours within 2 CONTOUR_RADIUS of a different pole of the same
-    function.  The tolerance is 1e-6 times scale.
+    function.  The tolerance is 1e-6.
     """
     table = pole_table(ctx)
     for poles in table.values():
@@ -276,16 +283,12 @@ def check_residues(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult
         for pole in poles:
             observed = _mean([g(*v) for v in circles[pole.location]], -1) * CONTOUR_RADIUS
             out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
-                               observed, 1e-6 * scale))
+                               observed, 1e-6))
     return out
 
 
-def check_special_values(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
-    """The twelve closed-form values of sn, cn, dn at multiples of K/3.
-
-    The tolerance is 1e-12 times scale.
-    """
-    tol = 1e-12 * scale
+def check_special_values(ctx: EllipticContext) -> list[CheckResult]:
+    """The twelve closed-form values of sn, cn, dn at multiples of K/3; tolerance 1e-12."""
     rt2 = math.sqrt(2.0)
     table = {
         1: (SQRT3 - 1.0, ROOT4_3 * (SQRT3 - 1.0) / rt2, 1.0 / rt2),
@@ -297,11 +300,11 @@ def check_special_values(ctx: EllipticContext, scale: float = 1.0) -> list[Check
     values = sn_cn_dn_points([complex(j * ctx.K / 3.0, 0.0) for j in table], ctx)
     for (j, claimed), (s, c, d) in zip(table.items(), values):
         for name, got, want in (("sn", s, claimed[0]), ("cn", c, claimed[1]), ("dn", d, claimed[2])):
-            out.append(_result(f"{name}({j}K/3)", want, got, tol))
+            out.append(_result(f"{name}({j}K/3)", want, got, 1e-12))
     return out
 
 
-def check_modulus_identity(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+def check_modulus_identity(ctx: EllipticContext) -> list[CheckResult]:
     """The special value sn(K/3) pins the modulus.
 
     With s = sn(K/3), evaluating sn(10K/3) by the 3K-shift and by the
@@ -309,9 +312,9 @@ def check_modulus_identity(ctx: EllipticContext, scale: float = 1.0) -> list[Che
     modulus; at the choreographic s = sqrt(3) - 1 that value is (2+sqrt3)/4.
     The reported residual is the distance of the rebuilt value from the
     choreographic modulus, so it doubles as a negative control at other
-    moduli.  The tolerance is 1e-12 times scale.
+    moduli.  The tolerance is 1e-12.
     """
-    tol = 1e-12 * scale
+    tol = 1e-12
     s, c, d = sn_cn_dn(ctx.K / 3.0, ctx)
     rebuilt = (1.0 - 2.0 * s) / (s**4 - 2.0 * s**3)
     shift = -c / d
@@ -324,13 +327,13 @@ def check_modulus_identity(ctx: EllipticContext, scale: float = 1.0) -> list[Che
     ]
 
 
-def check_sum_identities(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+def check_sum_identities(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
     """Three-phase sums: x^+ cancels to 0, 1/(1 - i cn) to (3 + sqrt3)/2.
 
-    The tolerance is 1e-11 at a real t and 1e-9 off the axis, times scale.
+    The tolerance is 1e-11 at a real t and 1e-9 off the axis.
     """
     t = complex(t)
-    tol = (1e-11 if t.imag == 0.0 else 1e-9) * scale
+    tol = 1e-11 if t.imag == 0.0 else 1e-9
     phases = _three_phases(t, ctx)
     return [
         _result("three-phase sum of x_plus", 0.0, _phase_sum(_x_plus, phases), tol),
@@ -339,15 +342,15 @@ def check_sum_identities(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> l
     ]
 
 
-def check_j_identity(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+def check_j_identity(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
     """Both representations of j agree and the three-phase sum vanishes.
 
     The second representation is d/dt [1/(1 - i cn)] = -i sn dn / (1 - i cn)^2.
     On the real axis the vanishing sum is the simultaneous conservation of
     the moment of inertia (real part) and angular momentum (imaginary part).
-    The tolerances (1e-10, and 1e-11 for the angular momentum) are times scale.
+    The tolerance is 1e-10, and 1e-11 for the angular momentum.
     """
-    tol = 1e-10 * scale
+    tol = 1e-10
     t = complex(t)
     phases = _three_phases(t, ctx)
     s, c, d = phases[0]
@@ -359,18 +362,17 @@ def check_j_identity(t: Cplx, ctx: EllipticContext, scale: float = 1.0) -> list[
     ]
     if t.imag == 0.0:
         ang = angular_momentum(triple(t.real, ctx))
-        out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11 * scale))
+        out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11))
     return out
 
 
-def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
-                               scale: float = 1.0) -> list[CheckResult]:
+def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResult]:
     """Local structure of delta x^- at one of its triple zeros.
 
     Checks: log-log slope 3 of |delta x^-| on shrinking circles, the leading
     and next Taylor coefficients, oddness around the zero, and the principal
     part (2a / h^3 - b / h, up to the sign of the mirror zero) of the
-    reciprocal.  Every row's tolerance is times scale.
+    reciprocal.
     """
     t0 = complex(t0)
     a2, a3 = alpha2(ctx), alpha3(ctx)
@@ -407,14 +409,14 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext,
     odd = ahead + behind
 
     return [
-        _result("zero order (log-log slope)", 3.0, slope, 0.01 * scale),
-        _result("leading coefficient h^3", sign * TRIPLE_ZERO_C3, c3, 1e-5 * scale),
-        _result("next coefficient h^5", sign * TRIPLE_ZERO_C5, c5, 1e-4 * scale),
-        _result("principal part h^-3 of reciprocal", sign * PRINCIPAL_2A, p3, 1e-5 * scale),
+        _result("zero order (log-log slope)", 3.0, slope, 0.01),
+        _result("leading coefficient h^3", sign * TRIPLE_ZERO_C3, c3, 1e-5),
+        _result("next coefficient h^5", sign * TRIPLE_ZERO_C5, c5, 1e-4),
+        _result("principal part h^-3 of reciprocal", sign * PRINCIPAL_2A, p3, 1e-5),
         # The 1/h coefficient rides on top of the cancelled 1/h^3 term, which
         # costs three orders of floating-point headroom at the smaller radius.
-        _result("principal part h^-1 of reciprocal", -sign * PRINCIPAL_B, p1, 1e-4 * scale),
-        _result("oddness around the zero", 0.0, odd, 1e-10 * scale),
+        _result("principal part h^-1 of reciprocal", -sign * PRINCIPAL_B, p1, 1e-4),
+        _result("oddness around the zero", 0.0, odd, 1e-10),
     ]
 
 
@@ -427,15 +429,11 @@ def eom_complex_residual(t: Cplx, ctx: EllipticContext) -> float:
     return abs(_x_plus_d2(*here, ctx.m) - rhs)
 
 
-def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext,
-                                scale: float = 1.0) -> list[CheckResult]:
-    """The complex equation of motion at points away from all poles.
-
-    The tolerance is 1e-8 times scale.
-    """
+def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext) -> list[CheckResult]:
+    """The complex equation of motion at points away from all poles; tolerance 1e-8."""
     return [
         _result(f"complex equation of motion at t={complex(t)}", 0.0,
-                eom_complex_residual(complex(t), ctx), 1e-8 * scale)
+                eom_complex_residual(complex(t), ctx), 1e-8)
         for t in samples
     ]
 
@@ -479,12 +477,12 @@ def _strips(lines: list[Cplx]):
         yield label, lines[i] - lines[i + 1], claimed
 
 
-def check_strip_windings(ctx: EllipticContext, scale: float = 1.0) -> list[CheckResult]:
+def check_strip_windings(ctx: EllipticContext) -> list[CheckResult]:
     """Z - P of x^+ in each census strip against the claimed -2, +2, -2, +2.
 
-    The tolerance is WINDING_TOL times scale.
+    The tolerance is WINDING_TOL.
     """
-    return [_result(f"strip winding of x_plus, {label}", claimed, observed, WINDING_TOL * scale)
+    return [_result(f"strip winding of x_plus, {label}", claimed, observed, WINDING_TOL)
             for label, observed, claimed in _strips(line_windings(ctx))]
 
 

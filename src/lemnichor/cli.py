@@ -39,7 +39,6 @@ DEFAULT_TOLERANCES = {
     "sum_sq_distances": 1e-10,
     "product_sq_distances": 1e-10,
     "eom_residual": 1e-9,
-    "concurrency": 1e-9,
     "hyperbola": 1e-8,
 }
 
@@ -274,20 +273,18 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     from . import analytic
 
     ctx = choreography_context()
-    scale = args.tolerance_scale
     results: list[analytic.CheckResult] = []
-    results += analytic.check_special_values(ctx, scale=scale)
-    results += analytic.check_modulus_identity(ctx, scale=scale)
-    results += analytic.check_residues(ctx, scale=scale)
-    results += analytic.check_strip_windings(ctx, scale=scale)
+    results += analytic.check_special_values(ctx)
+    results += analytic.check_modulus_identity(ctx)
+    results += analytic.check_residues(ctx)
+    results += analytic.check_strip_windings(ctx)
     for t in (0.3, 1.3, complex(0.2, 0.3)):
-        results += analytic.check_sum_identities(t, ctx, scale=scale)
+        results += analytic.check_sum_identities(t, ctx)
     for t in (ctx.K / 4.0, 0.9):
-        results += analytic.check_j_identity(t, ctx, scale=scale)
-    results += analytic.check_triple_zero_and_pole(analytic.alpha2(ctx), ctx, scale=scale)
-    results += analytic.check_eom_pole_cancellation(
-        [complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx, scale=scale
-    )
+        results += analytic.check_j_identity(t, ctx)
+    results += analytic.check_triple_zero_and_pole(analytic.alpha2(ctx), ctx)
+    results += analytic.check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
+    results = [r._replace(tolerance=r.tolerance * args.tolerance_scale) for r in results]
     report = [
         {
             "name": r.name,

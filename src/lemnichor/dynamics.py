@@ -185,7 +185,7 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
     the iterator.  Each row is yielded as the loop reaches it and none is
     kept, so memory does not grow with n_steps.  The energy is evaluated
     once per step.  Returns (energy_drift, last row), energy_drift being the
-    largest |E(t) - E(0)| over every step.
+    largest |E(t) - E(0)| over every step, or NaN from the first NaN energy on.
 
     Raises ValueError unless dt > 0 and n_steps >= 1, and CollisionError
     (carrying the step index) if any pairwise distance drops below
@@ -232,7 +232,9 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
                 vy2 += half * fy2
                 energy = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
                 d = abs(energy - e0)
-                if d > drift:
+                # As in the CLI's _fold_max: a NaN d is taken, and no later d
+                # compares above it, so the drift stays NaN.
+                if d > drift or d != d:
                     drift = d
                 row = (step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy)
                 yield row

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .elliptic import EllipticContext, make_context
+from .elliptic import EllipticContext
 from .orbit import TripleState, Vec2, acceleration, body_state, ordered_sum, triple, velocity
 
 SQRT3 = math.sqrt(3.0)
@@ -67,14 +67,12 @@ def curvature_sq_sum(s: TripleState, ctx: EllipticContext) -> float:
     return ordered_sum(curvature(b.t, ctx) ** 2 for b in s.bodies)
 
 
-def velocity_relation_residual(t: float, m: float, ctx: EllipticContext | None = None) -> float:
-    """|v^2 + (m - 1/2) x^2 - 1/2| at modulus m; tiny at every modulus."""
-    if ctx is None or ctx.m != m:
-        ctx = make_context(m)
+def velocity_relation_residual(t: float, ctx: EllipticContext) -> float:
+    """|v^2 + (m - 1/2) x^2 - 1/2| at the modulus m = ctx.m; tiny at every modulus."""
     b = body_state(t, ctx)
     x2 = b.pos.norm_sq()
     v2 = b.vel.norm_sq()
-    return abs(v2 + (m - 0.5) * x2 - 0.5)
+    return abs(v2 + (ctx.m - 0.5) * x2 - 0.5)
 
 
 def _pair_sq_distances(s: TripleState) -> tuple[float, float, float]:

@@ -251,7 +251,7 @@ def test_criterion_9_property_suite(ctx, period):
         for _ in range(50):
             worst_v = max(
                 worst_v,
-                invariants.velocity_relation_residual(rng.uniform(-8.0, 8.0), m, mctx),
+                invariants.velocity_relation_residual(rng.uniform(-8.0, 8.0), mctx),
             )
     gate.check(f"speed-position relation {worst_v:.2e}", worst_v < 1e-11)
 

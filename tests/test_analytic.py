@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,9 @@ from lemnichor.analytic import (
     PRINCIPAL_2A,
     STRIP_WINDINGS,
     TRIPLE_ZERO_C3,
+    WINDING_TOL,
     CensusError,
+    CheckResult,
     ContourCrossingError,
     NoZeroOrPoleError,
     alpha1,
@@ -41,9 +44,46 @@ from lemnichor.analytic import (
     x_plus_log_d1,
 )
 from lemnichor.dynamics import PotentialVariant, eom_residual
-from lemnichor.elliptic import make_context, sn_cn_dn_complex
+from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn_complex
 
 from conftest import ROOT4_3, SQRT3
+
+
+def cli_rows(ctx):
+    """The 47 rows of `lemnichor analytic`, in its order, at unit scale."""
+    rows = check_special_values(ctx) + check_modulus_identity(ctx)
+    rows += check_residues(ctx) + check_strip_windings(ctx)
+    for t in (0.3, 1.3, complex(0.2, 0.3)):
+        rows += check_sum_identities(t, ctx)
+    for t in (ctx.K / 4.0, 0.9):
+        rows += check_j_identity(t, ctx)
+    rows += check_triple_zero_and_pole(alpha2(ctx), ctx)
+    return rows + check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
+
+
+class TestCheckRows:
+    # Off the choreographic modulus 36 of the 47 rows fail.
+    @pytest.mark.parametrize("m", [CHOREO_M, CHOREO_M * (1.0 + 1e-3)])
+    def test_every_row_carries_its_tolerance(self, m):
+        ctx = make_context(m)
+        rows = cli_rows(ctx) + check_triple_zero_and_pole(-alpha3(ctx), ctx)
+        assert len(rows) == 53
+        for r in rows:
+            assert math.isfinite(r.tolerance) and r.tolerance > 0.0, r.name
+            assert r.passed == (r.residual <= r.tolerance), r.name
+        assert sum(not r.passed for r in rows) == (0 if m == CHOREO_M else 36 + 5)
+
+    def test_the_documented_tolerances(self, ctx):
+        # 1e-9: the four strip windings (WINDING_TOL) and the two complex sums.
+        assert WINDING_TOL == 1e-9
+        assert Counter(r.tolerance for r in cli_rows(ctx)) == {
+            1e-12: 15, 1e-6: 8, 1e-9: 4 + 2, 1e-11: 6, 1e-10: 5,
+            0.01: 1, 1e-5: 2, 1e-4: 2, 1e-8: 2}
+
+    def test_nan_residual_fails(self):
+        row = CheckResult("nan row", 0j, complex(math.nan, 0.0), math.nan, 1.0)
+        assert not row.passed
+        assert not row._replace(tolerance=math.inf).passed
 
 
 class TestSpecialValues:

@@ -229,6 +229,15 @@ class TestIntegrate:
                                       0.001, 8, consume=deque(maxlen=0).extend)
         assert summary["energy_drift"] == drift
 
+    def test_diverged_run_reports_a_nan_drift(self, capsys):
+        # A step of 1e300 overflows in the first step: the rows are nan/inf,
+        # the drift is NaN (written as null), and nothing was verified.
+        code, out, err = run_cli(["integrate", "--dt", "1e300", "--steps", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(math.isnan(row[-1]) for row in rows[1:])
+        assert strict_json(err)["energy_drift"] is None
+
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["integrate", "--steps", "4", "--output", str(out)]) == 0
@@ -598,16 +607,28 @@ class TestAnalytic:
         assert [e["claimed"] for e in strips] == [[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 0.0]]
         assert all(e["residual"] <= 1e-9 for e in strips)
 
-    def test_tolerance_scale_reaches_every_row(self, capsys):
-        # At 1e-30 every tolerance is below every nonzero residual: only the
-        # three special values whose residual is exactly 0.0 still pass.
-        code, out, _ = run_cli(["analytic", "--tolerance-scale", "1e-30"], capsys)
-        assert code == 1
+    # Each row's tolerance times the scale: the bytes and the exit code at
+    # each scale are those of the checks that multiplied it in themselves.
+    @pytest.mark.parametrize("scale, digest, failed", [
+        ("1", "295905929329a09c315224fc553886f436398688bb0e5a25663e7b13c7348fc0", 0),
+        ("100", "295905929329a09c315224fc553886f436398688bb0e5a25663e7b13c7348fc0", 0),
+        ("1e-30", "14293ac080e595bcd3ee7945b5d5a7628726414e9253e47e30c8619f29744507", 44),
+        ("1e-3", "68d1abfe4afeee3292052c9388fd29e028fa42db35e2324fe5ac846a0e91ef6b", 1),
+    ])
+    def test_tolerance_scale_reaches_every_row(self, scale, digest, failed, capsys):
+        code, out, _ = run_cli(["analytic", "--tolerance-scale", scale], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1 if failed else 0, digest)
         report = strict_json(out)
         assert len(report) == 47
-        passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
-        assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
-        assert all(e["residual"] > 0.0 for e in report if not e["pass"])
+        assert sum(not e["pass"] for e in report) == failed
+        if scale == "1e-30":
+            # Every tolerance is below every nonzero residual: only the three
+            # special values whose residual is exactly 0.0 still pass.
+            passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
+            assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
+        if scale == "1e-3":
+            # The slope's tolerance 0.01 becomes 1e-5, below its residual 5.7e-5.
+            assert [e["name"] for e in report if not e["pass"]] == ["zero order (log-log slope)"]
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
         # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.

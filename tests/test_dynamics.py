@@ -334,6 +334,24 @@ class TestIntegrate:
         assert drift > 0.0
         assert drift == max(abs(row[-1] - e0) for row in rows)
 
+    @pytest.mark.parametrize("variant", [U, V])
+    def test_nan_energy_makes_the_drift_nan(self, ctx, variant):
+        # A step of 1e300 overflows at once: every energy after the start is
+        # NaN, and so is the drift (a `d > drift` fold alone reports 0.0).
+        s = triple(0.0, ctx)
+        rows, drift, _ = collect(s.positions, s.velocities, variant, 1e300, 3)
+        assert [math.isnan(row[-1]) for row in rows] == [False, True, True, True]
+        assert math.isnan(drift)
+
+    def test_finite_energies_after_a_nan_keep_the_drift_nan(self, ctx, monkeypatch):
+        # The NaN at step 1 must not be replaced by the larger finite 0.5 at step 2.
+        energies = iter([1.0, math.nan, 1.5, 1.0])
+        monkeypatch.setattr(dynamics, "_energy", lambda *_: next(energies))
+        s = triple(0.0, ctx)
+        rows, drift, _ = collect(s.positions, s.velocities, U, 0.01, 3)
+        assert len(rows) == 4
+        assert math.isnan(drift)
+
     def test_collision_at_start_reports_step_zero(self):
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
         vels = [Vec2(0.0, 0.0)] * 3

@@ -126,14 +126,14 @@ class TestCurvature:
 
 class TestVelocityRelation:
     def test_choreo_modulus(self, ctx):
-        assert velocity_relation_residual(ctx.K / 5.0, ctx.m, ctx) < 1e-11
+        assert velocity_relation_residual(ctx.K / 5.0, ctx) < 1e-11
 
     def test_arbitrary_modulus(self):
-        assert velocity_relation_residual(1.0, 0.3) < 1e-11
+        assert velocity_relation_residual(1.0, make_context(0.3)) < 1e-11
 
     def test_half_modulus_at_origin(self):
         # x(0) = 0, so the relation reduces to v^2 = 1/2 on the nose.
-        assert velocity_relation_residual(0.0, 0.5) < 1e-14
+        assert velocity_relation_residual(0.0, make_context(0.5)) < 1e-14
 
     def test_five_random_moduli(self):
         rng = random.Random(99)
@@ -141,7 +141,7 @@ class TestVelocityRelation:
             m = rng.uniform(0.05, 0.95)
             ctx = make_context(m)
             for _ in range(40):
-                assert velocity_relation_residual(rng.uniform(-8.0, 8.0), m, ctx) < 1e-11
+                assert velocity_relation_residual(rng.uniform(-8.0, 8.0), ctx) < 1e-11
 
 
 class TestDistances:

@@ -172,7 +172,7 @@ class TestValueTypes:
             Vec2(1.0, 2.0), s.bodies[0], s, full_report(0.3, ctx), ctx,
             concurrency_point(s), tangents_from_point(Vec2(2.0 ** 0.5, 1.0), ctx)[0],
             PoleSpec(location=1j, claimed_residue=-1j),
-            CheckResult(name="n", claimed=0j, observed=0j, residual=0.0, passed=True),
+            CheckResult(name="n", claimed=0j, observed=0j, residual=0.0, tolerance=1e-12),
         ]
         assert len({type(v) for v in values}) == 9
         for value in values:
