@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
 from .invariants import angular_momentum
-from .orbit import ordered_sum, triple
+from .orbit import ordered_sum, triple, triple_phases
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -86,10 +87,11 @@ class NoZeroOrPoleError(ValueError):
 
 
 class PoleSpec(NamedTuple):
-    """A simple pole inside the fundamental cell with its claimed residue."""
+    """A simple pole of both x^+ and 1/(1 - i cn), with the claimed residue of each."""
 
     location: Cplx
-    claimed_residue: Cplx
+    x_plus_residue: Cplx
+    icn_residue: Cplx
 
 
 class CheckResult(NamedTuple):
@@ -174,9 +176,8 @@ def x_plus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
 def _shifted(ts: list[Cplx], ctx: EllipticContext) -> tuple[list, list]:
     # (sn, cn, dn) at each t + 4K/3 and at each t, as one batch: a point and
     # its shift share their imaginary part.
-    third = 4.0 * ctx.K / 3.0
     n = len(ts)
-    scd = sn_cn_dn_points([t + third for t in ts] + ts, ctx)
+    scd = sn_cn_dn_points([triple_phases(t, ctx)[1] for t in ts] + ts, ctx)
     return scd[:n], scd[n:]
 
 
@@ -197,8 +198,7 @@ def delta_x_minus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
 
 def _three_phases(t: Cplx, ctx: EllipticContext) -> list:
     # (sn, cn, dn) at t, t + 4K/3 and t - 4K/3, as one batch.
-    third = 4.0 * ctx.K / 3.0
-    return sn_cn_dn_points([t, t + third, t - third], ctx)
+    return sn_cn_dn_points(list(triple_phases(t, ctx)), ctx)
 
 
 def _phase_sum(g, phases) -> Cplx:
@@ -215,76 +215,60 @@ def _circle(center: Cplx, radius: float) -> list[Cplx]:
     return [center + cmath.rect(radius, 2.0 * math.pi * j / n) for j in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _twiddles(k: int, n: int) -> tuple[Cplx, ...]:
+    # e^{-i k th_j} at the n nodes of _circle.
+    return tuple(cmath.exp(complex(0.0, -k * (2.0 * math.pi * j / n))) for j in range(n))
+
+
 def _mean(vals: list[Cplx], k: int) -> Cplx:
     # (1/N) sum_j f_j e^{-i k th_j} of the values at the nodes of _circle;
     # equals the Laurent coefficient c_k times r^k for f analytic in a
     # punctured neighborhood.
     n = len(vals)
     acc = 0j
-    for j, v in enumerate(vals):
-        acc += v * cmath.exp(complex(0.0, -k * (2.0 * math.pi * j / n)))
+    for v, w in zip(vals, _twiddles(k, n)):
+        acc += v * w
     return acc / n
 
 
-_FUNCTIONS = {"x_plus": _x_plus, "one_over_one_minus_icn": _one_over_one_minus_icn}
-
-
-def pole_table(ctx: EllipticContext) -> dict[str, list[PoleSpec]]:
-    """Simple poles of x^+ and 1/(1 - i cn) with their claimed residues."""
+def pole_table(ctx: EllipticContext) -> list[PoleSpec]:
+    """The four poles a2, a3, -a2, -a3 that x^+ and 1/(1 - i cn) share, one row each."""
     a2, a3 = alpha2(ctx), alpha3(ctx)
-    rt = math.sqrt(2.0) / ROOT4_3
-    ri = 1.0 / ROOT4_3
-    return {
-        "x_plus": [
-            PoleSpec(a2, rt),
-            PoleSpec(a3, -rt),
-            PoleSpec(-a2, rt),
-            PoleSpec(-a3, -rt),
-        ],
-        "one_over_one_minus_icn": [
-            PoleSpec(a2, ri),
-            PoleSpec(a3, -ri),
-            PoleSpec(-a2, -ri),
-            PoleSpec(-a3, ri),
-        ],
-    }
-
-
-def _refuse_crossing(pole: PoleSpec, poles: list[PoleSpec]) -> None:
-    for other in poles:
-        if 1e-9 < abs(other.location - pole.location) < 2.0 * CONTOUR_RADIUS:
-            raise ContourCrossingError(
-                f"pole at {other.location} lies within 2x contour radius of {pole.location}"
-            )
+    rt, ri = math.sqrt(2.0) / ROOT4_3, 1.0 / ROOT4_3
+    return [
+        PoleSpec(a2, rt, ri),
+        PoleSpec(a3, -rt, -ri),
+        PoleSpec(-a2, rt, -ri),
+        PoleSpec(-a3, -rt, ri),
+    ]
 
 
 def check_residues(ctx: EllipticContext) -> list[CheckResult]:
-    """The residue at each simple pole of pole_table against the claimed one.
+    """The residues of x^+, then of 1/(1 - i cn), at each pole of pole_table.
 
     The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
-    around the pole.  x^+ and 1/(1 - i cn) share their poles, so each pole's
-    circle of (sn, cn, dn) is evaluated once and serves both residues; the
-    circles of all poles are one batch.  Refuses, before evaluating any,
-    contours within 2 CONTOUR_RADIUS of a different pole of the same
-    function.  The tolerance is 1e-6.
+    around the pole.  Each pole's circle of (sn, cn, dn) is evaluated once
+    and serves both residues; the circles of all poles are one batch.
+    Refuses, before evaluating any, contours within 2 CONTOUR_RADIUS of
+    another pole.  The tolerance is 1e-6.
     """
-    table = pole_table(ctx)
-    for poles in table.values():
-        for pole in poles:
-            _refuse_crossing(pole, poles)
-    circles = dict.fromkeys(pole.location for poles in table.values() for pole in poles)
-    scd = sn_cn_dn_points([z for center in circles for z in _circle(center, CONTOUR_RADIUS)], ctx)
+    poles = pole_table(ctx)
+    for i, pole in enumerate(poles):
+        for other in poles[i + 1:]:
+            if abs(other.location - pole.location) < 2.0 * CONTOUR_RADIUS:
+                raise ContourCrossingError(
+                    f"pole at {other.location} lies within 2x contour radius of {pole.location}"
+                )
     n = CONTOUR_NODES
-    for i, center in enumerate(circles):
-        circles[center] = scd[i * n:(i + 1) * n]
-    out = []
-    for f_id, poles in table.items():
-        g = _FUNCTIONS[f_id]
-        for pole in poles:
-            observed = _mean([g(*v) for v in circles[pole.location]], -1) * CONTOUR_RADIUS
-            out.append(_result(f"residue of {f_id} at {pole.location}", pole.claimed_residue,
-                               observed, 1e-6))
-    return out
+    scd = sn_cn_dn_points([z for pole in poles for z in _circle(pole.location, CONTOUR_RADIUS)], ctx)
+    return [
+        _result(f"residue of {f_id} at {pole.location}", getattr(pole, field),
+                _mean([g(*v) for v in scd[i * n:(i + 1) * n]], -1) * CONTOUR_RADIUS, 1e-6)
+        for f_id, g, field in (("x_plus", _x_plus, "x_plus_residue"),
+                               ("one_over_one_minus_icn", _one_over_one_minus_icn, "icn_residue"))
+        for i, pole in enumerate(poles)
+    ]
 
 
 def check_special_values(ctx: EllipticContext) -> list[CheckResult]:
@@ -513,9 +497,9 @@ def pole_census(ctx: EllipticContext) -> list[tuple[Cplx, int, Cplx]]:
             f"census lines Im t = {CENSUS_LINE_LABELS[0]} and {CENSUS_LINE_LABELS[-1]} "
             f"differ by the period 4iK' but give windings {lines[0]} and {lines[-1]}"
         )
-    a2, a3 = alpha2(ctx), alpha3(ctx)
+    poles = [pole.location for pole in pole_table(ctx)]
     two_k, two_kp = 2.0 * ctx.K, 2.0j * ctx.Kprime
-    loci = ([-a2, -a3], [0j, complex(two_k)], [a2, a3], [two_kp, two_k + two_kp])
+    loci = (poles[2:], [0j, complex(two_k)], poles[:2], [two_kp, two_k + two_kp])
     out = []
     for (label, wind, claimed), seeds in zip(_strips(lines), loci):
         if abs(wind - claimed) > WINDING_TOL:

@@ -220,9 +220,9 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if args.init == "analytic":
         # Only the analytic start has a reference orbit to compare against.
         ref = triple(summary["final_time"], ctx)
+        row = dict(zip(dynamics.ROW_FIELDS, last))
         summary["position_error_vs_analytic"] = max(
-            # Columns 1, 5 and 9 of a row are x1, x2 and x3.
-            (Vec2(last[i], last[i + 1]) - p).norm() for i, p in zip((1, 5, 9), ref.positions)
+            (Vec2(row[f"x{k}"], row[f"y{k}"]) - p).norm() for k, p in enumerate(ref.positions, 1)
         )
     sys.stderr.write(_json_text(summary))
     return 0
@@ -291,6 +291,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             "claimed": _cplx(r.claimed),
             "observed": _cplx(r.observed),
             "residual": r.residual,
+            "tolerance": r.tolerance,
             "pass": r.passed,
         }
         for r in results

@@ -295,10 +295,12 @@ def complete_triple_from_point(
     The tangent line at x1 crosses the hyperbola in d1, d2; the concurrency
     point is the crossing in a different quadrant from x1 (cross-checked:
     it is the one that moves up as x1 moves forward).  The remaining two
-    bodies are then read off the tangent construction at that point, ordered
-    as (x2, x3) = phases (x1 + 4K/3, x1 - 4K/3).
+    bodies are then read off the tangent construction at that point: x2 and
+    x3 are the contact points nearest the phases of the second and third
+    bodies of triple(x1_phase), (x1 + 4K/3, x1 - 4K/3).
     """
-    b1 = body_state(x1_phase, ctx)
+    s = triple(x1_phase, ctx)
+    b1 = s.bodies[0]
     x1, v1 = b1.pos, b1.vel
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
@@ -309,9 +311,7 @@ def complete_triple_from_point(
         raise NoIntersectionError("tangent line is tangent to the hyperbola")
     picked = [d for d in ds if quadrant(d) != q1]
     if len(picked) != 1:
-        raise AxisAmbiguityError(
-            f"quadrant rule is ambiguous for intersections {ds}"
-        )
+        raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
@@ -322,25 +322,13 @@ def complete_triple_from_point(
         return lam * d.x * v1.cross(b1.acc) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
-        raise MethodDisagreementError(
-            "upward-motion rule disagrees with the quadrant rule"
-        )
+        raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
 
-    candidates = tangents_from_point(d_sel, ctx)
-    partners = select_choreographic(d_sel, candidates)
-    period = ctx.period
-    third = period / 3.0
-
-    def by_offset(offset: float) -> TangencyCandidate:
-        return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
-
-    x2 = by_offset(third).point
-    x3 = by_offset(-third).point
-
-    lambdas = []
-    for b in (b1, body_state(x1_phase + third, ctx), body_state(x1_phase - third, ctx)):
-        lambdas.append((d_sel - b.pos).dot(b.vel) / b.vel.norm_sq())
-    return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas), finite=True)
+    partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
+    x2, x3 = (min(partners, key=lambda cand: abs(_wrap(cand.s - b.t, ctx.period))).point
+              for b in s.bodies[1:])
+    lambdas = tuple((d_sel - b.pos).dot(b.vel) / b.vel.norm_sq() for b in s.bodies)
+    return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas, finite=True)
 
 
 def sweep_row(t: float, ctx: EllipticContext) -> dict:

@@ -149,6 +149,7 @@ def body_state(t: float, ctx: EllipticContext) -> BodyState:
 
 
 def triple_phases(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
+    """The phases t, t + 4K/3, t - 4K/3 of the three bodies; a complex t gives complex phases."""
     third = 4.0 * ctx.K / 3.0
     return (t, t + third, t - third)
 

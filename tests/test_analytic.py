@@ -122,12 +122,18 @@ class TestModulusIdentity:
 class TestResidues:
     def test_all_eight_table_entries(self, ctx):
         results = check_residues(ctx)
-        poles = [p for table in pole_table(ctx).values() for p in table]
-        assert len(results) == len(poles) == 8
-        for r, pole in zip(results, poles):
-            assert r.claimed == pole.claimed_residue
-            assert abs(r.observed - pole.claimed_residue) <= 1e-6, r.name
+        poles = pole_table(ctx)
+        claims = [p.x_plus_residue for p in poles] + [p.icn_residue for p in poles]
+        assert len(results) == len(claims) == 8
+        for r, claimed in zip(results, claims):
+            assert r.claimed == claimed
+            assert abs(r.observed - claimed) <= 1e-6, r.name
             assert r.passed
+
+    def test_one_row_per_pole(self, ctx):
+        # x^+ and 1/(1 - i cn) share the four poles, so each is listed once.
+        a2, a3 = alpha2(ctx), alpha3(ctx)
+        assert [p.location for p in pole_table(ctx)] == [a2, a3, -a2, -a3]
 
     def test_three_named_entries(self, ctx):
         a2, a3 = alpha2(ctx), alpha3(ctx)
@@ -442,12 +448,14 @@ def sample_points(ctx):
 class TestOneEvaluationPerNode:
     def test_residues_bit_equal(self, ctx):
         results = analytic.check_residues(ctx)
-        want = [(f_id, p) for f_id, poles in pole_table(ctx).items() for p in poles]
+        poles = pole_table(ctx)
+        want = ([("x_plus", p, p.x_plus_residue) for p in poles]
+                + [("one_over_one_minus_icn", p, p.icn_residue) for p in poles])
         assert len(results) == len(want) == 8
-        for r, (f_id, pole) in zip(results, want):
+        for r, (f_id, pole, claimed) in zip(results, want):
             assert r.name == f"residue of {f_id} at {pole.location}"
             assert cbits(r.observed) == cbits(oracle_residue(pole, f_id, ctx))
-            assert r.residual == abs(r.observed - pole.claimed_residue)
+            assert r.residual == abs(r.observed - claimed)
 
     def test_line_windings_bit_equal(self, ctx):
         got, want = line_windings(ctx), oracle_line_windings(ctx)

@@ -610,10 +610,10 @@ class TestAnalytic:
     # Each row's tolerance times the scale: the bytes and the exit code at
     # each scale are those of the checks that multiplied it in themselves.
     @pytest.mark.parametrize("scale, digest, failed", [
-        ("1", "295905929329a09c315224fc553886f436398688bb0e5a25663e7b13c7348fc0", 0),
-        ("100", "295905929329a09c315224fc553886f436398688bb0e5a25663e7b13c7348fc0", 0),
-        ("1e-30", "14293ac080e595bcd3ee7945b5d5a7628726414e9253e47e30c8619f29744507", 44),
-        ("1e-3", "68d1abfe4afeee3292052c9388fd29e028fa42db35e2324fe5ac846a0e91ef6b", 1),
+        ("1", "53a196a98bdea3a16cac739ed6b76d845a40df167345ef914d463232bf5725cb", 0),
+        ("100", "bc2e88ac7a2205998171b21d43a7f9824c37cb1406da247a3c6681fb1d407ec0", 0),
+        ("1e-30", "839a43a2639a1c3f7bed846ad36b56267181d32dc70fd820746b5014b1a736b4", 44),
+        ("1e-3", "faa7d2d68b4ff678aaf29e780a1be414edbde216667d489da397f233e059b956", 1),
     ])
     def test_tolerance_scale_reaches_every_row(self, scale, digest, failed, capsys):
         code, out, _ = run_cli(["analytic", "--tolerance-scale", scale], capsys)
@@ -621,6 +621,8 @@ class TestAnalytic:
         report = strict_json(out)
         assert len(report) == 47
         assert sum(not e["pass"] for e in report) == failed
+        # Each row reports the scaled tolerance that its pass was judged by.
+        assert all(e["pass"] == (e["residual"] <= e["tolerance"]) for e in report)
         if scale == "1e-30":
             # Every tolerance is below every nonzero residual: only the three
             # special values whose residual is exactly 0.0 still pass.
@@ -629,6 +631,7 @@ class TestAnalytic:
         if scale == "1e-3":
             # The slope's tolerance 0.01 becomes 1e-5, below its residual 5.7e-5.
             assert [e["name"] for e in report if not e["pass"]] == ["zero order (log-log slope)"]
+            assert [e["tolerance"] for e in report if not e["pass"]] == [0.01 * 1e-3]
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
         # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.

@@ -8,7 +8,11 @@ import pytest
 from lemnichor.cli import main
 from lemnichor.geometry import (
     BISECT_TOL,
+    EPS_AXIS,
     AxisAmbiguityError,
+    ConcurrencyPoint,
+    MethodDisagreementError,
+    NoIntersectionError,
     _gap_and_slope,
     _wrap,
     complete_triple_from_point,
@@ -418,6 +422,64 @@ class TestCompleteTripleFromPoint:
             assert (x3 - s.positions[2]).norm() <= 1e-7
             done += 1
         assert done >= 18
+
+    def test_bit_equal_to_offset_matching(self, ctx, period):
+        # The partners are matched at the phases of triple(t); an earlier form
+        # matched them at t +- period / 3 and evaluated the two lambdas' body
+        # states separately.  Results and refusals must be the same to the bit.
+        rng = random.Random(404)
+        phases = [0.55, 0.0, ctx.K, 2.0 * ctx.K]
+        phases += [rng.uniform(-2.0 * period, 2.0 * period) for _ in range(400)]
+        refused = 0
+        for t in phases:
+            got = _outcome(complete_triple_from_point, t, ctx)
+            assert got == _outcome(offset_matching_oracle, t, ctx), t
+            refused += got[0] != "ok"
+        assert 3 <= refused < 40
+
+
+def offset_matching_oracle(x1_phase, ctx):
+    """complete_triple_from_point as it matched partners by phase offset."""
+    b1 = body_state(x1_phase, ctx)
+    x1, v1 = b1.pos, b1.vel
+    if x1.norm() < EPS_AXIS:
+        raise AxisAmbiguityError("phase maps to the origin")
+    q1 = quadrant(x1)
+    ds = tangent_hyperbola_intersections(x1, v1)
+    if len(ds) < 2:
+        raise NoIntersectionError("tangent line is tangent to the hyperbola")
+    picked = [d for d in ds if quadrant(d) != q1]
+    if len(picked) != 1:
+        raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
+    d_sel = picked[0]
+    d_rej = ds[0] if ds[1] is d_sel else ds[1]
+
+    def rise(d):
+        lam = (d - x1).dot(v1) / v1.norm_sq()
+        return lam * d.x * v1.cross(b1.acc) / (d.x * v1.x - d.y * v1.y)
+
+    if not rise(d_sel) > 0.0 > rise(d_rej):
+        raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
+    partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
+    period = ctx.period
+    third = period / 3.0
+
+    def by_offset(offset):
+        return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
+
+    lambdas = [(d_sel - b.pos).dot(b.vel) / b.vel.norm_sq()
+               for b in (b1, body_state(x1_phase + third, ctx), body_state(x1_phase - third, ctx))]
+    return ((by_offset(third).point, by_offset(-third).point),
+            ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas), finite=True))
+
+
+def _outcome(construct, t, ctx):
+    # ("ok", float hex of x2, x3, c and the lambdas) or (error type, message).
+    try:
+        (x2, x3), cp = construct(t, ctx)
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+    return "ok", [v.hex() for v in (*x2, *x3, *cp.c, *cp.lambdas)], cp.finite
 
 
 class TestTangentHyperbolaIntersections:

@@ -171,13 +171,14 @@ class TestValueTypes:
         values = [
             Vec2(1.0, 2.0), s.bodies[0], s, full_report(0.3, ctx), ctx,
             concurrency_point(s), tangents_from_point(Vec2(2.0 ** 0.5, 1.0), ctx)[0],
-            PoleSpec(location=1j, claimed_residue=-1j),
+            PoleSpec(location=1j, x_plus_residue=-1j, icn_residue=1.0),
             CheckResult(name="n", claimed=0j, observed=0j, residual=0.0, tolerance=1e-12),
         ]
         assert len({type(v) for v in values}) == 9
         for value in values:
-            with pytest.raises(AttributeError):
-                setattr(value, value._fields[0], 0.0)
+            for field in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, 0.0)
 
     def test_repr(self):
         assert repr(Vec2(1.0, 2.0)) == "Vec2(x=1.0, y=2.0)"
