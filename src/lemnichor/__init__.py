@@ -13,14 +13,14 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _NAMES = {
     "elliptic": (
-        "CHOREO_M", "Cplx", "EllipticContext", "PoleProximityError", "choreography_context",
-        "make_context", "sn_cn_dn", "sn_cn_dn_complex",
+        "CHOREO_M", "EllipticContext", "PoleProximityError", "choreography_context",
+        "make_context", "sn_cn_dn",
     ),
     "orbit": ("BodyState", "TripleState", "Vec2", "acceleration", "triple", "velocity"),
     "invariants": ("InvariantReport", "full_report"),
     "dynamics": (
         "CollisionError", "PotentialVariant", "eom_residual", "integrate",
-        "one_body_lemniscate_residual", "total_energy",
+        "one_body_lemniscate_residual",
     ),
     "geometry": (
         "ConcurrencyPoint", "TangencyCandidate", "complete_triple_from_point",

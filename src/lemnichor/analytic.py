@@ -40,7 +40,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import CHOREO_M, Cplx, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
+from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
 from .invariants import angular_momentum
 from .orbit import ordered_sum, triple, triple_phases
 
@@ -61,10 +61,6 @@ WINDING_TOL = 1e-9
 
 # Eq-of-motion sum constant for 1/(1 - i cn): (3 + sqrt(3)) / 2.
 CN_SUM_CONSTANT = (3.0 + SQRT3) / 2.0
-
-# Closed-form modulus of the choreography, as fixed by the special value
-# sn(K/3) = sqrt(3) - 1 through the duplication/shift identity.
-SN_THIRD = SQRT3 - 1.0
 
 # Leading Taylor coefficients of x^-(t + 4K/3) - x^-(t) at its triple zero.
 TRIPLE_ZERO_C3 = ROOT4_3 / (4.0 * math.sqrt(2.0))
@@ -89,17 +85,17 @@ class NoZeroOrPoleError(ValueError):
 class PoleSpec(NamedTuple):
     """A simple pole of both x^+ and 1/(1 - i cn), with the claimed residue of each."""
 
-    location: Cplx
-    x_plus_residue: Cplx
-    icn_residue: Cplx
+    location: complex
+    x_plus_residue: complex
+    icn_residue: complex
 
 
 class CheckResult(NamedTuple):
     """One claim: its residual |observed - claimed| and the tolerance it must meet."""
 
     name: str
-    claimed: Cplx
-    observed: Cplx
+    claimed: complex
+    observed: complex
     residual: float
     tolerance: float
 
@@ -113,54 +109,54 @@ def _result(name: str, claimed, observed, tol: float) -> CheckResult:
     return CheckResult(name, claimed, observed, abs(observed - claimed), tol)
 
 
-def alpha2(ctx: EllipticContext) -> Cplx:
+def alpha2(ctx: EllipticContext) -> complex:
     return complex(ctx.K / 3.0, ctx.Kprime)
 
 
-def alpha3(ctx: EllipticContext) -> Cplx:
+def alpha3(ctx: EllipticContext) -> complex:
     return complex(5.0 * ctx.K / 3.0, ctx.Kprime)
 
 
-def alpha1(ctx: EllipticContext) -> Cplx:
+def alpha1(ctx: EllipticContext) -> complex:
     return complex(-ctx.K, ctx.Kprime)
 
 
 # The formula layer: each quantity from (sn, cn, dn) at one point.
-def _x_plus(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _x_plus(s: complex, c: complex, d: complex) -> complex:
     return s / (1.0 - 1j * c)
 
 
-def _x_minus(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _x_minus(s: complex, c: complex, d: complex) -> complex:
     return s / (1.0 + 1j * c)
 
 
-def _one_over_one_minus_icn(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _one_over_one_minus_icn(s: complex, c: complex, d: complex) -> complex:
     return 1.0 / (1.0 - 1j * c)
 
 
-def _x_plus_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _x_plus_d1(s: complex, c: complex, d: complex) -> complex:
     # d x^+ / dt = dn (cn - i) / (1 - i cn)^2.
     u = 1.0 - 1j * c
     return d * (c - 1j) / (u * u)
 
 
-def _x_plus_d2(s: Cplx, c: Cplx, d: Cplx, m: float) -> Cplx:
+def _x_plus_d2(s: complex, c: complex, d: complex, m: float) -> complex:
     u = 1.0 - 1j * c
     return -s * ((m * c * (c - 1j) + d * d) / (u * u)
                  + 2j * d * d * (c - 1j) / (u * u * u))
 
 
-def _x_plus_log_d1(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _x_plus_log_d1(s: complex, c: complex, d: complex) -> complex:
     return d * (c - 1j) / (s * (1.0 - 1j * c))
 
 
-def _j(s: Cplx, c: Cplx, d: Cplx) -> Cplx:
+def _j(s: complex, c: complex, d: complex) -> complex:
     # j = x^- dx^+/dt: real part (1/2) d|x|^2/dt, imaginary part the
     # single-body angular momentum.
     return _x_minus(s, c, d) * _x_plus_d1(s, c, d)
 
 
-def _x_minus_and_d1(s: Cplx, c: Cplx, d: Cplx) -> tuple[Cplx, Cplx]:
+def _x_minus_and_d1(s: complex, c: complex, d: complex) -> tuple[complex, complex]:
     # x^- and x^-' = dn (cn + i) / (1 + i cn)^2.
     u = 1.0 + 1j * c
     return s / u, d * (c + 1j) / (u * u)
@@ -168,12 +164,12 @@ def _x_minus_and_d1(s: Cplx, c: Cplx, d: Cplx) -> tuple[Cplx, Cplx]:
 
 # The point layer: each function maps a list of points to one value per point
 # from one batch of (sn, cn, dn).
-def x_plus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+def x_plus_log_d1(ts: list[complex], ctx: EllipticContext) -> list[complex]:
     """x^+' / x^+ at each point of ts, in closed form: dn (cn - i) / (sn (1 - i cn))."""
     return [_x_plus_log_d1(*scd) for scd in sn_cn_dn_points(ts, ctx)]
 
 
-def _shifted(ts: list[Cplx], ctx: EllipticContext) -> tuple[list, list]:
+def _shifted(ts: list[complex], ctx: EllipticContext) -> tuple[list, list]:
     # (sn, cn, dn) at each t + 4K/3 and at each t, as one batch: a point and
     # its shift share their imaginary part.
     n = len(ts)
@@ -181,12 +177,12 @@ def _shifted(ts: list[Cplx], ctx: EllipticContext) -> tuple[list, list]:
     return scd[:n], scd[n:]
 
 
-def delta_x_minus(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+def delta_x_minus(ts: list[complex], ctx: EllipticContext) -> list[complex]:
     """x^-(t + 4K/3) - x^-(t) at each point of ts."""
     return [_x_minus(*ahead) - _x_minus(*here) for ahead, here in zip(*_shifted(ts, ctx))]
 
 
-def delta_x_minus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
+def delta_x_minus_log_d1(ts: list[complex], ctx: EllipticContext) -> list[complex]:
     """(d/dt delta x^-) / delta x^- at each point of ts, in closed form."""
     out = []
     for ahead, here in zip(*_shifted(ts, ctx)):
@@ -196,16 +192,16 @@ def delta_x_minus_log_d1(ts: list[Cplx], ctx: EllipticContext) -> list[Cplx]:
     return out
 
 
-def _three_phases(t: Cplx, ctx: EllipticContext) -> list:
+def _three_phases(t: complex, ctx: EllipticContext) -> list:
     # (sn, cn, dn) at t, t + 4K/3 and t - 4K/3, as one batch.
     return sn_cn_dn_points(list(triple_phases(t, ctx)), ctx)
 
 
-def _phase_sum(g, phases) -> Cplx:
+def _phase_sum(g, phases) -> complex:
     return g(*phases[0]) + g(*phases[1]) + g(*phases[2])
 
 
-def _circle(center: Cplx, radius: float) -> list[Cplx]:
+def _circle(center: complex, radius: float) -> list[complex]:
     """The CONTOUR_NODES nodes center + r e^{i th_j}, th_j = 2 pi j / N.
 
     A circle's values come from one batch: a point-layer function (or
@@ -216,12 +212,12 @@ def _circle(center: Cplx, radius: float) -> list[Cplx]:
 
 
 @lru_cache(maxsize=None)
-def _twiddles(k: int, n: int) -> tuple[Cplx, ...]:
+def _twiddles(k: int, n: int) -> tuple[complex, ...]:
     # e^{-i k th_j} at the n nodes of _circle.
     return tuple(cmath.exp(complex(0.0, -k * (2.0 * math.pi * j / n))) for j in range(n))
 
 
-def _mean(vals: list[Cplx], k: int) -> Cplx:
+def _mean(vals: list[complex], k: int) -> complex:
     # (1/N) sum_j f_j e^{-i k th_j} of the values at the nodes of _circle;
     # equals the Laurent coefficient c_k times r^k for f analytic in a
     # punctured neighborhood.
@@ -311,7 +307,7 @@ def check_modulus_identity(ctx: EllipticContext) -> list[CheckResult]:
     ]
 
 
-def check_sum_identities(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
+def check_sum_identities(t: complex, ctx: EllipticContext) -> list[CheckResult]:
     """Three-phase sums: x^+ cancels to 0, 1/(1 - i cn) to (3 + sqrt3)/2.
 
     The tolerance is 1e-11 at a real t and 1e-9 off the axis.
@@ -326,7 +322,7 @@ def check_sum_identities(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
     ]
 
 
-def check_j_identity(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
+def check_j_identity(t: complex, ctx: EllipticContext) -> list[CheckResult]:
     """Both representations of j agree and the three-phase sum vanishes.
 
     The second representation is d/dt [1/(1 - i cn)] = -i sn dn / (1 - i cn)^2.
@@ -350,7 +346,7 @@ def check_j_identity(t: Cplx, ctx: EllipticContext) -> list[CheckResult]:
     return out
 
 
-def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResult]:
+def check_triple_zero_and_pole(t0: complex, ctx: EllipticContext) -> list[CheckResult]:
     """Local structure of delta x^- at one of its triple zeros.
 
     Checks: log-log slope 3 of |delta x^-| on shrinking circles, the leading
@@ -404,7 +400,7 @@ def check_triple_zero_and_pole(t0: Cplx, ctx: EllipticContext) -> list[CheckResu
     ]
 
 
-def eom_complex_residual(t: Cplx, ctx: EllipticContext) -> float:
+def eom_complex_residual(t: complex, ctx: EllipticContext) -> float:
     """|d^2 x^+/dt^2 - (1/2)(1/dx^-(t) - 1/dx^-(t - 4K/3)) - (sqrt3/4) x^+|."""
     here, ahead, behind = _three_phases(t, ctx)
     xm = _x_minus(*here)
@@ -413,7 +409,7 @@ def eom_complex_residual(t: Cplx, ctx: EllipticContext) -> float:
     return abs(_x_plus_d2(*here, ctx.m) - rhs)
 
 
-def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext) -> list[CheckResult]:
+def check_eom_pole_cancellation(samples: list[complex], ctx: EllipticContext) -> list[CheckResult]:
     """The complex equation of motion at points away from all poles; tolerance 1e-8."""
     return [
         _result(f"complex equation of motion at t={complex(t)}", 0.0,
@@ -422,8 +418,8 @@ def check_eom_pole_cancellation(samples: list[Cplx], ctx: EllipticContext) -> li
     ]
 
 
-def locate_pole(log_d1, approx: Cplx, ctx: EllipticContext,
-                radius: float = 5e-2) -> tuple[int, Cplx]:
+def locate_pole(log_d1, approx: complex, ctx: EllipticContext,
+                radius: float = 5e-2) -> tuple[int, complex]:
     """(winding number, refined location) of an isolated zero or pole.
 
     ``log_d1(ts, ctx)`` is a point-layer function: the closed-form
@@ -440,7 +436,7 @@ def locate_pole(log_d1, approx: Cplx, ctx: EllipticContext,
     return order, approx + radius * _mean(vals, -2) / m1
 
 
-def line_windings(ctx: EllipticContext) -> list[Cplx]:
+def line_windings(ctx: EllipticContext) -> list[complex]:
     """(1/2 pi i) times the integral of x^+'/x^+ along each census line.
 
     Each line runs over one real period 4K, left to right, by the
@@ -454,7 +450,7 @@ def line_windings(ctx: EllipticContext) -> list[Cplx]:
     return [ordered_sum(_x_plus_log_d1(*scd) for scd in line) * h / (2j * math.pi) for line in lines]
 
 
-def _strips(lines: list[Cplx]):
+def _strips(lines: list[complex]):
     # (label, Z - P from the lines, claimed Z - P) per strip, bottom to top.
     for i, claimed in enumerate(STRIP_WINDINGS):
         label = f"{CENSUS_LINE_LABELS[i]} < Im t < {CENSUS_LINE_LABELS[i + 1]}"
@@ -470,7 +466,7 @@ def check_strip_windings(ctx: EllipticContext) -> list[CheckResult]:
             for label, observed, claimed in _strips(line_windings(ctx))]
 
 
-def _local_order(seed: Cplx, ctx: EllipticContext) -> tuple[int, Cplx]:
+def _local_order(seed: complex, ctx: EllipticContext) -> tuple[int, complex]:
     try:
         return locate_pole(x_plus_log_d1, seed, ctx)
     except NoZeroOrPoleError:
@@ -478,7 +474,7 @@ def _local_order(seed: Cplx, ctx: EllipticContext) -> tuple[int, Cplx]:
         return 0, seed
 
 
-def pole_census(ctx: EllipticContext) -> list[tuple[Cplx, int, Cplx]]:
+def pole_census(ctx: EllipticContext) -> list[tuple[complex, int, complex]]:
     """Census of the poles of x^+ inside the fundamental cell, by strip windings.
 
     The census lines (CENSUS_LINES) cut one period cell into four horizontal
@@ -516,7 +512,7 @@ def pole_census(ctx: EllipticContext) -> list[tuple[Cplx, int, Cplx]]:
     return out
 
 
-def delta_x_minus_simple_poles(ctx: EllipticContext) -> list[tuple[Cplx, int]]:
+def delta_x_minus_simple_poles(ctx: EllipticContext) -> list[tuple[complex, int]]:
     """Winding check at the six claimed simple poles of delta x^-.
 
     They sit at the conjugates +-a1*, +-a2*, +-a3*; each winding number must

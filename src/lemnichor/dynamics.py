@@ -134,22 +134,6 @@ def _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe: float) -> float:
     return 0.5 * (vx0 * vx0 + vy0 * vy0 + (vx1 * vx1 + vy1 * vy1) + (vx2 * vx2 + vy2 * vy2)) + pe
 
 
-def forces(positions, variant: PotentialVariant) -> list[Vec2]:
-    """Total force F_newton(i) + F_repulsive(i) on each body."""
-    f = _kernel(*_coords(positions), variant is PotentialVariant.U_CENTRAL)
-    return [Vec2(f[0], f[1]), Vec2(f[2], f[3]), Vec2(f[4], f[5])]
-
-
-def potential(positions, variant: PotentialVariant) -> float:
-    """Potential energy of the configuration under the given variant."""
-    return _kernel(*_coords(positions), variant is PotentialVariant.U_CENTRAL)[6]
-
-
-def total_energy(positions, velocities, variant: PotentialVariant) -> float:
-    """Kinetic (with the conventional 1/2 factor) plus potential energy."""
-    return _energy(*_coords(velocities), potential(positions, variant))
-
-
 def eom_residual(t: float, variant: PotentialVariant, ctx: EllipticContext) -> float:
     """Max over bodies of |a_i(analytic) - F_newton(i) - F_repulsive(i)|.
 

@@ -13,13 +13,12 @@ imaginary-argument transformation, which reduces sn(u + iv) to real
 evaluations at u (modulus k) and v (complementary modulus k').  One batch
 evaluator, ``sn_cn_dn_points``, holds that formula: it reduces each distinct
 real and imaginary part of its points once, with results bit-equal to
-evaluating each point alone.  ``sn_cn_dn_complex`` is the batch of one point
-and ``sn_cn_dn_lines`` the batch of a product grid of abscissae and
-horizontal lines.  The route breaks down on the common pole lattice of
-sn/cn/dn, so complex evaluation refuses arguments within ``DELTA_POLE`` of a
-pole (the line evaluator refuses whole lines within ``DELTA_POLE`` of a pole
-row); residue work near poles belongs to contour quadrature, not direct
-evaluation.
+evaluating each point alone.  ``sn_cn_dn_lines`` is the batch of a product
+grid of abscissae and horizontal lines.  The route breaks down on the common
+pole lattice of sn/cn/dn, so complex evaluation refuses arguments within
+``DELTA_POLE`` of a pole (the line evaluator refuses whole lines within
+``DELTA_POLE`` of a pole row); residue work near poles belongs to contour
+quadrature, not direct evaluation.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ LANDEN_MAX_ITER = 32
 
 # Exclusion radius around poles of sn/cn/dn for complex evaluation.
 DELTA_POLE = 1e-3
-
-# The complex plane type used throughout; Python's complex is the planar
-# (re, im) pair the library works with.
-Cplx = complex
 
 
 class PoleProximityError(ValueError):
@@ -159,7 +154,8 @@ def _pole_row_distance(v: float, ctx: EllipticContext) -> float:
     return min(abs(im - ctx.Kprime), abs(im + ctx.Kprime))
 
 
-def sn_cn_dn_points(ts: list[Cplx], ctx: EllipticContext) -> list[tuple[Cplx, Cplx, Cplx]]:
+def sn_cn_dn_points(ts: list[complex],
+                    ctx: EllipticContext) -> list[tuple[complex, complex, complex]]:
     """(sn(t), cn(t), dn(t)) at each complex point t of ts, in order.
 
     sn(u + iv) is assembled by the addition theorem from sn/cn/dn at u
@@ -200,16 +196,8 @@ def sn_cn_dn_points(ts: list[Cplx], ctx: EllipticContext) -> list[tuple[Cplx, Cp
     return out
 
 
-def sn_cn_dn_complex(t: Cplx, ctx: EllipticContext) -> tuple[Cplx, Cplx, Cplx]:
-    """(sn(t), cn(t), dn(t)) for one complex t: ``sn_cn_dn_points`` of [t].
-
-    Raises PoleProximityError within DELTA_POLE of the shared pole lattice.
-    """
-    return sn_cn_dn_points([complex(t)], ctx)[0]
-
-
 def sn_cn_dn_lines(us: list[float], vs: list[float],
-                   ctx: EllipticContext) -> list[list[tuple[Cplx, Cplx, Cplx]]]:
+                   ctx: EllipticContext) -> list[list[tuple[complex, complex, complex]]]:
     """(sn, cn, dn)(u + iv) on each horizontal line Im t = v at the abscissae us.
 
     One list per v, in the order of us: ``sn_cn_dn_points`` of the product

@@ -10,8 +10,7 @@ On the analytic orbit at the choreographic modulus, the triple conserves:
     sum of squared distances  = 3 sqrt(3)
     product of squared dists  = 3 sqrt(3) / 2
 
-and the single body satisfies the pointwise relations
-rho^-2 = 9 |x|^2 and v^2 + (m - 1/2) x^2 = 1/2 (the latter at every modulus).
+and each body's curvature satisfies rho^-2 = 9 |x|^2.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, acceleration, body_state, ordered_sum, triple, velocity
+from .orbit import TripleState, Vec2, acceleration, ordered_sum, triple, velocity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -67,26 +66,9 @@ def curvature_sq_sum(s: TripleState, ctx: EllipticContext) -> float:
     return ordered_sum(curvature(b.t, ctx) ** 2 for b in s.bodies)
 
 
-def velocity_relation_residual(t: float, ctx: EllipticContext) -> float:
-    """|v^2 + (m - 1/2) x^2 - 1/2| at the modulus m = ctx.m; tiny at every modulus."""
-    b = body_state(t, ctx)
-    x2 = b.pos.norm_sq()
-    v2 = b.vel.norm_sq()
-    return abs(v2 + (ctx.m - 0.5) * x2 - 0.5)
-
-
 def _pair_sq_distances(s: TripleState) -> tuple[float, float, float]:
     p1, p2, p3 = s.positions
     return ((p1 - p2).norm_sq(), (p2 - p3).norm_sq(), (p3 - p1).norm_sq())
-
-
-def sum_sq_distances(s: TripleState) -> float:
-    return ordered_sum(_pair_sq_distances(s))
-
-
-def product_sq_distances(s: TripleState) -> float:
-    r12, r23, r31 = _pair_sq_distances(s)
-    return r12 * r23 * r31
 
 
 class InvariantReport(NamedTuple):
@@ -133,18 +115,3 @@ def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
         product_sq_distances=psd,
         residuals=residuals,
     )
-
-
-__all__ = [
-    "InvariantReport",
-    "center_of_mass",
-    "moment_of_inertia",
-    "angular_momentum",
-    "kinetic_energy",
-    "curvature",
-    "curvature_sq_sum",
-    "velocity_relation_residual",
-    "sum_sq_distances",
-    "product_sq_distances",
-    "full_report",
-]

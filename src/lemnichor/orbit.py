@@ -99,12 +99,6 @@ class TripleState(NamedTuple):
         return tuple(b.vel for b in self.bodies)
 
 
-def lemniscate_residual(p: Vec2) -> float:
-    """(x^2 + y^2)^2 - (x^2 - y^2); zero exactly on the curve."""
-    r2 = p.norm_sq()
-    return r2 * r2 - (p.x * p.x - p.y * p.y)
-
-
 def coords(t: float, ctx: EllipticContext) -> tuple[float, float, float, float, float, float]:
     """(x, y, vx, vy, ax, ay) of one body at phase t from one elliptic evaluation.
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from lemnichor.elliptic import CHOREO_M, make_context
-from lemnichor.orbit import Vec2
+from lemnichor import dynamics, invariants
+from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn_points
+from lemnichor.orbit import Vec2, body_state, ordered_sum
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -21,6 +22,58 @@ def row_positions(row):
 def row_velocities(row):
     """The three velocities of one integrate() row (ROW_FIELDS order)."""
     return [Vec2(row[i], row[i + 1]) for i in (3, 7, 11)]
+
+
+# Views of the package that only the tests need.  Each calls the package's
+# own kernel (sn_cn_dn_points, body_state, _pair_sq_distances, _kernel,
+# _energy) and adds only the arithmetic its docstring states.
+def sn_cn_dn_at(t, ctx):
+    """(sn, cn, dn) at one complex t: the batch of one point."""
+    return sn_cn_dn_points([complex(t)], ctx)[0]
+
+
+def lemniscate_residual(p):
+    """(x^2 + y^2)^2 - (x^2 - y^2); zero exactly on the curve."""
+    r2 = p.norm_sq()
+    return r2 * r2 - (p.x * p.x - p.y * p.y)
+
+
+def speed_relation_residual(t, ctx):
+    """|v^2 + (m - 1/2) x^2 - 1/2| of one body at phase t; tiny at every modulus m."""
+    b = body_state(t, ctx)
+    x2 = b.pos.norm_sq()
+    v2 = b.vel.norm_sq()
+    return abs(v2 + (ctx.m - 0.5) * x2 - 0.5)
+
+
+def sum_sq_distances(s):
+    return ordered_sum(invariants._pair_sq_distances(s))
+
+
+def product_sq_distances(s):
+    r12, r23, r31 = invariants._pair_sq_distances(s)
+    return r12 * r23 * r31
+
+
+def _kernel(positions, variant):
+    return dynamics._kernel(*dynamics._coords(positions),
+                            variant is dynamics.PotentialVariant.U_CENTRAL)
+
+
+def forces(positions, variant):
+    """Total force F_newton(i) + F_repulsive(i) on each body, as Vec2s."""
+    f = _kernel(positions, variant)[:6]
+    return [Vec2(f[0], f[1]), Vec2(f[2], f[3]), Vec2(f[4], f[5])]
+
+
+def potential(positions, variant):
+    """Potential energy of the configuration under the given variant."""
+    return _kernel(positions, variant)[6]
+
+
+def total_energy(positions, velocities, variant):
+    """Kinetic (with the conventional 1/2 factor) plus potential energy."""
+    return dynamics._energy(*dynamics._coords(velocities), potential(positions, variant))
 
 
 @pytest.fixture(scope="session")

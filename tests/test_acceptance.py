@@ -13,7 +13,7 @@ from lemnichor import analytic, dynamics, geometry, invariants
 from lemnichor.elliptic import make_context, sn_cn_dn
 from lemnichor.orbit import Vec2, triple
 
-from conftest import row_positions
+from conftest import forces, potential, row_positions, speed_relation_residual
 
 U = dynamics.PotentialVariant.U_CENTRAL
 V = dynamics.PotentialVariant.V_PAIRWISE
@@ -251,7 +251,7 @@ def test_criterion_9_property_suite(ctx, period):
         for _ in range(50):
             worst_v = max(
                 worst_v,
-                invariants.velocity_relation_residual(rng.uniform(-8.0, 8.0), mctx),
+                speed_relation_residual(rng.uniform(-8.0, 8.0), mctx),
             )
     gate.check(f"speed-position relation {worst_v:.2e}", worst_v < 1e-11)
 
@@ -264,13 +264,13 @@ def test_criterion_9_property_suite(ctx, period):
         triples_done += 1
         for variant in (U, V):
             for i in range(3):
-                f = dynamics.forces(pts, variant)[i]
+                f = forces(pts, variant)[i]
                 for axis in range(2):
                     bump = Vec2(h, 0.0) if axis == 0 else Vec2(0.0, h)
                     up, dn = list(pts), list(pts)
                     up[i], dn[i] = pts[i] + bump, pts[i] - bump
                     grad = (
-                        dynamics.potential(up, variant) - dynamics.potential(dn, variant)
+                        potential(up, variant) - potential(dn, variant)
                     ) / (2 * h)
                     got = f.x if axis == 0 else f.y
                     worst_g = max(worst_g, abs(got + grad))

@@ -44,9 +44,9 @@ from lemnichor.analytic import (
     x_plus_log_d1,
 )
 from lemnichor.dynamics import PotentialVariant, eom_residual
-from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn_complex
+from lemnichor.elliptic import CHOREO_M, make_context
 
-from conftest import ROOT4_3, SQRT3
+from conftest import ROOT4_3, SQRT3, sn_cn_dn_at
 
 
 def cli_rows(ctx):
@@ -263,7 +263,7 @@ class TestComplexEquationOfMotion:
 
         for t in (0.3, 1.7, 2.2):
             a = acceleration(t, ctx)
-            z = analytic._x_plus_d2(*sn_cn_dn_complex(complex(t, 0.0), ctx), ctx.m)
+            z = analytic._x_plus_d2(*sn_cn_dn_at(complex(t, 0.0), ctx), ctx.m)
             assert abs(z - complex(a.x, a.y)) <= 1e-12
 
 
@@ -328,28 +328,28 @@ class TestPoleCensus:
 # analytic.py computed before each circle of values was evaluated once and
 # shared; kept as an oracle, with the point functions as they were written.
 def oracle_x_plus(t, ctx):
-    s, c, _ = sn_cn_dn_complex(t, ctx)
+    s, c, _ = sn_cn_dn_at(t, ctx)
     return s / (1.0 - 1j * c)
 
 
 def oracle_x_minus(t, ctx):
-    s, c, _ = sn_cn_dn_complex(t, ctx)
+    s, c, _ = sn_cn_dn_at(t, ctx)
     return s / (1.0 + 1j * c)
 
 
 def oracle_one_over_one_minus_icn(t, ctx):
-    _, c, _ = sn_cn_dn_complex(t, ctx)
+    _, c, _ = sn_cn_dn_at(t, ctx)
     return 1.0 / (1.0 - 1j * c)
 
 
 def oracle_x_plus_d1(t, ctx):
-    _, c, d = sn_cn_dn_complex(t, ctx)
+    _, c, d = sn_cn_dn_at(t, ctx)
     u = 1.0 - 1j * c
     return d * (c - 1j) / (u * u)
 
 
 def oracle_x_plus_log_d1(t, ctx):
-    s, c, d = sn_cn_dn_complex(t, ctx)
+    s, c, d = sn_cn_dn_at(t, ctx)
     return d * (c - 1j) / (s * (1.0 - 1j * c))
 
 
@@ -366,7 +366,7 @@ def oracle_line_windings(ctx):
 
 
 def oracle_x_plus_d2(t, ctx):
-    s, c, d = sn_cn_dn_complex(t, ctx)
+    s, c, d = sn_cn_dn_at(t, ctx)
     u = 1.0 - 1j * c
     return -s * ((ctx.m * c * (c - 1j) + d * d) / (u * u)
                  + 2j * d * d * (c - 1j) / (u * u * u))
@@ -421,7 +421,7 @@ def oracle_j_product(t, ctx):
 
 
 def oracle_j_derivative(t, ctx):
-    s, c, d = sn_cn_dn_complex(t, ctx)
+    s, c, d = sn_cn_dn_at(t, ctx)
     u = 1.0 - 1j * c
     return -1j * s * d / (u * u)
 

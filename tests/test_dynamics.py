@@ -11,17 +11,14 @@ from lemnichor.dynamics import (
     CollisionError,
     PotentialVariant,
     eom_residual,
-    forces,
     integrate,
     one_body_lemniscate_residual,
     one_body_state,
-    potential,
-    total_energy,
 )
 from lemnichor.elliptic import make_context
 from lemnichor.orbit import Vec2, acceleration, body_state, triple, triple_phases, velocity
 
-from conftest import SQRT3, row_positions, row_velocities
+from conftest import SQRT3, forces, potential, row_positions, row_velocities, total_energy
 
 U = PotentialVariant.U_CENTRAL
 V = PotentialVariant.V_PAIRWISE

@@ -23,12 +23,12 @@ import lemnichor
 
 # The public names of the package, by the submodule that defines them.
 PUBLIC = {
-    "elliptic": ["CHOREO_M", "Cplx", "EllipticContext", "PoleProximityError",
-                 "choreography_context", "make_context", "sn_cn_dn", "sn_cn_dn_complex"],
+    "elliptic": ["CHOREO_M", "EllipticContext", "PoleProximityError",
+                 "choreography_context", "make_context", "sn_cn_dn"],
     "orbit": ["BodyState", "TripleState", "Vec2", "acceleration", "triple", "velocity"],
     "invariants": ["InvariantReport", "full_report"],
     "dynamics": ["CollisionError", "PotentialVariant", "eom_residual", "integrate",
-                 "one_body_lemniscate_residual", "total_energy"],
+                 "one_body_lemniscate_residual"],
     "geometry": ["ConcurrencyPoint", "TangencyCandidate", "complete_triple_from_point",
                  "concurrency_point", "hyperbola_residual", "select_choreographic",
                  "tangents_from_point"],

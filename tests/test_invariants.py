@@ -16,13 +16,10 @@ from lemnichor.invariants import (
     full_report,
     kinetic_energy,
     moment_of_inertia,
-    product_sq_distances,
-    sum_sq_distances,
-    velocity_relation_residual,
 )
 from lemnichor.orbit import BodyState, TripleState, Vec2, triple
 
-from conftest import SQRT3
+from conftest import SQRT3, product_sq_distances, speed_relation_residual, sum_sq_distances
 
 
 def synthetic_triple(positions):
@@ -126,14 +123,14 @@ class TestCurvature:
 
 class TestVelocityRelation:
     def test_choreo_modulus(self, ctx):
-        assert velocity_relation_residual(ctx.K / 5.0, ctx) < 1e-11
+        assert speed_relation_residual(ctx.K / 5.0, ctx) < 1e-11
 
     def test_arbitrary_modulus(self):
-        assert velocity_relation_residual(1.0, make_context(0.3)) < 1e-11
+        assert speed_relation_residual(1.0, make_context(0.3)) < 1e-11
 
     def test_half_modulus_at_origin(self):
         # x(0) = 0, so the relation reduces to v^2 = 1/2 on the nose.
-        assert velocity_relation_residual(0.0, make_context(0.5)) < 1e-14
+        assert speed_relation_residual(0.0, make_context(0.5)) < 1e-14
 
     def test_five_random_moduli(self):
         rng = random.Random(99)
@@ -141,7 +138,7 @@ class TestVelocityRelation:
             m = rng.uniform(0.05, 0.95)
             ctx = make_context(m)
             for _ in range(40):
-                assert velocity_relation_residual(rng.uniform(-8.0, 8.0), ctx) < 1e-11
+                assert speed_relation_residual(rng.uniform(-8.0, 8.0), ctx) < 1e-11
 
 
 class TestDistances:

@@ -8,12 +8,11 @@ from lemnichor.orbit import (
     Vec2,
     acceleration,
     body_state,
-    lemniscate_residual,
     triple,
     velocity,
 )
 
-from conftest import P0, Q0
+from conftest import P0, Q0, lemniscate_residual
 
 
 def central_difference(f, t, h):
