@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
 from .invariants import angular_momentum
-from .orbit import ordered_sum, triple, triple_phases
+from .orbit import coords, ordered_sum, triple_phases
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -341,7 +341,7 @@ def check_j_identity(t: complex, ctx: EllipticContext) -> list[CheckResult]:
         _result("three-phase sum of j", 0.0, total, tol),
     ]
     if t.imag == 0.0:
-        ang = angular_momentum(triple(t.real, ctx))
+        ang = angular_momentum([coords(p, ctx) for p in triple_phases(t.real, ctx)])
         out.append(_result("Im(j sum) vs angular momentum", ang, total.imag, 1e-11))
     return out
 

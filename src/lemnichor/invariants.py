@@ -10,7 +10,9 @@ On the analytic orbit at the choreographic modulus, the triple conserves:
     sum of squared distances  = 3 sqrt(3)
     product of squared dists  = 3 sqrt(3) / 2
 
-and each body's curvature satisfies rho^-2 = 9 |x|^2.
+and each body's curvature satisfies rho^-2 = 9 |x|^2.  full_report forms all
+seven from the floats of orbit.coords, the three pair distances once for both
+the sum and the product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, acceleration, ordered_sum, triple, velocity
+from .orbit import Vec2, acceleration, coords, ordered_sum, triple_phases, velocity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -33,23 +35,9 @@ EXPECTED_PRODUCT_SQ_DISTANCES = 1.5 * SQRT3
 DEGENERATE_SPEED = 1e-12
 
 
-def center_of_mass(s: TripleState) -> Vec2:
-    p1, p2, p3 = s.positions
-    return p1 + p2 + p3
-
-
-def moment_of_inertia(s: TripleState) -> float:
-    return ordered_sum(p.norm_sq() for p in s.positions)
-
-
-def angular_momentum(s: TripleState) -> float:
-    """z-component of the total angular momentum (unit masses)."""
-    return ordered_sum(b.pos.cross(b.vel) for b in s.bodies)
-
-
-def kinetic_energy(s: TripleState) -> float:
-    """Sum of squared speeds, without the conventional 1/2 factor."""
-    return ordered_sum(v.norm_sq() for v in s.velocities)
+def angular_momentum(bodies: list[tuple[float, ...]]) -> float:
+    """z-component of the total angular momentum (unit masses) of orbit.coords tuples."""
+    return ordered_sum(x * vy - y * vx for x, y, vx, vy, _, _ in bodies)
 
 
 def curvature(t: float, ctx: EllipticContext) -> float:
@@ -60,15 +48,6 @@ def curvature(t: float, ctx: EllipticContext) -> float:
         raise ValueError(f"degenerate velocity |v|={speed!r} at t={t!r}")
     a = acceleration(t, ctx)
     return abs(v.cross(a)) / speed**3
-
-
-def curvature_sq_sum(s: TripleState, ctx: EllipticContext) -> float:
-    return ordered_sum(curvature(b.t, ctx) ** 2 for b in s.bodies)
-
-
-def _pair_sq_distances(s: TripleState) -> tuple[float, float, float]:
-    p1, p2, p3 = s.positions
-    return ((p1 - p2).norm_sq(), (p2 - p3).norm_sq(), (p3 - p1).norm_sq())
 
 
 class InvariantReport(NamedTuple):
@@ -86,17 +65,27 @@ class InvariantReport(NamedTuple):
 
 
 def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
-    s = triple(t, ctx)
-    com = center_of_mass(s)
-    moi = moment_of_inertia(s)
-    ang = angular_momentum(s)
-    kin = kinetic_energy(s)
-    csq = curvature_sq_sum(s, ctx)
-    pairs = _pair_sq_distances(s)
-    ssd = ordered_sum(pairs)
-    psd = pairs[0] * pairs[1] * pairs[2]
+    """Every conserved quantity at time t and its residual.
+
+    Positions and velocities are the floats of one orbit.coords evaluation per
+    body; each curvature evaluates its phase again, through velocity and
+    acceleration.
+    """
+    t0, t1, t2 = phases = triple_phases(t, ctx)
+    bodies = [coords(p, ctx) for p in phases]
+    (x0, y0, vx0, vy0, _, _), (x1, y1, vx1, vy1, _, _), (x2, y2, vx2, vy2, _, _) = bodies
+    cx, cy = x0 + x1 + x2, y0 + y1 + y2
+    moi = 0.0 + (x0 * x0 + y0 * y0) + (x1 * x1 + y1 * y1) + (x2 * x2 + y2 * y2)
+    ang = angular_momentum(bodies)
+    kin = 0.0 + (vx0 * vx0 + vy0 * vy0) + (vx1 * vx1 + vy1 * vy1) + (vx2 * vx2 + vy2 * vy2)
+    csq = 0.0 + curvature(t0, ctx) ** 2 + curvature(t1, ctx) ** 2 + curvature(t2, ctx) ** 2
+    r01 = (x0 - x1) * (x0 - x1) + (y0 - y1) * (y0 - y1)
+    r12 = (x1 - x2) * (x1 - x2) + (y1 - y2) * (y1 - y2)
+    r20 = (x2 - x0) * (x2 - x0) + (y2 - y0) * (y2 - y0)
+    ssd = 0.0 + r01 + r12 + r20
+    psd = r01 * r12 * r20
     residuals = {
-        "center_of_mass": com.norm(),
+        "center_of_mass": math.hypot(cx, cy),
         "moment_of_inertia": abs(moi - EXPECTED_MOMENT_OF_INERTIA),
         "angular_momentum": abs(ang),
         "kinetic_energy": abs(kin - EXPECTED_KINETIC_SUM),
@@ -104,14 +93,6 @@ def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
         "sum_sq_distances": abs(ssd - EXPECTED_SUM_SQ_DISTANCES),
         "product_sq_distances": abs(psd - EXPECTED_PRODUCT_SQ_DISTANCES),
     }
-    return InvariantReport(
-        t=t,
-        center_of_mass=com,
-        moment_of_inertia=moi,
-        angular_momentum=ang,
-        kinetic_energy=kin,
-        curvature_sq_sum=csq,
-        sum_sq_distances=ssd,
-        product_sq_distances=psd,
-        residuals=residuals,
-    )
+    return InvariantReport(t=t, center_of_mass=Vec2(cx, cy), moment_of_inertia=moi,
+                           angular_momentum=ang, kinetic_energy=kin, curvature_sq_sum=csq,
+                           sum_sq_distances=ssd, product_sq_distances=psd, residuals=residuals)

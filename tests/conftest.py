@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from lemnichor import dynamics, invariants
+from lemnichor import dynamics
 from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn_points
-from lemnichor.orbit import Vec2, body_state, ordered_sum
+from lemnichor.orbit import Vec2, body_state
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -25,8 +25,8 @@ def row_velocities(row):
 
 
 # Views of the package that only the tests need.  Each calls the package's
-# own kernel (sn_cn_dn_points, body_state, _pair_sq_distances, _kernel,
-# _energy) and adds only the arithmetic its docstring states.
+# own kernel (sn_cn_dn_points, body_state, _kernel, _energy) and adds only
+# the arithmetic its docstring states.
 def sn_cn_dn_at(t, ctx):
     """(sn, cn, dn) at one complex t: the batch of one point."""
     return sn_cn_dn_points([complex(t)], ctx)[0]
@@ -44,15 +44,6 @@ def speed_relation_residual(t, ctx):
     x2 = b.pos.norm_sq()
     v2 = b.vel.norm_sq()
     return abs(v2 + (ctx.m - 0.5) * x2 - 0.5)
-
-
-def sum_sq_distances(s):
-    return ordered_sum(invariants._pair_sq_distances(s))
-
-
-def product_sq_distances(s):
-    r12, r23, r31 = invariants._pair_sq_distances(s)
-    return r12 * r23 * r31
 
 
 def _kernel(positions, variant):

@@ -60,7 +60,7 @@ def test_criterion_2_modulus_exclusivity():
     gate = _Gate(2, "center of mass drifts at modulus 1/2", 1.0)
     bad = make_context(0.5)
     worst = max(
-        invariants.center_of_mass(triple(i * 4.0 * bad.K / 200.0, bad)).norm()
+        invariants.full_report(i * 4.0 * bad.K / 200.0, bad).center_of_mass.norm()
         for i in range(200)
     )
     gate.check(f"max |com| = {worst:.3e}", worst > 1e-3)

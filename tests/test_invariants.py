@@ -1,8 +1,10 @@
+import math
 import random
+from typing import NamedTuple
 
 import pytest
 
-from lemnichor.elliptic import make_context
+from lemnichor.elliptic import CHOREO_M, make_context
 from lemnichor.invariants import (
     EXPECTED_CURVATURE_SQ_SUM,
     EXPECTED_KINETIC_SUM,
@@ -10,34 +12,23 @@ from lemnichor.invariants import (
     EXPECTED_PRODUCT_SQ_DISTANCES,
     EXPECTED_SUM_SQ_DISTANCES,
     angular_momentum,
-    center_of_mass,
     curvature,
-    curvature_sq_sum,
     full_report,
-    kinetic_energy,
-    moment_of_inertia,
 )
-from lemnichor.orbit import BodyState, TripleState, Vec2, triple
+from lemnichor.orbit import Vec2, coords, triple_phases
 
-from conftest import SQRT3, product_sq_distances, speed_relation_residual, sum_sq_distances
-
-
-def synthetic_triple(positions):
-    zero = Vec2(0.0, 0.0)
-    bodies = tuple(BodyState(pos=p, vel=zero, acc=zero, t=0.0) for p in positions)
-    return TripleState(bodies=bodies, t=0.0)
+from conftest import SQRT3, speed_relation_residual
 
 
 class TestCenterOfMass:
     @pytest.mark.parametrize("frac", [0.0, 1.0 / 6.0])
     def test_vanishes_on_orbit(self, ctx, frac):
-        s = triple(frac * ctx.K, ctx)
-        assert center_of_mass(s).norm() <= 1e-12
+        assert full_report(frac * ctx.K, ctx).center_of_mass.norm() <= 1e-12
 
     def test_wrong_modulus_negative_control(self):
         bad = make_context(0.5)
         worst = max(
-            center_of_mass(triple(i * 4.0 * bad.K / 100.0, bad)).norm()
+            full_report(i * 4.0 * bad.K / 100.0, bad).center_of_mass.norm()
             for i in range(100)
         )
         assert worst > 1e-3
@@ -45,39 +36,38 @@ class TestCenterOfMass:
 
 class TestMomentOfInertia:
     def test_at_zero(self, ctx):
-        assert moment_of_inertia(triple(0.0, ctx)) == pytest.approx(SQRT3, abs=1e-12)
+        assert full_report(0.0, ctx).moment_of_inertia == pytest.approx(SQRT3, abs=1e-12)
 
     def test_at_third(self, ctx):
-        assert moment_of_inertia(triple(ctx.K / 3.0, ctx)) == pytest.approx(SQRT3, abs=1e-11)
+        assert full_report(ctx.K / 3.0, ctx).moment_of_inertia == pytest.approx(SQRT3, abs=1e-11)
 
     def test_random_times(self, ctx, period):
         rng = random.Random(11)
         for _ in range(50):
-            s = triple(rng.uniform(0.0, period), ctx)
-            assert abs(moment_of_inertia(s) - SQRT3) <= 1e-11
+            rep = full_report(rng.uniform(0.0, period), ctx)
+            assert abs(rep.moment_of_inertia - SQRT3) <= 1e-11
 
 
 class TestAngularMomentum:
     def test_at_zero(self, ctx):
-        s = triple(0.0, ctx)
-        assert abs(s.bodies[0].pos.cross(s.bodies[0].vel)) <= 1e-14
-        assert abs(angular_momentum(s)) <= 1e-12
+        assert abs(angular_momentum([coords(0.0, ctx)])) <= 1e-14
+        assert abs(full_report(0.0, ctx).angular_momentum) <= 1e-12
 
     def test_at_half(self, ctx):
-        assert abs(angular_momentum(triple(ctx.K / 2.0, ctx))) <= 1e-11
+        assert abs(full_report(ctx.K / 2.0, ctx).angular_momentum) <= 1e-11
 
 
 class TestKineticEnergy:
     def test_at_zero_decomposition(self, ctx):
-        s = triple(0.0, ctx)
-        speeds = [v.norm_sq() for v in s.velocities]
+        bodies = [coords(p, ctx) for p in triple_phases(0.0, ctx)]
+        speeds = [vx * vx + vy * vy for _, _, vx, vy, _, _ in bodies]
         assert speeds[0] == pytest.approx(0.5, abs=1e-13)
         assert speeds[1] == pytest.approx(0.125, abs=1e-13)
         assert speeds[2] == pytest.approx(0.125, abs=1e-13)
-        assert kinetic_energy(s) == pytest.approx(0.75, abs=1e-12)
+        assert full_report(0.0, ctx).kinetic_energy == pytest.approx(0.75, abs=1e-12)
 
     def test_at_two_thirds(self, ctx):
-        assert kinetic_energy(triple(2.0 * ctx.K / 3.0, ctx)) == pytest.approx(0.75, abs=1e-11)
+        assert full_report(2.0 * ctx.K / 3.0, ctx).kinetic_energy == pytest.approx(0.75, abs=1e-11)
 
     def test_wrong_modulus_negative_control(self):
         # Not at m = 1/2: there the velocity relation reads v^2 = 1/2 with no
@@ -85,14 +75,14 @@ class TestKineticEnergy:
         # setting m = 1/2 exactly.  Any other wrong modulus de-conserves it.
         bad = make_context(0.3)
         vals = [
-            kinetic_energy(triple(i * 4.0 * bad.K / 100.0, bad)) for i in range(100)
+            full_report(i * 4.0 * bad.K / 100.0, bad).kinetic_energy for i in range(100)
         ]
         assert max(vals) - min(vals) > 1e-3
 
     def test_half_modulus_kinetic_sum_is_trivially_constant(self):
         half = make_context(0.5)
         vals = [
-            kinetic_energy(triple(i * 4.0 * half.K / 100.0, half)) for i in range(100)
+            full_report(i * 4.0 * half.K / 100.0, half).kinetic_energy for i in range(100)
         ]
         assert max(vals) - min(vals) <= 1e-12
         assert vals[0] == pytest.approx(1.5, abs=1e-12)
@@ -107,18 +97,15 @@ class TestCurvature:
         assert curvature(ctx.K, ctx) == pytest.approx(3.0, abs=1e-9)
 
     def test_pointwise_relation(self, ctx, period):
-        from lemnichor.orbit import body_state
-
         for i in range(200):
             t = i * period / 200.0 + 0.003
-            rho_inv = curvature(t, ctx)
-            assert abs(rho_inv**2 - 9.0 * body_state(t, ctx).pos.norm_sq()) <= 1e-9
+            x, y, _, _, _, _ = coords(t, ctx)
+            assert abs(curvature(t, ctx) ** 2 - 9.0 * (x * x + y * y)) <= 1e-9
 
     def test_sum_over_triple(self, ctx, period):
         for i in range(100):
             t = i * period / 100.0
-            s = triple(t, ctx)
-            assert abs(curvature_sq_sum(s, ctx) - 9.0 * SQRT3) <= 1e-9
+            assert abs(full_report(t, ctx).curvature_sq_sum - 9.0 * SQRT3) <= 1e-9
 
 
 class TestVelocityRelation:
@@ -144,38 +131,34 @@ class TestVelocityRelation:
 class TestDistances:
     def test_sum_at_zero(self, ctx):
         # Pairwise squared distances at t=0 are sqrt3/2, sqrt3/2 and 2 sqrt3.
-        assert sum_sq_distances(triple(0.0, ctx)) == pytest.approx(3.0 * SQRT3, abs=1e-12)
+        assert full_report(0.0, ctx).sum_sq_distances == pytest.approx(3.0 * SQRT3, abs=1e-12)
 
     def test_sum_random_times(self, ctx, period):
         rng = random.Random(3)
         for _ in range(50):
-            s = triple(rng.uniform(0.0, period), ctx)
-            assert abs(sum_sq_distances(s) - 3.0 * SQRT3) <= 1e-11
+            rep = full_report(rng.uniform(0.0, period), ctx)
+            assert abs(rep.sum_sq_distances - 3.0 * SQRT3) <= 1e-11
 
-    def test_three_i_equals_sum_on_any_centered_triple(self):
-        # Pure algebra: zero center of mass forces sum (x_i - x_j)^2 = 3 I.
+    def test_sum_is_three_i_minus_com_squared_on_any_triple(self):
+        # Pure algebra: sum (x_i - x_j)^2 = 3 I - |x_1 + x_2 + x_3|^2 for any
+        # three points.  At m = 1/2 the center of mass is far from zero.
+        bad = make_context(0.5)
         rng = random.Random(17)
         for _ in range(100):
-            p1 = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            p2 = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            s = synthetic_triple([p1, p2, -1.0 * (p1 + p2)])
-            assert abs(3.0 * moment_of_inertia(s) - sum_sq_distances(s)) <= 1e-12
+            rep = full_report(rng.uniform(-25.0, 25.0), bad)
+            com_sq = rep.center_of_mass.norm_sq()
+            assert abs(3.0 * rep.moment_of_inertia - com_sq - rep.sum_sq_distances) <= 1e-12
 
     def test_product_at_zero(self, ctx):
-        assert product_sq_distances(triple(0.0, ctx)) == pytest.approx(1.5 * SQRT3, abs=1e-12)
+        assert full_report(0.0, ctx).product_sq_distances == pytest.approx(
+            1.5 * SQRT3, abs=1e-12
+        )
 
     def test_product_random_times(self, ctx, period):
         rng = random.Random(4)
         for _ in range(50):
-            s = triple(rng.uniform(0.0, period), ctx)
-            assert abs(product_sq_distances(s) - 1.5 * SQRT3) <= 1e-10
-
-    def test_product_permutation_symmetry(self, ctx):
-        s = triple(0.9, ctx)
-        rotated = TripleState(bodies=(s.bodies[1], s.bodies[2], s.bodies[0]), t=s.t)
-        assert product_sq_distances(rotated) == pytest.approx(
-            product_sq_distances(s), rel=1e-15
-        )
+            rep = full_report(rng.uniform(0.0, period), ctx)
+            assert abs(rep.product_sq_distances - 1.5 * SQRT3) <= 1e-10
 
 
 class TestFullReport:
@@ -195,3 +178,87 @@ class TestFullReport:
         assert EXPECTED_CURVATURE_SQ_SUM == pytest.approx(9.0 * SQRT3)
         assert EXPECTED_SUM_SQ_DISTANCES == pytest.approx(3.0 * SQRT3)
         assert EXPECTED_PRODUCT_SQ_DISTANCES == pytest.approx(1.5 * SQRT3)
+
+
+# A frozen copy of full_report as it was built on plane-vector value types,
+# reading the same orbit.coords.  full_report works on the floats and must
+# keep this order of operations, so every field and residual matches the
+# copy bit for bit.
+class _OracleVec(NamedTuple):
+    x: float
+    y: float
+
+    def __add__(self, other):
+        return _OracleVec(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return _OracleVec(self.x - other.x, self.y - other.y)
+
+    def cross(self, other):
+        return self.x * other.y - self.y * other.x
+
+    def norm_sq(self):
+        return self.x * self.x + self.y * self.y
+
+    def norm(self):
+        return math.hypot(self.x, self.y)
+
+
+def _oracle_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _oracle_curvature(t, ctx):
+    _, _, vx, vy, ax, ay = coords(t, ctx)
+    v, a = _OracleVec(vx, vy), _OracleVec(ax, ay)
+    speed = v.norm()
+    return abs(v.cross(a)) / speed**3
+
+
+def oracle_full_report(t, ctx):
+    """(fields, residuals) of the value-type full_report, in its order of operations."""
+    third = 4.0 * ctx.K / 3.0
+    bodies = []
+    for p in (t, t + third, t - third):
+        x, y, vx, vy, _, _ = coords(p, ctx)
+        bodies.append((_OracleVec(x, y), _OracleVec(vx, vy), p))
+    p1, p2, p3 = (pos for pos, _, _ in bodies)
+    com = p1 + p2 + p3
+    moi = _oracle_sum(pos.norm_sq() for pos, _, _ in bodies)
+    ang = _oracle_sum(pos.cross(vel) for pos, vel, _ in bodies)
+    kin = _oracle_sum(vel.norm_sq() for _, vel, _ in bodies)
+    csq = _oracle_sum(_oracle_curvature(p, ctx) ** 2 for _, _, p in bodies)
+    pairs = ((p1 - p2).norm_sq(), (p2 - p3).norm_sq(), (p3 - p1).norm_sq())
+    ssd = _oracle_sum(pairs)
+    psd = pairs[0] * pairs[1] * pairs[2]
+    residuals = {
+        "center_of_mass": com.norm(),
+        "moment_of_inertia": abs(moi - EXPECTED_MOMENT_OF_INERTIA),
+        "angular_momentum": abs(ang),
+        "kinetic_energy": abs(kin - EXPECTED_KINETIC_SUM),
+        "curvature_sq_sum": abs(csq - EXPECTED_CURVATURE_SQ_SUM),
+        "sum_sq_distances": abs(ssd - EXPECTED_SUM_SQ_DISTANCES),
+        "product_sq_distances": abs(psd - EXPECTED_PRODUCT_SQ_DISTANCES),
+    }
+    return (t, com.x, com.y, moi, ang, kin, csq, ssd, psd), residuals
+
+
+def _hex_report(fields, residuals):
+    return [v.hex() for v in fields], [(k, v.hex()) for k, v in residuals.items()]
+
+
+@pytest.mark.parametrize("m", [CHOREO_M, 0.5])
+def test_full_report_is_bit_equal_to_the_value_type_oracle(m):
+    ctx = make_context(m)
+    rng = random.Random(2211)
+    four_k = 4.0 * ctx.K
+    phases = [0.0, -0.0, ctx.K, 2.0 * ctx.K, four_k, -four_k]
+    phases += [rng.uniform(-25.0, 25.0) for _ in range(2000)]
+    for t in phases:
+        rep = full_report(t, ctx)
+        assert type(rep.center_of_mass) is Vec2
+        got = (rep.t, *rep.center_of_mass, *rep[2:8])
+        assert _hex_report(got, rep.residuals) == _hex_report(*oracle_full_report(t, ctx)), t
