@@ -16,7 +16,7 @@ _NAMES = {
         "CHOREO_M", "EllipticContext", "PoleProximityError", "choreography_context",
         "make_context", "sn_cn_dn",
     ),
-    "orbit": ("BodyState", "TripleState", "Vec2", "acceleration", "triple", "velocity"),
+    "orbit": ("TripleState", "Vec2", "acceleration", "triple", "velocity"),
     "invariants": ("InvariantReport", "full_report"),
     "dynamics": (
         "CollisionError", "PotentialVariant", "eom_residual", "integrate",

@@ -27,7 +27,7 @@ from pathlib import Path
 # imported inside those commands, so that a run loads no module it does not use.
 from . import __version__, dynamics
 from .elliptic import CHOREO_M, choreography_context
-from .orbit import Vec2, body_state, triple
+from .orbit import Vec2, coords, triple
 
 # Default residual tolerances, overridable by --tolerance-scale.
 DEFAULT_TOLERANCES = {
@@ -58,10 +58,8 @@ SETTINGS = {
     "from_point": None,
 }
 
-# The columns of the sample and geometry sweep tables.
+# The columns of the sample table.
 SAMPLE_FIELDS = ("t", "x", "y", "vx", "vy")
-SWEEP_FIELDS = ("t", "cx", "cy", "lambda1", "lambda2", "lambda3",
-                "quadrant_c", "quadrant_1", "quadrant_2", "quadrant_3", "hyperbola_residual")
 
 # Rows per CSV text chunk (~0.6 MB of trajectory text): bounds the text held in
 # memory at once, whatever the number of rows.
@@ -136,10 +134,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rows = []
     for j in range(args.n_samples):
         t = j * period / args.n_samples
-        b = body_state(t, ctx)
-        p, v = b.pos, b.vel
-        y = CHOREO_M * p.y if args.affine else p.y
-        rows.append([t, p.x, y, v.x, v.y])
+        x, y, vx, vy, _, _ = coords(t, ctx)
+        rows.append([t, x, CHOREO_M * y if args.affine else y, vx, vy])
     if args.format == "json":
         _write_text(args, [_json_text([dict(zip(SAMPLE_FIELDS, r)) for r in rows])])
     else:
@@ -219,10 +215,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     summary = {"final_time": args.steps * dt, "energy_drift": drift}
     if args.init == "analytic":
         # Only the analytic start has a reference orbit to compare against.
+        # Body k's x and y are the columns x{k}, y{k} (1, 2; 5, 6; 9, 10) of the row.
         ref = triple(summary["final_time"], ctx)
-        row = dict(zip(dynamics.ROW_FIELDS, last))
         summary["position_error_vs_analytic"] = max(
-            (Vec2(row[f"x{k}"], row[f"y{k}"]) - p).norm() for k, p in enumerate(ref.positions, 1)
+            math.hypot(last[i] - p.x, last[i + 1] - p.y) for i, p in zip((1, 5, 9), ref.positions)
         )
     sys.stderr.write(_json_text(summary))
     return 0
@@ -261,11 +257,13 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     worst_hyp = 0.0
     for j in range(args.n_samples):
         t = (j + 0.431) * period / args.n_samples
-        rec = geometry.sweep_row(t, ctx)
-        rows.append([rec[k] for k in SWEEP_FIELDS])
-        if rec["finite"] and math.hypot(rec["cx"], rec["cy"]) < 50.0:
-            worst_hyp = _fold_max(worst_hyp, abs(rec["hyperbola_residual"]))
-    _write_text(args, _csv(rows, SWEEP_FIELDS))
+        row = geometry.sweep_row(t, ctx)
+        rows.append(row)
+        # Tangent lines that meet at infinity give c = (inf, inf), which fails this test.
+        _, cx, cy, *_, residual = row
+        if math.hypot(cx, cy) < 50.0:
+            worst_hyp = _fold_max(worst_hyp, abs(residual))
+    _write_text(args, _csv(rows, geometry.SWEEP_FIELDS))
     return 0 if worst_hyp <= DEFAULT_TOLERANCES["hyperbola"] * args.tolerance_scale else 1
 
 

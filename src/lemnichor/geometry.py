@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, body_state, ordered_sum, triple
+from .orbit import TripleState, Vec2, coords, ordered_sum, triple, triple_phases
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
@@ -42,6 +42,10 @@ TANGENCY_NODES = 256
 BISECT_TOL = 1e-13
 NEWTON_MAXIT = 100
 DISC_TOL = 1e-12
+
+# The columns of a geometry-sweep row, the order of sweep_row's tuple.
+SWEEP_FIELDS = ("t", "cx", "cy", "lambda1", "lambda2", "lambda3",
+                "quadrant_c", "quadrant_1", "quadrant_2", "quadrant_3", "hyperbola_residual")
 
 
 class AxisAmbiguityError(ValueError):
@@ -129,22 +133,17 @@ def _scan_grid(ctx: EllipticContext):
     # reused by every tangency scan against the same context.
     period = ctx.period
     n = TANGENCY_NODES
-    states = [body_state(j * period / n, ctx) for j in range(n)]
-    return (
-        [b.pos.x for b in states],
-        [b.pos.y for b in states],
-        [b.vel.x for b in states],
-        [b.vel.y for b in states],
-    )
+    xs, ys, vxs, vys, _, _ = zip(*(coords(j * period / n, ctx) for j in range(n)))
+    return xs, ys, vxs, vys
 
 
 def _gap_and_slope(cx: float, cy: float, s: float, ctx: EllipticContext) -> tuple[float, float]:
     # g(s) = (c - x(s)) x v(s) is zero exactly when the tangent line at phase
     # s passes through c; g'(s) = (c - x(s)) x a(s) because v x v = 0.
-    b = body_state(s, ctx)
-    ex = cx - b.pos.x
-    ey = cy - b.pos.y
-    return ex * b.vel.y - ey * b.vel.x, ex * b.acc.y - ey * b.acc.x
+    x, y, vx, vy, ax, ay = coords(s, ctx)
+    ex = cx - x
+    ey = cy - y
+    return ex * vy - ey * vx, ex * ay - ey * ax
 
 
 def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float,
@@ -210,9 +209,10 @@ def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate
 
     out = []
     for r in merged:
-        b = body_state(r, ctx)
-        out.append(TangencyCandidate(s=r, point=b.pos, quadrant=_quadrant_or_zero(b.pos),
-                                     velocity=b.vel, slope=(c - b.pos).cross(b.acc)))
+        x, y, vx, vy, ax, ay = coords(r, ctx)
+        point = Vec2(x, y)
+        out.append(TangencyCandidate(s=r, point=point, quadrant=_quadrant_or_zero(point),
+                                     velocity=Vec2(vx, vy), slope=(cx - x) * ay - (cy - y) * ax))
     return out
 
 
@@ -297,11 +297,12 @@ def complete_triple_from_point(
     it is the one that moves up as x1 moves forward).  The remaining two
     bodies are then read off the tangent construction at that point: x2 and
     x3 are the contact points nearest the phases of the second and third
-    bodies of triple(x1_phase), (x1 + 4K/3, x1 - 4K/3).
+    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).
     """
-    s = triple(x1_phase, ctx)
-    b1 = s.bodies[0]
-    x1, v1 = b1.pos, b1.vel
+    phases = triple_phases(x1_phase, ctx)
+    bodies = [coords(p, ctx) for p in phases]
+    x, y, vx, vy, ax, ay = bodies[0]
+    x1, v1 = Vec2(x, y), Vec2(vx, vy)
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(x1)
@@ -315,38 +316,38 @@ def complete_triple_from_point(
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
+    def lam(d: Vec2, body) -> float:
+        # lambda of d = x + lambda v on the tangent line of one body's coords.
+        x, y, vx, vy, _, _ = body
+        return ((d.x - x) * vx + (d.y - y) * vy) / (vx * vx + vy * vy)
+
     def rise(d: Vec2) -> float:
         # d'_y of the crossing d = x1 + lam v1 as x1 moves forward, from
         # d_x^2 - d_y^2 = 1; the denominator is nonzero at a simple crossing.
-        lam = (d - x1).dot(v1) / v1.norm_sq()
-        return lam * d.x * v1.cross(b1.acc) / (d.x * v1.x - d.y * v1.y)
+        return lam(d, bodies[0]) * d.x * (vx * ay - vy * ax) / (d.x * vx - d.y * vy)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
 
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
-    x2, x3 = (min(partners, key=lambda cand: abs(_wrap(cand.s - b.t, ctx.period))).point
-              for b in s.bodies[1:])
-    lambdas = tuple((d_sel - b.pos).dot(b.vel) / b.vel.norm_sq() for b in s.bodies)
+    x2, x3 = (min(partners, key=lambda cand: abs(_wrap(cand.s - p, ctx.period))).point
+              for p in phases[1:])
+    lambdas = tuple(lam(d_sel, b) for b in bodies)
     return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas, finite=True)
 
 
-def sweep_row(t: float, ctx: EllipticContext) -> dict:
-    """One geometry-sweep record: c(t), lambdas, quadrants, hyperbola residual."""
+def sweep_row(t: float, ctx: EllipticContext) -> tuple:
+    """One geometry-sweep record in SWEEP_FIELDS order.
+
+    c(t), the lambdas, the quadrants and the hyperbola residual; when the
+    tangent lines meet at infinity, c is (inf, inf), quadrant_c is 0 and the
+    residual is NaN.
+    """
     s = triple(t, ctx)
     cp = concurrency_point(s)
-    quads = [_quadrant_or_zero(p) for p in s.positions]
-    return {
-        "t": t,
-        "cx": cp.c.x,
-        "cy": cp.c.y,
-        "lambda1": cp.lambdas[0],
-        "lambda2": cp.lambdas[1],
-        "lambda3": cp.lambdas[2],
-        "quadrant_c": _quadrant_or_zero(cp.c) if cp.finite else 0,
-        "quadrant_1": quads[0],
-        "quadrant_2": quads[1],
-        "quadrant_3": quads[2],
-        "hyperbola_residual": hyperbola_residual(cp.c) if cp.finite else math.nan,
-        "finite": cp.finite,
-    }
+    return (
+        t, *cp.c, *cp.lambdas,
+        _quadrant_or_zero(cp.c) if cp.finite else 0,
+        *(_quadrant_or_zero(p) for p in s.positions),
+        hyperbola_residual(cp.c) if cp.finite else math.nan,
+    )

@@ -7,10 +7,13 @@ The single-body orbit is
 which traces the Bernoulli lemniscate (x^2 + y^2)^2 = x^2 - y^2 with period
 4K.  Velocity and acceleration are closed forms obtained by differentiating
 with sn' = cn dn, cn' = -sn dn, dn' = -m sn cn; the equation-of-motion checks
-need more accuracy than finite differences can provide.
+need more accuracy than finite differences can provide.  coords(t) gives the
+six floats (x, y, vx, vy, ax, ay) of one body from one elliptic evaluation;
+it is the only per-body state, and every other reader goes through it.
 
 The choreography places three unit-mass bodies at phases t, t + 4K/3 and
-t - 4K/3 of the same orbit.
+t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
+and velocities as plane vectors.
 """
 
 from __future__ import annotations
@@ -71,32 +74,15 @@ class Vec2(NamedTuple):
         return math.hypot(self.x, self.y)
 
 
-class BodyState(NamedTuple):
-    """Position, velocity and acceleration of one body at phase t."""
-
-    pos: Vec2
-    vel: Vec2
-    acc: Vec2
-    t: float
-
-
 class TripleState(NamedTuple):
-    """The three choreographic bodies at a common time.
+    """Positions and velocities of the three choreographic bodies at a common time.
 
-    bodies are ordered by phase (t, t + 4K/3, t - 4K/3); downstream body
+    Bodies are ordered by phase (t, t + 4K/3, t - 4K/3); downstream body
     indices always refer to this order.
     """
 
-    bodies: tuple[BodyState, BodyState, BodyState]
-    t: float
-
-    @property
-    def positions(self) -> tuple[Vec2, Vec2, Vec2]:
-        return tuple(b.pos for b in self.bodies)
-
-    @property
-    def velocities(self) -> tuple[Vec2, Vec2, Vec2]:
-        return tuple(b.vel for b in self.bodies)
+    positions: tuple[Vec2, Vec2, Vec2]
+    velocities: tuple[Vec2, Vec2, Vec2]
 
 
 def coords(t: float, ctx: EllipticContext) -> tuple[float, float, float, float, float, float]:
@@ -136,12 +122,6 @@ def acceleration(t: float, ctx: EllipticContext) -> Vec2:
     return Vec2(ax, ay)
 
 
-def body_state(t: float, ctx: EllipticContext) -> BodyState:
-    """Full state at phase t from a single elliptic evaluation."""
-    x, y, vx, vy, ax, ay = coords(t, ctx)
-    return BodyState(Vec2(x, y), Vec2(vx, vy), Vec2(ax, ay), t)
-
-
 def triple_phases(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
     """The phases t, t + 4K/3, t - 4K/3 of the three bodies; a complex t gives complex phases."""
     third = 4.0 * ctx.K / 3.0
@@ -149,6 +129,7 @@ def triple_phases(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
 
 
 def triple(t: float, ctx: EllipticContext) -> TripleState:
-    """The three choreographic bodies at time t."""
-    b = tuple(body_state(p, ctx) for p in triple_phases(t, ctx))
-    return TripleState(bodies=b, t=t)
+    """The three choreographic bodies at time t, one elliptic evaluation each."""
+    cs = [coords(p, ctx) for p in triple_phases(t, ctx)]
+    return TripleState(positions=tuple(Vec2(c[0], c[1]) for c in cs),
+                       velocities=tuple(Vec2(c[2], c[3]) for c in cs))

@@ -4,7 +4,7 @@ import pytest
 
 from lemnichor import dynamics
 from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn_points
-from lemnichor.orbit import Vec2, body_state
+from lemnichor.orbit import Vec2, coords
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -25,11 +25,17 @@ def row_velocities(row):
 
 
 # Views of the package that only the tests need.  Each calls the package's
-# own kernel (sn_cn_dn_points, body_state, _kernel, _energy) and adds only
+# own kernel (sn_cn_dn_points, coords, _kernel, _energy) and adds only
 # the arithmetic its docstring states.
 def sn_cn_dn_at(t, ctx):
     """(sn, cn, dn) at one complex t: the batch of one point."""
     return sn_cn_dn_points([complex(t)], ctx)[0]
+
+
+def position(t, ctx):
+    """x(t) of one body as a Vec2, read from orbit.coords."""
+    x, y, _, _, _, _ = coords(t, ctx)
+    return Vec2(x, y)
 
 
 def lemniscate_residual(p):
@@ -40,9 +46,9 @@ def lemniscate_residual(p):
 
 def speed_relation_residual(t, ctx):
     """|v^2 + (m - 1/2) x^2 - 1/2| of one body at phase t; tiny at every modulus m."""
-    b = body_state(t, ctx)
-    x2 = b.pos.norm_sq()
-    v2 = b.vel.norm_sq()
+    x, y, vx, vy, _, _ = coords(t, ctx)
+    x2 = x * x + y * y
+    v2 = vx * vx + vy * vy
     return abs(v2 + (ctx.m - 0.5) * x2 - 0.5)
 
 

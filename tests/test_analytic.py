@@ -46,7 +46,7 @@ from lemnichor.analytic import (
 from lemnichor.dynamics import PotentialVariant, eom_residual
 from lemnichor.elliptic import CHOREO_M, make_context
 
-from conftest import ROOT4_3, SQRT3, sn_cn_dn_at
+from conftest import ROOT4_3, SQRT3, position, sn_cn_dn_at
 
 
 def cli_rows(ctx):
@@ -177,10 +177,10 @@ class TestJIdentity:
 
     def test_product_form_decomposes_into_planar_parts(self, ctx):
         # j = (x vx + y vy) + i (x vy - y vx) for a single body on the axis.
-        from lemnichor.orbit import body_state, velocity
+        from lemnichor.orbit import velocity
 
         for t in (0.4, 1.6, 3.1):
-            p, v = body_state(t, ctx).pos, velocity(t, ctx)
+            p, v = position(t, ctx), velocity(t, ctx)
             rows = {r.name: r for r in check_j_identity(t, ctx)}
             j = rows["j product form vs derivative form"].observed
             assert j.real == pytest.approx(p.dot(v), abs=1e-12)

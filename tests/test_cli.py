@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import random
 import re
 import shlex
 import stat
@@ -17,7 +18,9 @@ import pytest
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
-from lemnichor.orbit import body_state, triple, velocity
+from lemnichor.orbit import triple, velocity
+
+from conftest import position
 
 
 def run_cli(args, capsys):
@@ -58,7 +61,7 @@ class TestSample:
         third = ctx.K / 3.0
         for j, row in enumerate(rows):
             assert row[0] == pytest.approx(j * third, abs=1e-12)
-            p = body_state(j * third, ctx).pos
+            p = position(j * third, ctx)
             assert row[1] == pytest.approx(p.x, abs=1e-15)
             assert row[2] == pytest.approx(p.y, abs=1e-15)
 
@@ -67,7 +70,7 @@ class TestSample:
         assert code == 0
         _, rows = parse_csv(out)
         t = rows[1][0]
-        p, v = body_state(t, ctx).pos, velocity(t, ctx)
+        p, v = position(t, ctx), velocity(t, ctx)
         assert rows[1][1] == pytest.approx(p.x, abs=1e-15)
         assert rows[1][2] == pytest.approx(CHOREO_M * p.y, abs=1e-15)
         assert rows[1][4] == pytest.approx(v.y, abs=1e-15)
@@ -551,9 +554,9 @@ class TestGeometry:
 
         def stub(t, ctx):
             rec = real(t, ctx)
-            if not hit and rec["finite"] and math.hypot(rec["cx"], rec["cy"]) < 50.0:
+            if not hit and math.hypot(rec[1], rec[2]) < 50.0:
                 hit.append(t)
-                rec["hyperbola_residual"] = math.nan
+                rec = (*rec[:-1], math.nan)
             return rec
 
         monkeypatch.setattr(geometry, "sweep_row", stub)
@@ -839,3 +842,45 @@ def test_readme_cli_example_bytes(words, tmp_path, capsys):
                          Path(str(path) + ".meta.json").read_bytes())
     assert n == 1
     assert _sha256(sidecar) == want["sidecar"]
+
+
+# CLI branches that no README command reaches, pinned by (exit code, sha256 of
+# stdout, sha256 of stderr): the affine and JSON samples, and the lower branch
+# of --from-c.
+BRANCH_DIGESTS = {
+    "sample --n-samples 50 --affine": (
+        0, "c3d730e496b4b2ddd3c1b019d920ae90329f626c28320a8b810dd81179e95bd2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sample --n-samples 50 --format json": (
+        0, "0b723a075118f959e92c0469a10e520aac18b29c8a3c9fb57fbffe225269f964",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "geometry --from-c=-1.4142135623730951,-1": (
+        0, "4248769c13b303e4702f08a3e484cf6d4177601ff43c2762aaba667abfe7def4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+# One sha256 over 100 seeded constructions, every one of which exits 0.
+CONSTRUCTIONS_DIGEST = "4d77d64e100737945cdb0c741bf022d6cdee51ff9bd306c5600534ddd4c25a1e"
+
+
+def test_unlisted_branch_bytes(capsys):
+    for line, want in BRANCH_DIGESTS.items():
+        code, out, err = run_cli(shlex.split(line), capsys)
+        assert (code, _sha256(out), _sha256(err)) == want, line
+
+    # 60 orbit phases for --from-point, and 40 hyperbola points for --from-c,
+    # cx = ±sqrt(1 + cy²) (correctly rounded, so the inputs are the same bits
+    # on every platform).
+    rng = random.Random(23)
+    runs = [["geometry", f"--from-point={rng.uniform(-10.0, 10.0)!r}"] for _ in range(60)]
+    for _ in range(40):
+        cy = rng.uniform(-4.0, 4.0)
+        cx = math.copysign(math.sqrt(1.0 + cy * cy), rng.random() - 0.5)
+        runs.append(["geometry", f"--from-c={cx!r},{cy!r}"])
+    digest = hashlib.sha256()
+    codes = Counter()
+    for words in runs:
+        code, out, err = run_cli(words, capsys)
+        codes[code] += 1
+        digest.update(repr((words, code, out, err)).encode())
+    assert codes == {0: 100}
+    assert digest.hexdigest() == CONSTRUCTIONS_DIGEST

@@ -16,9 +16,11 @@ from lemnichor.dynamics import (
     one_body_state,
 )
 from lemnichor.elliptic import make_context
-from lemnichor.orbit import Vec2, acceleration, body_state, triple, triple_phases, velocity
+from lemnichor.orbit import Vec2, acceleration, triple, triple_phases, velocity
 
-from conftest import SQRT3, forces, potential, row_positions, row_velocities, total_energy
+from conftest import (
+    SQRT3, forces, position, potential, row_positions, row_velocities, total_energy,
+)
 
 U = PotentialVariant.U_CENTRAL
 V = PotentialVariant.V_PAIRWISE
@@ -217,13 +219,14 @@ class TestEquationOfMotion:
     @pytest.mark.parametrize("variant", [U, V])
     def test_bit_equal_to_vec2_form(self, ctx, period, variant):
         # eom_residual reads orbit.coords and the kernel's force tuple; the
-        # form it replaced, triple() and forces() on Vec2/BodyState, is the
-        # oracle, and the two must agree exactly over several periods.
+        # form it replaced, triple() and forces() on Vec2, is the oracle, and
+        # the two must agree exactly over several periods.
         rng = random.Random(20 if variant is U else 21)
         for _ in range(2000):
             t = rng.uniform(-3.0 * period, 3.0 * period)
             s = triple(t, ctx)
-            want = max((b.acc - fi).norm() for b, fi in zip(s.bodies, forces(s.positions, variant)))
+            accs = [acceleration(p, ctx) for p in triple_phases(t, ctx)]
+            want = max((a - fi).norm() for a, fi in zip(accs, forces(s.positions, variant)))
             assert eom_residual(t, variant, ctx) == want
 
 
@@ -296,7 +299,7 @@ class TestIntegrate:
     def test_central_variant_translated_ic_drifts(self, ctx, period):
         shift = Vec2(0.1, 0.05)
         phases = triple_phases(0.0, ctx)
-        pts = [body_state(p, ctx).pos + shift for p in phases]
+        pts = [position(p, ctx) + shift for p in phases]
         vels = [velocity(p, ctx) for p in phases]
         n = 2**12
         final = row_positions(final_row(pts, vels, U, period / n, n))

@@ -13,6 +13,7 @@ from lemnichor.geometry import (
     ConcurrencyPoint,
     MethodDisagreementError,
     NoIntersectionError,
+    SWEEP_FIELDS,
     _gap_and_slope,
     _wrap,
     complete_triple_from_point,
@@ -24,7 +25,9 @@ from lemnichor.geometry import (
     tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, body_state, triple, velocity
+from lemnichor.orbit import Vec2, coords, triple, velocity
+
+from conftest import position
 
 
 def line_distance(c, point, direction):
@@ -42,7 +45,7 @@ ORACLE_NODES = 4096
 @lru_cache(maxsize=1)
 def _oracle_grid(ctx):
     nodes = [j * ctx.period / ORACLE_NODES for j in range(ORACLE_NODES)]
-    return [body_state(s, ctx).pos for s in nodes], [velocity(s, ctx) for s in nodes]
+    return [position(s, ctx) for s in nodes], [velocity(s, ctx) for s in nodes]
 
 
 def dense_bisection_roots(c, ctx):
@@ -68,7 +71,7 @@ def dense_bisection_roots(c, ctx):
         fa = gj
         while b - a > BISECT_TOL:
             mid = 0.5 * (a + b)
-            fm = (c - body_state(mid, ctx).pos).cross(velocity(mid, ctx))
+            fm = (c - position(mid, ctx)).cross(velocity(mid, ctx))
             if fa * fm <= 0.0:
                 b = mid
             else:
@@ -119,10 +122,10 @@ def fd_phase_shifts(c, candidates, ctx):
 def fd_rising_crossings(t, ctx):
     """Finite-difference upward rule: the crossings of the tangent line at
     phase t with the hyperbola that move up when t advances by PERTURB."""
-    b = body_state(t, ctx)
-    moved_b = body_state(t + PERTURB, ctx)
-    moved = tangent_hyperbola_intersections(moved_b.pos, moved_b.vel)
-    return [d for d in tangent_hyperbola_intersections(b.pos, b.vel)
+    x, y, vx, vy, _, _ = coords(t, ctx)
+    mx, my, mvx, mvy, _, _ = coords(t + PERTURB, ctx)
+    moved = tangent_hyperbola_intersections(Vec2(mx, my), Vec2(mvx, mvy))
+    return [d for d in tangent_hyperbola_intersections(Vec2(x, y), Vec2(vx, vy))
             if min(moved, key=lambda p: (p - d).norm()).y > d.y]
 
 
@@ -213,7 +216,7 @@ class TestTangentsFromPoint:
         prev = None
         for j in range(n + 1):
             s = (j % n) * period / n
-            g = (c - body_state(s, ctx).pos).cross(velocity(s, ctx))
+            g = (c - position(s, ctx)).cross(velocity(s, ctx))
             if prev is not None and prev * g < 0.0:
                 signs += 1
             prev = g
@@ -223,9 +226,9 @@ class TestTangentsFromPoint:
     def test_tangency_gap_refined_below_threshold(self, ctx):
         c = Vec2(math.sqrt(2.0), 1.0)
         for cand in tangents_from_point(c, ctx):
-            g = (c - body_state(cand.s, ctx).pos).cross(velocity(cand.s, ctx))
+            g = (c - position(cand.s, ctx)).cross(velocity(cand.s, ctx))
             assert abs(g) < 1e-12
-            assert (cand.point - body_state(cand.s, ctx).pos).norm() <= 1e-10
+            assert (cand.point - position(cand.s, ctx)).norm() <= 1e-10
 
     def test_axis_point_candidates_pair_up(self, ctx, period):
         # For c on the x axis the tangency phases come in mirror pairs
@@ -273,9 +276,9 @@ class TestTangentsFromPoint:
         # 1e-5 off the curve two tangency roots can share one scan cell and
         # be missed; every root that is returned is still a true one.
         for _ in range(200):
-            b = body_state(rng.uniform(0.0, period), ctx)
-            off = rng.choice((-1e-5, 1e-5)) / b.vel.norm()
-            c = Vec2(b.pos.x - off * b.vel.y, b.pos.y + off * b.vel.x)
+            x, y, vx, vy, _, _ = coords(rng.uniform(0.0, period), ctx)
+            off = rng.choice((-1e-5, 1e-5)) / math.hypot(vx, vy)
+            c = Vec2(x - off * vy, y + off * vx)
             ref = dense_bisection_roots(c, ctx)
             for cand in tangents_from_point(c, ctx):
                 assert min(abs(_wrap(cand.s - r, period)) for r in ref) <= 1e-12, c
@@ -371,13 +374,13 @@ class TestCompleteTripleFromPoint:
 
     def test_selected_intersection_moves_up_under_forward_nudge(self, ctx):
         t = ctx.K / 5.0
-        x1, v1 = body_state(t, ctx).pos, velocity(t, ctx)
+        x1, v1 = position(t, ctx), velocity(t, ctx)
         ds = tangent_hyperbola_intersections(x1, v1)
         assert len(ds) == 2
         sel = [d for d in ds if quadrant(d) != quadrant(x1)][0]
         rej = ds[0] if ds[1] is sel else ds[1]
         moved = tangent_hyperbola_intersections(
-            body_state(t + 1e-5, ctx).pos, velocity(t + 1e-5, ctx)
+            position(t + 1e-5, ctx), velocity(t + 1e-5, ctx)
         )
         sel2 = min(moved, key=lambda p: (p - sel).norm())
         rej2 = min(moved, key=lambda p: (p - rej).norm())
@@ -440,8 +443,8 @@ class TestCompleteTripleFromPoint:
 
 def offset_matching_oracle(x1_phase, ctx):
     """complete_triple_from_point as it matched partners by phase offset."""
-    b1 = body_state(x1_phase, ctx)
-    x1, v1 = b1.pos, b1.vel
+    x, y, vx, vy, ax, ay = coords(x1_phase, ctx)
+    x1, v1 = Vec2(x, y), Vec2(vx, vy)
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(x1)
@@ -456,7 +459,7 @@ def offset_matching_oracle(x1_phase, ctx):
 
     def rise(d):
         lam = (d - x1).dot(v1) / v1.norm_sq()
-        return lam * d.x * v1.cross(b1.acc) / (d.x * v1.x - d.y * v1.y)
+        return lam * d.x * v1.cross(Vec2(ax, ay)) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
@@ -467,8 +470,8 @@ def offset_matching_oracle(x1_phase, ctx):
     def by_offset(offset):
         return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
 
-    lambdas = [(d_sel - b.pos).dot(b.vel) / b.vel.norm_sq()
-               for b in (b1, body_state(x1_phase + third, ctx), body_state(x1_phase - third, ctx))]
+    lambdas = [(d_sel - position(p, ctx)).dot(velocity(p, ctx)) / velocity(p, ctx).norm_sq()
+               for p in (x1_phase, x1_phase + third, x1_phase - third)]
     return ((by_offset(third).point, by_offset(-third).point),
             ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas), finite=True))
 
@@ -492,7 +495,7 @@ class TestTangentHyperbolaIntersections:
 
     def test_intersections_on_hyperbola(self, ctx):
         for t in (0.3, 1.1, 2.7):
-            ds = tangent_hyperbola_intersections(body_state(t, ctx).pos, velocity(t, ctx))
+            ds = tangent_hyperbola_intersections(position(t, ctx), velocity(t, ctx))
             for d in ds:
                 assert abs(hyperbola_residual(d)) <= 1e-10
 
@@ -589,14 +592,14 @@ class TestObservedProperties:
         # "Forward" is increasing t; at every origin passage the body must be
         # heading up, which pins the convention to the curve orientation.
         for t in (0.0, 2.0 * ctx.K):
-            assert body_state(t, ctx).pos.norm() <= 1e-13
+            assert position(t, ctx).norm() <= 1e-13
             assert velocity(t, ctx).y > 0.0
 
     def test_sweep_row_fields(self, ctx):
-        rec = sweep_row(0.7, ctx)
+        rec = dict(zip(SWEEP_FIELDS, sweep_row(0.7, ctx), strict=True))
         assert set(rec) >= {
             "t", "cx", "cy", "lambda1", "lambda2", "lambda3",
             "quadrant_c", "quadrant_1", "quadrant_2", "quadrant_3",
-            "hyperbola_residual", "finite",
+            "hyperbola_residual",
         }
-        assert rec["finite"]
+        assert math.isfinite(rec["cx"]) and math.isfinite(rec["cy"])

@@ -25,7 +25,7 @@ import lemnichor
 PUBLIC = {
     "elliptic": ["CHOREO_M", "EllipticContext", "PoleProximityError",
                  "choreography_context", "make_context", "sn_cn_dn"],
-    "orbit": ["BodyState", "TripleState", "Vec2", "acceleration", "triple", "velocity"],
+    "orbit": ["TripleState", "Vec2", "acceleration", "triple", "velocity"],
     "invariants": ["InvariantReport", "full_report"],
     "dynamics": ["CollisionError", "PotentialVariant", "eom_residual", "integrate",
                  "one_body_lemniscate_residual"],

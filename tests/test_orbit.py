@@ -7,12 +7,11 @@ from lemnichor.invariants import full_report
 from lemnichor.orbit import (
     Vec2,
     acceleration,
-    body_state,
     triple,
     velocity,
 )
 
-from conftest import P0, Q0, lemniscate_residual
+from conftest import P0, Q0, lemniscate_residual, position
 
 
 def central_difference(f, t, h):
@@ -27,33 +26,33 @@ def second_difference(f, t, h):
 
 class TestPosition:
     def test_origin(self, ctx):
-        assert body_state(0.0, ctx).pos == Vec2(0.0, 0.0)
+        assert position(0.0, ctx) == Vec2(0.0, 0.0)
 
     def test_right_apex(self, ctx):
-        p = body_state(ctx.K, ctx).pos
+        p = position(ctx.K, ctx)
         assert p.x == pytest.approx(1.0, abs=1e-14)
         assert p.y == pytest.approx(0.0, abs=1e-14)
 
     def test_four_thirds_closed_form(self, ctx):
         # Algebraic substitution of the K/3-grid special values into the
         # parameterization gives (p, q) below; confirmed numerically.
-        p = body_state(4.0 * ctx.K / 3.0, ctx).pos
+        p = position(4.0 * ctx.K / 3.0, ctx)
         assert p.x == pytest.approx(P0, abs=1e-13)
         assert p.y == pytest.approx(Q0, abs=1e-13)
 
     def test_on_lemniscate_everywhere(self, ctx, period):
         for i in range(500):
             t = i * period / 500.0
-            assert abs(lemniscate_residual(body_state(t, ctx).pos)) <= 1e-12
+            assert abs(lemniscate_residual(position(t, ctx))) <= 1e-12
 
     def test_periodicity(self, ctx, period):
         for t in (0.1, 0.9, 2.3, 3.7):
-            d = body_state(t + period, ctx).pos - body_state(t, ctx).pos
+            d = position(t + period, ctx) - position(t, ctx)
             assert d.norm() <= 1e-12
 
     def test_oddness(self, ctx):
         for t in (0.25, 1.1, 2.2, 4.9):
-            d = body_state(-t, ctx).pos + body_state(t, ctx).pos
+            d = position(-t, ctx) + position(t, ctx)
             assert d.norm() <= 1e-13
 
 
@@ -73,7 +72,7 @@ class TestVelocity:
         h = 1e-6
         for i in range(100):
             t = i * period / 100.0 + 0.0007
-            fd = central_difference(lambda u: body_state(u, ctx).pos, t, h)
+            fd = central_difference(lambda u: position(u, ctx), t, h)
             v = velocity(t, ctx)
             assert abs(v.x - fd.x) <= 1e-8
             assert abs(v.y - fd.y) <= 1e-8
@@ -86,7 +85,7 @@ class TestAcceleration:
         h = 1e-4
         for i in range(100):
             t = i * period / 100.0 + 0.0007
-            fd = second_difference(lambda u: body_state(u, ctx).pos, t, h)
+            fd = second_difference(lambda u: position(u, ctx), t, h)
             a = acceleration(t, ctx)
             assert abs(a.x - fd.x) <= 1e-6
             assert abs(a.y - fd.y) <= 1e-6
@@ -98,7 +97,7 @@ class TestAcceleration:
 
     def test_finite_at_apex(self, ctx):
         a = acceleration(ctx.K, ctx)
-        fd = second_difference(lambda u: body_state(u, ctx).pos, ctx.K, 1e-4)
+        fd = second_difference(lambda u: position(u, ctx), ctx.K, 1e-4)
         assert abs(a.x - fd.x) <= 1e-6
         assert abs(a.y - fd.y) <= 1e-6
 
@@ -143,7 +142,7 @@ class TestTriple:
         third = ctx.K / 3.0
         triples = [triple(j * third, ctx) for j in range(4)]
         for j in range(12):
-            p = body_state(j * third, ctx).pos
+            p = position(j * third, ctx)
             best = min(
                 (q - p).norm() for q in triples[j % 4].positions
             )
@@ -168,12 +167,12 @@ class TestValueTypes:
     def test_fields_cannot_be_assigned(self, ctx):
         s = triple(0.3, ctx)
         values = [
-            Vec2(1.0, 2.0), s.bodies[0], s, full_report(0.3, ctx), ctx,
+            Vec2(1.0, 2.0), s, full_report(0.3, ctx), ctx,
             concurrency_point(s), tangents_from_point(Vec2(2.0 ** 0.5, 1.0), ctx)[0],
             PoleSpec(location=1j, x_plus_residue=-1j, icn_residue=1.0),
             CheckResult(name="n", claimed=0j, observed=0j, residual=0.0, tolerance=1e-12),
         ]
-        assert len({type(v) for v in values}) == 9
+        assert len({type(v) for v in values}) == 8
         for value in values:
             for field in value._fields:
                 with pytest.raises(AttributeError):
