@@ -21,8 +21,9 @@ strip of one real period reduces to the difference of two line integrals of
 x^+'/x^+, each taken by the trapezoid rule on a periodic integrand (spectrally
 accurate).  Lines at Im t = -3K'/2, -K'/2, K'/2, 3K'/2, 5K'/2 cut the cell
 into four strips with Z - P = -2, +2, -2, +2; the first and last lines agree
-because 4iK' is a period.  The lines share their abscissae, so they are
-evaluated as one grid by ``sn_cn_dn_lines``.  Local windings and first
+because 4iK' is a period.  The five lines sit K'/2 from every pole row and
+share their abscissae; their nodes go to ``sn_cn_dn_points`` as one batch,
+line by line.  Local windings and first
 moments of f'/f on small circles place each zero and pole; residues and
 Laurent/Taylor coefficients are weighted means of one circle of values, and
 x^+ and 1/(1 - i cn), which share their poles, take their residues from one
@@ -40,7 +41,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_lines, sn_cn_dn_points
+from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_points
 from .invariants import angular_momentum
 from .orbit import coords, ordered_sum, triple_phases
 
@@ -76,10 +77,6 @@ class ContourCrossingError(ValueError):
 
 class CensusError(ValueError):
     """The strip windings disagree with the claimed zeros and poles."""
-
-
-class NoZeroOrPoleError(ValueError):
-    """A locate_pole circle has winding 0: no zero or pole left inside."""
 
 
 class PoleSpec(NamedTuple):
@@ -426,13 +423,14 @@ def locate_pole(log_d1, approx: complex, ctx: EllipticContext,
     log-derivative f'/f, at each point of ts, of the function whose zero or
     pole is sought.  By the argument principle its mean times (t - approx)
     around the circle, r mean_{-1}, is Z - P; the first moment,
-    r^2 mean_{-2}, over it is the offset of the location from approx.
+    r^2 mean_{-2}, over it is the offset of the location from approx.  A
+    circle that winds 0 holds no zero or pole: (0, approx).
     """
     vals = log_d1(_circle(approx, radius), ctx)
     m1 = _mean(vals, -1)
     order = round((radius * m1).real)
     if order == 0:
-        raise NoZeroOrPoleError(f"no zero or pole detected near {approx}")
+        return 0, approx
     return order, approx + radius * _mean(vals, -2) / m1
 
 
@@ -441,13 +439,15 @@ def line_windings(ctx: EllipticContext) -> list[complex]:
 
     Each line runs over one real period 4K, left to right, by the
     trapezoid rule with CENSUS_LINE_NODES nodes.  The value is the winding
-    of the closed curve x^+(line) around 0, so an integer.
+    of the closed curve x^+(line) around 0, so an integer.  The nodes of
+    every line are one batch.
     """
     n = CENSUS_LINE_NODES
     h = 4.0 * ctx.K / n
     us = [-2.0 * ctx.K + j * h for j in range(n)]
-    lines = sn_cn_dn_lines(us, [y * ctx.Kprime for y in CENSUS_LINES], ctx)
-    return [ordered_sum(_x_plus_log_d1(*scd) for scd in line) * h / (2j * math.pi) for line in lines]
+    grid = sn_cn_dn_points([complex(u, y * ctx.Kprime) for y in CENSUS_LINES for u in us], ctx)
+    return [ordered_sum(_x_plus_log_d1(*scd) for scd in grid[i:i + n]) * h / (2j * math.pi)
+            for i in range(0, len(grid), n)]
 
 
 def _strips(lines: list[complex]):
@@ -464,14 +464,6 @@ def check_strip_windings(ctx: EllipticContext) -> list[CheckResult]:
     """
     return [_result(f"strip winding of x_plus, {label}", claimed, observed, WINDING_TOL)
             for label, observed, claimed in _strips(line_windings(ctx))]
-
-
-def _local_order(seed: complex, ctx: EllipticContext) -> tuple[int, complex]:
-    try:
-        return locate_pole(x_plus_log_d1, seed, ctx)
-    except NoZeroOrPoleError:
-        # A claimed locus with nothing there counts 0; the strip sum exposes it.
-        return 0, seed
 
 
 def pole_census(ctx: EllipticContext) -> list[tuple[complex, int, complex]]:
@@ -500,7 +492,8 @@ def pole_census(ctx: EllipticContext) -> list[tuple[complex, int, complex]]:
     for (label, wind, claimed), seeds in zip(_strips(lines), loci):
         if abs(wind - claimed) > WINDING_TOL:
             raise CensusError(f"strip {label}: winding {wind}, claimed {claimed}")
-        found = [_local_order(seed, ctx) for seed in seeds]
+        # A claimed locus with nothing there counts 0; the strip sum exposes it.
+        found = [locate_pole(x_plus_log_d1, seed, ctx) for seed in seeds]
         total = sum(order for order, _ in found)
         if total != claimed:
             raise CensusError(

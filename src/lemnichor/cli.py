@@ -11,7 +11,7 @@ JSON is strict (RFC 8259): a NaN or infinite value is written as null.
 
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error or input whose
-arithmetic overflows, 3 I/O error.
+arithmetic leaves the float range (integrate names the step), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -325,7 +325,8 @@ def run(args: argparse.Namespace) -> int:
         return 2
     except OverflowError as exc:
         # Finite input whose arithmetic leaves the float range (an --init file
-        # with coordinates near 1e308): the input is unusable, no residual failed.
+        # with coordinates near 1e308, or a --dt the run diverges at; integrate
+        # names the step): the input is unusable, no residual failed.
         sys.stderr.write(f"invalid input: arithmetic overflow: {exc}\n")
         return 2
 

@@ -67,10 +67,14 @@ def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
 
     Every sum keeps the order of a loop over pairs i < j accumulating from 0.0
     (the 0.0 fixes the sign of a zero force), and the potential's r^2 is
-    dx ** 2 + dy ** 2: pow is not always correctly rounded, so x ** 2 differs
-    from x * x for about one x in a thousand.  The tests pin these bits
-    against that loop.  Together with _energy, whose kinetic sum has a fixed
-    order on every Python version, this is all the dynamics.
+    dx ** 2 + dy ** 2, formed a second time beside the force's r_ij^2: pow is
+    not always correctly rounded, so x ** 2 differs from x * x for about one x
+    in a thousand, and the energy column keeps the bits of ** .  The tests pin
+    these bits against that loop.  A finite ** that overflows raises
+    OverflowError, but integrate refuses the first energy that is not finite
+    itself, so no exit code depends on that raise.  Together with _energy,
+    whose kinetic sum has a fixed order on every Python version, this is all
+    the dynamics.
     """
     dx01 = x1 - x0
     dy01 = y1 - y0
@@ -169,11 +173,13 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
     the iterator.  Each row is yielded as the loop reaches it and none is
     kept, so memory does not grow with n_steps.  The energy is evaluated
     once per step.  Returns (energy_drift, last row), energy_drift being the
-    largest |E(t) - E(0)| over every step, or NaN from the first NaN energy on.
+    largest |E(t) - E(0)| over every step.
 
-    Raises ValueError unless dt > 0 and n_steps >= 1, and CollisionError
+    Raises ValueError unless dt > 0 and n_steps >= 1; CollisionError
     (carrying the step index) if any pairwise distance drops below
-    DELTA_COLL; consume has then received the rows of every earlier step.
+    DELTA_COLL; and OverflowError, naming the step, at the first step (the
+    start counts) whose energy is not finite or whose forces overflow.
+    consume has then received the rows of every earlier step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -192,6 +198,8 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
         try:
             fx0, fy0, fx1, fy1, fx2, fy2, pe = _kernel(x0, y0, x1, y1, x2, y2, central)
             e0 = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
+            if not math.isfinite(e0):
+                raise OverflowError("energy is not finite")
             row = (0.0, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, e0)
             yield row
             for step in range(1, n_steps + 1):
@@ -216,15 +224,18 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
                 vy2 += half * fy2
                 energy = _energy(vx0, vy0, vx1, vy1, vx2, vy2, pe)
                 d = abs(energy - e0)
-                # As in the CLI's _fold_max: a NaN d is taken, and no later d
-                # compares above it, so the drift stays NaN.
-                if d > drift or d != d:
+                # A NaN d enters too; a d that is not finite stops the run.
+                if not d <= drift:
+                    if not math.isfinite(d):
+                        raise OverflowError("energy is not finite")
                     drift = d
                 row = (step * dt, x0, y0, vx0, vy0, x1, y1, vx1, vy1, x2, y2, vx2, vy2, energy)
                 yield row
         except CollisionError as exc:
             exc.step_index = step
             raise
+        except OverflowError as exc:
+            raise OverflowError(f"the run leaves the float range at step {step}") from exc
         result = drift, row
 
     consume(rows())

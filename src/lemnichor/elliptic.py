@@ -13,11 +13,9 @@ imaginary-argument transformation, which reduces sn(u + iv) to real
 evaluations at u (modulus k) and v (complementary modulus k').  One batch
 evaluator, ``sn_cn_dn_points``, holds that formula: it reduces each distinct
 real and imaginary part of its points once, with results bit-equal to
-evaluating each point alone.  ``sn_cn_dn_lines`` is the batch of a product
-grid of abscissae and horizontal lines.  The route breaks down on the common
-pole lattice of sn/cn/dn, so complex evaluation refuses arguments within
-``DELTA_POLE`` of a pole (the line evaluator refuses whole lines within
-``DELTA_POLE`` of a pole row); residue work near poles belongs to contour
+evaluating each point alone.  The route breaks down on the common pole
+lattice of sn/cn/dn, so complex evaluation refuses arguments within
+``DELTA_POLE`` of a pole; residue work near poles belongs to contour
 quadrature, not direct evaluation.
 """
 
@@ -195,22 +193,3 @@ def sn_cn_dn_points(ts: list[complex],
                     complex(d * c1 * d1, -m * s * c * s1) / den))
     return out
 
-
-def sn_cn_dn_lines(us: list[float], vs: list[float],
-                   ctx: EllipticContext) -> list[list[tuple[complex, complex, complex]]]:
-    """(sn, cn, dn)(u + iv) on each horizontal line Im t = v at the abscissae us.
-
-    One list per v, in the order of us: ``sn_cn_dn_points`` of the product
-    grid, so each u and each v costs one real evaluation.  Raises
-    PoleProximityError for a line within DELTA_POLE of a pole row
-    Im t = (2l+1) K': every node of a line farther out is at least that far
-    from the pole lattice.
-    """
-    for v in vs:
-        if _pole_row_distance(v, ctx) < DELTA_POLE:
-            raise PoleProximityError(
-                f"line Im t = {v} is within {DELTA_POLE} of a pole row of sn/cn/dn"
-            )
-    n = len(us)
-    grid = sn_cn_dn_points([complex(u, v) for v in vs for u in us], ctx)
-    return [grid[i * n:(i + 1) * n] for i in range(len(vs))]

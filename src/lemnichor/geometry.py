@@ -57,7 +57,7 @@ class MethodDisagreementError(RuntimeError):
 
 
 class NoIntersectionError(ValueError):
-    """A tangent line misses the rectangular hyperbola."""
+    """A tangent line does not cross the rectangular hyperbola twice."""
 
 
 class ConcurrencyPoint(NamedTuple):
@@ -98,10 +98,12 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
     xs = s.positions
     vs = s.velocities
     ls = [xs[i].cross(vs[i]) for i in range(3)]
+    # v_i x v_{i+1}: the pairs (0, 1), (1, 2), (2, 0).
+    vvs = [vs[i].cross(vs[(i + 1) % 3]) for i in range(3)]
 
     cs = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        vv = vs[i].cross(vs[j])
+    for i, vv in enumerate(vvs):
+        j = (i + 1) % 3
         if abs(vv) < PARALLEL_TOL:
             continue
         cs.append(Vec2(-(ls[i] * vs[j].x - ls[j] * vs[i].x) / vv,
@@ -113,11 +115,12 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
 
     lambdas = []
     for i in range(3):
-        j = (i + 1) % 3
-        vv = vs[i].cross(vs[j])
+        j, vv = (i + 1) % 3, vvs[i]
         if abs(vv) < PARALLEL_TOL:
+            # v_i x v_j = -(v_j x v_i) bit for bit: the same two products,
+            # subtracted the other way round.
             j = (i + 2) % 3
-            vv = vs[i].cross(vs[j])
+            vv = -vvs[j]
         lambdas.append((xs[j] - xs[i]).cross(vs[j]) / vv)
     return ConcurrencyPoint(c=c, lambdas=tuple(lambdas), finite=True)
 
@@ -267,22 +270,22 @@ def select_choreographic(
 
 
 def tangent_hyperbola_intersections(x1: Vec2, v1: Vec2) -> list[Vec2]:
-    """Intersections of the line x1 + lam v1 with cx^2 - cy^2 = 1."""
+    """The two crossings of the line x1 + lam v1 with cx^2 - cy^2 = 1.
+
+    Raises NoIntersectionError, naming the reason, for a line parallel to an
+    asymptote (one crossing at most), one that misses the hyperbola, or one
+    tangent to it.
+    """
     a = v1.x * v1.x - v1.y * v1.y
     b = 2.0 * (x1.x * v1.x - x1.y * v1.y)
     cterm = x1.x * x1.x - x1.y * x1.y - 1.0
     if abs(a) < 1e-14:
-        # Line parallel to an asymptote: single crossing.
-        if abs(b) < 1e-14:
-            raise NoIntersectionError("tangent line runs along an asymptote")
-        lam = -cterm / b
-        return [x1 + lam * v1]
+        raise NoIntersectionError("tangent line is parallel to an asymptote of the hyperbola")
     disc = b * b - 4.0 * a * cterm
     if disc < -DISC_TOL:
         raise NoIntersectionError("tangent line misses the hyperbola")
     if disc <= DISC_TOL:
-        lam = -b / (2.0 * a)
-        return [x1 + lam * v1]
+        raise NoIntersectionError("tangent line is tangent to the hyperbola")
     sq = math.sqrt(disc)
     return [x1 + ((-b + sq) / (2.0 * a)) * v1, x1 + ((-b - sq) / (2.0 * a)) * v1]
 
@@ -308,8 +311,6 @@ def complete_triple_from_point(
     q1 = quadrant(x1)
 
     ds = tangent_hyperbola_intersections(x1, v1)
-    if len(ds) < 2:
-        raise NoIntersectionError("tangent line is tangent to the hyperbola")
     picked = [d for d in ds if quadrant(d) != q1]
     if len(picked) != 1:
         raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")

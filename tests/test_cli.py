@@ -232,14 +232,15 @@ class TestIntegrate:
                                       0.001, 8, consume=deque(maxlen=0).extend)
         assert summary["energy_drift"] == drift
 
-    def test_diverged_run_reports_a_nan_drift(self, capsys):
-        # A step of 1e300 overflows in the first step: the rows are nan/inf,
-        # the drift is NaN (written as null), and nothing was verified.
-        code, out, err = run_cli(["integrate", "--dt", "1e300", "--steps", "3"], capsys)
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert all(math.isnan(row[-1]) for row in rows[1:])
-        assert strict_json(err)["energy_drift"] is None
+    @pytest.mark.parametrize("dt, steps, step", [("1e10", "40", 8), ("1e200", "3", 1), ("1e300", "3", 1)])
+    def test_diverged_run_is_refused_at_its_step(self, dt, steps, step, capsys):
+        # At 1e10 a squared separation overflows in the kernel; at 1e200 and
+        # 1e300 the energy turns NaN without a raise.  Each is one exit 2
+        # naming the step, with nothing written.
+        code, out, err = run_cli(["integrate", "--dt", dt, "--steps", steps], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid input: arithmetic overflow: the run leaves the float range at step {step}\n"
 
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -715,6 +716,13 @@ class TestExitCodes:
         code, _, err = run_cli(["geometry", "--from-point", str(ctx.K)], capsys)
         assert code == 2
         assert "invalid input" in err
+
+    def test_tangent_parallel_to_an_asymptote_is_refused(self, capsys):
+        # The tangent line at phase 2K/3 is parallel to y = x: it crosses the
+        # hyperbola once at most, and the refusal says so.
+        code, out, err = run_cli(["geometry", "--from-point=1.845375430245845"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: tangent line is parallel to an asymptote of the hyperbola\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize("command, flag", [

@@ -335,22 +335,29 @@ class TestIntegrate:
         assert drift == max(abs(row[-1] - e0) for row in rows)
 
     @pytest.mark.parametrize("variant", [U, V])
-    def test_nan_energy_makes_the_drift_nan(self, ctx, variant):
-        # A step of 1e300 overflows at once: every energy after the start is
-        # NaN, and so is the drift (a `d > drift` fold alone reports 0.0).
+    def test_overflowing_step_stops_the_run(self, ctx, variant):
+        # A step of 1e300 leaves the float range at once: the run stops at
+        # step 1, naming it, after the start row has reached consume.
         s = triple(0.0, ctx)
-        rows, drift, _ = collect(s.positions, s.velocities, variant, 1e300, 3)
-        assert [math.isnan(row[-1]) for row in rows] == [False, True, True, True]
-        assert math.isnan(drift)
+        rows = []
+        with pytest.raises(OverflowError, match=r"at step 1$"):
+            integrate(s.positions, s.velocities, variant, 1e300, 3, consume=rows.extend)
+        assert len(rows) == 1 and math.isfinite(rows[0][-1])
 
-    def test_finite_energies_after_a_nan_keep_the_drift_nan(self, ctx, monkeypatch):
-        # The NaN at step 1 must not be replaced by the larger finite 0.5 at step 2.
-        energies = iter([1.0, math.nan, 1.5, 1.0])
+    @pytest.mark.parametrize("energies, step", [
+        ([1.0, math.nan, 1.5, 1.0], 1),
+        ([1.0, 1.5, math.inf, 1.0], 2),
+        ([math.nan], 0),
+    ])
+    def test_first_energy_that_is_not_finite_stops_the_run(self, ctx, monkeypatch, energies, step):
+        # The start counts, and the finite energies after a NaN are never reached.
+        energies = iter(energies)
         monkeypatch.setattr(dynamics, "_energy", lambda *_: next(energies))
         s = triple(0.0, ctx)
-        rows, drift, _ = collect(s.positions, s.velocities, U, 0.01, 3)
-        assert len(rows) == 4
-        assert math.isnan(drift)
+        rows = []
+        with pytest.raises(OverflowError, match=rf"at step {step}$"):
+            integrate(s.positions, s.velocities, U, 0.01, 3, consume=rows.extend)
+        assert len(rows) == step
 
     def test_collision_at_start_reports_step_zero(self):
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]

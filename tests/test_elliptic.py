@@ -14,7 +14,6 @@ from lemnichor.elliptic import (
     _landen_chain,
     make_context,
     sn_cn_dn,
-    sn_cn_dn_lines,
     sn_cn_dn_points,
 )
 
@@ -187,29 +186,6 @@ class TestComplexEvaluation:
 
 def _bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
-
-
-class TestLineEvaluation:
-    def test_bit_equal_to_point_evaluation(self, ctx):
-        rng = random.Random(11)
-        kp = ctx.Kprime
-        us = [rng.uniform(-3.0 * ctx.K, 3.0 * ctx.K) for _ in range(24)] + [0.0, -2.0 * ctx.K, ctx.K / 3.0]
-        vs = [rng.uniform(-3.0 * kp, 3.0 * kp) for _ in range(8)]
-        vs += [0.0, -0.5 * kp, 2.5 * kp, kp + 1.5 * DELTA_POLE, -kp - 1.5 * DELTA_POLE,
-               3.0 * kp - 1.5 * DELTA_POLE]
-        lines = sn_cn_dn_lines(us, vs, ctx)
-        assert len(lines) == len(vs)
-        for v, line in zip(vs, lines):
-            assert len(line) == len(us)
-            for u, got in zip(us, line):
-                assert _bits(got) == _bits(sn_cn_dn_at(complex(u, v), ctx)), (u, v)
-
-    @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5])
-    @pytest.mark.parametrize("row", [1.0, -1.0, 3.0])
-    def test_refuses_a_line_near_a_pole_row(self, ctx, row, offset):
-        v = row * ctx.Kprime + offset * DELTA_POLE
-        with pytest.raises(PoleProximityError):
-            sn_cn_dn_lines([0.1, 1.0], [0.0, v], ctx)
 
 
 # The real kernel and the one-point complex evaluator as they were written

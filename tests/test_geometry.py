@@ -168,6 +168,41 @@ class TestConcurrencyPoint:
                 for b in cs:
                     assert (a - b).norm() <= 1e-9
 
+    def test_lambdas_match_the_loop_bit_for_bit(self, ctx):
+        # The lambdas as they were computed with each v_i x v_j formed in the
+        # loop, the fallback pair included: orbit triples, and triples with
+        # each velocity pair in turn parallel.
+        from lemnichor.geometry import PARALLEL_TOL
+        from lemnichor.orbit import TripleState
+
+        def oracle_lambdas(s):
+            xs, vs = s.positions, s.velocities
+            out = []
+            for i in range(3):
+                j = (i + 1) % 3
+                vv = vs[i].cross(vs[j])
+                if abs(vv) < PARALLEL_TOL:
+                    j = (i + 2) % 3
+                    vv = vs[i].cross(vs[j])
+                out.append((xs[j] - xs[i]).cross(vs[j]) / vv)
+            return [v.hex() for v in out]
+
+        rng = random.Random(5)
+        states = [triple(rng.uniform(-20.0, 20.0), ctx) for _ in range(200)]
+        for k in range(3):
+            vs = [Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(3)]
+            vs[(k + 1) % 3] = 0.7 * vs[k]  # v_k x v_{k+1} is 0
+            xs = tuple(Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3))
+            states.append(TripleState(xs, tuple(vs)))
+        fallbacks = 0
+        for s in states:
+            cp = concurrency_point(s)
+            assert cp.finite
+            assert [v.hex() for v in cp.lambdas] == oracle_lambdas(s)
+            vs = s.velocities
+            fallbacks += any(abs(vs[i].cross(vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
+        assert fallbacks == 3
+
     def test_defining_relation(self, ctx):
         # c = x_i + lambda_i v_i for every body.
         for t in (0.4, 1.3, 2.9):
@@ -449,8 +484,6 @@ def offset_matching_oracle(x1_phase, ctx):
         raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(x1)
     ds = tangent_hyperbola_intersections(x1, v1)
-    if len(ds) < 2:
-        raise NoIntersectionError("tangent line is tangent to the hyperbola")
     picked = [d for d in ds if quadrant(d) != q1]
     if len(picked) != 1:
         raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
@@ -487,11 +520,19 @@ def _outcome(construct, t, ctx):
 
 class TestTangentHyperbolaIntersections:
     def test_miss_raises(self):
-        from lemnichor.geometry import NoIntersectionError
-
         # Vertical line through the origin never meets cx^2 - cy^2 = 1.
-        with pytest.raises(NoIntersectionError):
+        with pytest.raises(NoIntersectionError, match="misses"):
             tangent_hyperbola_intersections(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
+
+    def test_line_parallel_to_an_asymptote_raises(self):
+        # The line through (0.5, 0) along y = x meets the hyperbola once.
+        with pytest.raises(NoIntersectionError, match="parallel to an asymptote"):
+            tangent_hyperbola_intersections(Vec2(0.5, 0.0), Vec2(1.0, 1.0))
+
+    def test_tangent_line_raises(self):
+        # The vertical line x = 1 touches the hyperbola at its vertex.
+        with pytest.raises(NoIntersectionError, match="tangent to the hyperbola"):
+            tangent_hyperbola_intersections(Vec2(1.0, 0.5), Vec2(0.0, 1.0))
 
     def test_intersections_on_hyperbola(self, ctx):
         for t in (0.3, 1.1, 2.7):

@@ -109,4 +109,4 @@ def test_star_import_and_dir_list_the_public_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lemnichor.no_such_name  # noqa: B018
-    assert not hasattr(lemnichor, "sn_cn_dn_lines")  # public in elliptic, not exported
+    assert not hasattr(lemnichor, "sn_cn_dn_points")  # public in elliptic, not exported
