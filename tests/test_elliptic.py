@@ -188,6 +188,40 @@ def _bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
+def _line_grid(us, vs):
+    # Row-major, one line per v, as analytic.line_windings forms its census grid.
+    return [complex(u, v) for v in vs for u in us]
+
+
+class TestLineEvaluation:
+    """Lines of nodes passed to sn_cn_dn_points as one row-major batch."""
+
+    def test_bit_equal_to_point_evaluation(self, ctx):
+        rng = random.Random(11)
+        kp = ctx.Kprime
+        us = [rng.uniform(-3.0 * ctx.K, 3.0 * ctx.K) for _ in range(24)] + [0.0, -2.0 * ctx.K, ctx.K / 3.0]
+        vs = [rng.uniform(-3.0 * kp, 3.0 * kp) for _ in range(8)]
+        vs += [0.0, -0.5 * kp, 2.5 * kp, kp + 1.5 * DELTA_POLE, -kp - 1.5 * DELTA_POLE,
+               3.0 * kp - 1.5 * DELTA_POLE]
+        grid = _line_grid(us, vs)
+        got = sn_cn_dn_points(grid, ctx)
+        assert len(got) == len(us) * len(vs)
+        for t, scd in zip(grid, got):
+            assert _bits(scd) == _bits(sn_cn_dn_at(t, ctx)), t
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("row", [1.0, -1.0, 3.0])
+    def test_refuses_a_line_near_a_pole_row(self, ctx, row, offset):
+        # A census-shaped line, one real period from -2K, moved to within
+        # DELTA_POLE of a pole row: its first node sits on a pole column.
+        n = 64
+        h = 4.0 * ctx.K / n
+        us = [-2.0 * ctx.K + j * h for j in range(n)]
+        v = row * ctx.Kprime + offset * DELTA_POLE
+        with pytest.raises(PoleProximityError):
+            sn_cn_dn_points(_line_grid(us, [0.0, v]), ctx)
+
+
 # The real kernel and the one-point complex evaluator as they were written
 # before the Landen plan and the batch evaluator: a chain of moduli walked
 # down and up, and a per-point pole test and combine.  Kept as bit-level oracles.
