@@ -6,8 +6,10 @@ goes to a separate ``<output>.meta.json`` sidecar.  Each subcommand takes
 only the flags it reads.  The parser checks each flag's value as it reads it
 (its ``type=`` converter), _settings checks the flags that go together, and
 the --init file is read before the run starts, so a bad input writes nothing.
+The parser is built once per process, on first use.
 
-JSON is strict (RFC 8259): a NaN or infinite value is written as null.
+JSON is strict (RFC 8259): a NaN or infinite value is written as null.  Each
+JSON output is encoded once.
 
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error or input whose
@@ -17,6 +19,7 @@ arithmetic leaves the float range (integrate names the step), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -116,11 +119,19 @@ def _fold_max(worst: float, r: float) -> float:
     return r if r > worst or math.isnan(r) else worst
 
 
+def _finite_floats(obj):
+    """obj with each NaN or infinite float as None, and each tuple as a list."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_floats(v) for v in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    # Strict JSON: the round trip turns each NaN or infinity into None and
-    # leaves every other value as it was (float repr round-trips exactly).
-    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(_finite_floats(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cplx(z) -> list[float]:
@@ -355,6 +366,10 @@ _point = _checked(lambda text: tuple(map(float, text.split(","))),
                   lambda c: len(c) == 2 and all(map(math.isfinite, c)), "CX,CY, two finite numbers")
 
 
+# argparse keeps no state of a parse on the parser, and reads the terminal
+# width when it prints, so one parser serves every main() call; nothing may
+# change it once built.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemnichor",

@@ -7,6 +7,8 @@ import random
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from collections import Counter, deque
@@ -892,3 +894,103 @@ def test_unlisted_branch_bytes(capsys):
         digest.update(repr((words, code, out, err)).encode())
     assert codes == {0: 100}
     assert digest.hexdigest() == CONSTRUCTIONS_DIGEST
+
+
+# One parser serves every main() call of a process.  The usage errors, in the
+# order of their checks: a type= converter, _settings, the exclusive group.
+REFUSALS = (
+    ["verify", "--n-samples", "0"],
+    ["geometry", "--from-point", "0.55", "--n-samples", "7"],
+    ["geometry", "--from-c=1.4142135623730951,1", "--from-point", "0.55"],
+)
+HELPS = (["--help"], ["geometry", "--help"])
+
+
+def _exit_bytes(argv, capsys):
+    """(exit code, stdout, stderr) of a main() call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_refusals_and_help_leave_no_state(self, capsys):
+        first = [_exit_bytes(argv, capsys) for argv in REFUSALS + HELPS]
+        assert [(code, out) for code, out, _ in first[:3]] == [(2, "")] * 3
+        assert [code for code, _, _ in first[3:]] == [0, 0]
+        table = json.loads(README_DIGESTS.read_text(encoding="utf-8"))
+        for words in readme_cli_examples():
+            want = table[" ".join(words[1:])]
+            code, out, err = run_cli(words[1:], capsys)
+            assert (code, _sha256(out), _sha256(err)) == (0, want["stdout"], want["stderr"]), words
+        # The same bytes again, after every README command has used the parser.
+        assert [_exit_bytes(argv, capsys) for argv in REFUSALS + HELPS] == first
+
+    def test_help_reads_the_width_when_it_prints(self, monkeypatch, capsys):
+        cli._build_parser()
+        helps = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = _exit_bytes(["geometry", "--help"], capsys)
+            assert code == 0
+            helps.append(out)
+        # The same words, wrapped onto more lines at 60 columns.
+        assert helps[0].split() == helps[1].split()
+        assert len(helps[0].splitlines()) > len(helps[1].splitlines())
+
+    def test_entry_point_help_follows_columns(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        helps = [
+            subprocess.run([sys.executable, "-m", "lemnichor.cli", "geometry", "--help"],
+                           env=dict(os.environ, PYTHONPATH=src, COLUMNS=columns),
+                           capture_output=True, text=True, check=True).stdout
+            for columns in ("60", "200")
+        ]
+        assert helps[0].startswith("usage: lemnichor geometry")
+        assert helps[0].split() == helps[1].split()
+        assert len(helps[0].splitlines()) > len(helps[1].splitlines())
+
+
+def _round_trip_json_text(obj) -> str:
+    """The strict encoder before the walk: encode, decode each NaN or infinity as None, encode again."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _random_json_value(rng, depth=0):
+    """A seeded nested value of every kind the CLI encodes, non-finite floats included."""
+    kind = rng.randrange(10 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+    if kind == 1:
+        return rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-20, 20)
+    if kind == 2:
+        return rng.choice([rng.randrange(-10**20, 10**20), True, False, None])
+    if kind in (3, 4):
+        return rng.choice(["", "x1_phase", "naïve \"quoted\"\n", "NaN"])
+    items = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind in (5, 6):
+        return {f"k{rng.randrange(100)}": v for v in items}
+    return tuple(items) if kind == 7 else items
+
+
+class TestJsonText:
+    def test_non_finite_is_null_at_any_depth(self):
+        obj = ([{"nan": math.nan, "inf": [math.inf, (-math.inf, 1.5)]}],)
+        assert strict_json(cli._json_text(obj)) == [[{"nan": None, "inf": [None, [None, 1.5]]}]]
+
+    def test_negative_zero_stays_and_a_tuple_is_a_list(self):
+        assert cli._json_text({"z": -0.0, "t": (1, -0.0)}) == (
+            '{\n  "t": [\n    1,\n    -0.0\n  ],\n  "z": -0.0\n}\n')
+
+    def test_same_bytes_as_the_round_trip(self):
+        rng = random.Random(1919)
+        for _ in range(300):
+            obj = {f"k{i}": _random_json_value(rng) for i in range(rng.randrange(1, 6))}
+            text = cli._json_text(obj)
+            assert text == _round_trip_json_text(obj)
+            strict_json(text)
