@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_points
 from .invariants import angular_momentum
-from .orbit import coords, ordered_sum, triple_phases
+from .orbit import CheckResult, coords, ordered_sum, triple_phases
 
 SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
@@ -85,21 +85,6 @@ class PoleSpec(NamedTuple):
     location: complex
     x_plus_residue: complex
     icn_residue: complex
-
-
-class CheckResult(NamedTuple):
-    """One claim: its residual |observed - claimed| and the tolerance it must meet."""
-
-    name: str
-    claimed: complex
-    observed: complex
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        # Written so that a NaN residual fails.
-        return self.residual <= self.tolerance
 
 
 def _result(name: str, claimed, observed, tol: float) -> CheckResult:

@@ -11,6 +11,9 @@ The parser is built once per process, on first use.
 JSON is strict (RFC 8259): a NaN or infinite value is written as null.  Each
 JSON output is encoded once.
 
+Every gate is a CheckResult row, and one function, _judged, scales its
+tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
+
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error or input whose
 arithmetic leaves the float range (integrate names the step), 3 I/O error.
@@ -29,10 +32,11 @@ from pathlib import Path
 # The layers that only some commands run (analytic, geometry, invariants) are
 # imported inside those commands, so that a run loads no module it does not use.
 from . import __version__, dynamics
-from .elliptic import CHOREO_M, choreography_context
-from .orbit import Vec2, coords, triple
+from .elliptic import choreography_context
+from .orbit import CheckResult, Vec2, coords, triple
 
-# Default residual tolerances, overridable by --tolerance-scale.
+# Default residual tolerances, overridable by --tolerance-scale.  The hyperbola
+# residual is relative, |cx^2 - cy^2 - 1| / max(1, |c|^2).
 DEFAULT_TOLERANCES = {
     "center_of_mass": 1e-10,
     "moment_of_inertia": 1e-10,
@@ -42,7 +46,7 @@ DEFAULT_TOLERANCES = {
     "sum_sq_distances": 1e-10,
     "product_sq_distances": 1e-10,
     "eom_residual": 1e-9,
-    "hyperbola": 1e-8,
+    "hyperbola": 1e-11,
 }
 
 # Every setting of a run and its default (the geometry sweep takes 200
@@ -54,7 +58,6 @@ SETTINGS = {
     "steps": 65536,
     "variant": "U",
     "format": "csv",
-    "affine": False,
     "tolerance_scale": 1.0,
     "init": "analytic",
     "from_c": None,
@@ -119,6 +122,17 @@ def _fold_max(worst: float, r: float) -> float:
     return r if r > worst or math.isnan(r) else worst
 
 
+def _gate(name: str, residual: float) -> CheckResult:
+    """The row of a residual held to DEFAULT_TOLERANCES[name]."""
+    return CheckResult(name, 0.0, residual, residual, DEFAULT_TOLERANCES[name])
+
+
+def _judged(rows: list[CheckResult], scale: float) -> tuple[list[CheckResult], bool]:
+    """The rows with each tolerance times scale, and whether every one passes."""
+    rows = [r._replace(tolerance=r.tolerance * scale) for r in rows]
+    return rows, all(r.passed for r in rows)
+
+
 def _finite_floats(obj):
     """obj with each NaN or infinite float as None, and each tuple as a list."""
     if isinstance(obj, float):
@@ -146,7 +160,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for j in range(args.n_samples):
         t = j * period / args.n_samples
         x, y, vx, vy, _, _ = coords(t, ctx)
-        rows.append([t, x, CHOREO_M * y if args.affine else y, vx, vy])
+        rows.append([t, x, y, vx, vy])
     if args.format == "json":
         _write_text(args, [_json_text([dict(zip(SAMPLE_FIELDS, r)) for r in rows])])
     else:
@@ -163,23 +177,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for j in range(args.n_samples):
         t = j * period / args.n_samples
         rep = invariants.full_report(t, ctx)
-        for name, r in rep.residuals.items():
+        eom = [("eom_residual", dynamics.eom_residual(t, v, ctx)) for v in dynamics.PotentialVariant]
+        for name, r in [*rep.residuals.items(), *eom]:
             worst[name] = _fold_max(worst.get(name, 0.0), r)
-        for variant in dynamics.PotentialVariant:
-            r = dynamics.eom_residual(t, variant, ctx)
-            worst["eom_residual"] = _fold_max(worst.get("eom_residual", 0.0), r)
-    tolerances = {k: DEFAULT_TOLERANCES[k] * args.tolerance_scale for k in worst}
-    # Written so that a NaN residual fails.
-    failures = {k: worst[k] for k in worst if not worst[k] <= tolerances[k]}
+    rows, ok = _judged([_gate(k, r) for k, r in worst.items()], args.tolerance_scale)
     report = {
         "n_samples": args.n_samples,
-        "max_residuals": worst,
-        "tolerances": tolerances,
-        "failures": failures,
-        "passed": not failures,
+        "max_residuals": {r.name: r.residual for r in rows},
+        "tolerances": {r.name: r.tolerance for r in rows},
+        "failures": {r.name: r.residual for r in rows if not r.passed},
+        "passed": ok,
     }
     _write_text(args, [_json_text(report)])
-    return 0 if not failures else 1
+    return 0 if ok else 1
 
 
 def _finite_number(v) -> bool:
@@ -263,26 +273,20 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         })])
         return 0
 
-    period = ctx.period
-    rows = []
-    worst_hyp = 0.0
-    for j in range(args.n_samples):
-        t = (j + 0.431) * period / args.n_samples
-        row = geometry.sweep_row(t, ctx)
-        rows.append(row)
-        # Tangent lines that meet at infinity give c = (inf, inf), which fails this test.
-        _, cx, cy, *_, residual = row
-        if math.hypot(cx, cy) < 50.0:
-            worst_hyp = _fold_max(worst_hyp, abs(residual))
+    rows = [geometry.sweep_row((j + 0.431) * ctx.period / args.n_samples, ctx)
+            for j in range(args.n_samples)]
+    # Every row counts: tangent lines that meet at infinity give c = (inf, inf) and a NaN.
+    worst = functools.reduce(_fold_max, (geometry.relative_hyperbola_residual(Vec2(cx, cy), h)
+                                         for _, cx, cy, *_, h in rows), 0.0)
     _write_text(args, _csv(rows, geometry.SWEEP_FIELDS))
-    return 0 if worst_hyp <= DEFAULT_TOLERANCES["hyperbola"] * args.tolerance_scale else 1
+    return 0 if _judged([_gate("hyperbola", worst)], args.tolerance_scale)[1] else 1
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     from . import analytic
 
     ctx = choreography_context()
-    results: list[analytic.CheckResult] = []
+    results: list[CheckResult] = []
     results += analytic.check_special_values(ctx)
     results += analytic.check_modulus_identity(ctx)
     results += analytic.check_residues(ctx)
@@ -293,20 +297,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         results += analytic.check_j_identity(t, ctx)
     results += analytic.check_triple_zero_and_pole(analytic.alpha2(ctx), ctx)
     results += analytic.check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
-    results = [r._replace(tolerance=r.tolerance * args.tolerance_scale) for r in results]
-    report = [
-        {
-            "name": r.name,
-            "claimed": _cplx(r.claimed),
-            "observed": _cplx(r.observed),
-            "residual": r.residual,
-            "tolerance": r.tolerance,
-            "pass": r.passed,
-        }
-        for r in results
-    ]
+    results, ok = _judged(results, args.tolerance_scale)
+    report = [{**r._asdict(), "claimed": _cplx(r.claimed), "observed": _cplx(r.observed),
+               "pass": r.passed} for r in results]
     _write_text(args, [_json_text(report)])
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if ok else 1
 
 
 _COMMANDS = {
@@ -391,8 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", "sample the analytic orbit over one period", n_samples=True)
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--affine", action="store_true",
-                   help="scale exported y by the squared modulus")
 
     add("verify", "run the conservation-law suite", n_samples=True, tolerance=True)
 
@@ -432,11 +425,10 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     if args.from_c is not None:
         from . import geometry
 
-        # Relative to |c|^2: far out on a branch, rounding alone puts an exact
-        # point ~1e-8 off.  Off the curve the phases would not be 4K/3 apart.
+        # Off the curve the phases would not be 4K/3 apart.
         c = Vec2(*args.from_c)
-        tol = DEFAULT_TOLERANCES["hyperbola"] * args.tolerance_scale
-        if not abs(geometry.hyperbola_residual(c)) <= tol * c.norm_sq():
+        h = geometry.relative_hyperbola_residual(c, geometry.hyperbola_residual(c))
+        if not _judged([_gate("hyperbola", h)], args.tolerance_scale)[1]:
             raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {c.x!r},{c.y!r}")
     return args
 

@@ -130,6 +130,11 @@ def hyperbola_residual(c: Vec2) -> float:
     return c.x * c.x - c.y * c.y - 1.0
 
 
+def relative_hyperbola_residual(c: Vec2, h: float) -> float:
+    """|h| / max(1, |c|^2): far out, rounding alone puts an exact c ~1e-16 |c|^2 off."""
+    return abs(h) / max(1.0, c.norm_sq())
+
+
 @lru_cache(maxsize=4)
 def _scan_grid(ctx: EllipticContext):
     # Flat orbit samples (x, y, vx, vy), one elliptic evaluation per node,

@@ -13,7 +13,8 @@ it is the only per-body state, and every other reader goes through it.
 
 The choreography places three unit-mass bodies at phases t, t + 4K/3 and
 t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
-and velocities as plane vectors.
+and velocities as plane vectors.  CheckResult is the one row type of every
+claim the package checks against a tolerance.
 """
 
 from __future__ import annotations
@@ -83,6 +84,21 @@ class TripleState(NamedTuple):
 
     positions: tuple[Vec2, Vec2, Vec2]
     velocities: tuple[Vec2, Vec2, Vec2]
+
+
+class CheckResult(NamedTuple):
+    """One claim: its residual |observed - claimed| and the tolerance it must meet."""
+
+    name: str
+    claimed: complex
+    observed: complex
+    residual: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        # Written so that a NaN residual fails.
+        return self.residual <= self.tolerance
 
 
 def coords(t: float, ctx: EllipticContext) -> tuple[float, float, float, float, float, float]:

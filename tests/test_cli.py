@@ -20,7 +20,7 @@ import pytest
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
-from lemnichor.orbit import triple, velocity
+from lemnichor.orbit import Vec2, triple
 
 from conftest import position
 
@@ -66,16 +66,6 @@ class TestSample:
             p = position(j * third, ctx)
             assert row[1] == pytest.approx(p.x, abs=1e-15)
             assert row[2] == pytest.approx(p.y, abs=1e-15)
-
-    def test_affine_scales_positions_only(self, ctx, capsys):
-        code, out, _ = run_cli(["sample", "--n-samples", "5", "--affine"], capsys)
-        assert code == 0
-        _, rows = parse_csv(out)
-        t = rows[1][0]
-        p, v = position(t, ctx), velocity(t, ctx)
-        assert rows[1][1] == pytest.approx(p.x, abs=1e-15)
-        assert rows[1][2] == pytest.approx(CHOREO_M * p.y, abs=1e-15)
-        assert rows[1][4] == pytest.approx(v.y, abs=1e-15)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(["sample", "--n-samples", "3", "--format", "json"], capsys)
@@ -458,32 +448,35 @@ class TestGeometry:
         header, rows = parse_csv(out)
         assert header[:3] == ["t", "cx", "cy"]
         assert len(rows) == 50
+        tol = cli.DEFAULT_TOLERANCES["hyperbola"]
         for row in rows:
-            cx, cy, res = row[1], row[2], row[10]
-            if math.hypot(cx, cy) < 50.0:
-                assert abs(res) < 1e-8
+            assert geometry.relative_hyperbola_residual(Vec2(row[1], row[2]), row[10]) <= tol
 
     @staticmethod
     def _worst_hyperbola_ratio(out):
-        # The sweep's gate: |c| < 50 rows only (a non-finite c has |c| = inf).
+        # The sweep's gate: |cx^2 - cy^2 - 1| / max(1, |c|^2) over every row.
         _, rows = parse_csv(out)
-        worst = max(abs(row[10]) for row in rows if math.hypot(row[1], row[2]) < 50.0)
+        worst = max(geometry.relative_hyperbola_residual(Vec2(row[1], row[2]), row[10])
+                    for row in rows)
         return worst / cli.DEFAULT_TOLERANCES["hyperbola"]
 
     @pytest.mark.parametrize("rel", [1e-10, -1e-10])
     def test_near_miss_modulus_fails_the_hyperbola_gate(self, rel, monkeypatch, capsys):
-        # A modulus 1e-10 off the choreographic one puts the worst hyperbola
-        # residual at 21.7x its tolerance (measured, both signs); no
-        # tolerance is loosened or tightened to get there.
+        # A modulus 1e-10 off the choreographic one puts the worst relative
+        # hyperbola residual at 102x its tolerance (measured, both signs); no
+        # tolerance is loosened to get there.
         near_miss_context(monkeypatch, rel)
         code, out, _ = run_cli(["geometry", "--n-samples", "200"], capsys)
         assert code == 1
-        assert self._worst_hyperbola_ratio(out) > 20.0
+        assert self._worst_hyperbola_ratio(out) > 100.0
 
     def test_exact_model_keeps_headroom(self, capsys):
-        # The exact model sits at <= 1e-3 of the tolerance (measured 2.2e-4).
+        # The exact model sits at <= 1e-3 of the tolerance (measured 4.9e-4),
+        # over all 200 rows, the four with |c| >= 50 (up to 151) included.
         code, out, _ = run_cli(["geometry", "--n-samples", "200"], capsys)
         assert code == 0
+        _, rows = parse_csv(out)
+        assert max(math.hypot(row[1], row[2]) for row in rows) > 150.0
         assert self._worst_hyperbola_ratio(out) <= 1e-3
 
     def test_from_point(self, ctx, capsys):
@@ -540,32 +533,42 @@ class TestGeometry:
         assert {"init", "from_c", "from_point"} <= set(config)
 
     def test_from_c_takes_tolerance_scale(self, tmp_path, capsys):
-        # It scales the on-curve check: cx^2 - cy^2 - 1 = 1.1e-7 here, above
-        # the 1e-8 |c|^2 = 3e-8 allowed at 1x and below the 3e-6 at 100x.
+        # It scales the on-curve check: |cx^2 - cy^2 - 1| / |c|^2 = 3.5e-8
+        # here, above the 1e-11 allowed at 1x and below the 1e-7 at 1e4x.
         argv = ["geometry", "--from-c=1.4142136,1"]
         out = tmp_path / "g.json"
-        assert main(argv + ["--tolerance-scale", "100", "--output", str(out)]) == 0
+        assert main(argv + ["--tolerance-scale", "1e4", "--output", str(out)]) == 0
         config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
-        assert config["tolerance_scale"] == 100.0
+        assert config["tolerance_scale"] == 1e4
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
 
-    def test_nan_hyperbola_residual_fails(self, monkeypatch, capsys):
+    # One stubbed row among real ones fails the sweep: a NaN residual at a
+    # finite c; tangent lines that meet at infinity, c = (inf, inf) with a
+    # NaN residual; and c far out on a branch (|c| = 141 >= 50) at 125x the
+    # relative tolerance (absolute 2.5e-5).
+    @pytest.mark.parametrize("c, residual", [
+        (None, math.nan),
+        ((math.inf, math.inf), math.nan),
+        ((100.0, 99.995), geometry.hyperbola_residual(Vec2(100.0, 99.995))),
+    ], ids=["nan", "parallel-pair", "far-out"])
+    def test_one_failing_row_fails_the_sweep(self, c, residual, monkeypatch, capsys):
         real = geometry.sweep_row
         hit = []
 
         def stub(t, ctx):
             rec = real(t, ctx)
-            if not hit and math.hypot(rec[1], rec[2]) < 50.0:
+            if not hit:
                 hit.append(t)
-                rec = (*rec[:-1], math.nan)
+                rec = (t, *(c or rec[1:3]), *rec[3:-1], residual)
             return rec
 
         monkeypatch.setattr(geometry, "sweep_row", stub)
-        code, _, _ = run_cli(["geometry", "--n-samples", "8"], capsys)
+        code, out, _ = run_cli(["geometry", "--n-samples", "8"], capsys)
         assert hit
         assert code == 1
+        assert len(parse_csv(out)[1]) == 8  # the table is still written
 
 
 TRIPLE_ZERO_ROWS = (
@@ -682,6 +685,34 @@ class TestAnalytic:
             "oddness around the zero"}
 
 
+# One function scales every tolerance and judges every gate.  At 1e-30 each
+# tolerance is below each nonzero residual: all eight verify gates fail, the
+# sweep fails, every analytic row fails but the three special values whose
+# residual is exactly 0.0, and --from-c refuses a point 1.5e-16 off the curve.
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-samples", "16"],
+    ["geometry", "--n-samples", "200"],
+    ["analytic"],
+    ["geometry", "--from-c=1.4142135623730951,1"],
+], ids=["verify", "sweep", "analytic", "from-c"])
+def test_tolerance_scale_reaches_every_gate(argv, capsys):
+    argv = argv + ["--tolerance-scale", "1e-30"]
+    if argv[1].startswith("--from-c"):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        return
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    if argv[0] == "verify":
+        gates = sorted(k for k in cli.DEFAULT_TOLERANCES if k != "hyperbola")
+        assert len(gates) == 8 and sorted(strict_json(out)["failures"]) == gates
+    if argv[0] == "analytic":
+        report = strict_json(out)
+        assert [e["pass"] for e in report] == [e["residual"] == 0.0 for e in report]
+
+
 class TestExitCodes:
     def test_usage_error_unknown_command(self):
         with pytest.raises(SystemExit) as err:
@@ -795,6 +826,8 @@ class TestExitCodes:
         ["geometry", "--from-c=1.4142135623730951,1", "--n-samples", "7"],
         ["geometry", "--from-point", "0.55", "--tolerance-scale", "2"],
         ["geometry", "--from-point", "0.55", "--n-samples", "7", "--tolerance-scale", "1e-30"],
+        # The deleted --affine: its y = m sin cn / (1 + cn^2) lay on no orbit.
+        ["sample", "--affine"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, tmp_path, capsys):
         out = tmp_path / "out.dat"
@@ -855,12 +888,8 @@ def test_readme_cli_example_bytes(words, tmp_path, capsys):
 
 
 # CLI branches that no README command reaches, pinned by (exit code, sha256 of
-# stdout, sha256 of stderr): the affine and JSON samples, and the lower branch
-# of --from-c.
+# stdout, sha256 of stderr): the JSON sample, and the lower branch of --from-c.
 BRANCH_DIGESTS = {
-    "sample --n-samples 50 --affine": (
-        0, "c3d730e496b4b2ddd3c1b019d920ae90329f626c28320a8b810dd81179e95bd2",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "sample --n-samples 50 --format json": (
         0, "0b723a075118f959e92c0469a10e520aac18b29c8a3c9fb57fbffe225269f964",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -1,10 +1,12 @@
 import pytest
 
-from lemnichor.analytic import CheckResult, PoleSpec
+from lemnichor import analytic
+from lemnichor.analytic import PoleSpec
 from lemnichor.elliptic import CHOREO_M, make_context
 from lemnichor.geometry import _scan_grid, concurrency_point, tangents_from_point
 from lemnichor.invariants import full_report
 from lemnichor.orbit import (
+    CheckResult,
     Vec2,
     acceleration,
     triple,
@@ -177,6 +179,10 @@ class TestValueTypes:
             for field in value._fields:
                 with pytest.raises(AttributeError):
                     setattr(value, field, 0.0)
+
+    def test_check_result_is_one_type(self):
+        # Every gate of the CLI is a row of this type, the analytic checks included.
+        assert analytic.CheckResult is CheckResult
 
     def test_repr(self):
         assert repr(Vec2(1.0, 2.0)) == "Vec2(x=1.0, y=2.0)"
