@@ -9,7 +9,8 @@ the --init file is read before the run starts, so a bad input writes nothing.
 The parser is built once per process, on first use.
 
 JSON is strict (RFC 8259): a NaN or infinite value is written as null.  Each
-JSON output is encoded once.
+JSON output is encoded once, by one writer, _json_text, whose bytes are those
+of the stdlib's json.dumps(obj, indent=2, sort_keys=True).
 
 Every gate is a CheckResult row, and one function, _judged, scales its
 tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
@@ -133,19 +134,41 @@ def _judged(rows: list[CheckResult], scale: float) -> tuple[list[CheckResult], b
     return rows, all(r.passed for r in rows)
 
 
-def _finite_floats(obj):
-    """obj with each NaN or infinite float as None, and each tuple as a list."""
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(obj, newline: str) -> str:
+    # newline is "\n" and the indent of the line obj starts on.
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, dict):
-        return {k: _finite_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
+        ) + newline + "}"
     if isinstance(obj, (list, tuple)):
-        return [_finite_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + newline + "]"
+    if type(obj) is bool:
+        # Every analytic row has one; json.dumps would build an encoder for each.
+        return "true" if obj else "false"
+    return json.dumps(obj)
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_finite_floats(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) and a newline,
+    with each NaN or infinite float written as null and each tuple as a list.
+
+    Dict keys must be strings.  One pass, in place of the stdlib's pure-Python
+    encoder, which json.dumps falls back to whenever indent is set.
+    """
+    return _json_value(obj, "\n") + "\n"
 
 
 def _cplx(z) -> list[float]:

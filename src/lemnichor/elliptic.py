@@ -54,12 +54,18 @@ def _landen_chain(m: float) -> tuple[float, ...]:
     """Descending sequence of Landen moduli k1 > k2 > ... down to ~1e-16.
 
     Each step maps parameter m to modulus k_next = m / (1 + sqrt(1-m))^2,
-    the cancellation-free form of (1 - k') / (1 + k').
+    the cancellation-free form of (1 - k') / (1 + k').  The chain stops after
+    the first modulus at or below LANDEN_TOL, and leaves that modulus out
+    when 1 - k rounds to 1: its descent divides by exactly 1.0 and its ascent,
+    the first one, maps (s, c, 1) to itself, so the step is an identity in
+    floating point.
     """
     ks = []
     for _ in range(LANDEN_MAX_ITER):
         kp = math.sqrt(1.0 - m)
         k1 = m / ((1.0 + kp) * (1.0 + kp))
+        if 1.0 - k1 == 1.0:
+            break
         ks.append(k1)
         if k1 <= LANDEN_TOL:
             break
@@ -80,9 +86,11 @@ class EllipticContext(NamedTuple):
     complementary parameter 1-m, computed by the same AGM routine) and the
     Landen plan of each parameter: the period 4K (4K' for the complement),
     the descent divisors 1 + k of the modulus chain, and its ascent pairs
-    (k, 1 + k) in ascent order.  Safe to share across threads; all evaluation
-    functions are pure, and the complex evaluator's per-call tables live and
-    die inside one call.
+    (k, 1 + k) in ascent order.  The chain leaves out a last step that is an
+    identity in floating point (see _landen_chain), so at CHOREO_M the plan
+    has five steps and the complement three.  Safe to share across threads;
+    all evaluation functions are pure, and the complex evaluator's per-call
+    tables live and die inside one call.
     """
 
     m: float
@@ -177,10 +185,12 @@ def sn_cn_dn_points(ts: list[complex],
         ku, kv = u or repr(u), v or repr(v)
         a = at_u.get(ku)
         if a is None:
-            a = at_u[ku] = (u - two_k * round(u / two_k), *_sn_cn_dn_real(u, plan))
+            s, c, d = _sn_cn_dn_real(u, plan)
+            a = at_u[ku] = (u - two_k * round(u / two_k), s, c, d)
         b = at_v.get(kv)
         if b is None:
-            b = at_v[kv] = (_pole_row_distance(v, ctx), *_sn_cn_dn_real(v, plan_comp))
+            s1, c1, d1 = _sn_cn_dn_real(v, plan_comp)
+            b = at_v[kv] = (_pole_row_distance(v, ctx), s1, c1, d1)
         re, s, c, d = a
         row, s1, c1, d1 = b
         if math.hypot(re, row) < DELTA_POLE:

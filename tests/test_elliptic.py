@@ -302,6 +302,60 @@ class TestRealKernelBits:
         assert make_context(m).plan_comp == make_context(1.0 - m).plan
 
 
+def full_landen_chain(m):
+    """_landen_chain as it was before it left out identity steps: it stops
+    after the first modulus <= 1e-16 and keeps that modulus."""
+    ks = []
+    for _ in range(32):
+        kp = math.sqrt(1.0 - m)
+        k1 = m / ((1.0 + kp) * (1.0 + kp))
+        ks.append(k1)
+        if k1 <= 1e-16:
+            break
+        m = k1 * k1
+    return tuple(ks)
+
+
+# Its last modulus, 8.66e-17, lies in (2**-54, 1e-16]: 1 - k rounds below 1,
+# so the step is not an identity and the plan must keep it.
+KEPT_LAST_STEP_M = 0.12380196114964559
+
+
+def _trimmed_chain_moduli():
+    rng = random.Random(27)
+    return [CHOREO_M, 1.0 - CHOREO_M, KEPT_LAST_STEP_M] + [rng.random() for _ in range(12)]
+
+
+class TestTrimmedChain:
+    """The plan leaves out the last Landen step exactly when it is an identity,
+    checked against a walk of the full chain, which the kernel no longer builds."""
+
+    @pytest.mark.parametrize("m", _trimmed_chain_moduli())
+    def test_bit_equal_to_the_full_chain(self, m):
+        ctx = make_context(m)
+        four_k, chain = 4.0 * ctx.K, full_landen_chain(m)
+        rng = random.Random(m.hex())
+        for _ in range(3000):
+            t = rng.uniform(-8.0 * four_k, 8.0 * four_k)
+            got = elliptic._sn_cn_dn_real(t, ctx.plan)
+            assert _real_bits(got) == _real_bits(oracle_reduced(t, four_k, chain)), t
+
+    @pytest.mark.parametrize("m", _trimmed_chain_moduli())
+    def test_no_identity_step_is_planned(self, m):
+        ctx = make_context(m)
+        for _, _, ascent in (ctx.plan, ctx.plan_comp):
+            assert all(1.0 - k != 1.0 for k, _ in ascent)
+
+    def test_which_last_steps_are_left_out(self):
+        ctx = make_context(CHOREO_M)
+        # At the choreographic modulus the last step of both chains is an identity.
+        assert len(ctx.plan[2]) == len(full_landen_chain(CHOREO_M)) - 1 == 5
+        assert len(ctx.plan_comp[2]) == len(full_landen_chain(1.0 - CHOREO_M)) - 1 == 3
+        last = full_landen_chain(KEPT_LAST_STEP_M)[-1]
+        assert 2.0**-54 < last <= 1e-16 and 1.0 - last != 1.0
+        assert make_context(KEPT_LAST_STEP_M).plan[2][0][0] == last
+
+
 def _seeded_points(ctx, rng, n):
     # Points drawn from small pools of real and imaginary parts, so parts
     # repeat, with both signed zeros, kept only where the oracle evaluates.
