@@ -400,6 +400,22 @@ def check_eom_pole_cancellation(samples: list[complex], ctx: EllipticContext) ->
     ]
 
 
+def checks(ctx: EllipticContext) -> list[CheckResult]:
+    """The rows of ``lemnichor analytic``, in its order, at unit tolerance scale.
+
+    This is the one list of the analytic claims: the CLI judges and writes
+    it, and the tests read it.  A new claim is a new row here.
+    """
+    rows = check_special_values(ctx) + check_modulus_identity(ctx)
+    rows += check_residues(ctx) + check_strip_windings(ctx)
+    for t in (0.3, 1.3, complex(0.2, 0.3)):
+        rows += check_sum_identities(t, ctx)
+    for t in (ctx.K / 4.0, 0.9):
+        rows += check_j_identity(t, ctx)
+    rows += check_triple_zero_and_pole(alpha2(ctx), ctx)
+    return rows + check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
+
+
 def locate_pole(log_d1, approx: complex, ctx: EllipticContext,
                 radius: float = 5e-2) -> tuple[int, complex]:
     """(winding number, refined location) of an isolated zero or pole.

@@ -18,6 +18,8 @@ tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
 Exit codes: 0 success, 1 verification residual above tolerance (a
 machine-readable report is still written), 2 usage error or input whose
 arithmetic leaves the float range (integrate names the step), 3 I/O error.
+A run that fails once its --output is open leaves neither that file nor
+its sidecar.
 """
 
 from __future__ import annotations
@@ -79,27 +81,28 @@ def _write_text(args: argparse.Namespace, chunks) -> None:
         sys.stdout.writelines(chunks)
         return
     sidecar_path = Path(str(args.output) + ".meta.json")
-    with args.output.open("w", encoding="utf-8", newline="\n") as f:
-        try:
+    # An --output that cannot be opened is left as it is.
+    f = args.output.open("w", encoding="utf-8", newline="\n")
+    try:
+        with f:
             f.writelines(chunks)
-        except BaseException:
-            # The chunks can be computed as they are written (integrate), so a
-            # run can fail half-way: leave no partial data file, and no sidecar
-            # of an earlier run beside the missing file.  A device or FIFO
-            # given as --output is not a file to remove.
-            f.close()
-            for path in (args.output, sidecar_path):
-                if path.is_file():
-                    path.unlink()
-            raise
-    import platform
+        import platform
 
-    # Every setting of the run, and the interpreter, so that the run can be
-    # replayed from it on the same one.
-    config = {k: getattr(args, k) for k in SETTINGS}
-    sidecar = {"command": args.command, "config": config, "python": platform.python_version(),
-               "tool": f"lemnichor {__version__}"}
-    sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
+        # Every setting of the run, and the interpreter, so that the run can be
+        # replayed from it on the same one.
+        config = {k: getattr(args, k) for k in SETTINGS}
+        sidecar = {"command": args.command, "config": config, "python": platform.python_version(),
+                   "tool": f"lemnichor {__version__}"}
+        sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
+    except BaseException:
+        # The chunks can be computed as they are written (integrate), so a run
+        # can fail half-way, and the sidecar can fail after the data: leave
+        # neither a data file without its sidecar nor a sidecar of an earlier
+        # run.  A device or FIFO given as --output is not a file to remove.
+        for path in (args.output, sidecar_path):
+            if path.is_file():
+                path.unlink()
+        raise
 
 
 def _csv(rows, header):
@@ -220,8 +223,8 @@ def _finite_number(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _load_init(path: Path) -> list[list[Vec2]]:
-    """[positions, velocities] of a JSON init file.
+def _load_init(path: Path) -> list[list[tuple[float, float]]]:
+    """[positions, velocities] of a JSON init file, three (x, y) pairs of floats each.
 
     Each key must hold exactly three [x, y] pairs of finite numbers; anything
     else raises ValueError before the run starts.
@@ -238,7 +241,7 @@ def _load_init(path: Path) -> list[list[Vec2]]:
                 isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p))
                 for p in pairs)):
             raise ValueError(f"init file {path}: {key!r} must be 3 [x, y] pairs of finite numbers")
-        out.append([Vec2(float(x), float(y)) for x, y in pairs])
+        out.append([(float(x), float(y)) for x, y in pairs])
     return out
 
 
@@ -308,19 +311,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 def cmd_analytic(args: argparse.Namespace) -> int:
     from . import analytic
 
-    ctx = choreography_context()
-    results: list[CheckResult] = []
-    results += analytic.check_special_values(ctx)
-    results += analytic.check_modulus_identity(ctx)
-    results += analytic.check_residues(ctx)
-    results += analytic.check_strip_windings(ctx)
-    for t in (0.3, 1.3, complex(0.2, 0.3)):
-        results += analytic.check_sum_identities(t, ctx)
-    for t in (ctx.K / 4.0, 0.9):
-        results += analytic.check_j_identity(t, ctx)
-    results += analytic.check_triple_zero_and_pole(analytic.alpha2(ctx), ctx)
-    results += analytic.check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
-    results, ok = _judged(results, args.tolerance_scale)
+    results, ok = _judged(analytic.checks(choreography_context()), args.tolerance_scale)
     report = [{**r._asdict(), "claimed": _cplx(r.claimed), "observed": _cplx(r.observed),
                "pass": r.passed} for r in results]
     _write_text(args, [_json_text(report)])

@@ -22,7 +22,7 @@ import enum
 import math
 
 from .elliptic import EllipticContext
-from .orbit import Vec2, coords, triple_phases
+from .orbit import coords, triple_phases
 
 SQRT3 = math.sqrt(3.0)
 
@@ -42,17 +42,11 @@ class PotentialVariant(enum.Enum):
 class CollisionError(RuntimeError):
     """A pairwise distance fell below DELTA_COLL.
 
-    When raised by integrate(), carries the index of the step it happened at.
+    integrate() sets step_index to the step it happened at; raised anywhere
+    else, step_index is None.
     """
 
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
-
-
-def _coords(vecs) -> tuple[float, float, float, float, float, float]:
-    a, b, c = vecs
-    return a.x, a.y, b.x, b.y, c.x, c.y
+    step_index: int | None = None
 
 
 def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
@@ -166,7 +160,7 @@ ROW_FIELDS = (
 
 def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_steps: int, *,
               consume):
-    """Velocity-Verlet integration from the given initial condition.
+    """Velocity-Verlet integration from three (x, y) positions and three velocities.
 
     consume is called once with an iterator over the n_steps + 1 rows, the
     start and every step, each a tuple in ROW_FIELDS order; it must exhaust
@@ -190,8 +184,8 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
     def rows():
         nonlocal result
         central = variant is PotentialVariant.U_CENTRAL
-        x0, y0, x1, y1, x2, y2 = _coords(positions)
-        vx0, vy0, vx1, vy1, vx2, vy2 = _coords(velocities)
+        (x0, y0), (x1, y1), (x2, y2) = positions
+        (vx0, vy0), (vx1, vy1), (vx2, vy2) = velocities
         step = 0
         drift = 0.0
         half = 0.5 * dt
@@ -249,8 +243,8 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
 ONE_BODY_EDGE = 1e-6
 
 
-def one_body_state(l: float, t: float) -> tuple[Vec2, Vec2, Vec2]:
-    """Analytic position/velocity/acceleration of the one-body motion.
+def one_body_state(l: float, t: float) -> tuple[float, float, float, float, float, float]:
+    """(x, y, vx, vy, ax, ay) of the one-body motion at time t, as orbit.coords gives a body.
 
     The particle runs along r^2 = cos(2 theta) with theta = arcsin(2lt)/2,
     l being its (conserved) angular momentum; the parameterization lives on
@@ -272,12 +266,11 @@ def one_body_state(l: float, t: float) -> tuple[Vec2, Vec2, Vec2]:
     vy = rp * st + x * thp
     ax = rpp * ct - 2.0 * rp * st * thp - x * thp * thp - y * thpp
     ay = rpp * st + 2.0 * rp * ct * thp - y * thp * thp + x * thpp
-    return Vec2(x, y), Vec2(vx, vy), Vec2(ax, ay)
+    return x, y, vx, vy, ax, ay
 
 
 def one_body_lemniscate_residual(l: float, t: float) -> float:
     """|a - (-grad U)| for the central potential U(r) = -l^2 / (2 r^6)."""
-    pos, _, acc = one_body_state(l, t)
-    r2 = pos.norm_sq()
-    scale = -3.0 * l * l / r2**4
-    return (acc - Vec2(scale * pos.x, scale * pos.y)).norm()
+    x, y, _, _, ax, ay = one_body_state(l, t)
+    scale = -3.0 * l * l / (x * x + y * y)**4
+    return math.hypot(ax - scale * x, ay - scale * y)

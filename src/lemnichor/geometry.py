@@ -65,7 +65,6 @@ class ConcurrencyPoint(NamedTuple):
 
     c: Vec2
     lambdas: tuple[float, float, float]
-    finite: bool
 
 
 class TangencyCandidate(NamedTuple):
@@ -92,8 +91,8 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
 
     lambda_i = ((x_j - x_i) x v_j) / (v_i x v_j) and, per velocity pair,
     c = -(l_i v_j - l_j v_i) / (v_i x v_j) with l_i = x_i x v_i.  All finite
-    pair formulas must agree; if every pair of velocities is parallel the
-    lines meet at infinity and finite=False is returned.
+    pair formulas must agree, and c is their mean; if every pair of velocities
+    is parallel the lines meet at infinity, and c and the lambdas are infinite.
     """
     xs = s.positions
     vs = s.velocities
@@ -109,8 +108,7 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
         cs.append(Vec2(-(ls[i] * vs[j].x - ls[j] * vs[i].x) / vv,
                        -(ls[i] * vs[j].y - ls[j] * vs[i].y) / vv))
     if not cs:
-        return ConcurrencyPoint(c=Vec2(math.inf, math.inf), lambdas=(math.inf,) * 3,
-                                finite=False)
+        return ConcurrencyPoint(c=Vec2(math.inf, math.inf), lambdas=(math.inf,) * 3)
     c = Vec2(ordered_sum(p.x for p in cs) / len(cs), ordered_sum(p.y for p in cs) / len(cs))
 
     lambdas = []
@@ -122,7 +120,7 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
             j = (i + 2) % 3
             vv = -vvs[j]
         lambdas.append((xs[j] - xs[i]).cross(vs[j]) / vv)
-    return ConcurrencyPoint(c=c, lambdas=tuple(lambdas), finite=True)
+    return ConcurrencyPoint(c=c, lambdas=tuple(lambdas))
 
 
 def hyperbola_residual(c: Vec2) -> float:
@@ -339,21 +337,21 @@ def complete_triple_from_point(
     x2, x3 = (min(partners, key=lambda cand: abs(_wrap(cand.s - p, ctx.period))).point
               for p in phases[1:])
     lambdas = tuple(lam(d_sel, b) for b in bodies)
-    return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas, finite=True)
+    return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas)
 
 
 def sweep_row(t: float, ctx: EllipticContext) -> tuple:
     """One geometry-sweep record in SWEEP_FIELDS order.
 
-    c(t), the lambdas, the quadrants and the hyperbola residual; when the
+    c(t), the lambdas, the quadrants and hyperbola_residual(c); when the
     tangent lines meet at infinity, c is (inf, inf), quadrant_c is 0 and the
-    residual is NaN.
+    residual is inf - inf, a NaN.
     """
     s = triple(t, ctx)
     cp = concurrency_point(s)
     return (
         t, *cp.c, *cp.lambdas,
-        _quadrant_or_zero(cp.c) if cp.finite else 0,
+        _quadrant_or_zero(cp.c) if math.isfinite(cp.c.x) else 0,
         *(_quadrant_or_zero(p) for p in s.positions),
-        hyperbola_residual(cp.c) if cp.finite else math.nan,
+        hyperbola_residual(cp.c),
     )

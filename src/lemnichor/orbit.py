@@ -61,9 +61,6 @@ class Vec2(NamedTuple):
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Vec2") -> float:
         """z-component of the planar cross product."""
         return self.x * other.y - self.y * other.x

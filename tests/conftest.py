@@ -38,6 +38,11 @@ def position(t, ctx):
     return Vec2(x, y)
 
 
+def dot(a, b):
+    """a . b of two Vec2s, as a.x * b.x + a.y * b.y."""
+    return a.x * b.x + a.y * b.y
+
+
 def lemniscate_residual(p):
     """(x^2 + y^2)^2 - (x^2 - y^2); zero exactly on the curve."""
     r2 = p.norm_sq()
@@ -53,8 +58,8 @@ def speed_relation_residual(t, ctx):
 
 
 def _kernel(positions, variant):
-    return dynamics._kernel(*dynamics._coords(positions),
-                            variant is dynamics.PotentialVariant.U_CENTRAL)
+    (x0, y0), (x1, y1), (x2, y2) = positions
+    return dynamics._kernel(x0, y0, x1, y1, x2, y2, variant is dynamics.PotentialVariant.U_CENTRAL)
 
 
 def forces(positions, variant):
@@ -70,7 +75,8 @@ def potential(positions, variant):
 
 def total_energy(positions, velocities, variant):
     """Kinetic (with the conventional 1/2 factor) plus potential energy."""
-    return dynamics._energy(*dynamics._coords(velocities), potential(positions, variant))
+    (vx0, vy0), (vx1, vy1), (vx2, vy2) = velocities
+    return dynamics._energy(vx0, vy0, vx1, vy1, vx2, vy2, potential(positions, variant))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ captured output of a failing run) and enforces both the numeric tolerance
 and the runtime budget.
 """
 
+import math
 import random
 import time
 from collections import deque
@@ -164,7 +165,7 @@ def test_criterion_7_geometry(ctx, period):
         j += 1
         s = triple(t, ctx)
         cp = geometry.concurrency_point(s)
-        if not cp.finite or cp.c.norm() > 50.0:
+        if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
             continue
         try:
             quads = [geometry.quadrant(p) for p in s.positions] + [geometry.quadrant(cp.c)]

@@ -47,19 +47,25 @@ from lemnichor.dynamics import PotentialVariant, eom_residual
 from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn
 from lemnichor.orbit import coords
 
-from conftest import ROOT4_3, SQRT3, position, sn_cn_dn_at
+from conftest import ROOT4_3, SQRT3, dot, position, sn_cn_dn_at
 
 
-def cli_rows(ctx):
-    """The 47 rows of `lemnichor analytic`, in its order, at unit scale."""
-    rows = check_special_values(ctx) + check_modulus_identity(ctx)
-    rows += check_residues(ctx) + check_strip_windings(ctx)
-    for t in (0.3, 1.3, complex(0.2, 0.3)):
-        rows += check_sum_identities(t, ctx)
-    for t in (ctx.K / 4.0, 0.9):
-        rows += check_j_identity(t, ctx)
-    rows += check_triple_zero_and_pole(alpha2(ctx), ctx)
-    return rows + check_eom_pole_cancellation([complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)], ctx)
+# The rows that pass at m(1 + 1e-3) and at m(1 - 1e-3) alike: they certify
+# the evaluator (a consistent sn, cn, dn and contour quadrature), not the
+# choreography.  A new row of analytic.checks that passes there too belongs here.
+EVALUATOR_ROWS = (
+    "sn(10K/3) shift vs duplication",
+    "sn(10K/3) shift vs direct",
+    "strip winding of x_plus, -3K'/2 < Im t < -K'/2",
+    "strip winding of x_plus, -K'/2 < Im t < K'/2",
+    "strip winding of x_plus, K'/2 < Im t < 3K'/2",
+    "strip winding of x_plus, 3K'/2 < Im t < 5K'/2",
+    "j product form vs derivative form",
+    "Im(j sum) vs angular momentum",
+    "j product form vs derivative form",
+    "Im(j sum) vs angular momentum",
+    "oddness around the zero",
+)
 
 
 class TestCheckRows:
@@ -67,17 +73,21 @@ class TestCheckRows:
     @pytest.mark.parametrize("m", [CHOREO_M, CHOREO_M * (1.0 + 1e-3)])
     def test_every_row_carries_its_tolerance(self, m):
         ctx = make_context(m)
-        rows = cli_rows(ctx) + check_triple_zero_and_pole(-alpha3(ctx), ctx)
+        rows = analytic.checks(ctx) + check_triple_zero_and_pole(-alpha3(ctx), ctx)
         assert len(rows) == 53
         for r in rows:
             assert math.isfinite(r.tolerance) and r.tolerance > 0.0, r.name
             assert r.passed == (r.residual <= r.tolerance), r.name
         assert sum(not r.passed for r in rows) == (0 if m == CHOREO_M else 36 + 5)
 
+    def test_the_rows_that_certify_only_the_evaluator(self):
+        above, below = (analytic.checks(make_context(CHOREO_M * (1.0 + d))) for d in (1e-3, -1e-3))
+        assert tuple(a.name for a, b in zip(above, below) if a.passed and b.passed) == EVALUATOR_ROWS
+
     def test_the_documented_tolerances(self, ctx):
         # 1e-9: the four strip windings (WINDING_TOL) and the two complex sums.
         assert WINDING_TOL == 1e-9
-        assert Counter(r.tolerance for r in cli_rows(ctx)) == {
+        assert Counter(r.tolerance for r in analytic.checks(ctx)) == {
             1e-12: 15, 1e-6: 8, 1e-9: 4 + 2, 1e-11: 6, 1e-10: 5,
             0.01: 1, 1e-5: 2, 1e-4: 2, 1e-8: 2}
 
@@ -184,7 +194,7 @@ class TestJIdentity:
             p, v = position(t, ctx), velocity(t, ctx)
             rows = {r.name: r for r in check_j_identity(t, ctx)}
             j = rows["j product form vs derivative form"].observed
-            assert j.real == pytest.approx(p.dot(v), abs=1e-12)
+            assert j.real == pytest.approx(dot(p, v), abs=1e-12)
             assert j.imag == pytest.approx(p.cross(v), abs=1e-12)
 
 

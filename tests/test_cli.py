@@ -843,6 +843,33 @@ class TestExitCodes:
         assert code == 3
         assert "i/o error" in err
 
+    def test_failed_sidecar_write_leaves_no_data_file(self, tmp_path, capsys):
+        # The sidecar path is a directory: the data file is written, then the
+        # sidecar fails.  Neither a data file without its sidecar is left, nor
+        # anything of the directory removed.
+        out = tmp_path / "out.csv"
+        blocker = tmp_path / "out.csv.meta.json"
+        blocker.mkdir()
+        (blocker / "kept").write_text("x")
+        code, stdout, err = run_cli(["sample", "--n-samples", "3", "--output", str(out)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("i/o error: ")
+        assert sorted(tmp_path.iterdir()) == [blocker]
+        assert [p.name for p in blocker.iterdir()] == ["kept"]
+
+    def test_an_output_that_cannot_be_opened_is_left_in_place(self, tmp_path, capsys):
+        # The data path is a directory, beside a sidecar of an earlier run:
+        # nothing was written, so nothing is removed.
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        sidecar = tmp_path / "out.csv.meta.json"
+        sidecar.write_text("{}\n")
+        code, _, err = run_cli(["sample", "--n-samples", "3", "--output", str(out)], capsys)
+        assert code == 3
+        assert "i/o error" in err
+        assert sorted(tmp_path.iterdir()) == [out, sidecar]
+        assert sidecar.read_text() == "{}\n"
+
 
 def readme_cli_examples():
     """The command lines of the sh block under '## CLI' in README.md."""

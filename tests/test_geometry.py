@@ -27,7 +27,7 @@ from lemnichor.geometry import (
 )
 from lemnichor.orbit import Vec2, coords, triple, velocity
 
-from conftest import position
+from conftest import dot, position
 
 
 def line_distance(c, point, direction):
@@ -133,7 +133,7 @@ class TestConcurrencyPoint:
     def test_snapshot_minus_sixth(self, ctx):
         s = triple(-ctx.K / 6.0, ctx)
         cp = concurrency_point(s)
-        assert cp.finite
+        assert math.isfinite(cp.c.x)
         assert abs(hyperbola_residual(cp.c)) <= 1e-8
         qc = quadrant(cp.c)
         assert all(quadrant(p) != qc for p in s.positions)
@@ -141,7 +141,7 @@ class TestConcurrencyPoint:
     def test_lies_on_hyperbola_at_many_times(self, ctx, period):
         for t in sample_times(period, 200):
             cp = concurrency_point(triple(t, ctx))
-            if not cp.finite or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
                 continue
             assert abs(hyperbola_residual(cp.c)) <= 1e-8
 
@@ -197,7 +197,7 @@ class TestConcurrencyPoint:
         fallbacks = 0
         for s in states:
             cp = concurrency_point(s)
-            assert cp.finite
+            assert math.isfinite(cp.c.x)
             assert [v.hex() for v in cp.lambdas] == oracle_lambdas(s)
             vs = s.velocities
             fallbacks += any(abs(vs[i].cross(vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
@@ -216,7 +216,7 @@ class TestConcurrencyPoint:
         for t in sample_times(period, 200):
             s = triple(t, ctx)
             cp = concurrency_point(s)
-            if not cp.finite or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
                 continue
             for i in range(3):
                 assert line_distance(cp.c, s.positions[i], s.velocities[i]) <= 1e-9
@@ -354,7 +354,7 @@ class TestSelectChoreographic:
             if checked >= 100:
                 break
             cp = concurrency_point(triple(t, ctx))
-            if not cp.finite or cp.c.norm() > 20.0:
+            if not math.isfinite(cp.c.x) or cp.c.norm() > 20.0:
                 continue
             try:
                 picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
@@ -491,7 +491,7 @@ def offset_matching_oracle(x1_phase, ctx):
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
     def rise(d):
-        lam = (d - x1).dot(v1) / v1.norm_sq()
+        lam = dot(d - x1, v1) / v1.norm_sq()
         return lam * d.x * v1.cross(Vec2(ax, ay)) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
@@ -503,10 +503,10 @@ def offset_matching_oracle(x1_phase, ctx):
     def by_offset(offset):
         return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
 
-    lambdas = [(d_sel - position(p, ctx)).dot(velocity(p, ctx)) / velocity(p, ctx).norm_sq()
+    lambdas = [dot(d_sel - position(p, ctx), velocity(p, ctx)) / velocity(p, ctx).norm_sq()
                for p in (x1_phase, x1_phase + third, x1_phase - third)]
     return ((by_offset(third).point, by_offset(-third).point),
-            ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas), finite=True))
+            ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas)))
 
 
 def _outcome(construct, t, ctx):
@@ -515,7 +515,7 @@ def _outcome(construct, t, ctx):
         (x2, x3), cp = construct(t, ctx)
     except (ValueError, RuntimeError) as err:
         return type(err).__name__, str(err)
-    return "ok", [v.hex() for v in (*x2, *x3, *cp.c, *cp.lambdas)], cp.finite
+    return "ok", [v.hex() for v in (*x2, *x3, *cp.c, *cp.lambdas)]
 
 
 class TestTangentHyperbolaIntersections:
@@ -547,7 +547,7 @@ class TestObservedProperties:
         for t in sample_times(period, 400):
             s = triple(t, ctx)
             cp = concurrency_point(s)
-            if not cp.finite:
+            if not math.isfinite(cp.c.x):
                 continue
             try:
                 quads = [quadrant(p) for p in s.positions] + [quadrant(cp.c)]
@@ -561,7 +561,7 @@ class TestObservedProperties:
         for j in range(n):
             t = (j + 0.219) * period / n
             cp = concurrency_point(triple(t, ctx))
-            cur = (cp.c.x, cp.c.y) if cp.finite else None
+            cur = (cp.c.x, cp.c.y) if math.isfinite(cp.c.x) else None
             if prev is not None and cur is not None:
                 same_leaf = prev[0] * cur[0] > 0.0
                 if same_leaf:
@@ -579,7 +579,7 @@ class TestObservedProperties:
         for j in range(n + 1):
             t = (j + 0.219) * step
             cp = concurrency_point(triple(t, ctx))
-            if not cp.finite:
+            if not math.isfinite(cp.c.x):
                 prev_x = None
                 continue
             if prev_x is not None and prev_x * cp.c.x < 0.0:
@@ -604,7 +604,7 @@ class TestObservedProperties:
         for j in range(n + 1):
             t = (j + 0.219) * step
             cp = concurrency_point(triple(t, ctx))
-            if not cp.finite or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
                 prev = None
                 continue
             if prev is not None and prev[1] * cp.c.y < 0.0:

@@ -35,6 +35,10 @@ LIBRARY_API = {
 # The package's PEP 562 hooks: Python calls them on attribute access.
 HOOKS = ["__init__.__getattr__", "__init__.__dir__"]
 
+# Methods and properties that nothing in the package reads as an attribute
+# and that stay, each with its reason, as "module.Class.name".
+UNREAD_METHODS = {}
+
 
 def _loads(node: ast.AST):
     """The names and attribute chains that node loads, outside annotations."""
@@ -119,6 +123,35 @@ def test_library_api_is_defined_and_not_run_by_the_cli():
     assert set(LIBRARY_API) <= set(edges)
     assert all(reason.strip() for reason in LIBRARY_API.values())
     assert sorted(reached(edges, ["cli.main"]) & set(LIBRARY_API)) == []
+
+
+def unread_methods(src: Path) -> set[str]:
+    """Each non-dunder method or property of a class in src whose name no attribute load reads."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{module}.{cls.name}.{fn.name}"
+            for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__")) and fn.name not in read}
+
+
+def test_every_method_is_read_or_listed():
+    assert sorted(unread_methods(SRC) - set(UNREAD_METHODS)) == []
+    assert all(reason.strip() for reason in UNREAD_METHODS.values())
+
+
+def test_the_method_walk_flags_an_unread_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class P:\n"
+        "    def used(self):\n        return self.prop\n"
+        "    @property\n    def prop(self):\n        return 1\n"
+        "    def unread(self):\n        return 2\n"
+        "    def __add__(self, other):\n        return self\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import P\nP().used()\n")
+    assert unread_methods(tmp_path) == {"a.P.unread"}
 
 
 def test_the_walk_follows_each_kind_of_load(tmp_path):
