@@ -36,7 +36,7 @@ from pathlib import Path
 # imported inside those commands, so that a run loads no module it does not use.
 from . import __version__, dynamics
 from .elliptic import choreography_context
-from .orbit import CheckResult, Vec2, coords, triple
+from .orbit import CheckResult, coords, triple
 
 # Default residual tolerances, overridable by --tolerance-scale.  The hyperbola
 # residual is relative, |cx^2 - cy^2 - 1| / max(1, |c|^2).
@@ -142,34 +142,39 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _json_value(obj, newline: str) -> str:
     # newline is "\n" and the indent of the line obj starts on.
-    if isinstance(obj, float):
+    kind = type(obj)
+    if kind is float:
         return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, dict):
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + newline + "]"
+    if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join(
             [_json_str(k) + ": " + _json_value(v, inner) for k, v in sorted(obj.items())]
         ) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + newline + "]"
-    if type(obj) is bool:
-        # Every analytic row has one; json.dumps would build an encoder for each.
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
         return "true" if obj else "false"
-    return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
     """The bytes of json.dumps(obj, indent=2, sort_keys=True) and a newline,
     with each NaN or infinite float written as null and each tuple as a list.
 
-    Dict keys must be strings.  One pass, in place of the stdlib's pure-Python
-    encoder, which json.dumps falls back to whenever indent is set.
+    Each value is exactly a dict with str keys, list, tuple, str, int, float,
+    bool or None.  One pass, in place of the stdlib's pure-Python encoder,
+    which json.dumps falls back to whenever indent is set.
     """
     return _json_value(obj, "\n") + "\n"
 
@@ -276,33 +281,25 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     ctx = choreography_context()
     if args.from_c is not None:
-        c = Vec2(*args.from_c)
-        candidates = geometry.tangents_from_point(c, ctx)
-        selected = geometry.select_choreographic(c, candidates)
+        candidates = geometry.tangents_from_point(args.from_c, ctx)
+        selected = geometry.select_choreographic(args.from_c, candidates)
         _write_text(args, [_json_text({
-            "c": [c.x, c.y],
-            "candidates": [
-                {"s": cand.s, "point": [cand.point.x, cand.point.y], "quadrant": cand.quadrant}
-                for cand in candidates
-            ],
+            "c": args.from_c,
+            "candidates": [{"s": cand.s, "point": (cand.x, cand.y), "quadrant": cand.quadrant}
+                           for cand in candidates],
             "selected_phases": [cand.s for cand in selected],
         })])
         return 0
     if args.from_point is not None:
         (x2, x3), cp = geometry.complete_triple_from_point(args.from_point, ctx)
-        _write_text(args, [_json_text({
-            "x1_phase": args.from_point,
-            "x2": [x2.x, x2.y],
-            "x3": [x3.x, x3.y],
-            "c": [cp.c.x, cp.c.y],
-            "lambdas": list(cp.lambdas),
-        })])
+        _write_text(args, [_json_text({"x1_phase": args.from_point, "x2": x2, "x3": x3, "c": cp.c,
+                                       "lambdas": cp.lambdas})])
         return 0
 
     rows = [geometry.sweep_row((j + 0.431) * ctx.period / args.n_samples, ctx)
             for j in range(args.n_samples)]
     # Every row counts: tangent lines that meet at infinity give c = (inf, inf) and a NaN.
-    worst = functools.reduce(_fold_max, (geometry.relative_hyperbola_residual(Vec2(cx, cy), h)
+    worst = functools.reduce(_fold_max, (geometry.relative_hyperbola_residual((cx, cy), h)
                                          for _, cx, cy, *_, h in rows), 0.0)
     _write_text(args, _csv(rows, geometry.SWEEP_FIELDS))
     return 0 if _judged([_gate("hyperbola", worst)], args.tolerance_scale)[1] else 1
@@ -440,10 +437,10 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
         from . import geometry
 
         # Off the curve the phases would not be 4K/3 apart.
-        c = Vec2(*args.from_c)
+        c = args.from_c
         h = geometry.relative_hyperbola_residual(c, geometry.hyperbola_residual(c))
         if not _judged([_gate("hyperbola", h)], args.tolerance_scale)[1]:
-            raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {c.x!r},{c.y!r}")
+            raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {c[0]!r},{c[1]!r}")
     return args
 
 

@@ -24,7 +24,8 @@ contact points that share one scan cell can be missed.
 
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
 EPS_AXIS of a coordinate axis make the selection rules ambiguous and raise
-instead of guessing.
+instead of guessing.  The constructions run on plain floats and (x, y) pairs;
+only concurrency_point, which reads a TripleState, gives its c as a Vec2.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class NoIntersectionError(ValueError):
 class ConcurrencyPoint(NamedTuple):
     """Common intersection of the three tangent lines, c = x_i + lambda_i v_i."""
 
-    c: Vec2
+    c: tuple[float, float]  # a Vec2 from concurrency_point
     lambdas: tuple[float, float, float]
 
 
@@ -71,19 +72,29 @@ class TangencyCandidate(NamedTuple):
     """A point of the lemniscate whose tangent line passes through a query point."""
 
     s: float
-    point: Vec2
-    quadrant: int
-    velocity: Vec2  # v(s)
+    x: float  # x(s), y(s)
+    y: float
+    quadrant: int  # 0 within EPS_AXIS of an axis
+    vx: float  # v(s)
+    vy: float
     slope: float  # g'(s) = (c - x(s)) x a(s), the Newton slope of the search
 
 
-def quadrant(p: Vec2) -> int:
+def _quadrant_or_zero(x: float, y: float) -> int:
+    """1..4 counterclockwise from (+,+); 0 within EPS_AXIS of an axis."""
+    if abs(x) < EPS_AXIS or abs(y) < EPS_AXIS:
+        return 0
+    if x > 0.0:
+        return 1 if y > 0.0 else 4
+    return 2 if y > 0.0 else 3
+
+
+def quadrant(x: float, y: float) -> int:
     """1..4 counterclockwise from (+,+); raises within EPS_AXIS of an axis."""
-    if abs(p.x) < EPS_AXIS or abs(p.y) < EPS_AXIS:
-        raise AxisAmbiguityError(f"point {p} lies within {EPS_AXIS} of an axis")
-    if p.x > 0.0:
-        return 1 if p.y > 0.0 else 4
-    return 2 if p.y > 0.0 else 3
+    q = _quadrant_or_zero(x, y)
+    if not q:
+        raise AxisAmbiguityError(f"point ({x!r}, {y!r}) lies within {EPS_AXIS} of an axis")
+    return q
 
 
 def concurrency_point(s: TripleState) -> ConcurrencyPoint:
@@ -123,14 +134,16 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
     return ConcurrencyPoint(c=c, lambdas=tuple(lambdas))
 
 
-def hyperbola_residual(c: Vec2) -> float:
+def hyperbola_residual(c: tuple[float, float]) -> float:
     """cx^2 - cy^2 - 1; zero exactly on the rectangular hyperbola."""
-    return c.x * c.x - c.y * c.y - 1.0
+    cx, cy = c
+    return cx * cx - cy * cy - 1.0
 
 
-def relative_hyperbola_residual(c: Vec2, h: float) -> float:
+def relative_hyperbola_residual(c: tuple[float, float], h: float) -> float:
     """|h| / max(1, |c|^2): far out, rounding alone puts an exact c ~1e-16 |c|^2 off."""
-    return abs(h) / max(1.0, c.norm_sq())
+    cx, cy = c
+    return abs(h) / max(1.0, cx * cx + cy * cy)
 
 
 @lru_cache(maxsize=4)
@@ -182,7 +195,7 @@ def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float,
     return s
 
 
-def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate]:
+def tangents_from_point(c: tuple[float, float], ctx: EllipticContext) -> list[TangencyCandidate]:
     """All orbit phases whose tangent line passes through c.
 
     The tangency gap g(s) = (c - x(s)) x v(s) is scanned once on a grid of
@@ -195,16 +208,13 @@ def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate
     """
     period = ctx.period
     n = TANGENCY_NODES
-    cx, cy = c.x, c.y
+    cx, cy = c
     xs, ys, vxs, vys = _scan_grid(ctx)
     g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in zip(xs, ys, vxs, vys)]
-    roots = []
-    for j in range(n):
-        gj, gk = g[j], g[(j + 1) % n]
-        if gj == 0.0:
-            roots.append(j * period / n)
-        elif gj * gk < 0.0:
-            roots.append(_rtsafe(cx, cy, j * period / n, (j + 1) * period / n, gj, ctx))
+    # A zero gap at node j is a root; a sign change to node j + 1 (cyclically) a bracket.
+    roots = [j * period / n if gj == 0.0 else
+             _rtsafe(cx, cy, j * period / n, (j + 1) * period / n, gj, ctx)
+             for j, (gj, gk) in enumerate(zip(g, g[1:] + g[:1])) if gj == 0.0 or gj * gk < 0.0]
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -216,17 +226,9 @@ def tangents_from_point(c: Vec2, ctx: EllipticContext) -> list[TangencyCandidate
     out = []
     for r in merged:
         x, y, vx, vy, ax, ay = coords(r, ctx)
-        point = Vec2(x, y)
-        out.append(TangencyCandidate(s=r, point=point, quadrant=_quadrant_or_zero(point),
-                                     velocity=Vec2(vx, vy), slope=(cx - x) * ay - (cy - y) * ax))
+        out.append(TangencyCandidate(r, x, y, _quadrant_or_zero(x, y), vx, vy,
+                                     (cx - x) * ay - (cy - y) * ax))
     return out
-
-
-def _quadrant_or_zero(p: Vec2) -> int:
-    try:
-        return quadrant(p)
-    except AxisAmbiguityError:
-        return 0
 
 
 def _wrap(ds: float, period: float) -> float:
@@ -234,7 +236,7 @@ def _wrap(ds: float, period: float) -> float:
 
 
 def select_choreographic(
-    c: Vec2,
+    c: tuple[float, float],
     candidates: list[TangencyCandidate],
 ) -> list[TangencyCandidate]:
     """Pick the three contact points that are choreographic partners of c.
@@ -248,7 +250,8 @@ def select_choreographic(
     AxisAmbiguityError before the candidates are counted; this refuses the
     hyperbola vertices (+-1, 0), where two contact points merge.
     """
-    qc = quadrant(c)
+    cx, cy = c
+    qc = quadrant(cx, cy)
     if len(candidates) != 4:
         raise ValueError(f"need exactly 4 candidates, got {len(candidates)}")
     for cand in candidates:
@@ -262,9 +265,10 @@ def select_choreographic(
             f"quadrant rule kept {len(selected)} of 4 candidates"
         )
 
-    dc = math.copysign(1.0, c.x) * Vec2(c.y, c.x)
+    sign = math.copysign(1.0, cx)
+    dcx, dcy = sign * cy, sign * cx
     # The sign of ds/de, as a product so that a zero slope gives 0, not an error.
-    advance = [-dc.cross(cand.velocity) * cand.slope for cand in selected + rejected]
+    advance = [-(dcx * cand.vy - dcy * cand.vx) * cand.slope for cand in selected + rejected]
     if not (all(a > 0.0 for a in advance[:3]) and advance[3] < 0.0):
         raise MethodDisagreementError(
             "forward-motion rule disagrees with the quadrant rule"
@@ -272,16 +276,17 @@ def select_choreographic(
     return selected
 
 
-def tangent_hyperbola_intersections(x1: Vec2, v1: Vec2) -> list[Vec2]:
-    """The two crossings of the line x1 + lam v1 with cx^2 - cy^2 = 1.
+def tangent_hyperbola_intersections(x: float, y: float,
+                                    vx: float, vy: float) -> list[tuple[float, float]]:
+    """The two crossings (x, y) of the line (x, y) + lam (vx, vy) with cx^2 - cy^2 = 1.
 
     Raises NoIntersectionError, naming the reason, for a line parallel to an
     asymptote (one crossing at most), one that misses the hyperbola, or one
     tangent to it.
     """
-    a = v1.x * v1.x - v1.y * v1.y
-    b = 2.0 * (x1.x * v1.x - x1.y * v1.y)
-    cterm = x1.x * x1.x - x1.y * x1.y - 1.0
+    a = vx * vx - vy * vy
+    b = 2.0 * (x * vx - y * vy)
+    cterm = x * x - y * y - 1.0
     if abs(a) < 1e-14:
         raise NoIntersectionError("tangent line is parallel to an asymptote of the hyperbola")
     disc = b * b - 4.0 * a * cterm
@@ -290,12 +295,12 @@ def tangent_hyperbola_intersections(x1: Vec2, v1: Vec2) -> list[Vec2]:
     if disc <= DISC_TOL:
         raise NoIntersectionError("tangent line is tangent to the hyperbola")
     sq = math.sqrt(disc)
-    return [x1 + ((-b + sq) / (2.0 * a)) * v1, x1 + ((-b - sq) / (2.0 * a)) * v1]
+    return [(x + lam * vx, y + lam * vy) for lam in ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))]
 
 
 def complete_triple_from_point(
     x1_phase: float, ctx: EllipticContext
-) -> tuple[tuple[Vec2, Vec2], ConcurrencyPoint]:
+) -> tuple[tuple[tuple[float, float], tuple[float, float]], ConcurrencyPoint]:
     """Recover the other two choreographic positions from one body's phase.
 
     The tangent line at x1 crosses the hyperbola in d1, d2; the concurrency
@@ -308,34 +313,34 @@ def complete_triple_from_point(
     phases = triple_phases(x1_phase, ctx)
     bodies = [coords(p, ctx) for p in phases]
     x, y, vx, vy, ax, ay = bodies[0]
-    x1, v1 = Vec2(x, y), Vec2(vx, vy)
-    if x1.norm() < EPS_AXIS:
+    if math.hypot(x, y) < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
-    q1 = quadrant(x1)
+    q1 = quadrant(x, y)
 
-    ds = tangent_hyperbola_intersections(x1, v1)
-    picked = [d for d in ds if quadrant(d) != q1]
+    ds = tangent_hyperbola_intersections(x, y, vx, vy)
+    picked = [d for d in ds if quadrant(*d) != q1]
     if len(picked) != 1:
         raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
-    def lam(d: Vec2, body) -> float:
+    def lam(d: tuple[float, float], body) -> float:
         # lambda of d = x + lambda v on the tangent line of one body's coords.
         x, y, vx, vy, _, _ = body
-        return ((d.x - x) * vx + (d.y - y) * vy) / (vx * vx + vy * vy)
+        return ((d[0] - x) * vx + (d[1] - y) * vy) / (vx * vx + vy * vy)
 
-    def rise(d: Vec2) -> float:
+    def rise(d: tuple[float, float]) -> float:
         # d'_y of the crossing d = x1 + lam v1 as x1 moves forward, from
         # d_x^2 - d_y^2 = 1; the denominator is nonzero at a simple crossing.
-        return lam(d, bodies[0]) * d.x * (vx * ay - vy * ax) / (d.x * vx - d.y * vy)
+        return lam(d, bodies[0]) * d[0] * (vx * ay - vy * ax) / (d[0] * vx - d[1] * vy)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
 
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
-    x2, x3 = (min(partners, key=lambda cand: abs(_wrap(cand.s - p, ctx.period))).point
-              for p in phases[1:])
+    nearest = [min(partners, key=lambda cand: abs(_wrap(cand.s - p, ctx.period)))
+               for p in phases[1:]]
+    x2, x3 = ((cand.x, cand.y) for cand in nearest)
     lambdas = tuple(lam(d_sel, b) for b in bodies)
     return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas)
 
@@ -351,7 +356,7 @@ def sweep_row(t: float, ctx: EllipticContext) -> tuple:
     cp = concurrency_point(s)
     return (
         t, *cp.c, *cp.lambdas,
-        _quadrant_or_zero(cp.c) if math.isfinite(cp.c.x) else 0,
-        *(_quadrant_or_zero(p) for p in s.positions),
+        _quadrant_or_zero(*cp.c) if math.isfinite(cp.c.x) else 0,
+        *(_quadrant_or_zero(*p) for p in s.positions),
         hyperbola_residual(cp.c),
     )

@@ -65,9 +65,6 @@ class Vec2(NamedTuple):
         """z-component of the planar cross product."""
         return self.x * other.y - self.y * other.x
 
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

@@ -45,7 +45,7 @@ def dot(a, b):
 
 def lemniscate_residual(p):
     """(x^2 + y^2)^2 - (x^2 - y^2); zero exactly on the curve."""
-    r2 = p.norm_sq()
+    r2 = dot(p, p)
     return r2 * r2 - (p.x * p.x - p.y * p.y)
 
 

@@ -168,7 +168,7 @@ def test_criterion_7_geometry(ctx, period):
         if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
             continue
         try:
-            quads = [geometry.quadrant(p) for p in s.positions] + [geometry.quadrant(cp.c)]
+            quads = [geometry.quadrant(*p) for p in s.positions] + [geometry.quadrant(*cp.c)]
         except geometry.AxisAmbiguityError:
             continue
         samples.append((t, s, cp, quads))
@@ -193,13 +193,13 @@ def test_criterion_7_geometry(ctx, period):
         )
         for body in s.positions:
             worst_rt1 = max(
-                worst_rt1, min((cand.point - body).norm() for cand in picked)
+                worst_rt1, min(math.dist((cand.x, cand.y), body) for cand in picked)
             )
         (x2, x3), _ = geometry.complete_triple_from_point(t, ctx)
         worst_rt2 = max(
             worst_rt2,
-            (x2 - s.positions[1]).norm(),
-            (x3 - s.positions[2]).norm(),
+            math.dist(x2, s.positions[1]),
+            math.dist(x3, s.positions[2]),
         )
     gate.check(f"round trip c->triple {worst_rt1:.2e}", worst_rt1 < 1e-7)
     gate.check(f"round trip point->triple {worst_rt2:.2e}", worst_rt2 < 1e-7)

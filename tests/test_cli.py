@@ -20,7 +20,7 @@ import pytest
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
-from lemnichor.orbit import Vec2, triple
+from lemnichor.orbit import triple
 
 from conftest import position
 
@@ -29,6 +29,22 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The stderr of each kind of construction refusal, byte for byte (exit 2, no
+# stdout): c at a hyperbola vertex, c off the hyperbola, a body at the origin,
+# a tangent line parallel to an asymptote, and c = (cosh 20, sinh 20), so far
+# out that the search finds three contact points.
+CONSTRUCTION_REFUSALS = {
+    "--from-c=1,0": "invalid input: point (1.0, 0.0) lies within 1e-08 of an axis\n",
+    "--from-c=1.37,0.94": (
+        "usage: lemnichor [-h] {sample,verify,integrate,geometry,analytic} ...\n"
+        "lemnichor: error: --from-c is off the hyperbola cx^2 - cy^2 = 1, got 1.37,0.94\n"),
+    "--from-point=0": "invalid input: phase maps to the origin\n",
+    "--from-point=1.845375430245845":
+        "invalid input: tangent line is parallel to an asymptote of the hyperbola\n",
+    "--from-c=242582597.70489514,242582597.70489514": "invalid input: need exactly 4 candidates, got 3\n",
+}
 
 
 def _reject_constant(token):
@@ -450,13 +466,13 @@ class TestGeometry:
         assert len(rows) == 50
         tol = cli.DEFAULT_TOLERANCES["hyperbola"]
         for row in rows:
-            assert geometry.relative_hyperbola_residual(Vec2(row[1], row[2]), row[10]) <= tol
+            assert geometry.relative_hyperbola_residual((row[1], row[2]), row[10]) <= tol
 
     @staticmethod
     def _worst_hyperbola_ratio(out):
         # The sweep's gate: |cx^2 - cy^2 - 1| / max(1, |c|^2) over every row.
         _, rows = parse_csv(out)
-        worst = max(geometry.relative_hyperbola_residual(Vec2(row[1], row[2]), row[10])
+        worst = max(geometry.relative_hyperbola_residual((row[1], row[2]), row[10])
                     for row in rows)
         return worst / cli.DEFAULT_TOLERANCES["hyperbola"]
 
@@ -551,7 +567,7 @@ class TestGeometry:
     @pytest.mark.parametrize("c, residual", [
         (None, math.nan),
         ((math.inf, math.inf), math.nan),
-        ((100.0, 99.995), geometry.hyperbola_residual(Vec2(100.0, 99.995))),
+        ((100.0, 99.995), geometry.hyperbola_residual((100.0, 99.995))),
     ], ids=["nan", "parallel-pair", "far-out"])
     def test_one_failing_row_fails_the_sweep(self, c, residual, monkeypatch, capsys):
         real = geometry.sweep_row
@@ -802,6 +818,15 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert "Warning" not in captured.err
 
+    @pytest.mark.parametrize("flag, err", CONSTRUCTION_REFUSALS.items(),
+                             ids=list(CONSTRUCTION_REFUSALS))
+    def test_construction_refusal_bytes(self, flag, err, capsys):
+        try:
+            code = main(["geometry", flag])
+        except SystemExit as exc:  # the off-hyperbola check is a usage error
+            code = exc.code
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
     @pytest.mark.parametrize("c", ["1.37,0.94", "1.5,0.5"])
     def test_off_curve_from_c_rejected(self, c, tmp_path, capsys):
         # Constructed from off the curve, the phases would not be 4K/3 apart.
@@ -1042,6 +1067,11 @@ class TestJsonText:
     def test_negative_zero_stays_and_a_tuple_is_a_list(self):
         assert cli._json_text({"z": -0.0, "t": (1, -0.0)}) == (
             '{\n  "t": [\n    1,\n    -0.0\n  ],\n  "z": -0.0\n}\n')
+
+    def test_a_tuple_subclass_is_refused(self):
+        # Types are matched exactly: a NamedTuple is not written as a list.
+        with pytest.raises(TypeError, match="CheckResult"):
+            cli._json_text({"row": cli.CheckResult("n", 0.0, 0.0, 0.0, 1.0)})
 
     def test_same_bytes_as_the_round_trip(self):
         rng = random.Random(1919)

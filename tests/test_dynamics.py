@@ -45,7 +45,7 @@ def newton(pts, i):
     for j in range(3):
         if j != i:
             d = pts[j] - pts[i]
-            f = f + (0.5 / d.norm_sq()) * d
+            f = f + (0.5 / dot(d, d)) * d
     return f
 
 
@@ -150,7 +150,7 @@ class TestPotential:
             Vec2(r * math.cos(a), r * math.sin(a))
             for a in (0.5, 0.5 + 2.0 * math.pi / 3.0, 0.5 + 4.0 * math.pi / 3.0)
         ]
-        want = -(SQRT3 / 8.0) * sum(p.norm_sq() for p in pts)
+        want = -(SQRT3 / 8.0) * sum(dot(p, p) for p in pts)
         assert potential(pts, U) == pytest.approx(want, abs=1e-13)
 
     def test_collision_error(self):

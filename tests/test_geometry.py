@@ -124,9 +124,9 @@ def fd_rising_crossings(t, ctx):
     phase t with the hyperbola that move up when t advances by PERTURB."""
     x, y, vx, vy, _, _ = coords(t, ctx)
     mx, my, mvx, mvy, _, _ = coords(t + PERTURB, ctx)
-    moved = tangent_hyperbola_intersections(Vec2(mx, my), Vec2(mvx, mvy))
-    return [d for d in tangent_hyperbola_intersections(Vec2(x, y), Vec2(vx, vy))
-            if min(moved, key=lambda p: (p - d).norm()).y > d.y]
+    moved = tangent_hyperbola_intersections(mx, my, mvx, mvy)
+    return [d for d in tangent_hyperbola_intersections(x, y, vx, vy)
+            if min(moved, key=lambda p: math.dist(p, d))[1] > d[1]]
 
 
 class TestConcurrencyPoint:
@@ -135,8 +135,8 @@ class TestConcurrencyPoint:
         cp = concurrency_point(s)
         assert math.isfinite(cp.c.x)
         assert abs(hyperbola_residual(cp.c)) <= 1e-8
-        qc = quadrant(cp.c)
-        assert all(quadrant(p) != qc for p in s.positions)
+        qc = quadrant(*cp.c)
+        assert all(quadrant(*p) != qc for p in s.positions)
 
     def test_lies_on_hyperbola_at_many_times(self, ctx, period):
         for t in sample_times(period, 200):
@@ -263,7 +263,7 @@ class TestTangentsFromPoint:
         for cand in tangents_from_point(c, ctx):
             g = (c - position(cand.s, ctx)).cross(velocity(cand.s, ctx))
             assert abs(g) < 1e-12
-            assert (cand.point - position(cand.s, ctx)).norm() <= 1e-10
+            assert math.dist((cand.x, cand.y), position(cand.s, ctx)) <= 1e-10
 
     def test_axis_point_candidates_pair_up(self, ctx, period):
         # For c on the x axis the tangency phases come in mirror pairs
@@ -300,7 +300,7 @@ class TestTangentsFromPoint:
             for sx in (-1.0, 1.0):
                 for sy in (-1.0, 1.0):
                     points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
-        assert {quadrant(c) for c in points} == {1, 2, 3, 4}
+        assert {quadrant(*c) for c in points} == {1, 2, 3, 4}
         # On the hyperbola the one scan finds every root.
         assert_search_matches_oracle(points, ctx)
 
@@ -337,14 +337,14 @@ class TestSelectChoreographic:
         cp = concurrency_point(s)
         picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
         for body in s.positions:
-            assert min((cand.point - body).norm() for cand in picked) <= 1e-7
+            assert min(math.dist((cand.x, cand.y), body) for cand in picked) <= 1e-7
 
     def test_selected_tangents_reintersect_at_c(self, ctx):
         t = 0.8
         cp = concurrency_point(triple(t, ctx))
         picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
         for cand in picked:
-            assert line_distance(cp.c, cand.point, velocity(cand.s, ctx)) <= 1e-8
+            assert line_distance(cp.c, Vec2(cand.x, cand.y), velocity(cand.s, ctx)) <= 1e-8
 
     def test_methods_agree_at_hundred_points(self, ctx, period):
         # select_choreographic raises MethodDisagreementError internally if
@@ -374,7 +374,7 @@ class TestSelectChoreographic:
             for sx in (-1.0, 1.0):
                 for sy in (-1.0, 1.0):
                     points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
-        assert {quadrant(c) for c in points} == {1, 2, 3, 4}
+        assert {quadrant(*c) for c in points} == {1, 2, 3, 4}
         for c in points:
             cands = tangents_from_point(c, ctx)
             picked = {cand.s for cand in select_choreographic(c, cands)}
@@ -394,10 +394,10 @@ class TestCompleteTripleFromPoint:
         t = ctx.K / 5.0
         (x2, x3), cp = complete_triple_from_point(t, ctx)
         s = triple(t, ctx)
-        assert (x2 - s.positions[1]).norm() <= 1e-7
-        assert (x3 - s.positions[2]).norm() <= 1e-7
+        assert math.dist(x2, s.positions[1]) <= 1e-7
+        assert math.dist(x3, s.positions[2]) <= 1e-7
         ref = concurrency_point(s)
-        assert (cp.c - ref.c).norm() <= 1e-7
+        assert math.dist(cp.c, ref.c) <= 1e-7
 
     def test_axis_phase_is_ambiguous(self, ctx):
         with pytest.raises(AxisAmbiguityError):
@@ -410,17 +410,17 @@ class TestCompleteTripleFromPoint:
     def test_selected_intersection_moves_up_under_forward_nudge(self, ctx):
         t = ctx.K / 5.0
         x1, v1 = position(t, ctx), velocity(t, ctx)
-        ds = tangent_hyperbola_intersections(x1, v1)
+        ds = tangent_hyperbola_intersections(*x1, *v1)
         assert len(ds) == 2
-        sel = [d for d in ds if quadrant(d) != quadrant(x1)][0]
+        sel = [d for d in ds if quadrant(*d) != quadrant(*x1)][0]
         rej = ds[0] if ds[1] is sel else ds[1]
         moved = tangent_hyperbola_intersections(
-            position(t + 1e-5, ctx), velocity(t + 1e-5, ctx)
+            *position(t + 1e-5, ctx), *velocity(t + 1e-5, ctx)
         )
-        sel2 = min(moved, key=lambda p: (p - sel).norm())
-        rej2 = min(moved, key=lambda p: (p - rej).norm())
-        assert sel2.y > sel.y
-        assert rej2.y < rej.y
+        sel2 = min(moved, key=lambda p: math.dist(p, sel))
+        rej2 = min(moved, key=lambda p: math.dist(p, rej))
+        assert sel2[1] > sel[1]
+        assert rej2[1] < rej[1]
 
     def test_closed_form_matches_finite_difference_oracle(self, ctx, period):
         rng = random.Random(20025)
@@ -456,8 +456,8 @@ class TestCompleteTripleFromPoint:
                 (x2, x3), _ = complete_triple_from_point(t, ctx)
             except AxisAmbiguityError:
                 continue
-            assert (x2 - s.positions[1]).norm() <= 1e-7
-            assert (x3 - s.positions[2]).norm() <= 1e-7
+            assert math.dist(x2, s.positions[1]) <= 1e-7
+            assert math.dist(x3, s.positions[2]) <= 1e-7
             done += 1
         assert done >= 18
 
@@ -482,16 +482,17 @@ def offset_matching_oracle(x1_phase, ctx):
     x1, v1 = Vec2(x, y), Vec2(vx, vy)
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
-    q1 = quadrant(x1)
-    ds = tangent_hyperbola_intersections(x1, v1)
-    picked = [d for d in ds if quadrant(d) != q1]
+    q1 = quadrant(*x1)
+    ds = tangent_hyperbola_intersections(*x1, *v1)
+    picked = [d for d in ds if quadrant(*d) != q1]
     if len(picked) != 1:
         raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
     def rise(d):
-        lam = dot(d - x1, v1) / v1.norm_sq()
+        d = Vec2(*d)
+        lam = dot(d - x1, v1) / dot(v1, v1)
         return lam * d.x * v1.cross(Vec2(ax, ay)) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
@@ -503,9 +504,11 @@ def offset_matching_oracle(x1_phase, ctx):
     def by_offset(offset):
         return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
 
-    lambdas = [dot(d_sel - position(p, ctx), velocity(p, ctx)) / velocity(p, ctx).norm_sq()
+    lambdas = [dot(Vec2(*d_sel) - position(p, ctx), velocity(p, ctx))
+               / dot(velocity(p, ctx), velocity(p, ctx))
                for p in (x1_phase, x1_phase + third, x1_phase - third)]
-    return ((by_offset(third).point, by_offset(-third).point),
+    x2, x3 = by_offset(third), by_offset(-third)
+    return (((x2.x, x2.y), (x3.x, x3.y)),
             ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas)))
 
 
@@ -522,21 +525,21 @@ class TestTangentHyperbolaIntersections:
     def test_miss_raises(self):
         # Vertical line through the origin never meets cx^2 - cy^2 = 1.
         with pytest.raises(NoIntersectionError, match="misses"):
-            tangent_hyperbola_intersections(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
+            tangent_hyperbola_intersections(0.0, 0.0, 0.0, 1.0)
 
     def test_line_parallel_to_an_asymptote_raises(self):
         # The line through (0.5, 0) along y = x meets the hyperbola once.
         with pytest.raises(NoIntersectionError, match="parallel to an asymptote"):
-            tangent_hyperbola_intersections(Vec2(0.5, 0.0), Vec2(1.0, 1.0))
+            tangent_hyperbola_intersections(0.5, 0.0, 1.0, 1.0)
 
     def test_tangent_line_raises(self):
         # The vertical line x = 1 touches the hyperbola at its vertex.
         with pytest.raises(NoIntersectionError, match="tangent to the hyperbola"):
-            tangent_hyperbola_intersections(Vec2(1.0, 0.5), Vec2(0.0, 1.0))
+            tangent_hyperbola_intersections(1.0, 0.5, 0.0, 1.0)
 
     def test_intersections_on_hyperbola(self, ctx):
         for t in (0.3, 1.1, 2.7):
-            ds = tangent_hyperbola_intersections(position(t, ctx), velocity(t, ctx))
+            ds = tangent_hyperbola_intersections(*position(t, ctx), *velocity(t, ctx))
             for d in ds:
                 assert abs(hyperbola_residual(d)) <= 1e-10
 
@@ -550,7 +553,7 @@ class TestObservedProperties:
             if not math.isfinite(cp.c.x):
                 continue
             try:
-                quads = [quadrant(p) for p in s.positions] + [quadrant(cp.c)]
+                quads = [quadrant(*p) for p in s.positions] + [quadrant(*cp.c)]
             except AxisAmbiguityError:
                 continue
             assert len(set(quads)) == 4
