@@ -24,8 +24,9 @@ contact points that share one scan cell can be missed.
 
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
 EPS_AXIS of a coordinate axis make the selection rules ambiguous and raise
-instead of guessing.  The constructions run on plain floats and (x, y) pairs;
-only concurrency_point, which reads a TripleState, gives its c as a Vec2.
+instead of guessing.  Everything runs on plain floats and (x, y) pairs;
+only concurrency_point, which reads a TripleState, gives its c as a Vec2
+record.
 """
 
 from __future__ import annotations
@@ -107,20 +108,20 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
     """
     xs = s.positions
     vs = s.velocities
-    ls = [xs[i].cross(vs[i]) for i in range(3)]
+    ls = [x * vy - y * vx for (x, y), (vx, vy) in zip(xs, vs)]
     # v_i x v_{i+1}: the pairs (0, 1), (1, 2), (2, 0).
-    vvs = [vs[i].cross(vs[(i + 1) % 3]) for i in range(3)]
+    vvs = [vx * wy - vy * wx for (vx, vy), (wx, wy) in zip(vs, vs[1:] + vs[:1])]
 
     cs = []
     for i, vv in enumerate(vvs):
         j = (i + 1) % 3
         if abs(vv) < PARALLEL_TOL:
             continue
-        cs.append(Vec2(-(ls[i] * vs[j].x - ls[j] * vs[i].x) / vv,
-                       -(ls[i] * vs[j].y - ls[j] * vs[i].y) / vv))
+        (vix, viy), (vjx, vjy) = vs[i], vs[j]
+        cs.append((-(ls[i] * vjx - ls[j] * vix) / vv, -(ls[i] * vjy - ls[j] * viy) / vv))
     if not cs:
         return ConcurrencyPoint(c=Vec2(math.inf, math.inf), lambdas=(math.inf,) * 3)
-    c = Vec2(ordered_sum(p.x for p in cs) / len(cs), ordered_sum(p.y for p in cs) / len(cs))
+    c = Vec2(ordered_sum(x for x, _ in cs) / len(cs), ordered_sum(y for _, y in cs) / len(cs))
 
     lambdas = []
     for i in range(3):
@@ -130,7 +131,8 @@ def concurrency_point(s: TripleState) -> ConcurrencyPoint:
             # subtracted the other way round.
             j = (i + 2) % 3
             vv = -vvs[j]
-        lambdas.append((xs[j] - xs[i]).cross(vs[j]) / vv)
+        (xi, yi), (xj, yj), (vx, vy) = xs[i], xs[j], vs[j]
+        lambdas.append(((xj - xi) * vy - (yj - yi) * vx) / vv)
     return ConcurrencyPoint(c=c, lambdas=tuple(lambdas))
 
 
@@ -308,9 +310,11 @@ def complete_triple_from_point(
     it is the one that moves up as x1 moves forward).  The remaining two
     bodies are then read off the tangent construction at that point: x2 and
     x3 are the contact points nearest the phases of the second and third
-    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).
+    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).  The phase
+    is first reduced by whole periods, as the elliptic kernel reduces it, so
+    that for a large |x1_phase| the 4K/3 shifts are not rounded away.
     """
-    phases = triple_phases(x1_phase, ctx)
+    phases = triple_phases(_wrap(x1_phase, ctx.period), ctx)
     bodies = [coords(p, ctx) for p in phases]
     x, y, vx, vy, ax, ay = bodies[0]
     if math.hypot(x, y) < EPS_AXIS:

@@ -42,12 +42,12 @@ def angular_momentum(bodies: list[tuple[float, ...]]) -> float:
 
 def curvature(t: float, ctx: EllipticContext) -> float:
     """Inverse curvature radius rho^-1 = |v x a| / |v|^3 at phase t."""
-    v = velocity(t, ctx)
-    speed = v.norm()
+    vx, vy = velocity(t, ctx)
+    speed = math.hypot(vx, vy)
     if speed < DEGENERATE_SPEED:
         raise ValueError(f"degenerate velocity |v|={speed!r} at t={t!r}")
-    a = acceleration(t, ctx)
-    return abs(v.cross(a)) / speed**3
+    ax, ay = acceleration(t, ctx)
+    return abs(vx * ay - vy * ax) / speed**3
 
 
 class InvariantReport(NamedTuple):

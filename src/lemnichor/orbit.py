@@ -13,13 +13,13 @@ it is the only per-body state, and every other reader goes through it.
 
 The choreography places three unit-mass bodies at phases t, t + 4K/3 and
 t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
-and velocities as plane vectors.  CheckResult is the one row type of every
-claim the package checks against a tolerance.
+and velocities as Vec2 records.  Vec2 is a named (x, y) pair for readers of
+.x and .y; the package does its plane arithmetic on floats.  CheckResult is
+the one row type of every claim the package checks against a tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .elliptic import EllipticContext, sn_cn_dn
@@ -38,35 +38,16 @@ def ordered_sum(values):
 
 
 class Vec2(NamedTuple):
-    """Plane vector.
+    """Plane point or vector (x, y): a record with no arithmetic.
 
-    An immutable tuple underneath, with vector arithmetic: + and - are
-    componentwise and * scales, never tuple concatenation or repetition.
+    v + w, v * n and n * v raise TypeError, so a Vec2 neither concatenates
+    nor repeats as a tuple would.
     """
 
     x: float
     y: float
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, a: float) -> "Vec2":
-        return Vec2(a * self.x, a * self.y)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def cross(self, other: "Vec2") -> float:
-        """z-component of the planar cross product."""
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
+    __add__ = __mul__ = __rmul__ = None
 
 
 class TripleState(NamedTuple):

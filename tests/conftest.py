@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import pytest
 
@@ -39,8 +40,52 @@ def position(t, ctx):
 
 
 def dot(a, b):
-    """a . b of two Vec2s, as a.x * b.x + a.y * b.y."""
-    return a.x * b.x + a.y * b.y
+    """a . b of two (x, y) pairs, as ax * bx + ay * by."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def cross(a, b):
+    """z-component of the planar cross product of two (x, y) pairs, ax * by - ay * bx."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def line_distance(c, point, direction):
+    """Distance from c to the line point + lam direction, all (x, y) pairs."""
+    return abs(cross((c[0] - point[0], c[1] - point[1]), direction)) / math.hypot(*direction)
+
+
+def oracle_sum(values):
+    """0.0 + v0 + v1 + ..., added left to right, as sum() did before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class OracleVec(NamedTuple):
+    """A plane vector with the arithmetic of the package's former Vec2.
+
+    Each operation keeps the old order of operations, so the bit-exact oracles
+    that replay the vector forms of the package give the old bits.
+    """
+
+    x: float
+    y: float
+
+    def __add__(self, other):
+        return OracleVec(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return OracleVec(self.x - other.x, self.y - other.y)
+
+    def cross(self, other):
+        return self.x * other.y - self.y * other.x
+
+    def norm_sq(self):
+        return self.x * self.x + self.y * self.y
+
+    def norm(self):
+        return math.hypot(self.x, self.y)
 
 
 def lemniscate_residual(p):

@@ -14,7 +14,7 @@ from lemnichor import analytic, dynamics, geometry, invariants
 from lemnichor.elliptic import make_context, sn_cn_dn
 from lemnichor.orbit import Vec2, triple
 
-from conftest import forces, potential, row_positions, speed_relation_residual
+from conftest import forces, line_distance, potential, row_positions, speed_relation_residual
 
 U = dynamics.PotentialVariant.U_CENTRAL
 V = dynamics.PotentialVariant.V_PAIRWISE
@@ -61,7 +61,7 @@ def test_criterion_2_modulus_exclusivity():
     gate = _Gate(2, "center of mass drifts at modulus 1/2", 1.0)
     bad = make_context(0.5)
     worst = max(
-        invariants.full_report(i * 4.0 * bad.K / 200.0, bad).center_of_mass.norm()
+        math.hypot(*invariants.full_report(i * 4.0 * bad.K / 200.0, bad).center_of_mass)
         for i in range(200)
     )
     gate.check(f"max |com| = {worst:.3e}", worst > 1e-3)
@@ -98,7 +98,7 @@ def test_criterion_4_dynamical_reproduction(ctx, period):
     def period_error(n):
         drift, final = run(period / n, n)
         ref = triple(period, ctx)
-        err = max((p - q).norm() for p, q in zip(final, ref.positions))
+        err = max(math.dist(p, q) for p, q in zip(final, ref.positions))
         return err, drift
 
     err16, drift16 = period_error(2**16)
@@ -114,7 +114,7 @@ def test_criterion_4_dynamical_reproduction(ctx, period):
     # uses dt = period / (3 * 2^14) with 2^14 steps.
     n3 = 3 * 2**14
     _, final = run(period / n3, n3 // 3)
-    perm = max((final[i] - start.positions[(i + 1) % 3]).norm() for i in range(3))
+    perm = max(math.dist(final[i], start.positions[(i + 1) % 3]) for i in range(3))
     gate.check(f"cyclic permutation at T/3 {perm:.3e}", perm < 1e-6)
     gate.finish()
 
@@ -165,7 +165,7 @@ def test_criterion_7_geometry(ctx, period):
         j += 1
         s = triple(t, ctx)
         cp = geometry.concurrency_point(s)
-        if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
+        if not math.isfinite(cp.c.x) or math.hypot(*cp.c) > 50.0:
             continue
         try:
             quads = [geometry.quadrant(*p) for p in s.positions] + [geometry.quadrant(*cp.c)]
@@ -178,7 +178,7 @@ def test_criterion_7_geometry(ctx, period):
     quad_ok = True
     for t, s, cp, quads in samples:
         for i in range(3):
-            d = abs((cp.c - s.positions[i]).cross(s.velocities[i])) / s.velocities[i].norm()
+            d = line_distance(cp.c, s.positions[i], s.velocities[i])
             worst_conc = max(worst_conc, d)
         worst_hyp = max(worst_hyp, abs(geometry.hyperbola_residual(cp.c)))
         quad_ok = quad_ok and len(set(quads)) == 4
@@ -260,16 +260,17 @@ def test_criterion_9_property_suite(ctx, period):
     triples_done = 0
     while triples_done < 100:
         pts = [Vec2(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(3)]
-        if min((pts[i] - pts[j]).norm() for i in range(3) for j in range(i + 1, 3)) < 0.15:
+        if min(math.dist(pts[i], pts[j]) for i in range(3) for j in range(i + 1, 3)) < 0.15:
             continue
         triples_done += 1
         for variant in (U, V):
             for i in range(3):
                 f = forces(pts, variant)[i]
                 for axis in range(2):
-                    bump = Vec2(h, 0.0) if axis == 0 else Vec2(0.0, h)
+                    bx, by = (h, 0.0) if axis == 0 else (0.0, h)
                     up, dn = list(pts), list(pts)
-                    up[i], dn[i] = pts[i] + bump, pts[i] - bump
+                    up[i] = Vec2(pts[i].x + bx, pts[i].y + by)
+                    dn[i] = Vec2(pts[i].x - bx, pts[i].y - by)
                     grad = (
                         potential(up, variant) - potential(dn, variant)
                     ) / (2 * h)

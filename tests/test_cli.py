@@ -950,7 +950,7 @@ BRANCH_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 # One sha256 over 100 seeded constructions, every one of which exits 0.
-CONSTRUCTIONS_DIGEST = "4d77d64e100737945cdb0c741bf022d6cdee51ff9bd306c5600534ddd4c25a1e"
+CONSTRUCTIONS_DIGEST = "e79367303268fca62ea40fa30f1b837e34b28faf1a43c0889b51e18e81fa57af"
 
 
 def test_unlisted_branch_bytes(capsys):

@@ -19,7 +19,7 @@ from lemnichor.elliptic import make_context
 from lemnichor.orbit import Vec2, acceleration, triple, triple_phases, velocity
 
 from conftest import (
-    SQRT3, dot, forces, position, potential, row_positions, row_velocities, total_energy,
+    SQRT3, cross, dot, forces, position, potential, row_positions, row_velocities, total_energy,
 )
 
 U = PotentialVariant.U_CENTRAL
@@ -29,24 +29,31 @@ V = PotentialVariant.V_PAIRWISE
 def random_triple(rng, min_sep=0.15):
     while True:
         ps = [Vec2(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(3)]
-        seps = [(ps[i] - ps[j]).norm() for i in range(3) for j in range(i + 1, 3)]
+        seps = [math.dist(ps[i], ps[j]) for i in range(3) for j in range(i + 1, 3)]
         if min(seps) > min_sep:
             return ps
 
 
 def central_push(x):
     """Closed-form repulsion of variant U on a body at x: (sqrt(3)/4) x."""
-    return (SQRT3 / 4.0) * x
+    k = SQRT3 / 4.0
+    return Vec2(k * x[0], k * x[1])
 
 
 def newton(pts, i):
     """Closed-form log-potential attraction on body i: (1/2) sum_j d / |d|^2."""
-    f = Vec2(0.0, 0.0)
+    fx = fy = 0.0
     for j in range(3):
         if j != i:
-            d = pts[j] - pts[i]
-            f = f + (0.5 / dot(d, d)) * d
-    return f
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            k = 0.5 / (dx * dx + dy * dy)
+            fx, fy = fx + k * dx, fy + k * dy
+    return Vec2(fx, fy)
+
+
+def minus(a, b):
+    """a - b of two (x, y) pairs, componentwise."""
+    return Vec2(a[0] - b[0], a[1] - b[1])
 
 
 class TestForces:
@@ -57,21 +64,20 @@ class TestForces:
         ]
         f_all = forces(pts, U)
         for i, p in enumerate(pts):
-            f = f_all[i] - central_push(p)
+            f = minus(f_all[i], central_push(p))
             # force is antiparallel to the position vector by symmetry
-            assert f.cross(p) == pytest.approx(0.0, abs=1e-14)
+            assert cross(f, p) == pytest.approx(0.0, abs=1e-14)
             assert dot(f, p) < 0.0
 
     def test_newton_cancels_for_body_at_origin(self, ctx):
         s = triple(0.0, ctx)
-        f = forces(s.positions, U)[0] - central_push(s.positions[0])
-        assert f.norm() <= 1e-13
+        assert math.dist(forces(s.positions, U)[0], central_push(s.positions[0])) <= 1e-13
 
     def test_newton_matches_rearranged_equation_of_motion(self, ctx):
         s = triple(0.0, ctx)
-        f = forces(s.positions, U)[1] - central_push(s.positions[1])
-        want = acceleration(4.0 * ctx.K / 3.0, ctx) - central_push(s.positions[1])
-        assert (f - want).norm() <= 1e-10
+        f = minus(forces(s.positions, U)[1], central_push(s.positions[1]))
+        want = minus(acceleration(4.0 * ctx.K / 3.0, ctx), central_push(s.positions[1]))
+        assert math.dist(f, want) <= 1e-10
 
     def test_newton_collision_error(self):
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
@@ -83,8 +89,8 @@ class TestForces:
         # Variant U's repulsion is what is left after the attraction.
         pts = [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(-0.4, 0.9)]
         f = forces(pts, U)
-        rep = [f[i] - newton(pts, i) for i in range(3)]
-        assert rep[0].norm() <= 1e-15
+        rep = [minus(f[i], newton(pts, i)) for i in range(3)]
+        assert math.hypot(*rep[0]) <= 1e-15
         assert rep[1].x == pytest.approx(SQRT3 / 4.0, abs=1e-15)
         assert rep[1].y == pytest.approx(0.0, abs=1e-15)
 
@@ -95,11 +101,11 @@ class TestForces:
         shift = Vec2(0.3, -0.8)
         for _ in range(20):
             pts = random_triple(rng)
-            moved = [p + shift for p in pts]
+            moved = [Vec2(x + shift.x, y + shift.y) for x, y in pts]
             for i in range(3):
-                d_u = forces(moved, U)[i] - forces(pts, U)[i]
-                assert (d_u - central_push(shift)).norm() <= 1e-13
-                assert (forces(moved, V)[i] - forces(pts, V)[i]).norm() <= 1e-13
+                d_u = minus(forces(moved, U)[i], forces(pts, U)[i])
+                assert math.dist(d_u, central_push(shift)) <= 1e-13
+                assert math.dist(forces(moved, V)[i], forces(pts, V)[i]) <= 1e-13
 
     def test_repulsive2_equals_repulsive1_when_centered(self):
         rng = random.Random(42)
@@ -107,32 +113,31 @@ class TestForces:
         while done < 50:
             p1 = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             p2 = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            pts = [p1, p2, -1.0 * (p1 + p2)]
+            pts = [p1, p2, Vec2(-(p1.x + p2.x), -(p1.y + p2.y))]
             # Keep the attraction O(1), so that 1e-13 is a few ulps of the force.
-            if min((pts[i] - pts[j]).norm() for i in range(3) for j in range(i + 1, 3)) < 0.15:
+            if min(math.dist(pts[i], pts[j]) for i in range(3) for j in range(i + 1, 3)) < 0.15:
                 continue
             done += 1
             f_u, f_v = forces(pts, U), forces(pts, V)
             for i in range(3):
-                assert (f_v[i] - f_u[i]).norm() <= 1e-13
+                assert math.dist(f_v[i], f_u[i]) <= 1e-13
 
     def test_repulsive2_offset_by_center_of_mass(self):
         rng = random.Random(43)
         shift = Vec2(0.4, -0.2)
         for _ in range(50):
-            pts = [p + shift for p in random_triple(rng)]
-            com = (1.0 / 3.0) * (pts[0] + pts[1] + pts[2])
+            pts = [Vec2(x + shift.x, y + shift.y) for x, y in random_triple(rng)]
+            (x0, y0), (x1, y1), (x2, y2) = pts
+            com = Vec2((1.0 / 3.0) * (x0 + x1 + x2), (1.0 / 3.0) * (y0 + y1 + y2))
             f_u, f_v = forces(pts, U), forces(pts, V)
             for i in range(3):
-                d = f_u[i] - f_v[i]
-                want = (SQRT3 / 4.0) * com
-                assert (d - want).norm() <= 1e-13
+                assert math.dist(minus(f_u[i], f_v[i]), central_push(com)) <= 1e-13
 
     def test_repulsive2_zero_for_body_between_antipodes(self, ctx):
         # Body 0 sits at the origin between antipodal partners: both the
         # attraction and the pairwise push on it vanish.
         s = triple(0.0, ctx)
-        assert forces(s.positions, V)[0].norm() <= 1e-13
+        assert math.hypot(*forces(s.positions, V)[0]) <= 1e-13
 
 
 class TestPotential:
@@ -167,11 +172,11 @@ class TestPotential:
             for i in range(3):
                 f = forces(pts, variant)[i]
                 for axis in range(2):
-                    bump = Vec2(h, 0.0) if axis == 0 else Vec2(0.0, h)
+                    bx, by = (h, 0.0) if axis == 0 else (0.0, h)
                     up = list(pts)
                     dn = list(pts)
-                    up[i] = pts[i] + bump
-                    dn[i] = pts[i] - bump
+                    up[i] = Vec2(pts[i].x + bx, pts[i].y + by)
+                    dn[i] = Vec2(pts[i].x - bx, pts[i].y - by)
                     grad = (potential(up, variant) - potential(dn, variant)) / (2 * h)
                     got = f.x if axis == 0 else f.y
                     assert got == pytest.approx(-grad, abs=1e-7)
@@ -219,14 +224,16 @@ class TestEquationOfMotion:
     @pytest.mark.parametrize("variant", [U, V])
     def test_bit_equal_to_vec2_form(self, ctx, period, variant):
         # eom_residual reads orbit.coords and the kernel's force tuple; the
-        # form it replaced, triple() and forces() on Vec2, is the oracle, and
-        # the two must agree exactly over several periods.
+        # form it replaced, the distance |a - F| between acceleration() and
+        # forces() of triple(), is the oracle (math.dist gives the bits of
+        # the old vector norm), and the two must agree exactly over several
+        # periods.
         rng = random.Random(20 if variant is U else 21)
         for _ in range(2000):
             t = rng.uniform(-3.0 * period, 3.0 * period)
             s = triple(t, ctx)
             accs = [acceleration(p, ctx) for p in triple_phases(t, ctx)]
-            want = max((a - fi).norm() for a, fi in zip(accs, forces(s.positions, variant)))
+            want = max(math.dist(a, fi) for a, fi in zip(accs, forces(s.positions, variant)))
             assert eom_residual(t, variant, ctx) == want
 
 
@@ -277,7 +284,7 @@ class TestIntegrate:
         for n in (2**12, 2**13):
             last = final_row(s.positions, s.velocities, V, period / n, n)
             ref = triple(period, ctx)
-            errs.append(max((p - q).norm() for p, q in zip(row_positions(last), ref.positions)))
+            errs.append(max(math.dist(p, q) for p, q in zip(row_positions(last), ref.positions)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_energy_drift_order_two(self, ctx, period):
@@ -292,19 +299,19 @@ class TestIntegrate:
     def test_pairwise_variant_conserves_center_of_mass(self, ctx, period):
         n = 2**12
         s = triple(0.0, ctx)
-        final = row_positions(final_row(s.positions, s.velocities, V, period / n, n))
-        com = final[0] + final[1] + final[2]
-        assert com.norm() < 1e-11
+        (x0, y0), (x1, y1), (x2, y2) = row_positions(
+            final_row(s.positions, s.velocities, V, period / n, n))
+        assert math.hypot(x0 + x1 + x2, y0 + y1 + y2) < 1e-11
 
     def test_central_variant_translated_ic_drifts(self, ctx, period):
         shift = Vec2(0.1, 0.05)
         phases = triple_phases(0.0, ctx)
-        pts = [position(p, ctx) + shift for p in phases]
+        pts = [Vec2(x + shift.x, y + shift.y) for x, y in (position(p, ctx) for p in phases)]
         vels = [velocity(p, ctx) for p in phases]
         n = 2**12
-        final = row_positions(final_row(pts, vels, U, period / n, n))
-        com = (1.0 / 3.0) * (final[0] + final[1] + final[2])
-        assert (com - shift).norm() > 1e-3
+        (x0, y0), (x1, y1), (x2, y2) = row_positions(final_row(pts, vels, U, period / n, n))
+        com = ((1.0 / 3.0) * (x0 + x1 + x2), (1.0 / 3.0) * (y0 + y1 + y2))
+        assert math.dist(com, shift) > 1e-3
 
     def test_angular_momentum_conserved(self, ctx, period):
         n = 2**12
@@ -312,7 +319,7 @@ class TestIntegrate:
         for variant in (U, V):
             rows, _, _ = collect(s.positions, s.velocities, variant, period / n, n)
             l_vals = [
-                sum(p.cross(v) for p, v in zip(row_positions(row), row_velocities(row)))
+                sum(cross(p, v) for p, v in zip(row_positions(row), row_velocities(row)))
                 for row in rows
             ]
             assert len(l_vals) == n + 1

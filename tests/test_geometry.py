@@ -27,11 +27,13 @@ from lemnichor.geometry import (
 )
 from lemnichor.orbit import Vec2, coords, triple, velocity
 
-from conftest import dot, position
+from conftest import OracleVec, cross, dot, line_distance, oracle_sum, position
 
 
-def line_distance(c, point, direction):
-    return abs((c - point).cross(direction)) / direction.norm()
+def gap(c, s, ctx):
+    """The tangency gap (c - x(s)) x v(s), position and velocity evaluated separately."""
+    (x, y), v = position(s, ctx), velocity(s, ctx)
+    return cross((c[0] - x, c[1] - y), v)
 
 
 def sample_times(period, n, skip_large_c=None):
@@ -71,7 +73,7 @@ def dense_bisection_roots(c, ctx):
         fa = gj
         while b - a > BISECT_TOL:
             mid = 0.5 * (a + b)
-            fm = (c - position(mid, ctx)).cross(velocity(mid, ctx))
+            fm = gap(c, mid, ctx)
             if fa * fm <= 0.0:
                 b = mid
             else:
@@ -141,7 +143,7 @@ class TestConcurrencyPoint:
     def test_lies_on_hyperbola_at_many_times(self, ctx, period):
         for t in sample_times(period, 200):
             cp = concurrency_point(triple(t, ctx))
-            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or math.hypot(*cp.c) > 50.0:
                 continue
             assert abs(hyperbola_residual(cp.c)) <= 1e-8
 
@@ -151,10 +153,10 @@ class TestConcurrencyPoint:
         for t in (0.17, 0.9, 2.4, 3.3):
             s = triple(t, ctx)
             xs, vs = s.positions, s.velocities
-            ls = [xs[i].cross(vs[i]) for i in range(3)]
+            ls = [cross(xs[i], vs[i]) for i in range(3)]
             cs = []
             for i, j in ((0, 1), (1, 2), (2, 0)):
-                vv = vs[i].cross(vs[j])
+                vv = cross(vs[i], vs[j])
                 if abs(vv) < PARALLEL_TOL:
                     continue
                 cs.append(
@@ -166,17 +168,29 @@ class TestConcurrencyPoint:
             assert len(cs) == 3
             for a in cs:
                 for b in cs:
-                    assert (a - b).norm() <= 1e-9
+                    assert math.dist(a, b) <= 1e-9
 
     def test_lambdas_match_the_loop_bit_for_bit(self, ctx):
-        # The lambdas as they were computed with each v_i x v_j formed in the
-        # loop, the fallback pair included: orbit triples, and triples with
-        # each velocity pair in turn parallel.
+        # c and the lambdas as they were computed on plane vectors with each
+        # v_i x v_j formed in the loop, c as the mean of the finite pair
+        # formulas, the fallback pair included: orbit triples, and triples
+        # with each velocity pair in turn parallel.
         from lemnichor.geometry import PARALLEL_TOL
         from lemnichor.orbit import TripleState
 
-        def oracle_lambdas(s):
-            xs, vs = s.positions, s.velocities
+        def oracle(s):
+            xs = [OracleVec(*p) for p in s.positions]
+            vs = [OracleVec(*v) for v in s.velocities]
+            ls = [xs[i].cross(vs[i]) for i in range(3)]
+            cs = []
+            for i in range(3):
+                j = (i + 1) % 3
+                vv = vs[i].cross(vs[j])
+                if abs(vv) < PARALLEL_TOL:
+                    continue
+                cs.append(OracleVec(-(ls[i] * vs[j].x - ls[j] * vs[i].x) / vv,
+                                    -(ls[i] * vs[j].y - ls[j] * vs[i].y) / vv))
+            c = (oracle_sum(p.x for p in cs) / len(cs), oracle_sum(p.y for p in cs) / len(cs))
             out = []
             for i in range(3):
                 j = (i + 1) % 3
@@ -185,22 +199,22 @@ class TestConcurrencyPoint:
                     j = (i + 2) % 3
                     vv = vs[i].cross(vs[j])
                 out.append((xs[j] - xs[i]).cross(vs[j]) / vv)
-            return [v.hex() for v in out]
+            return [v.hex() for v in (*c, *out)]
 
         rng = random.Random(5)
         states = [triple(rng.uniform(-20.0, 20.0), ctx) for _ in range(200)]
         for k in range(3):
             vs = [Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(3)]
-            vs[(k + 1) % 3] = 0.7 * vs[k]  # v_k x v_{k+1} is 0
+            vs[(k + 1) % 3] = Vec2(0.7 * vs[k].x, 0.7 * vs[k].y)  # v_k x v_{k+1} is 0
             xs = tuple(Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3))
             states.append(TripleState(xs, tuple(vs)))
         fallbacks = 0
         for s in states:
             cp = concurrency_point(s)
             assert math.isfinite(cp.c.x)
-            assert [v.hex() for v in cp.lambdas] == oracle_lambdas(s)
+            assert [v.hex() for v in (*cp.c, *cp.lambdas)] == oracle(s)
             vs = s.velocities
-            fallbacks += any(abs(vs[i].cross(vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
+            fallbacks += any(abs(cross(vs[i], vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
         assert fallbacks == 3
 
     def test_defining_relation(self, ctx):
@@ -208,15 +222,14 @@ class TestConcurrencyPoint:
         for t in (0.4, 1.3, 2.9):
             s = triple(t, ctx)
             cp = concurrency_point(s)
-            for i in range(3):
-                rebuilt = s.positions[i] + cp.lambdas[i] * s.velocities[i]
-                assert (rebuilt - cp.c).norm() <= 1e-9
+            for (x, y), (vx, vy), lam in zip(s.positions, s.velocities, cp.lambdas):
+                assert math.dist((x + lam * vx, y + lam * vy), cp.c) <= 1e-9
 
     def test_concurrency_distance(self, ctx, period):
         for t in sample_times(period, 200):
             s = triple(t, ctx)
             cp = concurrency_point(s)
-            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or math.hypot(*cp.c) > 50.0:
                 continue
             for i in range(3):
                 assert line_distance(cp.c, s.positions[i], s.velocities[i]) <= 1e-9
@@ -251,7 +264,7 @@ class TestTangentsFromPoint:
         prev = None
         for j in range(n + 1):
             s = (j % n) * period / n
-            g = (c - position(s, ctx)).cross(velocity(s, ctx))
+            g = gap(c, s, ctx)
             if prev is not None and prev * g < 0.0:
                 signs += 1
             prev = g
@@ -261,8 +274,7 @@ class TestTangentsFromPoint:
     def test_tangency_gap_refined_below_threshold(self, ctx):
         c = Vec2(math.sqrt(2.0), 1.0)
         for cand in tangents_from_point(c, ctx):
-            g = (c - position(cand.s, ctx)).cross(velocity(cand.s, ctx))
-            assert abs(g) < 1e-12
+            assert abs(gap(c, cand.s, ctx)) < 1e-12
             assert math.dist((cand.x, cand.y), position(cand.s, ctx)) <= 1e-10
 
     def test_axis_point_candidates_pair_up(self, ctx, period):
@@ -344,7 +356,7 @@ class TestSelectChoreographic:
         cp = concurrency_point(triple(t, ctx))
         picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
         for cand in picked:
-            assert line_distance(cp.c, Vec2(cand.x, cand.y), velocity(cand.s, ctx)) <= 1e-8
+            assert line_distance(cp.c, (cand.x, cand.y), velocity(cand.s, ctx)) <= 1e-8
 
     def test_methods_agree_at_hundred_points(self, ctx, period):
         # select_choreographic raises MethodDisagreementError internally if
@@ -354,7 +366,7 @@ class TestSelectChoreographic:
             if checked >= 100:
                 break
             cp = concurrency_point(triple(t, ctx))
-            if not math.isfinite(cp.c.x) or cp.c.norm() > 20.0:
+            if not math.isfinite(cp.c.x) or math.hypot(*cp.c) > 20.0:
                 continue
             try:
                 picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
@@ -448,6 +460,23 @@ class TestCompleteTripleFromPoint:
         for key, body in (("x2", s.positions[1]), ("x3", s.positions[2])):
             assert math.dist(data[key], (body.x, body.y)) <= 1e-7
 
+    @pytest.mark.parametrize("t", [1e8 + 0.55, 1e16])
+    def test_lambdas_belong_to_the_reported_bodies_at_a_large_phase(self, ctx, capsys, t):
+        # c = x_i + lambda_i v_i for the three reported bodies, v_i the
+        # velocity at the contact point x_i.  Unless the phase is reduced
+        # first, the 4K/3 shifts to bodies 2 and 3 are rounded away and their
+        # lambdas belong to other points of the orbit (8.4e-9 off at
+        # 1e8 + 0.55, 1.5 at 1e16).
+        assert main(["geometry", f"--from-point={t!r}"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        c = tuple(data["c"])
+        at = {(cand.x, cand.y): (cand.vx, cand.vy) for cand in tangents_from_point(c, ctx)}
+        x, y, vx, vy, _, _ = coords(t, ctx)
+        x2, x3 = tuple(data["x2"]), tuple(data["x3"])
+        bodies = [((x, y), (vx, vy)), (x2, at[x2]), (x3, at[x3])]
+        for ((px, py), (qx, qy)), lam in zip(bodies, data["lambdas"]):
+            assert math.dist((px + lam * qx, py + lam * qy), c) <= 1e-12
+
     def test_round_trip_many_phases(self, ctx, period):
         done = 0
         for t in sample_times(period, 24):
@@ -478,8 +507,9 @@ class TestCompleteTripleFromPoint:
 
 def offset_matching_oracle(x1_phase, ctx):
     """complete_triple_from_point as it matched partners by phase offset."""
+    x1_phase = _wrap(x1_phase, ctx.period)
     x, y, vx, vy, ax, ay = coords(x1_phase, ctx)
-    x1, v1 = Vec2(x, y), Vec2(vx, vy)
+    x1, v1 = OracleVec(x, y), OracleVec(vx, vy)
     if x1.norm() < EPS_AXIS:
         raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(*x1)
@@ -491,9 +521,9 @@ def offset_matching_oracle(x1_phase, ctx):
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
     def rise(d):
-        d = Vec2(*d)
+        d = OracleVec(*d)
         lam = dot(d - x1, v1) / dot(v1, v1)
-        return lam * d.x * v1.cross(Vec2(ax, ay)) / (d.x * v1.x - d.y * v1.y)
+        return lam * d.x * v1.cross(OracleVec(ax, ay)) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
@@ -504,7 +534,7 @@ def offset_matching_oracle(x1_phase, ctx):
     def by_offset(offset):
         return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
 
-    lambdas = [dot(Vec2(*d_sel) - position(p, ctx), velocity(p, ctx))
+    lambdas = [dot(OracleVec(*d_sel) - OracleVec(*position(p, ctx)), velocity(p, ctx))
                / dot(velocity(p, ctx), velocity(p, ctx))
                for p in (x1_phase, x1_phase + third, x1_phase - third)]
     x2, x3 = by_offset(third), by_offset(-third)
@@ -607,7 +637,7 @@ class TestObservedProperties:
         for j in range(n + 1):
             t = (j + 0.219) * step
             cp = concurrency_point(triple(t, ctx))
-            if not math.isfinite(cp.c.x) or cp.c.norm() > 50.0:
+            if not math.isfinite(cp.c.x) or math.hypot(*cp.c) > 50.0:
                 prev = None
                 continue
             if prev is not None and prev[1] * cp.c.y < 0.0:
@@ -627,7 +657,7 @@ class TestObservedProperties:
             assert abs(cp.c.y) <= 1e-6
             s = triple(t_star, ctx)
             i = min(range(3), key=lambda k: abs(s.positions[k].y))
-            assert (s.positions[i] - cp.c).norm() <= 1e-6
+            assert math.dist(s.positions[i], cp.c) <= 1e-6
             c_up = cy(t_star + 10 * step) > cy(t_star - 10 * step)
             body_up = s.velocities[i].y > 0.0
             assert c_up != body_up
@@ -636,7 +666,7 @@ class TestObservedProperties:
         # "Forward" is increasing t; at every origin passage the body must be
         # heading up, which pins the convention to the curve orientation.
         for t in (0.0, 2.0 * ctx.K):
-            assert position(t, ctx).norm() <= 1e-13
+            assert math.hypot(*position(t, ctx)) <= 1e-13
             assert velocity(t, ctx).y > 0.0
 
     def test_sweep_row_fields(self, ctx):

@@ -1,6 +1,5 @@
 import math
 import random
-from typing import NamedTuple
 
 import pytest
 
@@ -17,18 +16,18 @@ from lemnichor.invariants import (
 )
 from lemnichor.orbit import Vec2, coords, triple_phases
 
-from conftest import SQRT3, speed_relation_residual
+from conftest import SQRT3, OracleVec, oracle_sum, speed_relation_residual
 
 
 class TestCenterOfMass:
     @pytest.mark.parametrize("frac", [0.0, 1.0 / 6.0])
     def test_vanishes_on_orbit(self, ctx, frac):
-        assert full_report(frac * ctx.K, ctx).center_of_mass.norm() <= 1e-12
+        assert math.hypot(*full_report(frac * ctx.K, ctx).center_of_mass) <= 1e-12
 
     def test_wrong_modulus_negative_control(self):
         bad = make_context(0.5)
         worst = max(
-            full_report(i * 4.0 * bad.K / 100.0, bad).center_of_mass.norm()
+            math.hypot(*full_report(i * 4.0 * bad.K / 100.0, bad).center_of_mass)
             for i in range(100)
         )
         assert worst > 1e-3
@@ -185,36 +184,9 @@ class TestFullReport:
 # reading the same orbit.coords.  full_report works on the floats and must
 # keep this order of operations, so every field and residual matches the
 # copy bit for bit.
-class _OracleVec(NamedTuple):
-    x: float
-    y: float
-
-    def __add__(self, other):
-        return _OracleVec(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return _OracleVec(self.x - other.x, self.y - other.y)
-
-    def cross(self, other):
-        return self.x * other.y - self.y * other.x
-
-    def norm_sq(self):
-        return self.x * self.x + self.y * self.y
-
-    def norm(self):
-        return math.hypot(self.x, self.y)
-
-
-def _oracle_sum(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _oracle_curvature(t, ctx):
     _, _, vx, vy, ax, ay = coords(t, ctx)
-    v, a = _OracleVec(vx, vy), _OracleVec(ax, ay)
+    v, a = OracleVec(vx, vy), OracleVec(ax, ay)
     speed = v.norm()
     return abs(v.cross(a)) / speed**3
 
@@ -225,15 +197,15 @@ def oracle_full_report(t, ctx):
     bodies = []
     for p in (t, t + third, t - third):
         x, y, vx, vy, _, _ = coords(p, ctx)
-        bodies.append((_OracleVec(x, y), _OracleVec(vx, vy), p))
+        bodies.append((OracleVec(x, y), OracleVec(vx, vy), p))
     p1, p2, p3 = (pos for pos, _, _ in bodies)
     com = p1 + p2 + p3
-    moi = _oracle_sum(pos.norm_sq() for pos, _, _ in bodies)
-    ang = _oracle_sum(pos.cross(vel) for pos, vel, _ in bodies)
-    kin = _oracle_sum(vel.norm_sq() for _, vel, _ in bodies)
-    csq = _oracle_sum(_oracle_curvature(p, ctx) ** 2 for _, _, p in bodies)
+    moi = oracle_sum(pos.norm_sq() for pos, _, _ in bodies)
+    ang = oracle_sum(pos.cross(vel) for pos, vel, _ in bodies)
+    kin = oracle_sum(vel.norm_sq() for _, vel, _ in bodies)
+    csq = oracle_sum(_oracle_curvature(p, ctx) ** 2 for _, _, p in bodies)
     pairs = ((p1 - p2).norm_sq(), (p2 - p3).norm_sq(), (p3 - p1).norm_sq())
-    ssd = _oracle_sum(pairs)
+    ssd = oracle_sum(pairs)
     psd = pairs[0] * pairs[1] * pairs[2]
     residuals = {
         "center_of_mass": com.norm(),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lemnichor import analytic
@@ -49,13 +51,12 @@ class TestPosition:
 
     def test_periodicity(self, ctx, period):
         for t in (0.1, 0.9, 2.3, 3.7):
-            d = position(t + period, ctx) - position(t, ctx)
-            assert d.norm() <= 1e-12
+            assert math.dist(position(t + period, ctx), position(t, ctx)) <= 1e-12
 
     def test_oddness(self, ctx):
         for t in (0.25, 1.1, 2.2, 4.9):
-            d = position(-t, ctx) + position(t, ctx)
-            assert d.norm() <= 1e-13
+            (xm, ym), (xp, yp) = position(-t, ctx), position(t, ctx)
+            assert math.hypot(xm + xp, ym + yp) <= 1e-13
 
 
 class TestVelocity:
@@ -96,8 +97,8 @@ class TestAcceleration:
 
     def test_oddness(self, ctx):
         for t in (0.3, ctx.K, 2.1, 3.3):
-            d = acceleration(-t, ctx) + acceleration(t, ctx)
-            assert d.norm() <= 1e-14
+            (axm, aym), (axp, ayp) = acceleration(-t, ctx), acceleration(t, ctx)
+            assert math.hypot(axm + axp, aym + ayp) <= 1e-14
 
     def test_finite_at_apex(self, ctx):
         a = acceleration(ctx.K, ctx)
@@ -115,7 +116,7 @@ class TestTriple:
     def test_initial_configuration(self, ctx):
         s = triple(0.0, ctx)
         p1, p2, p3 = s.positions
-        assert p1.norm() <= 1e-14
+        assert math.hypot(*p1) <= 1e-14
         assert p2.x == pytest.approx(P0, abs=1e-13)
         assert p2.y == pytest.approx(Q0, abs=1e-13)
         assert p3.x == pytest.approx(-P0, abs=1e-13)
@@ -123,7 +124,8 @@ class TestTriple:
 
     def test_center_of_mass_zero(self, ctx):
         s = triple(0.0, ctx)
-        assert (s.positions[0] + s.positions[1] + s.positions[2]).norm() <= 1e-12
+        (x0, y0), (x1, y1), (x2, y2) = s.positions
+        assert math.hypot(x0 + x1 + x2, y0 + y1 + y2) <= 1e-12
 
     def test_all_bodies_on_lemniscate(self, ctx, period):
         for i in range(100):
@@ -137,8 +139,7 @@ class TestTriple:
             a = triple(t, ctx)
             b = triple(t + third, ctx)
             for i in range(3):
-                d = b.positions[i] - a.positions[(i + 1) % 3]
-                assert d.norm() <= 1e-12
+                assert math.dist(b.positions[i], a.positions[(i + 1) % 3]) <= 1e-12
 
     def test_twelve_labelled_points_group_by_label_mod_4(self, ctx):
         # The twelve positions at t = j K/3 split into the four triples
@@ -147,26 +148,20 @@ class TestTriple:
         triples = [triple(j * third, ctx) for j in range(4)]
         for j in range(12):
             p = position(j * third, ctx)
-            best = min(
-                (q - p).norm() for q in triples[j % 4].positions
-            )
+            best = min(math.dist(q, p) for q in triples[j % 4].positions)
             assert best <= 1e-12
 
 
 class TestValueTypes:
-    def test_vector_arithmetic_is_componentwise(self):
-        v, w = Vec2(1.0, 2.0), Vec2(0.5, -4.0)
-        for got, want in (
-            (v + w, (1.5, -2.0)),
-            (v - w, (0.5, 6.0)),
-            (3.0 * v, (3.0, 6.0)),
-            (v * 3.0, (3.0, 6.0)),
-            (2 * v, (2.0, 4.0)),
-            (v * 2, (2.0, 4.0)),
-            (-v, (-1.0, -2.0)),
-        ):
-            assert type(got) is Vec2
-            assert (got.x, got.y) == want
+    def test_vec2_is_a_record_without_arithmetic(self):
+        # Exactly the fields x and y; + and * raise rather than add, scale,
+        # concatenate or repeat.
+        v = Vec2(1.0, 2.0)
+        assert v._fields == ("x", "y")
+        assert (v.x, v.y) == (1.0, 2.0)
+        for op in (lambda: v + v, lambda: v * 2, lambda: 2 * v):
+            with pytest.raises(TypeError):
+                op()
 
     def test_fields_cannot_be_assigned(self, ctx):
         s = triple(0.3, ctx)
