@@ -41,11 +41,11 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import CHOREO_M, EllipticContext, sn_cn_dn, sn_cn_dn_points
+from . import dynamics
+from .elliptic import CHOREO_M, SQRT3, EllipticContext, sn_cn_dn, sn_cn_dn_points
 from .invariants import angular_momentum
 from .orbit import CheckResult, coords, ordered_sum, triple_phases
 
-SQRT3 = math.sqrt(3.0)
 ROOT4_3 = 3.0**0.25
 
 CONTOUR_RADIUS = 1e-2
@@ -387,7 +387,7 @@ def eom_complex_residual(t: complex, ctx: EllipticContext) -> float:
     here, ahead, behind = _three_phases(t, ctx)
     xm = _x_minus(*here)
     rhs = 0.5 * (1.0 / (_x_minus(*ahead) - xm) - 1.0 / (xm - _x_minus(*behind)))
-    rhs += SQRT3 / 4.0 * _x_plus(*here)
+    rhs += dynamics._C4 * _x_plus(*here)  # the real kernel's sqrt3/4
     return abs(_x_plus_d2(*here, ctx.m) - rhs)
 
 

@@ -252,7 +252,7 @@ def _load_init(path: Path) -> list[list[tuple[float, float]]]:
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     ctx = choreography_context()
-    dt = args.dt if args.dt is not None else ctx.period / 65536.0
+    dt = args.dt if args.dt is not None else ctx.period / SETTINGS["steps"]
     if args.init == "analytic":
         start = triple(0.0, ctx)
         positions, velocities = start.positions, start.velocities
@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("integrate", "velocity-Verlet integration")
     p.add_argument("--variant", choices=("U", "V"))
-    p.add_argument("--dt", type=_positive, help="step (default: period / 65536)")
+    p.add_argument("--dt", type=_positive, help=f"step (default: period / {SETTINGS['steps']})")
     p.add_argument("--steps", type=_count)
     p.add_argument("--init", help="'analytic' or a JSON file with positions/velocities")
 

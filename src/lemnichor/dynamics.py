@@ -9,7 +9,8 @@ pair potential (1/2) ln r) and the repulsive part comes in two equivalent
 shapes: a central push (sqrt(3)/4) x_i from the potential -(sqrt(3)/8) x_i^2,
 or a pairwise push -(sqrt(3)/12) sum_j (x_j - x_i) from pair terms
 -(sqrt(3)/24) r_ij^2.  The two coincide exactly on any configuration with
-zero center of mass.
+zero center of mass.  One kernel forms each pair's r_ij^2 once, for the
+forces, the potential and the collision rule.
 
 The integrator is fixed-step velocity Verlet (all masses 1): the Hamiltonian
 is separable and symplecticity keeps the energy error bounded, which is what
@@ -21,10 +22,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .elliptic import EllipticContext
+from .elliptic import SQRT3, EllipticContext
 from .orbit import coords, triple_phases
-
-SQRT3 = math.sqrt(3.0)
 
 # Any pairwise approach below this is a genuinely different trajectory: the
 # analytic orbit's minimum squared separation is sqrt(3)/2.
@@ -60,15 +59,10 @@ def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
     term -(sqrt(3)/24) r_ij^2); (1/2) ln r is (1/4) ln(r^2).
 
     Every sum keeps the order of a loop over pairs i < j accumulating from 0.0
-    (the 0.0 fixes the sign of a zero force), and the potential's r^2 is
-    dx ** 2 + dy ** 2, formed a second time beside the force's r_ij^2: pow is
-    not always correctly rounded, so x ** 2 differs from x * x for about one x
-    in a thousand, and the energy column keeps the bits of ** .  The tests pin
-    these bits against that loop.  A finite ** that overflows raises
-    OverflowError, but integrate refuses the first energy that is not finite
-    itself, so no exit code depends on that raise.  Together with _energy,
-    whose kinetic sum has a fixed order on every Python version, this is all
-    the dynamics.
+    (the 0.0 fixes the sign of a zero force), and the potential reads the
+    same r_ij^2 as the force; the tests pin these bits against that loop.
+    Together with _energy, whose kinetic sum has a fixed order on every
+    Python version, this is all the dynamics.
     """
     dx01 = x1 - x0
     dy01 = y1 - y0
@@ -94,12 +88,9 @@ def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
     fy1 = 0.0 - gy01 + gy12
     fx2 = 0.0 - gx02 - gx12
     fy2 = 0.0 - gy02 - gy12
-    s01 = dx01 ** 2 + dy01 ** 2
-    s02 = dx02 ** 2 + dy02 ** 2
-    s12 = dx12 ** 2 + dy12 ** 2
     if central:
         pe = (
-            0.25 * math.log(s01) + 0.25 * math.log(s02) + 0.25 * math.log(s12)
+            0.25 * math.log(r01) + 0.25 * math.log(r02) + 0.25 * math.log(r12)
             - _C8 * (x0 * x0 + y0 * y0) - _C8 * (x1 * x1 + y1 * y1) - _C8 * (x2 * x2 + y2 * y2)
         )
         return (
@@ -109,9 +100,9 @@ def _kernel(x0, y0, x1, y1, x2, y2, central: bool):
             pe,
         )
     pe = (
-        0.25 * math.log(s01) - _C24 * s01
-        + 0.25 * math.log(s02) - _C24 * s02
-        + 0.25 * math.log(s12) - _C24 * s12
+        0.25 * math.log(r01) - _C24 * r01
+        + 0.25 * math.log(r02) - _C24 * r02
+        + 0.25 * math.log(r12) - _C24 * r12
     )
     sx = x0 + x1 + x2
     sy = y0 + y1 + y2

@@ -24,9 +24,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+# sqrt(3), which every closed-form constant of the choreography is built on.
+SQRT3 = math.sqrt(3.0)
+
 # Squared modulus of the lemniscate choreography: the unique value for which
 # the three-body configuration keeps its center of mass fixed.
-CHOREO_M = (2.0 + math.sqrt(3.0)) / 4.0
+CHOREO_M = (2.0 + SQRT3) / 4.0
 
 # Landen descent: stop once the arithmetic-geometric gap is below this.
 LANDEN_TOL = 1e-16

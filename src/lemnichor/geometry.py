@@ -13,7 +13,8 @@ Two construction procedures are implemented and cross-validated:
     as c moves up along the hyperbola (a closed-form rate at each root).
   * from one body position: intersect its tangent line with the hyperbola,
     keep the intersection in a different quadrant (equivalently, in closed
-    form, the one that moves up as the body moves forward), then as above.
+    form, the one that moves up as the body moves forward), then as above,
+    matching the contact points to the phases of orbit.triple_phases.
 
 Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
 scanned once on a grid of TANGENCY_NODES phases, and each sign change is
@@ -36,7 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, coords, ordered_sum, triple, triple_phases
+from .orbit import TripleState, Vec2, coords, ordered_sum, reduce_phase, triple, triple_phases
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
@@ -233,10 +234,6 @@ def tangents_from_point(c: tuple[float, float], ctx: EllipticContext) -> list[Ta
     return out
 
 
-def _wrap(ds: float, period: float) -> float:
-    return ds - period * round(ds / period)
-
-
 def select_choreographic(
     c: tuple[float, float],
     candidates: list[TangencyCandidate],
@@ -310,11 +307,9 @@ def complete_triple_from_point(
     it is the one that moves up as x1 moves forward).  The remaining two
     bodies are then read off the tangent construction at that point: x2 and
     x3 are the contact points nearest the phases of the second and third
-    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).  The phase
-    is first reduced by whole periods, as the elliptic kernel reduces it, so
-    that for a large |x1_phase| the 4K/3 shifts are not rounded away.
+    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).
     """
-    phases = triple_phases(_wrap(x1_phase, ctx.period), ctx)
+    phases = triple_phases(x1_phase, ctx)
     bodies = [coords(p, ctx) for p in phases]
     x, y, vx, vy, ax, ay = bodies[0]
     if math.hypot(x, y) < EPS_AXIS:
@@ -342,7 +337,7 @@ def complete_triple_from_point(
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
 
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
-    nearest = [min(partners, key=lambda cand: abs(_wrap(cand.s - p, ctx.period)))
+    nearest = [min(partners, key=lambda cand: abs(reduce_phase(cand.s - p, ctx)))
                for p in phases[1:]]
     x2, x3 = ((cand.x, cand.y) for cand in nearest)
     lambdas = tuple(lam(d_sel, b) for b in bodies)

@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .elliptic import EllipticContext
+from .elliptic import SQRT3, EllipticContext
 from .orbit import Vec2, acceleration, coords, ordered_sum, triple_phases, velocity
-
-SQRT3 = math.sqrt(3.0)
 
 # Closed-form constants of the conserved quantities.
 EXPECTED_MOMENT_OF_INERTIA = SQRT3

@@ -13,9 +13,12 @@ it is the only per-body state, and every other reader goes through it.
 
 The choreography places three unit-mass bodies at phases t, t + 4K/3 and
 t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
-and velocities as Vec2 records.  Vec2 is a named (x, y) pair for readers of
-.x and .y; the package does its plane arithmetic on floats.  CheckResult is
-the one row type of every claim the package checks against a tolerance.
+and velocities as Vec2 records.  triple_phases first reduces t by whole
+periods (reduce_phase, the package's one phase reduction), so that at a
+large |t| the 4K/3 shifts are not rounded away.  Vec2 is a named (x, y) pair
+for readers of .x and .y; the package does its plane arithmetic on floats.
+CheckResult is the one row type of every claim the package checks against a
+tolerance.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ def ordered_sum(values):
 class Vec2(NamedTuple):
     """Plane point or vector (x, y): a record with no arithmetic.
 
-    v + w, v * n and n * v raise TypeError, so a Vec2 neither concatenates
-    nor repeats as a tuple would.
+    v + w, (a tuple) + v, v * n and n * v raise TypeError, so a Vec2
+    neither concatenates nor repeats as a tuple would.
     """
 
     x: float
     y: float
 
-    __add__ = __mul__ = __rmul__ = None
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
 
 class TripleState(NamedTuple):
@@ -113,8 +116,15 @@ def acceleration(t: float, ctx: EllipticContext) -> Vec2:
     return Vec2(ax, ay)
 
 
+def reduce_phase(t: float, ctx: EllipticContext) -> float:
+    """t less the whole periods 4K nearest to it, a complex t by its real part (as sn_cn_dn)."""
+    four_k = ctx.period
+    return t - four_k * round(t.real / four_k)
+
+
 def triple_phases(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
-    """The phases t, t + 4K/3, t - 4K/3 of the three bodies; a complex t gives complex phases."""
+    """The phases r, r + 4K/3, r - 4K/3 of the bodies, r = reduce_phase(t); complex if t is."""
+    t = reduce_phase(t, ctx)
     third = 4.0 * ctx.K / 3.0
     return (t, t + third, t - third)
 

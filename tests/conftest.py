@@ -54,6 +54,11 @@ def line_distance(c, point, direction):
     return abs(cross((c[0] - point[0], c[1] - point[1]), direction)) / math.hypot(*direction)
 
 
+def oracle_reduced(t, ctx):
+    """t less the whole periods 4K nearest to it, a complex t by its real part."""
+    return t - ctx.period * round(t.real / ctx.period)
+
+
 def oracle_sum(values):
     """0.0 + v0 + v1 + ..., added left to right, as sum() did before Python 3.12."""
     total = 0.0

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from lemnichor import analytic, elliptic
+from lemnichor import analytic, dynamics, elliptic
 from lemnichor.analytic import (
     CENSUS_LINE_NODES,
     CENSUS_LINES,
@@ -47,7 +47,7 @@ from lemnichor.dynamics import PotentialVariant, eom_residual
 from lemnichor.elliptic import CHOREO_M, make_context, sn_cn_dn
 from lemnichor.orbit import coords
 
-from conftest import ROOT4_3, SQRT3, cross, dot, position, sn_cn_dn_at
+from conftest import ROOT4_3, SQRT3, cross, dot, oracle_reduced, position, sn_cn_dn_at
 
 
 # The rows that pass at m(1 + 1e-3) and at m(1 - 1e-3) alike: they certify
@@ -296,6 +296,12 @@ class TestComplexEquationOfMotion:
     def test_near_pole_larger_tolerance(self, ctx):
         assert eom_complex_residual(alpha2(ctx) + 0.05, ctx) < 1e-6
 
+    def test_reads_the_real_kernel_coefficient(self, ctx, monkeypatch):
+        # sqrt3/4 is written once, as dynamics._C4: 1e-6 off it fails the
+        # complex equation of motion (~2e-7 against 1e-8) as it fails the real one.
+        monkeypatch.setattr(dynamics, "_C4", dynamics._C4 * (1.0 + 1e-6))
+        assert eom_complex_residual(complex(0.5, 0.4), ctx) > 1e-8
+
     def test_check_wrapper(self, ctx):
         samples = [complex(0.5, 0.4), complex(ctx.K / 6.0, 0.0)]
         for r in check_eom_pole_cancellation(samples, ctx):
@@ -456,6 +462,7 @@ def oracle_locate_pole(log_d1, approx, ctx, radius=5e-2):
 
 def oracle_three_phase_sum(f, t, ctx):
     third = 4.0 * ctx.K / 3.0
+    t = oracle_reduced(t, ctx)
     return f(t, ctx) + f(t + third, ctx) + f(t - third, ctx)
 
 
@@ -471,6 +478,7 @@ def oracle_j_derivative(t, ctx):
 
 def oracle_eom_complex_residual(t, ctx):
     third = 4.0 * ctx.K / 3.0
+    t = oracle_reduced(t, ctx)
     rhs = 0.5 * (1.0 / oracle_delta_x_minus(t, ctx) - 1.0 / oracle_delta_x_minus(t - third, ctx))
     rhs += SQRT3 / 4.0 * oracle_x_plus(t, ctx)
     return abs(oracle_x_plus_d2(t, ctx) - rhs)
@@ -535,11 +543,13 @@ class TestOneEvaluationPerNode:
         # The old form took x^-(t) of 1/dx^-(t - 4K/3) at (t - 4K/3) + 4K/3,
         # which is t only when that round trip is exact, as it is at both
         # `lemnichor analytic` points.  Elsewhere the two differ by rounding.
+        # Both reduce t by whole periods first; the round trip is of that phase.
         third = 4.0 * ctx.K / 3.0
         exact = 0
         for t in sample_points(ctx):
             got, want = eom_complex_residual(t, ctx), oracle_eom_complex_residual(t, ctx)
-            if (t - third) + third == t:
+            r = oracle_reduced(t, ctx)
+            if (r - third) + third == r:
                 exact += 1
                 assert got.hex() == want.hex(), t
             else:

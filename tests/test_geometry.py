@@ -15,7 +15,6 @@ from lemnichor.geometry import (
     NoIntersectionError,
     SWEEP_FIELDS,
     _gap_and_slope,
-    _wrap,
     complete_triple_from_point,
     concurrency_point,
     hyperbola_residual,
@@ -25,7 +24,7 @@ from lemnichor.geometry import (
     tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, coords, triple, velocity
+from lemnichor.orbit import Vec2, coords, reduce_phase, triple, velocity
 
 from conftest import OracleVec, cross, dot, line_distance, oracle_sum, position
 
@@ -113,11 +112,10 @@ def fd_phase_shifts(c, candidates, ctx):
     when c is nudged up its hyperbola branch by PERTURB, found by a second
     tangency search and nearest-neighbour matching of the phases."""
     moved = tangents_from_point(_nudge_up_hyperbola(c, PERTURB), ctx)
-    period = ctx.period
     shifts = []
     for cand in candidates:
-        nearest = min(moved, key=lambda mc: abs(_wrap(mc.s - cand.s, period)))
-        shifts.append(_wrap(nearest.s - cand.s, period))
+        nearest = min(moved, key=lambda mc: abs(reduce_phase(mc.s - cand.s, ctx)))
+        shifts.append(reduce_phase(nearest.s - cand.s, ctx))
     return shifts
 
 
@@ -328,7 +326,7 @@ class TestTangentsFromPoint:
             c = Vec2(x - off * vy, y + off * vx)
             ref = dense_bisection_roots(c, ctx)
             for cand in tangents_from_point(c, ctx):
-                assert min(abs(_wrap(cand.s - r, period)) for r in ref) <= 1e-12, c
+                assert min(abs(reduce_phase(cand.s - r, ctx)) for r in ref) <= 1e-12, c
 
     def test_newton_slope_matches_central_difference(self, ctx, period):
         rng = random.Random(20023)
@@ -507,7 +505,7 @@ class TestCompleteTripleFromPoint:
 
 def offset_matching_oracle(x1_phase, ctx):
     """complete_triple_from_point as it matched partners by phase offset."""
-    x1_phase = _wrap(x1_phase, ctx.period)
+    x1_phase = reduce_phase(x1_phase, ctx)
     x, y, vx, vy, ax, ay = coords(x1_phase, ctx)
     x1, v1 = OracleVec(x, y), OracleVec(vx, vy)
     if x1.norm() < EPS_AXIS:
@@ -532,7 +530,7 @@ def offset_matching_oracle(x1_phase, ctx):
     third = period / 3.0
 
     def by_offset(offset):
-        return min(partners, key=lambda cand: abs(_wrap(cand.s - (x1_phase + offset), period)))
+        return min(partners, key=lambda cand: abs(reduce_phase(cand.s - (x1_phase + offset), ctx)))
 
     lambdas = [dot(OracleVec(*d_sel) - OracleVec(*position(p, ctx)), velocity(p, ctx))
                / dot(velocity(p, ctx), velocity(p, ctx))

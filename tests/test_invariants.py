@@ -16,7 +16,7 @@ from lemnichor.invariants import (
 )
 from lemnichor.orbit import Vec2, coords, triple_phases
 
-from conftest import SQRT3, OracleVec, oracle_sum, speed_relation_residual
+from conftest import SQRT3, OracleVec, oracle_reduced, oracle_sum, speed_relation_residual
 
 
 class TestCenterOfMass:
@@ -194,8 +194,9 @@ def _oracle_curvature(t, ctx):
 def oracle_full_report(t, ctx):
     """(fields, residuals) of the value-type full_report, in its order of operations."""
     third = 4.0 * ctx.K / 3.0
+    r = oracle_reduced(t, ctx)
     bodies = []
-    for p in (t, t + third, t - third):
+    for p in (r, r + third, r - third):
         x, y, vx, vy, _, _ = coords(p, ctx)
         bodies.append((OracleVec(x, y), OracleVec(vx, vy), p))
     p1, p2, p3 = (pos for pos, _, _ in bodies)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from lemnichor import analytic
+from lemnichor import analytic, cli
 from lemnichor.analytic import PoleSpec
+from lemnichor.dynamics import PotentialVariant, eom_residual
 from lemnichor.elliptic import CHOREO_M, make_context
 from lemnichor.geometry import _scan_grid, concurrency_point, tangents_from_point
 from lemnichor.invariants import full_report
@@ -11,7 +12,9 @@ from lemnichor.orbit import (
     CheckResult,
     Vec2,
     acceleration,
+    reduce_phase,
     triple,
+    triple_phases,
     velocity,
 )
 
@@ -107,8 +110,6 @@ class TestAcceleration:
         assert abs(a.y - fd.y) <= 1e-6
 
     def test_equation_of_motion_forward_reference(self, ctx):
-        from lemnichor.dynamics import PotentialVariant, eom_residual
-
         assert eom_residual(ctx.K / 6.0, PotentialVariant.U_CENTRAL, ctx) < 1e-10
 
 
@@ -141,6 +142,29 @@ class TestTriple:
             for i in range(3):
                 assert math.dist(b.positions[i], a.positions[(i + 1) % 3]) <= 1e-12
 
+    def test_phases_are_reduced_by_whole_periods(self, ctx, period):
+        third = 4.0 * ctx.K / 3.0
+        for t in (0.3, -0.0, -1.9, 5.0 * period + 0.3, -3.0 * period - 1.2):
+            r = reduce_phase(t, ctx)
+            assert abs(r) <= 0.5 * period
+            assert triple_phases(t, ctx) == (r, r + third, r - third)
+        # Within half a period t is its own reduction, to the sign of a zero.
+        for t in (0.3, -0.0, -1.9, complex(1.3, -0.0), complex(-0.0, 0.4)):
+            assert repr(reduce_phase(t, ctx)) == repr(t)
+        # A complex t is reduced by its real part; its imaginary part is kept.
+        z = reduce_phase(complex(7.0 * period + 0.2, -0.0), ctx)
+        assert abs(z.real - 0.2) <= 1e-13 and math.copysign(1.0, z.imag) == -1.0
+
+    @pytest.mark.parametrize("t", [1e4 + 0.55, 1e8 + 0.55, 1e16])
+    def test_large_phase_meets_every_verify_gate(self, ctx, t):
+        # Unreduced, the 4K/3 shifts of t lose their low bits: at 1e16 the
+        # curvature sum was off by 7.5 and the EOM by 0.88.
+        tol = cli.DEFAULT_TOLERANCES
+        for name, r in full_report(t, ctx).residuals.items():
+            assert r <= tol[name], name
+        for variant in PotentialVariant:
+            assert eom_residual(t, variant, ctx) <= tol["eom_residual"], variant
+
     def test_twelve_labelled_points_group_by_label_mod_4(self, ctx):
         # The twelve positions at t = j K/3 split into the four triples
         # triple(j mod 4 * K/3); points sharing a label mod 4 coincide.
@@ -155,11 +179,11 @@ class TestTriple:
 class TestValueTypes:
     def test_vec2_is_a_record_without_arithmetic(self):
         # Exactly the fields x and y; + and * raise rather than add, scale,
-        # concatenate or repeat.
+        # concatenate or repeat, also with a tuple on the left.
         v = Vec2(1.0, 2.0)
         assert v._fields == ("x", "y")
         assert (v.x, v.y) == (1.0, 2.0)
-        for op in (lambda: v + v, lambda: v * 2, lambda: 2 * v):
+        for op in (lambda: v + v, lambda: (0.0,) + v, lambda: v * 2, lambda: 2 * v):
             with pytest.raises(TypeError):
                 op()
 
