@@ -270,7 +270,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         # Body k's x and y are the columns x{k}, y{k} (1, 2; 5, 6; 9, 10) of the row.
         ref = triple(summary["final_time"], ctx)
         summary["position_error_vs_analytic"] = max(
-            math.hypot(last[i] - p.x, last[i + 1] - p.y) for i, p in zip((1, 5, 9), ref.positions)
+            math.hypot(last[i] - x, last[i + 1] - y) for i, (x, y) in zip((1, 5, 9), ref.positions)
         )
     sys.stderr.write(_json_text(summary))
     return 0

@@ -3,7 +3,9 @@
 For any planar three-body motion with fixed center of mass and zero angular
 momentum, the three tangent lines through the bodies meet at one point c
 (possibly at infinity).  For the lemniscate choreography that point sweeps
-the rectangular hyperbola cx^2 - cy^2 = 1.
+the rectangular hyperbola cx^2 - cy^2 = 1.  Every lambda_i, of the sweep and
+of the constructions alike, is the foot of c on tangent line i,
+lambda_i = (c - x_i) . v_i / |v_i|^2, so that c = x_i + lambda_i v_i.
 
 Two construction procedures are implemented and cross-validated:
 
@@ -99,42 +101,36 @@ def quadrant(x: float, y: float) -> int:
     return q
 
 
+def _foot_lambda(c: tuple[float, float], x: float, y: float, vx: float, vy: float) -> float:
+    """The lambda of the foot of c on the line (x, y) + lambda (vx, vy): (c - x) . v / |v|^2."""
+    cx, cy = c
+    return ((cx - x) * vx + (cy - y) * vy) / (vx * vx + vy * vy)
+
+
 def concurrency_point(s: TripleState) -> ConcurrencyPoint:
     """Intersection point of the three tangent lines of a triple.
 
-    lambda_i = ((x_j - x_i) x v_j) / (v_i x v_j) and, per velocity pair,
-    c = -(l_i v_j - l_j v_i) / (v_i x v_j) with l_i = x_i x v_i.  All finite
-    pair formulas must agree, and c is their mean; if every pair of velocities
-    is parallel the lines meet at infinity, and c and the lambdas are infinite.
+    Per velocity pair, c = -(l_i v_j - l_j v_i) / (v_i x v_j) with l_i = x_i x v_i.
+    All finite pair formulas must agree; c is their mean, and lambda_i the foot
+    of c on line i.  If every pair of velocities is parallel the lines meet at
+    infinity, and c and the lambdas are infinite.
     """
     xs = s.positions
     vs = s.velocities
     ls = [x * vy - y * vx for (x, y), (vx, vy) in zip(xs, vs)]
-    # v_i x v_{i+1}: the pairs (0, 1), (1, 2), (2, 0).
-    vvs = [vx * wy - vy * wx for (vx, vy), (wx, wy) in zip(vs, vs[1:] + vs[:1])]
-
     cs = []
-    for i, vv in enumerate(vvs):
+    for i in range(3):
         j = (i + 1) % 3
+        (vix, viy), (vjx, vjy) = vs[i], vs[j]
+        vv = vix * vjy - viy * vjx
         if abs(vv) < PARALLEL_TOL:
             continue
-        (vix, viy), (vjx, vjy) = vs[i], vs[j]
         cs.append((-(ls[i] * vjx - ls[j] * vix) / vv, -(ls[i] * vjy - ls[j] * viy) / vv))
     if not cs:
         return ConcurrencyPoint(c=Vec2(math.inf, math.inf), lambdas=(math.inf,) * 3)
     c = Vec2(ordered_sum(x for x, _ in cs) / len(cs), ordered_sum(y for _, y in cs) / len(cs))
-
-    lambdas = []
-    for i in range(3):
-        j, vv = (i + 1) % 3, vvs[i]
-        if abs(vv) < PARALLEL_TOL:
-            # v_i x v_j = -(v_j x v_i) bit for bit: the same two products,
-            # subtracted the other way round.
-            j = (i + 2) % 3
-            vv = -vvs[j]
-        (xi, yi), (xj, yj), (vx, vy) = xs[i], xs[j], vs[j]
-        lambdas.append(((xj - xi) * vy - (yj - yi) * vx) / vv)
-    return ConcurrencyPoint(c=c, lambdas=tuple(lambdas))
+    return ConcurrencyPoint(c=c, lambdas=tuple(_foot_lambda(c, x, y, vx, vy)
+                                               for (x, y), (vx, vy) in zip(xs, vs)))
 
 
 def hyperbola_residual(c: tuple[float, float]) -> float:
@@ -285,7 +281,7 @@ def tangent_hyperbola_intersections(x: float, y: float,
     """
     a = vx * vx - vy * vy
     b = 2.0 * (x * vx - y * vy)
-    cterm = x * x - y * y - 1.0
+    cterm = hyperbola_residual((x, y))
     if abs(a) < 1e-14:
         raise NoIntersectionError("tangent line is parallel to an asymptote of the hyperbola")
     disc = b * b - 4.0 * a * cterm
@@ -323,15 +319,10 @@ def complete_triple_from_point(
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
-    def lam(d: tuple[float, float], body) -> float:
-        # lambda of d = x + lambda v on the tangent line of one body's coords.
-        x, y, vx, vy, _, _ = body
-        return ((d[0] - x) * vx + (d[1] - y) * vy) / (vx * vx + vy * vy)
-
     def rise(d: tuple[float, float]) -> float:
         # d'_y of the crossing d = x1 + lam v1 as x1 moves forward, from
         # d_x^2 - d_y^2 = 1; the denominator is nonzero at a simple crossing.
-        return lam(d, bodies[0]) * d[0] * (vx * ay - vy * ax) / (d[0] * vx - d[1] * vy)
+        return _foot_lambda(d, x, y, vx, vy) * d[0] * (vx * ay - vy * ax) / (d[0] * vx - d[1] * vy)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
         raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
@@ -340,7 +331,7 @@ def complete_triple_from_point(
     nearest = [min(partners, key=lambda cand: abs(reduce_phase(cand.s - p, ctx)))
                for p in phases[1:]]
     x2, x3 = ((cand.x, cand.y) for cand in nearest)
-    lambdas = tuple(lam(d_sel, b) for b in bodies)
+    lambdas = tuple(_foot_lambda(d_sel, *b[:4]) for b in bodies)
     return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas)
 
 
@@ -353,9 +344,10 @@ def sweep_row(t: float, ctx: EllipticContext) -> tuple:
     """
     s = triple(t, ctx)
     cp = concurrency_point(s)
+    cx, cy = cp.c
     return (
-        t, *cp.c, *cp.lambdas,
-        _quadrant_or_zero(*cp.c) if math.isfinite(cp.c.x) else 0,
+        t, cx, cy, *cp.lambdas,
+        _quadrant_or_zero(cx, cy) if math.isfinite(cx) else 0,
         *(_quadrant_or_zero(*p) for p in s.positions),
         hyperbola_residual(cp.c),
     )

@@ -12,7 +12,7 @@ On the analytic orbit at the choreographic modulus, the triple conserves:
 
 and each body's curvature satisfies rho^-2 = 9 |x|^2.  full_report forms all
 seven from the floats of orbit.coords, the three pair distances once for both
-the sum and the product.
+the sum and the product; its center of mass is a plain (cx, cy) pair.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import SQRT3, EllipticContext
-from .orbit import Vec2, acceleration, coords, ordered_sum, triple_phases, velocity
+from .orbit import acceleration, coords, ordered_sum, triple_phases, velocity
 
 # Closed-form constants of the conserved quantities.
 EXPECTED_MOMENT_OF_INERTIA = SQRT3
@@ -51,8 +51,7 @@ def curvature(t: float, ctx: EllipticContext) -> float:
 class InvariantReport(NamedTuple):
     """All conserved quantities at one time sample plus named residuals."""
 
-    t: float
-    center_of_mass: Vec2
+    center_of_mass: tuple[float, float]
     moment_of_inertia: float
     angular_momentum: float
     kinetic_energy: float
@@ -91,6 +90,6 @@ def full_report(t: float, ctx: EllipticContext) -> InvariantReport:
         "sum_sq_distances": abs(ssd - EXPECTED_SUM_SQ_DISTANCES),
         "product_sq_distances": abs(psd - EXPECTED_PRODUCT_SQ_DISTANCES),
     }
-    return InvariantReport(t=t, center_of_mass=Vec2(cx, cy), moment_of_inertia=moi,
+    return InvariantReport(center_of_mass=(cx, cy), moment_of_inertia=moi,
                            angular_momentum=ang, kinetic_energy=kin, curvature_sq_sum=csq,
                            sum_sq_distances=ssd, product_sq_distances=psd, residuals=residuals)

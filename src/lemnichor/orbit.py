@@ -16,9 +16,10 @@ t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
 and velocities as Vec2 records.  triple_phases first reduces t by whole
 periods (reduce_phase, the package's one phase reduction), so that at a
 large |t| the 4K/3 shifts are not rounded away.  Vec2 is a named (x, y) pair
-for readers of .x and .y; the package does its plane arithmetic on floats.
-CheckResult is the one row type of every claim the package checks against a
-tolerance.
+built only by triple() and geometry.concurrency_point(), whose results are
+read by .x and .y outside the package; everything else is floats and plain
+(x, y) pairs.  CheckResult is the one row type of every claim the package
+checks against a tolerance.
 """
 
 from __future__ import annotations
@@ -106,14 +107,12 @@ def coords(t: float, ctx: EllipticContext) -> tuple[float, float, float, float, 
     )
 
 
-def velocity(t: float, ctx: EllipticContext) -> Vec2:
-    _, _, vx, vy, _, _ = coords(t, ctx)
-    return Vec2(vx, vy)
+def velocity(t: float, ctx: EllipticContext) -> tuple[float, float]:
+    return coords(t, ctx)[2:4]
 
 
-def acceleration(t: float, ctx: EllipticContext) -> Vec2:
-    _, _, _, _, ax, ay = coords(t, ctx)
-    return Vec2(ax, ay)
+def acceleration(t: float, ctx: EllipticContext) -> tuple[float, float]:
+    return coords(t, ctx)[4:]
 
 
 def reduce_phase(t: float, ctx: EllipticContext) -> float:

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from lemnichor import geometry
 from lemnichor.cli import main
 from lemnichor.geometry import (
     BISECT_TOL,
@@ -58,7 +59,8 @@ def dense_bisection_roots(c, ctx):
     period = ctx.period
     n = ORACLE_NODES
     xs, vs = _oracle_grid(ctx)
-    g = [(c.x - x.x) * v.y - (c.y - x.y) * v.x for x, v in zip(xs, vs)]
+    cx, cy = c
+    g = [(cx - x) * vy - (cy - y) * vx for (x, y), (vx, vy) in zip(xs, vs)]
     roots = []
     for j in range(n):
         gj, gk = g[j], g[(j + 1) % n]
@@ -171,8 +173,9 @@ class TestConcurrencyPoint:
     def test_lambdas_match_the_loop_bit_for_bit(self, ctx):
         # c and the lambdas as they were computed on plane vectors with each
         # v_i x v_j formed in the loop, c as the mean of the finite pair
-        # formulas, the fallback pair included: orbit triples, and triples
-        # with each velocity pair in turn parallel.
+        # formulas and lambda_i = (c - x_i) . v_i / (v_i . v_i), the foot of c
+        # on line i: orbit triples, and triples with each velocity pair in
+        # turn parallel, whose c skips that pair.
         from lemnichor.geometry import PARALLEL_TOL
         from lemnichor.orbit import TripleState
 
@@ -188,15 +191,9 @@ class TestConcurrencyPoint:
                     continue
                 cs.append(OracleVec(-(ls[i] * vs[j].x - ls[j] * vs[i].x) / vv,
                                     -(ls[i] * vs[j].y - ls[j] * vs[i].y) / vv))
-            c = (oracle_sum(p.x for p in cs) / len(cs), oracle_sum(p.y for p in cs) / len(cs))
-            out = []
-            for i in range(3):
-                j = (i + 1) % 3
-                vv = vs[i].cross(vs[j])
-                if abs(vv) < PARALLEL_TOL:
-                    j = (i + 2) % 3
-                    vv = vs[i].cross(vs[j])
-                out.append((xs[j] - xs[i]).cross(vs[j]) / vv)
+            c = OracleVec(oracle_sum(p.x for p in cs) / len(cs),
+                          oracle_sum(p.y for p in cs) / len(cs))
+            out = [dot(c - xs[i], vs[i]) / dot(vs[i], vs[i]) for i in range(3)]
             return [v.hex() for v in (*c, *out)]
 
         rng = random.Random(5)
@@ -206,14 +203,14 @@ class TestConcurrencyPoint:
             vs[(k + 1) % 3] = Vec2(0.7 * vs[k].x, 0.7 * vs[k].y)  # v_k x v_{k+1} is 0
             xs = tuple(Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3))
             states.append(TripleState(xs, tuple(vs)))
-        fallbacks = 0
+        parallel = 0
         for s in states:
             cp = concurrency_point(s)
             assert math.isfinite(cp.c.x)
             assert [v.hex() for v in (*cp.c, *cp.lambdas)] == oracle(s)
             vs = s.velocities
-            fallbacks += any(abs(cross(vs[i], vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
-        assert fallbacks == 3
+            parallel += any(abs(cross(vs[i], vs[(i + 1) % 3])) < PARALLEL_TOL for i in range(3))
+        assert parallel == 3
 
     def test_defining_relation(self, ctx):
         # c = x_i + lambda_i v_i for every body.
@@ -232,6 +229,21 @@ class TestConcurrencyPoint:
             for i in range(3):
                 assert line_distance(cp.c, s.positions[i], s.velocities[i]) <= 1e-9
 
+    def test_lambdas_rebuild_c_on_every_sweep_phase(self, ctx, period):
+        # max_i |x_i + lambda_i v_i - c| relative to max(1, |c|), on the sweep
+        # grid of 5000 samples.  The lambdas of crossing lines i and j, in place
+        # of the foot of c on line i, reach 5.4e-12 here (|c| up to ~3800).
+        worst = 0.0
+        for t in sample_times(period, 5000):
+            s = triple(t, ctx)
+            cp = concurrency_point(s)
+            if not math.isfinite(cp.c.x):
+                continue
+            gap = max(math.dist((x + lam * vx, y + lam * vy), cp.c)
+                      for (x, y), (vx, vy), lam in zip(s.positions, s.velocities, cp.lambdas))
+            worst = max(worst, gap / max(1.0, math.hypot(*cp.c)))
+        assert worst <= 1e-13
+
 
 class TestHyperbolaResidual:
     def test_vertex(self):
@@ -242,6 +254,19 @@ class TestHyperbolaResidual:
 
     def test_off_curve(self):
         assert hyperbola_residual(Vec2(2.0, 0.0)) == pytest.approx(3.0)
+
+    def test_the_construction_reads_it(self, capsys, monkeypatch):
+        # The tangent line's crossing with the hyperbola takes its constant
+        # term from hyperbola_residual, so a wrong formula there moves the
+        # construction too.
+        def run():
+            code = main(["geometry", "--from-point", "0.55"])
+            return code, capsys.readouterr().out
+
+        right = run()
+        monkeypatch.setattr(geometry, "hyperbola_residual",
+                            lambda c: c[0] * c[0] + c[1] * c[1] - 1.0)
+        assert run() != right
 
 
 class TestTangentsFromPoint:
@@ -665,7 +690,7 @@ class TestObservedProperties:
         # heading up, which pins the convention to the curve orientation.
         for t in (0.0, 2.0 * ctx.K):
             assert math.hypot(*position(t, ctx)) <= 1e-13
-            assert velocity(t, ctx).y > 0.0
+            assert velocity(t, ctx)[1] > 0.0
 
     def test_sweep_row_fields(self, ctx):
         rec = dict(zip(SWEEP_FIELDS, sweep_row(0.7, ctx), strict=True))

@@ -1,38 +1,26 @@
 """What importing the package and running each command loads.
 
-``import lemnichor`` loads no submodule until one of its names is used, and
-each CLI command imports only the layers it runs.  Each footprint is taken in
-a fresh interpreter started with ``-S``, comparing ``sys.modules`` around the
-statement: without ``site``, no start-up hook has loaded a standard module
-(``typing``, ``dataclasses``, ...) beforehand, so the checks below see every
-module the statement itself brings in.  Which standard modules that is
-differs between Python versions, so the exact checks are on the package's
-own modules, and the heavy standard modules the package avoids are named.
+``import lemnichor`` loads ``lemnichor.elliptic`` alone, for its one top-level
+name ``choreography_context``, and each CLI command imports only the layers it
+runs.  Each footprint is taken in a fresh interpreter started with ``-S``,
+comparing ``sys.modules`` around the statement: without ``site``, no start-up
+hook has loaded a standard module (``typing``, ``dataclasses``, ...)
+beforehand, so the checks below see every module the statement itself brings
+in.  Which standard modules that is differs between Python versions, so the
+exact checks are on the package's own modules, and the heavy standard modules
+the package avoids are named.
 """
 
 import json
 import os
 import subprocess
 import sys
-from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import lemnichor
-
-# The public names of the package, by the submodule that defines them.
-PUBLIC = {
-    "elliptic": ["CHOREO_M", "EllipticContext", "PoleProximityError",
-                 "choreography_context", "make_context", "sn_cn_dn"],
-    "orbit": ["TripleState", "Vec2", "acceleration", "triple", "velocity"],
-    "invariants": ["InvariantReport", "full_report"],
-    "dynamics": ["CollisionError", "PotentialVariant", "eom_residual", "integrate",
-                 "one_body_lemniscate_residual"],
-    "geometry": ["ConcurrencyPoint", "TangencyCandidate", "complete_triple_from_point",
-                 "concurrency_point", "hyperbola_residual", "select_choreographic",
-                 "tangents_from_point"],
-}
+import lemnichor.elliptic
 
 # Standard modules no import of the package and no stdout run may load.
 AVOIDED = {"dataclasses", "platform"}
@@ -59,13 +47,17 @@ def added_modules(setup: str, statement: str) -> set[str]:
     return set(json.loads(out.splitlines()[-1]))
 
 
-def test_import_loads_no_submodule():
-    assert added_modules("", "import lemnichor") == {"lemnichor"}
+def test_import_loads_only_elliptic():
+    added = added_modules("", "import lemnichor")
+    assert {m for m in added if m.startswith("lemnichor")} == {"lemnichor", "lemnichor.elliptic"}
+    assert not added & AVOIDED
 
 
 def test_choreography_context_loads_only_elliptic():
-    added = added_modules("import lemnichor", "lemnichor.choreography_context()")
-    assert {m for m in added if m.startswith("lemnichor")} == {"lemnichor.elliptic"}
+    # The benchmark's set-up probe: import the package and build the context.
+    assert lemnichor.choreography_context is lemnichor.elliptic.choreography_context
+    added = added_modules("", "import lemnichor\nlemnichor.choreography_context()")
+    assert {m for m in added if m.startswith("lemnichor")} == {"lemnichor", "lemnichor.elliptic"}
     assert not added & AVOIDED
 
 
@@ -89,21 +81,6 @@ def test_command_loads_only_what_it_runs(argv, layers):
     assert {m for m in added if m.startswith("lemnichor")} == CLI_CORE | layers
     # platform is only for the sidecar, which stdout output does not write.
     assert not added & AVOIDED
-
-
-def test_public_names_are_the_submodules_own():
-    assert sorted(lemnichor.__all__) == sorted(n for names in PUBLIC.values() for n in names)
-    for module, names in PUBLIC.items():
-        sub = import_module(f"lemnichor.{module}")
-        for name in names:
-            assert getattr(lemnichor, name) is getattr(sub, name), name
-
-
-def test_star_import_and_dir_list_the_public_names():
-    namespace = {}
-    exec("from lemnichor import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(lemnichor.__all__)
-    assert set(lemnichor.__all__) | {"__version__"} <= set(dir(lemnichor))
 
 
 def test_unknown_name_raises_attribute_error():

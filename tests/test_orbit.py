@@ -64,8 +64,7 @@ class TestPosition:
 
 class TestVelocity:
     def test_at_origin(self, ctx):
-        v = velocity(0.0, ctx)
-        assert v == Vec2(0.5, 0.5)
+        assert velocity(0.0, ctx) == (0.5, 0.5)
 
     def test_speed_squared_at_origin(self, ctx):
         vx, vy = velocity(0.0, ctx)
@@ -81,9 +80,9 @@ class TestVelocity:
         for i in range(100):
             t = i * period / 100.0 + 0.0007
             fd = central_difference(lambda u: position(u, ctx), t, h)
-            v = velocity(t, ctx)
-            assert abs(v.x - fd.x) <= 1e-8
-            assert abs(v.y - fd.y) <= 1e-8
+            vx, vy = velocity(t, ctx)
+            assert abs(vx - fd.x) <= 1e-8
+            assert abs(vy - fd.y) <= 1e-8
 
 
 class TestAcceleration:
@@ -94,9 +93,9 @@ class TestAcceleration:
         for i in range(100):
             t = i * period / 100.0 + 0.0007
             fd = second_difference(lambda u: position(u, ctx), t, h)
-            a = acceleration(t, ctx)
-            assert abs(a.x - fd.x) <= 1e-6
-            assert abs(a.y - fd.y) <= 1e-6
+            ax, ay = acceleration(t, ctx)
+            assert abs(ax - fd.x) <= 1e-6
+            assert abs(ay - fd.y) <= 1e-6
 
     def test_oddness(self, ctx):
         for t in (0.3, ctx.K, 2.1, 3.3):
@@ -104,10 +103,10 @@ class TestAcceleration:
             assert math.hypot(axm + axp, aym + ayp) <= 1e-14
 
     def test_finite_at_apex(self, ctx):
-        a = acceleration(ctx.K, ctx)
+        ax, ay = acceleration(ctx.K, ctx)
         fd = second_difference(lambda u: position(u, ctx), ctx.K, 1e-4)
-        assert abs(a.x - fd.x) <= 1e-6
-        assert abs(a.y - fd.y) <= 1e-6
+        assert abs(ax - fd.x) <= 1e-6
+        assert abs(ay - fd.y) <= 1e-6
 
     def test_equation_of_motion_forward_reference(self, ctx):
         assert eom_residual(ctx.K / 6.0, PotentialVariant.U_CENTRAL, ctx) < 1e-10

@@ -32,9 +32,6 @@ LIBRARY_API = {
         "acceptance criterion 8, the one-body lemniscate under U(r) = -l^2/(2 r^6)",
 }
 
-# The package's PEP 562 hooks: Python calls them on attribute access.
-HOOKS = ["__init__.__getattr__", "__init__.__dir__"]
-
 # Methods and properties that nothing in the package reads as an attribute
 # and that stay, each with its reason, as "module.Class.name".
 UNREAD_METHODS = {}
@@ -115,7 +112,7 @@ def reached(edges, roots) -> set[str]:
 
 def test_every_name_runs_from_the_cli_or_is_library_api():
     edges = call_graph(SRC)
-    assert sorted(set(edges) - reached(edges, ["cli.main", *HOOKS, *LIBRARY_API])) == []
+    assert sorted(set(edges) - reached(edges, ["cli.main", *LIBRARY_API])) == []
 
 
 def test_library_api_is_defined_and_not_run_by_the_cli():
