@@ -71,10 +71,6 @@ PRINCIPAL_2A = 4.0 * math.sqrt(2.0) / ROOT4_3
 PRINCIPAL_B = ROOT4_3 / math.sqrt(2.0)
 
 
-class ContourCrossingError(ValueError):
-    """Another pole lies too close to the requested integration contour."""
-
-
 class CensusError(ValueError):
     """The strip windings disagree with the claimed zeros and poles."""
 
@@ -227,17 +223,12 @@ def check_residues(ctx: EllipticContext) -> list[CheckResult]:
 
     The residue is r mean_{-1} of f over a circle of radius CONTOUR_RADIUS
     around the pole.  Each pole's circle of (sn, cn, dn) is evaluated once
-    and serves both residues; the circles of all poles are one batch.
-    Refuses, before evaluating any, contours within 2 CONTOUR_RADIUS of
-    another pole.  The tolerance is 1e-6.
+    and serves both residues; the circles of all poles are one batch.  No
+    guard checks that a circle holds one pole: the poles lie at least 2 pi/3
+    apart, and a circle that took in a second one would fail its rows.  The
+    tolerance is 1e-6.
     """
     poles = pole_table(ctx)
-    for i, pole in enumerate(poles):
-        for other in poles[i + 1:]:
-            if abs(other.location - pole.location) < 2.0 * CONTOUR_RADIUS:
-                raise ContourCrossingError(
-                    f"pole at {other.location} lies within 2x contour radius of {pole.location}"
-                )
     n = CONTOUR_NODES
     scd = sn_cn_dn_points([z for pole in poles for z in _circle(pole.location, CONTOUR_RADIUS)], ctx)
     return [

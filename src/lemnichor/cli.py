@@ -15,9 +15,10 @@ of the stdlib's json.dumps(obj, indent=2, sort_keys=True).
 Every gate is a CheckResult row, and one function, _judged, scales its
 tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
 
-Exit codes: 0 success, 1 verification residual above tolerance (a
-machine-readable report is still written), 2 usage error or input whose
-arithmetic leaves the float range (integrate names the step), 3 I/O error.
+Exit codes: 0 success, 1 a residual above its tolerance (a machine-readable
+report is still written) or a collision in integrate, 2 usage error, any
+construction refusal, or input whose arithmetic leaves the float range
+(integrate names the step), 3 I/O error.
 A run that fails once its --output is open leaves neither that file nor
 its sidecar.
 """

@@ -160,14 +160,15 @@ def integrate(positions, velocities, variant: PotentialVariant, dt: float, n_ste
     once per step.  Returns (energy_drift, last row), energy_drift being the
     largest |E(t) - E(0)| over every step.
 
-    Raises ValueError unless dt > 0 and n_steps >= 1; CollisionError
+    Raises ValueError unless 0 < dt < inf and n_steps >= 1; CollisionError
     (carrying the step index) if any pairwise distance drops below
     DELTA_COLL; and OverflowError, naming the step, at the first step (the
     start counts) whose energy is not finite or whose forces overflow.
     consume has then received the rows of every earlier step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    # The chained comparison is also False for NaN.
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be a finite number > 0")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     result = None

@@ -26,10 +26,10 @@ provides.  For c on the hyperbola every tangency point is found; off it, two
 contact points that share one scan cell can be missed.
 
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
-EPS_AXIS of a coordinate axis make the selection rules ambiguous and raise
-instead of guessing.  Everything runs on plain floats and (x, y) pairs;
-only concurrency_point, which reads a TripleState, gives its c as a Vec2
-record.
+EPS_AXIS of a coordinate axis make the selection rules ambiguous.  Every
+refusal of a construction, instead of a guess, is one ConstructionRefusal
+naming its reason.  Everything runs on plain floats and (x, y) pairs; only
+concurrency_point, which reads a TripleState, gives its c as a Vec2 record.
 """
 
 from __future__ import annotations
@@ -53,16 +53,9 @@ SWEEP_FIELDS = ("t", "cx", "cy", "lambda1", "lambda2", "lambda3",
                 "quadrant_c", "quadrant_1", "quadrant_2", "quadrant_3", "hyperbola_residual")
 
 
-class AxisAmbiguityError(ValueError):
-    """A quadrant-based selection rule was asked about a point on an axis."""
-
-
-class MethodDisagreementError(RuntimeError):
-    """The forward-motion rule and the quadrant rule selected different sets."""
-
-
-class NoIntersectionError(ValueError):
-    """A tangent line does not cross the rectangular hyperbola twice."""
+class ConstructionRefusal(ValueError):
+    """A point on an axis, a tangent line that does not cross the hyperbola
+    twice, other than four candidates, or two selection rules that disagree."""
 
 
 class ConcurrencyPoint(NamedTuple):
@@ -97,7 +90,7 @@ def quadrant(x: float, y: float) -> int:
     """1..4 counterclockwise from (+,+); raises within EPS_AXIS of an axis."""
     q = _quadrant_or_zero(x, y)
     if not q:
-        raise AxisAmbiguityError(f"point ({x!r}, {y!r}) lies within {EPS_AXIS} of an axis")
+        raise ConstructionRefusal(f"point ({x!r}, {y!r}) lies within {EPS_AXIS} of an axis")
     return q
 
 
@@ -240,34 +233,30 @@ def select_choreographic(
     forward rule is the cross-check: as c moves up along dc = sign(cx) (cy, cx),
     the tangent of its level set of cx^2 - cy^2, implicit differentiation of
     the gap g(s) = (c - x(s)) x v(s) gives ds/de = -(dc x v(s)) / g'(s).  The
-    kept phases must advance and the discarded one must retreat; disagreement
-    raises MethodDisagreementError.  A c within EPS_AXIS of an axis raises
-    AxisAmbiguityError before the candidates are counted; this refuses the
-    hyperbola vertices (+-1, 0), where two contact points merge.
+    kept phases must advance and the discarded one must retreat.  Raises
+    ConstructionRefusal when they disagree, and for a c within EPS_AXIS of an
+    axis before the candidates are counted; this refuses the hyperbola
+    vertices (+-1, 0), where two contact points merge.
     """
     cx, cy = c
     qc = quadrant(cx, cy)
     if len(candidates) != 4:
-        raise ValueError(f"need exactly 4 candidates, got {len(candidates)}")
+        raise ConstructionRefusal(f"need exactly 4 candidates, got {len(candidates)}")
     for cand in candidates:
         if cand.quadrant == 0:
-            raise AxisAmbiguityError(f"candidate at s={cand.s} lies on an axis")
+            raise ConstructionRefusal(f"candidate at s={cand.s} lies on an axis")
 
     selected = [cand for cand in candidates if cand.quadrant != qc]
     rejected = [cand for cand in candidates if cand.quadrant == qc]
     if len(selected) != 3:
-        raise MethodDisagreementError(
-            f"quadrant rule kept {len(selected)} of 4 candidates"
-        )
+        raise ConstructionRefusal(f"quadrant rule kept {len(selected)} of 4 candidates")
 
     sign = math.copysign(1.0, cx)
     dcx, dcy = sign * cy, sign * cx
     # The sign of ds/de, as a product so that a zero slope gives 0, not an error.
     advance = [-(dcx * cand.vy - dcy * cand.vx) * cand.slope for cand in selected + rejected]
     if not (all(a > 0.0 for a in advance[:3]) and advance[3] < 0.0):
-        raise MethodDisagreementError(
-            "forward-motion rule disagrees with the quadrant rule"
-        )
+        raise ConstructionRefusal("forward-motion rule disagrees with the quadrant rule")
     return selected
 
 
@@ -275,7 +264,7 @@ def tangent_hyperbola_intersections(x: float, y: float,
                                     vx: float, vy: float) -> list[tuple[float, float]]:
     """The two crossings (x, y) of the line (x, y) + lam (vx, vy) with cx^2 - cy^2 = 1.
 
-    Raises NoIntersectionError, naming the reason, for a line parallel to an
+    Raises ConstructionRefusal, naming the reason, for a line parallel to an
     asymptote (one crossing at most), one that misses the hyperbola, or one
     tangent to it.
     """
@@ -283,12 +272,12 @@ def tangent_hyperbola_intersections(x: float, y: float,
     b = 2.0 * (x * vx - y * vy)
     cterm = hyperbola_residual((x, y))
     if abs(a) < 1e-14:
-        raise NoIntersectionError("tangent line is parallel to an asymptote of the hyperbola")
+        raise ConstructionRefusal("tangent line is parallel to an asymptote of the hyperbola")
     disc = b * b - 4.0 * a * cterm
     if disc < -DISC_TOL:
-        raise NoIntersectionError("tangent line misses the hyperbola")
+        raise ConstructionRefusal("tangent line misses the hyperbola")
     if disc <= DISC_TOL:
-        raise NoIntersectionError("tangent line is tangent to the hyperbola")
+        raise ConstructionRefusal("tangent line is tangent to the hyperbola")
     sq = math.sqrt(disc)
     return [(x + lam * vx, y + lam * vy) for lam in ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))]
 
@@ -303,19 +292,18 @@ def complete_triple_from_point(
     it is the one that moves up as x1 moves forward).  The remaining two
     bodies are then read off the tangent construction at that point: x2 and
     x3 are the contact points nearest the phases of the second and third
-    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).
+    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).  An x1 within
+    EPS_AXIS of an axis, the origin among them, is refused by quadrant().
     """
     phases = triple_phases(x1_phase, ctx)
     bodies = [coords(p, ctx) for p in phases]
     x, y, vx, vy, ax, ay = bodies[0]
-    if math.hypot(x, y) < EPS_AXIS:
-        raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(x, y)
 
     ds = tangent_hyperbola_intersections(x, y, vx, vy)
     picked = [d for d in ds if quadrant(*d) != q1]
     if len(picked) != 1:
-        raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
+        raise ConstructionRefusal(f"quadrant rule is ambiguous for intersections {ds}")
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
@@ -325,7 +313,7 @@ def complete_triple_from_point(
         return _foot_lambda(d, x, y, vx, vy) * d[0] * (vx * ay - vy * ax) / (d[0] * vx - d[1] * vy)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
-        raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
+        raise ConstructionRefusal("upward-motion rule disagrees with the quadrant rule")
 
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
     nearest = [min(partners, key=lambda cand: abs(reduce_phase(cand.s - p, ctx)))

@@ -10,9 +10,11 @@ On the analytic orbit at the choreographic modulus, the triple conserves:
     sum of squared distances  = 3 sqrt(3)
     product of squared dists  = 3 sqrt(3) / 2
 
-and each body's curvature satisfies rho^-2 = 9 |x|^2.  full_report forms all
-seven from the floats of orbit.coords, the three pair distances once for both
-the sum and the product; its center of mass is a plain (cx, cy) pair.
+and each body's curvature satisfies rho^-2 = 9 |x|^2; no speed is zero, as
+|v|^2 = 1/2 - (m - 1/2)|x|^2 >= min(1/2, 1 - m) on the orbit, where |x| <= 1.
+full_report forms all seven from the floats of orbit.coords, the three pair
+distances once for both the sum and the product; its center of mass is a
+plain (cx, cy) pair.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ EXPECTED_CURVATURE_SQ_SUM = 9.0 * SQRT3
 EXPECTED_SUM_SQ_DISTANCES = 3.0 * SQRT3
 EXPECTED_PRODUCT_SQ_DISTANCES = 1.5 * SQRT3
 
-DEGENERATE_SPEED = 1e-12
-
 
 def angular_momentum(bodies: list[tuple[float, ...]]) -> float:
     """z-component of the total angular momentum (unit masses) of orbit.coords tuples."""
@@ -42,8 +42,6 @@ def curvature(t: float, ctx: EllipticContext) -> float:
     """Inverse curvature radius rho^-1 = |v x a| / |v|^3 at phase t."""
     vx, vy = velocity(t, ctx)
     speed = math.hypot(vx, vy)
-    if speed < DEGENERATE_SPEED:
-        raise ValueError(f"degenerate velocity |v|={speed!r} at t={t!r}")
     ax, ay = acceleration(t, ctx)
     return abs(vx * ay - vy * ax) / speed**3
 

@@ -169,7 +169,7 @@ def test_criterion_7_geometry(ctx, period):
             continue
         try:
             quads = [geometry.quadrant(*p) for p in s.positions] + [geometry.quadrant(*cp.c)]
-        except geometry.AxisAmbiguityError:
+        except geometry.ConstructionRefusal:
             continue
         samples.append((t, s, cp, quads))
     gate.check(f"found {len(samples)} non-degenerate samples", len(samples) == 200)

@@ -21,7 +21,6 @@ from lemnichor.analytic import (
     WINDING_TOL,
     CensusError,
     CheckResult,
-    ContourCrossingError,
     alpha1,
     alpha2,
     alpha3,
@@ -153,10 +152,16 @@ class TestResidues:
         assert abs(got[f"residue of x_plus at {-a3}"] + math.sqrt(2.0) / ROOT4_3) <= 1e-6
         assert abs(got[f"residue of one_over_one_minus_icn at {-a2}"] + 1.0 / ROOT4_3) <= 1e-6
 
-    def test_contour_crossing_guard_of_the_shared_circles(self, ctx, monkeypatch):
-        monkeypatch.setattr(analytic, "CONTOUR_RADIUS", 2.0)
-        with pytest.raises(ContourCrossingError):
-            analytic.check_residues(ctx)
+    @pytest.mark.parametrize("radius, failing", [(2.0, []), (3.0, ["x_plus"] * 4)])
+    def test_rows_catch_a_circle_that_takes_in_a_second_pole(self, ctx, monkeypatch,
+                                                             radius, failing):
+        # No guard stands before the rows.  Circles of radius 2.0 still hold
+        # one pole each, and every row passes; at 3.0 a circle takes in a
+        # second pole of x^+, and the four x^+ rows fail.
+        monkeypatch.setattr(analytic, "CONTOUR_RADIUS", radius)
+        rows = analytic.check_residues(ctx)
+        assert len(rows) == 8
+        assert [r.name.split()[2] for r in rows if not r.passed] == failing
 
 
 class TestSumIdentities:

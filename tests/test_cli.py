@@ -32,15 +32,15 @@ def run_cli(args, capsys):
 
 
 # The stderr of each kind of construction refusal, byte for byte (exit 2, no
-# stdout): c at a hyperbola vertex, c off the hyperbola, a body at the origin,
-# a tangent line parallel to an asymptote, and c = (cosh 20, sinh 20), so far
-# out that the search finds three contact points.
+# stdout): c at a hyperbola vertex, c off the hyperbola, a body at the origin
+# (on both axes), a tangent line parallel to an asymptote, and
+# c = (cosh 20, sinh 20), so far out that the search finds three contact points.
 CONSTRUCTION_REFUSALS = {
     "--from-c=1,0": "invalid input: point (1.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-c=1.37,0.94": (
         "usage: lemnichor [-h] {sample,verify,integrate,geometry,analytic} ...\n"
         "lemnichor: error: --from-c is off the hyperbola cx^2 - cy^2 = 1, got 1.37,0.94\n"),
-    "--from-point=0": "invalid input: phase maps to the origin\n",
+    "--from-point=0": "invalid input: point (0.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-point=1.845375430245845":
         "invalid input: tangent line is parallel to an asymptote of the hyperbola\n",
     "--from-c=242582597.70489514,242582597.70489514": "invalid input: need exactly 4 candidates, got 3\n",
@@ -827,6 +827,20 @@ class TestExitCodes:
             code = exc.code
         assert (code, *capsys.readouterr()) == (2, "", err)
 
+    @pytest.mark.parametrize("flag", ["--from-c=1.4142135623730951,1", "--from-point=0.55"])
+    def test_rule_disagreement_is_a_refusal(self, flag, tmp_path, capsys, monkeypatch):
+        # Every Newton slope reversed flips the sign of every ds/de, so the
+        # forward rule parts from the quadrant rule: a refusal, not a failed
+        # residual.
+        real = geometry.select_choreographic
+        monkeypatch.setattr(geometry, "select_choreographic", lambda c, candidates: real(
+            c, [cand._replace(slope=-cand.slope) for cand in candidates]))
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(["geometry", flag, "--output", str(out)], capsys)
+        assert (code, stdout, err) == (
+            2, "", "invalid input: forward-motion rule disagrees with the quadrant rule\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("c", ["1.37,0.94", "1.5,0.5"])
     def test_off_curve_from_c_rejected(self, c, tmp_path, capsys):
         # Constructed from off the curve, the phases would not be 4K/3 apart.
@@ -915,6 +929,28 @@ def test_readme_digest_table_names_every_example():
     assert sorted(table) == sorted(" ".join(words[1:]) for words in readme_cli_examples())
 
 
+def _is_canonical_json(text: str) -> bool:
+    """Whether text has the bytes of the stdlib encoder at indent 2 with sorted keys."""
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _check_output_files(path, code, out, err, want):
+    """A README command's run with --output path against its readme_digests.json entry."""
+    assert (code, out) == (0, "")
+    assert _sha256(err) == want["stderr"]
+    data = path.read_bytes()
+    assert _sha256(data) == want["stdout"]
+    sidecar = Path(str(path) + ".meta.json").read_bytes().decode("utf-8")
+    # Every JSON output and every sidecar is written as the stdlib would.
+    assert _is_canonical_json(sidecar)
+    if data.startswith((b"{", b"[")):
+        assert _is_canonical_json(data.decode("utf-8"))
+    # The sidecar less its "python" line, which names the interpreter.
+    sidecar, n = re.subn(r'\n  "python": "[^"\n]*",', "", sidecar)
+    assert n == 1
+    assert _sha256(sidecar) == want["sidecar"]
+
+
 @pytest.mark.parametrize("words", [pytest.param(words, id=" ".join(words[1:]))
                                    for words in readme_cli_examples()])
 def test_readme_cli_example_bytes(words, tmp_path, capsys):
@@ -928,25 +964,46 @@ def test_readme_cli_example_bytes(words, tmp_path, capsys):
     assert (_sha256(out), _sha256(err)) == (want["stdout"], want["stderr"])
 
     path = tmp_path / "out.dat"
-    code, out, err = run_cli(words[1:] + ["--output", str(path)], capsys)
-    assert code == 0 and out == ""
-    assert _sha256(err) == want["stderr"]
-    assert _sha256(path.read_bytes()) == want["stdout"]
-    # The sidecar less its "python" line, which names the interpreter.
-    sidecar, n = re.subn(rb'\n  "python": "[^"\n]*",', b"",
-                         Path(str(path) + ".meta.json").read_bytes())
-    assert n == 1
-    assert _sha256(sidecar) == want["sidecar"]
+    _check_output_files(path, *run_cli(words[1:] + ["--output", str(path)], capsys), want)
+
+
+def _entry_point(args, **env):
+    """(exit code, stdout, stderr) of python -m lemnichor.cli, which calls main() as the
+    console script does, in a fresh interpreter that imports the package from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "lemnichor.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("words", [pytest.param(words, id=" ".join(words[1:]))
+                                   for words in readme_cli_examples()])
+def test_readme_cli_example_in_a_fresh_interpreter(words, tmp_path):
+    want = json.loads(README_DIGESTS.read_text(encoding="utf-8"))[" ".join(words[1:])]
+    path = tmp_path / "out.dat"
+    _check_output_files(path, *_entry_point(words[1:] + ["--output", str(path)]), want)
+
+
+def test_analytic_bytes_do_not_depend_on_the_hash_seed():
+    # The evaluator keeps per-call tables; no set or dict order may reach the output.
+    want = json.loads(README_DIGESTS.read_text(encoding="utf-8"))["analytic"]
+    for seed in ("0", "12345"):
+        code, out, err = _entry_point(["analytic"], PYTHONHASHSEED=seed)
+        assert (code, _sha256(out), err) == (0, want["stdout"], ""), seed
 
 
 # CLI branches that no README command reaches, pinned by (exit code, sha256 of
-# stdout, sha256 of stderr): the JSON sample, and the lower branch of --from-c.
+# stdout, sha256 of stderr): the JSON sample, the lower branch of --from-c,
+# and a --from-c 1e-6 off the axis next to a vertex, which the axis rule lets through.
 BRANCH_DIGESTS = {
     "sample --n-samples 50 --format json": (
         0, "0b723a075118f959e92c0469a10e520aac18b29c8a3c9fb57fbffe225269f964",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "geometry --from-c=-1.4142135623730951,-1": (
         0, "4248769c13b303e4702f08a3e484cf6d4177601ff43c2762aaba667abfe7def4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "geometry --from-c=1.0000000000005,1e-6": (
+        0, "8cabe92ca136fe1322e3ec99ef9e1c09c0998edc124e58a054a4a81315694b3f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 # One sha256 over 100 seeded constructions, every one of which exits 0.
@@ -1024,13 +1081,9 @@ class TestSharedParser:
         assert len(helps[0].splitlines()) > len(helps[1].splitlines())
 
     def test_entry_point_help_follows_columns(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        helps = [
-            subprocess.run([sys.executable, "-m", "lemnichor.cli", "geometry", "--help"],
-                           env=dict(os.environ, PYTHONPATH=src, COLUMNS=columns),
-                           capture_output=True, text=True, check=True).stdout
-            for columns in ("60", "200")
-        ]
+        runs = [_entry_point(["geometry", "--help"], COLUMNS=columns) for columns in ("60", "200")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        helps = [out for _, out, _ in runs]
         assert helps[0].startswith("usage: lemnichor geometry")
         assert helps[0].split() == helps[1].split()
         assert len(helps[0].splitlines()) > len(helps[1].splitlines())

@@ -268,8 +268,10 @@ def final_row(positions, velocities, variant, dt, n_steps):
 class TestIntegrate:
     def test_argument_validation(self, ctx):
         s = triple(0.0, ctx)
-        with pytest.raises(ValueError):
-            integrate(s.positions, s.velocities, U, dt=-0.1, n_steps=10, consume=list)
+        # dt follows the CLI's --dt rule, 0 < dt < inf: NaN and inf never start.
+        for dt in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be a finite number > 0"):
+                integrate(s.positions, s.velocities, U, dt=dt, n_steps=10, consume=list)
         with pytest.raises(ValueError):
             integrate(s.positions, s.velocities, U, dt=0.1, n_steps=0, consume=list)
 

@@ -9,12 +9,9 @@ from lemnichor import geometry
 from lemnichor.cli import main
 from lemnichor.geometry import (
     BISECT_TOL,
-    EPS_AXIS,
-    AxisAmbiguityError,
-    ConcurrencyPoint,
-    MethodDisagreementError,
-    NoIntersectionError,
     SWEEP_FIELDS,
+    ConcurrencyPoint,
+    ConstructionRefusal,
     _gap_and_slope,
     complete_triple_from_point,
     concurrency_point,
@@ -382,8 +379,8 @@ class TestSelectChoreographic:
             assert line_distance(cp.c, (cand.x, cand.y), velocity(cand.s, ctx)) <= 1e-8
 
     def test_methods_agree_at_hundred_points(self, ctx, period):
-        # select_choreographic raises MethodDisagreementError internally if
-        # the quadrant rule and the forward rule ever part ways.
+        # select_choreographic raises ConstructionRefusal internally if the
+        # quadrant rule and the forward rule ever part ways.
         checked = 0
         for t in sample_times(period, 120):
             if checked >= 100:
@@ -393,7 +390,7 @@ class TestSelectChoreographic:
                 continue
             try:
                 picked = select_choreographic(cp.c, tangents_from_point(cp.c, ctx))
-            except AxisAmbiguityError:
+            except ConstructionRefusal:
                 continue
             assert len(picked) == 3
             checked += 1
@@ -420,7 +417,7 @@ class TestSelectChoreographic:
     def test_wrong_candidate_count_rejected(self, ctx):
         cp = concurrency_point(triple(0.8, ctx))
         cands = tangents_from_point(cp.c, ctx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionRefusal, match="need exactly 4 candidates, got 3"):
             select_choreographic(cp.c, cands[:3])
 
 
@@ -435,12 +432,14 @@ class TestCompleteTripleFromPoint:
         assert math.dist(cp.c, ref.c) <= 1e-7
 
     def test_axis_phase_is_ambiguous(self, ctx):
-        with pytest.raises(AxisAmbiguityError):
+        with pytest.raises(ConstructionRefusal):
             complete_triple_from_point(ctx.K, ctx)
 
     def test_origin_phase_is_ambiguous(self, ctx):
-        with pytest.raises(AxisAmbiguityError):
+        # The origin lies on both axes: the axis rule refuses it.
+        with pytest.raises(ConstructionRefusal) as err:
             complete_triple_from_point(0.0, ctx)
+        assert str(err.value) == "point (0.0, 0.0) lies within 1e-08 of an axis"
 
     def test_selected_intersection_moves_up_under_forward_nudge(self, ctx):
         t = ctx.K / 5.0
@@ -464,7 +463,7 @@ class TestCompleteTripleFromPoint:
             t = rng.uniform(0.0, period)
             try:
                 _, cp = complete_triple_from_point(t, ctx)
-            except AxisAmbiguityError:
+            except ConstructionRefusal:
                 continue
             assert fd_rising_crossings(t, ctx) == [cp.c], t
             done += 1
@@ -506,7 +505,7 @@ class TestCompleteTripleFromPoint:
             s = triple(t, ctx)
             try:
                 (x2, x3), _ = complete_triple_from_point(t, ctx)
-            except AxisAmbiguityError:
+            except ConstructionRefusal:
                 continue
             assert math.dist(x2, s.positions[1]) <= 1e-7
             assert math.dist(x3, s.positions[2]) <= 1e-7
@@ -533,13 +532,11 @@ def offset_matching_oracle(x1_phase, ctx):
     x1_phase = reduce_phase(x1_phase, ctx)
     x, y, vx, vy, ax, ay = coords(x1_phase, ctx)
     x1, v1 = OracleVec(x, y), OracleVec(vx, vy)
-    if x1.norm() < EPS_AXIS:
-        raise AxisAmbiguityError("phase maps to the origin")
     q1 = quadrant(*x1)
     ds = tangent_hyperbola_intersections(*x1, *v1)
     picked = [d for d in ds if quadrant(*d) != q1]
     if len(picked) != 1:
-        raise AxisAmbiguityError(f"quadrant rule is ambiguous for intersections {ds}")
+        raise ConstructionRefusal(f"quadrant rule is ambiguous for intersections {ds}")
     d_sel = picked[0]
     d_rej = ds[0] if ds[1] is d_sel else ds[1]
 
@@ -549,7 +546,7 @@ def offset_matching_oracle(x1_phase, ctx):
         return lam * d.x * v1.cross(OracleVec(ax, ay)) / (d.x * v1.x - d.y * v1.y)
 
     if not rise(d_sel) > 0.0 > rise(d_rej):
-        raise MethodDisagreementError("upward-motion rule disagrees with the quadrant rule")
+        raise ConstructionRefusal("upward-motion rule disagrees with the quadrant rule")
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
     period = ctx.period
     third = period / 3.0
@@ -569,7 +566,7 @@ def _outcome(construct, t, ctx):
     # ("ok", float hex of x2, x3, c and the lambdas) or (error type, message).
     try:
         (x2, x3), cp = construct(t, ctx)
-    except (ValueError, RuntimeError) as err:
+    except ConstructionRefusal as err:
         return type(err).__name__, str(err)
     return "ok", [v.hex() for v in (*x2, *x3, *cp.c, *cp.lambdas)]
 
@@ -577,17 +574,17 @@ def _outcome(construct, t, ctx):
 class TestTangentHyperbolaIntersections:
     def test_miss_raises(self):
         # Vertical line through the origin never meets cx^2 - cy^2 = 1.
-        with pytest.raises(NoIntersectionError, match="misses"):
+        with pytest.raises(ConstructionRefusal, match="misses"):
             tangent_hyperbola_intersections(0.0, 0.0, 0.0, 1.0)
 
     def test_line_parallel_to_an_asymptote_raises(self):
         # The line through (0.5, 0) along y = x meets the hyperbola once.
-        with pytest.raises(NoIntersectionError, match="parallel to an asymptote"):
+        with pytest.raises(ConstructionRefusal, match="parallel to an asymptote"):
             tangent_hyperbola_intersections(0.5, 0.0, 1.0, 1.0)
 
     def test_tangent_line_raises(self):
         # The vertical line x = 1 touches the hyperbola at its vertex.
-        with pytest.raises(NoIntersectionError, match="tangent to the hyperbola"):
+        with pytest.raises(ConstructionRefusal, match="tangent to the hyperbola"):
             tangent_hyperbola_intersections(1.0, 0.5, 0.0, 1.0)
 
     def test_intersections_on_hyperbola(self, ctx):
@@ -607,7 +604,7 @@ class TestObservedProperties:
                 continue
             try:
                 quads = [quadrant(*p) for p in s.positions] + [quadrant(*cp.c)]
-            except AxisAmbiguityError:
+            except ConstructionRefusal:
                 continue
             assert len(set(quads)) == 4
 
