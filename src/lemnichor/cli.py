@@ -238,7 +238,7 @@ def _load_init(path: Path) -> list[list[tuple[float, float]]]:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError:
-        # A RuntimeError, which would read as a failed residual (exit 1).
+        # A RuntimeError, which would escape main() as a crash, not exit 2.
         raise ValueError(f"init file {path}: JSON nested too deeply") from None
     out = []
     for key in ("positions", "velocities"):
@@ -332,11 +332,8 @@ def run(args: argparse.Namespace) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    except RuntimeError as exc:
-        report = {"error": str(exc), "passed": False}
-        if isinstance(exc, dynamics.CollisionError):
-            report["step"] = exc.step_index
-        sys.stderr.write(_json_text(report))
+    except dynamics.CollisionError as exc:
+        sys.stderr.write(_json_text({"error": str(exc), "passed": False, "step": exc.step_index}))
         return 1
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")

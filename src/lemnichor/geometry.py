@@ -292,12 +292,12 @@ def complete_triple_from_point(
     it is the one that moves up as x1 moves forward).  The remaining two
     bodies are then read off the tangent construction at that point: x2 and
     x3 are the contact points nearest the phases of the second and third
-    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3).  An x1 within
-    EPS_AXIS of an axis, the origin among them, is refused by quadrant().
+    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3), and their
+    lambdas are those of these contact points.  An x1 within EPS_AXIS of an
+    axis, the origin among them, is refused by quadrant().
     """
     phases = triple_phases(x1_phase, ctx)
-    bodies = [coords(p, ctx) for p in phases]
-    x, y, vx, vy, ax, ay = bodies[0]
+    x, y, vx, vy, ax, ay = coords(phases[0], ctx)
     q1 = quadrant(x, y)
 
     ds = tangent_hyperbola_intersections(x, y, vx, vy)
@@ -319,7 +319,8 @@ def complete_triple_from_point(
     nearest = [min(partners, key=lambda cand: abs(reduce_phase(cand.s - p, ctx)))
                for p in phases[1:]]
     x2, x3 = ((cand.x, cand.y) for cand in nearest)
-    lambdas = tuple(_foot_lambda(d_sel, *b[:4]) for b in bodies)
+    lambdas = (_foot_lambda(d_sel, x, y, vx, vy),
+               *(_foot_lambda(d_sel, cand.x, cand.y, cand.vx, cand.vy) for cand in nearest))
     return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas)
 
 

@@ -14,12 +14,13 @@ it is the only per-body state, and every other reader goes through it.
 The choreography places three unit-mass bodies at phases t, t + 4K/3 and
 t - 4K/3 of the same orbit (triple_phases); triple(t) holds their positions
 and velocities as Vec2 records.  triple_phases first reduces t by whole
-periods (reduce_phase, the package's one phase reduction), so that at a
-large |t| the 4K/3 shifts are not rounded away.  Vec2 is a named (x, y) pair
-built only by triple() and geometry.concurrency_point(), whose results are
-read by .x and .y outside the package; everything else is floats and plain
-(x, y) pairs.  CheckResult is the one row type of every claim the package
-checks against a tolerance.
+periods (reduce_phase), which keeps the 4K/3 shifts exact at a large |t|.
+The elliptic kernel still reduces each argument to [-2K, 2K] itself: both
+reductions are needed, since r +- 4K/3 reaches +-10K/3.  Vec2 is a named
+(x, y) pair built only by triple() and geometry.concurrency_point(), whose
+results are read by .x and .y outside the package; everything else is floats
+and plain (x, y) pairs.  CheckResult is the one row type of every claim the
+package checks against a tolerance.
 """
 
 from __future__ import annotations

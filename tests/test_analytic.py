@@ -12,7 +12,7 @@ from lemnichor.analytic import (
     CENSUS_LINE_NODES,
     CENSUS_LINES,
     CN_SUM_CONSTANT,
-    COEFF_RADII,
+    COEFF_RADIUS,
     CONTOUR_NODES,
     CONTOUR_RADIUS,
     PRINCIPAL_2A,
@@ -63,7 +63,7 @@ EVALUATOR_ROWS = (
     "Im(j sum) vs angular momentum",
     "j product form vs derivative form",
     "Im(j sum) vs angular momentum",
-    "oddness around the zero",
+    "oddness: coefficients h^0, h^2, h^4",
 )
 
 
@@ -87,8 +87,8 @@ class TestCheckRows:
         # 1e-9: the four strip windings (WINDING_TOL) and the two complex sums.
         assert WINDING_TOL == 1e-9
         assert Counter(r.tolerance for r in analytic.checks(ctx)) == {
-            1e-12: 15, 1e-6: 8, 1e-9: 4 + 2, 1e-11: 6, 1e-10: 5,
-            0.01: 1, 1e-5: 2, 1e-4: 2, 1e-8: 2}
+            1e-12: 16, 1e-6: 8, 1e-9: 4 + 2, 1e-11: 6, 1e-10: 5,
+            1e-5: 2, 1e-4: 2, 1e-8: 2}
 
     def test_nan_residual_fails(self):
         row = CheckResult("nan row", 0j, complex(math.nan, 0.0), math.nan, 1.0)
@@ -206,7 +206,7 @@ class TestJIdentity:
 class TestTripleZero:
     def test_at_primary_zero(self, ctx):
         results = {r.name: r for r in check_triple_zero_and_pole(alpha2(ctx), ctx)}
-        assert abs(results["zero order (log-log slope)"].observed - 3.0) <= 0.01
+        assert abs(results["zero order: coefficient h^1"].observed) <= 1e-12
         assert abs(results["leading coefficient h^3"].observed - TRIPLE_ZERO_C3) <= 1e-5
         assert abs(results["principal part h^-3 of reciprocal"].observed - PRINCIPAL_2A) <= 1e-5
         for r in results.values():
@@ -231,12 +231,12 @@ class TestTripleZero:
             check_triple_zero_and_pole(complex(0.1, 0.1), ctx)
 
     @pytest.mark.parametrize("which", ["a2", "-a3"])
-    def test_nothing_else_within_twice_the_larger_radius(self, ctx, which):
+    def test_nothing_else_within_twice_the_coefficient_radius(self, ctx, which):
         # Z - P = 3 with first moment 3 t0 on the circle of radius 2 x the
-        # larger coefficient radius: only the triple zero lies inside, so the
+        # coefficient radius: only the triple zero lies inside, so the
         # Cauchy means see a function analytic out to twice their radius.
         t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
-        order, loc = locate_pole(delta_x_minus_log_d1, t0, ctx, radius=2.0 * max(COEFF_RADII))
+        order, loc = locate_pole(delta_x_minus_log_d1, t0, ctx, radius=2.0 * COEFF_RADIUS)
         assert order == 3
         assert abs(loc - t0) <= 1e-9
 
@@ -446,8 +446,8 @@ def oracle_residue(pole, f, ctx):
 
 
 def oracle_taylor_coefficient(f, center, k, ctx):
-    vals = [oracle_contour_mean(lambda z: f(z, ctx), center, r, weight_k=k) / r**k for r in COEFF_RADII]
-    return sum(vals) / len(vals)
+    r = COEFF_RADIUS
+    return oracle_contour_mean(lambda z: f(z, ctx), center, r, weight_k=k) / r**k
 
 
 def oracle_locate_pole(log_d1, approx, ctx, radius=5e-2):
@@ -523,11 +523,14 @@ class TestOneEvaluationPerNode:
         t0 = alpha2(ctx) if which == "a2" else -alpha3(ctx)
         got = {r.name: r.observed for r in check_triple_zero_and_pole(t0, ctx)}
         inv = lambda z, c: 1.0 / oracle_delta_x_minus(z, c)
-        for name, f, k in (("leading coefficient h^3", oracle_delta_x_minus, 3),
+        for name, f, k in (("zero order: coefficient h^1", oracle_delta_x_minus, 1),
+                           ("leading coefficient h^3", oracle_delta_x_minus, 3),
                            ("next coefficient h^5", oracle_delta_x_minus, 5),
                            ("principal part h^-3 of reciprocal", inv, -3),
                            ("principal part h^-1 of reciprocal", inv, -1)):
             assert cbits(got[name]) == cbits(oracle_taylor_coefficient(f, t0, k, ctx)), name
+        even = [oracle_taylor_coefficient(oracle_delta_x_minus, t0, k, ctx) for k in (0, 2, 4)]
+        assert cbits(got["oddness: coefficients h^0, h^2, h^4"]) == cbits(max(even, key=abs))
 
     def test_sum_and_j_bit_equal(self, ctx):
         for t in sample_points(ctx):
@@ -587,8 +590,8 @@ class TestOneEvaluationPerNode:
             assert abs(loc - want_loc) <= 1e-15
 
     @pytest.mark.parametrize("check, t, points, reductions", [
-        ("check_triple_zero_and_pole", "a2", 150, 144),
-        ("check_triple_zero_and_pole", "-a3", 150, 141),
+        ("check_triple_zero_and_pole", "a2", 64, 57),
+        ("check_triple_zero_and_pole", "-a3", 64, 53),
         ("check_j_identity", 0.9, 3, 7),
         ("check_j_identity", complex(0.2, 0.3), 3, 4),
         ("check_sum_identities", 0.3, 3, 4),
@@ -606,7 +609,7 @@ class TestOneEvaluationPerNode:
         # 256; the five census lines are one batch of 320 nodes, which
         # pole_census adds to its 256 circle nodes).  Each batch reduces
         # each distinct real and imaginary part once: at one point per call,
-        # the same rows made 300, 300, 9, 6, 6, 6, 6, 8, 256, 69, 581 and 768
+        # the same rows made 128, 128, 9, 6, 6, 6, 6, 8, 256, 69, 581 and 768
         # real reductions.  check_j_identity on the axis counts the 3 real
         # evaluations of its angular-momentum triple.
         t = {"a2": alpha2(ctx), "-a3": -alpha3(ctx)}.get(t, t)

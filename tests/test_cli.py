@@ -588,9 +588,9 @@ class TestGeometry:
 
 
 TRIPLE_ZERO_ROWS = (
-    "zero order (log-log slope)", "leading coefficient h^3", "next coefficient h^5",
+    "zero order: coefficient h^1", "leading coefficient h^3", "next coefficient h^5",
     "principal part h^-3 of reciprocal", "principal part h^-1 of reciprocal",
-    "oddness around the zero",
+    "oddness: coefficients h^0, h^2, h^4",
 )
 
 
@@ -635,10 +635,10 @@ class TestAnalytic:
     # Each row's tolerance times the scale: the bytes and the exit code at
     # each scale are those of the checks that multiplied it in themselves.
     @pytest.mark.parametrize("scale, digest, failed", [
-        ("1", "53a196a98bdea3a16cac739ed6b76d845a40df167345ef914d463232bf5725cb", 0),
-        ("100", "bc2e88ac7a2205998171b21d43a7f9824c37cb1406da247a3c6681fb1d407ec0", 0),
-        ("1e-30", "839a43a2639a1c3f7bed846ad36b56267181d32dc70fd820746b5014b1a736b4", 44),
-        ("1e-3", "faa7d2d68b4ff678aaf29e780a1be414edbde216667d489da397f233e059b956", 1),
+        ("1", "9b84e4ec7ba3fd8fbe39b5db661db51bbd883624f265bbc33c7807aa85071ded", 0),
+        ("100", "5002a7d96c36826b0613c9ca93e0ef67557cd940e12af6c9c289aafffd80fd06", 0),
+        ("1e-30", "914101288fce9ffe3db8b91690c9d9803701cf00d169e477b45f7587bb79459c", 44),
+        ("1e-3", "300a12ae546b345ffca4c684217dda130742990dcbcfd601cc7fef0fc7913aec", 0),
     ])
     def test_tolerance_scale_reaches_every_row(self, scale, digest, failed, capsys):
         code, out, _ = run_cli(["analytic", "--tolerance-scale", scale], capsys)
@@ -654,9 +654,8 @@ class TestAnalytic:
             passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
             assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
         if scale == "1e-3":
-            # The slope's tolerance 0.01 becomes 1e-5, below its residual 5.7e-5.
-            assert [e["name"] for e in report if not e["pass"]] == ["zero order (log-log slope)"]
-            assert [e["tolerance"] for e in report if not e["pass"]] == [0.01 * 1e-3]
+            # Every row keeps 10^3 headroom; the least is 2009x, on a strip winding.
+            assert min(e["tolerance"] / e["residual"] for e in report if e["residual"]) > 2.0
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
         # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.
@@ -669,17 +668,17 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("rel", [1e-10, -1e-10])
     def test_near_miss_modulus_fails(self, rel, monkeypatch, capsys):
-        # A modulus 1e-10 off the choreographic one fails 19 of the 47 rows
+        # A modulus 1e-10 off the choreographic one fails 20 of the 47 rows
         # (measured): the twelve special values, the modulus rebuilt from
-        # sn(K/3), and the three-phase sums of x^+, 1/(1 - i cn) and j at the
-        # real points.  No tolerance is loosened or tightened to get there.
+        # sn(K/3), the three-phase sums of x^+, 1/(1 - i cn) and j at the
+        # real points, and the coefficient h^1 of delta x^- at its zero.  No tolerance is loosened or tightened to get there.
         near_miss_context(monkeypatch, rel)
         code, out, _ = run_cli(["analytic"], capsys)
         assert code == 1
         report = strict_json(out)
         assert len(report) == 47
         failed = Counter(analytic_group(e["name"]) for e in report if not e["pass"])
-        assert failed == {"special values": 12, "modulus": 1, "sums": 4, "j": 2}
+        assert failed == {"special values": 12, "modulus": 1, "sums": 4, "j": 2, "triple zero": 1}
 
     @pytest.mark.parametrize("rel", [1e-3, -1e-3])
     def test_only_modulus_free_identities_pass_far_off(self, rel, monkeypatch, capsys):
@@ -698,7 +697,7 @@ class TestAnalytic:
         assert {name for name in passed if analytic_group(name) != "strips"} == {
             "sn(10K/3) shift vs duplication", "sn(10K/3) shift vs direct",
             "j product form vs derivative form", "Im(j sum) vs angular momentum",
-            "oddness around the zero"}
+            "oddness: coefficients h^0, h^2, h^4"}
 
 
 # One function scales every tolerance and judges every gate.  At 1e-30 each
@@ -765,6 +764,17 @@ class TestExitCodes:
         code, _, err = run_cli(["geometry", "--from-point", str(ctx.K)], capsys)
         assert code == 2
         assert "invalid input" in err
+
+    def test_an_unexpected_runtime_error_is_not_a_failed_residual(self, monkeypatch, capsys):
+        # Exit 1 means a residual over its tolerance, or a collision; any
+        # other RuntimeError is a fault of the program and escapes main().
+        def fault(*args):
+            raise RuntimeError("not a residual")
+
+        monkeypatch.setattr(geometry, "tangents_from_point", fault)
+        with pytest.raises(RuntimeError, match="not a residual"):
+            main(["geometry", "--from-point", "0.55"])
+        assert capsys.readouterr().err == ""
 
     def test_tangent_parallel_to_an_asymptote_is_refused(self, capsys):
         # The tangent line at phase 2K/3 is parallel to y = x: it crosses the
@@ -1007,7 +1017,7 @@ BRANCH_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 # One sha256 over 100 seeded constructions, every one of which exits 0.
-CONSTRUCTIONS_DIGEST = "e79367303268fca62ea40fa30f1b837e34b28faf1a43c0889b51e18e81fa57af"
+CONSTRUCTIONS_DIGEST = "d007c1c902f0f0219da23a1afd314ae1c9d2e2fa2a7c6d61e0f84bf1ebffd7da"
 
 
 def test_unlisted_branch_bytes(capsys):

@@ -482,13 +482,11 @@ class TestCompleteTripleFromPoint:
         for key, body in (("x2", s.positions[1]), ("x3", s.positions[2])):
             assert math.dist(data[key], (body.x, body.y)) <= 1e-7
 
-    @pytest.mark.parametrize("t", [1e8 + 0.55, 1e16])
-    def test_lambdas_belong_to_the_reported_bodies_at_a_large_phase(self, ctx, capsys, t):
-        # c = x_i + lambda_i v_i for the three reported bodies, v_i the
-        # velocity at the contact point x_i.  Unless the phase is reduced
-        # first, the 4K/3 shifts to bodies 2 and 3 are rounded away and their
-        # lambdas belong to other points of the orbit (8.4e-9 off at
-        # 1e8 + 0.55, 1.5 at 1e16).
+    @staticmethod
+    def assert_lambdas_belong_to_the_reported_bodies(t, ctx, capsys):
+        # c = x_i + lambda_i v_i, to 1e-14 max(1, |c|), for body 1 at phase t
+        # and the reported bodies 2 and 3, v_i the velocity at the contact
+        # point x_i.
         assert main(["geometry", f"--from-point={t!r}"]) == 0
         data = json.loads(capsys.readouterr().out)
         c = tuple(data["c"])
@@ -497,7 +495,28 @@ class TestCompleteTripleFromPoint:
         x2, x3 = tuple(data["x2"]), tuple(data["x3"])
         bodies = [((x, y), (vx, vy)), (x2, at[x2]), (x3, at[x3])]
         for ((px, py), (qx, qy)), lam in zip(bodies, data["lambdas"]):
-            assert math.dist((px + lam * qx, py + lam * qy), c) <= 1e-12
+            assert math.dist((px + lam * qx, py + lam * qy), c) <= 1e-14 * max(1.0, math.hypot(*c)), t
+
+    @pytest.mark.parametrize("t", [1e8 + 0.55, 1e16])
+    def test_lambdas_belong_to_the_reported_bodies_at_a_large_phase(self, ctx, capsys, t):
+        # Unless the phase is reduced first, the 4K/3 shifts to bodies 2 and 3
+        # are rounded away and their lambdas belong to other points of the
+        # orbit (8.4e-9 off at 1e8 + 0.55, 1.5 at 1e16).
+        self.assert_lambdas_belong_to_the_reported_bodies(t, ctx, capsys)
+
+    def test_lambdas_belong_to_the_reported_bodies(self, ctx, capsys):
+        # The lambdas of bodies 2 and 3 are those of the contact points that
+        # the construction reports, not of the orbit at x1 +- 4K/3 (1.3e-14
+        # relative off at worst over these phases).
+        done = 0
+        for t in offset_matching_phases(ctx):
+            try:
+                complete_triple_from_point(t, ctx)
+            except ConstructionRefusal:
+                continue
+            self.assert_lambdas_belong_to_the_reported_bodies(t, ctx, capsys)
+            done += 1
+        assert done > 360
 
     def test_round_trip_many_phases(self, ctx, period):
         done = 0
@@ -512,19 +531,22 @@ class TestCompleteTripleFromPoint:
             done += 1
         assert done >= 18
 
-    def test_bit_equal_to_offset_matching(self, ctx, period):
+    def test_bit_equal_to_offset_matching(self, ctx):
         # The partners are matched at the phases of triple(t); an earlier form
-        # matched them at t +- period / 3 and evaluated the two lambdas' body
-        # states separately.  Results and refusals must be the same to the bit.
-        rng = random.Random(404)
-        phases = [0.55, 0.0, ctx.K, 2.0 * ctx.K]
-        phases += [rng.uniform(-2.0 * period, 2.0 * period) for _ in range(400)]
+        # matched them at t +- period / 3.  Results and refusals must be the
+        # same to the bit.
         refused = 0
-        for t in phases:
+        for t in offset_matching_phases(ctx):
             got = _outcome(complete_triple_from_point, t, ctx)
             assert got == _outcome(offset_matching_oracle, t, ctx), t
             refused += got[0] != "ok"
         assert 3 <= refused < 40
+
+
+def offset_matching_phases(ctx):
+    rng = random.Random(404)
+    phases = [0.55, 0.0, ctx.K, 2.0 * ctx.K]
+    return phases + [rng.uniform(-2.0 * ctx.period, 2.0 * ctx.period) for _ in range(400)]
 
 
 def offset_matching_oracle(x1_phase, ctx):
@@ -554,10 +576,10 @@ def offset_matching_oracle(x1_phase, ctx):
     def by_offset(offset):
         return min(partners, key=lambda cand: abs(reduce_phase(cand.s - (x1_phase + offset), ctx)))
 
-    lambdas = [dot(OracleVec(*d_sel) - OracleVec(*position(p, ctx)), velocity(p, ctx))
-               / dot(velocity(p, ctx), velocity(p, ctx))
-               for p in (x1_phase, x1_phase + third, x1_phase - third)]
     x2, x3 = by_offset(third), by_offset(-third)
+    lambdas = [dot(OracleVec(*d_sel) - OracleVec(*p), v) / dot(v, v)
+               for p, v in (((x, y), (vx, vy)), ((x2.x, x2.y), (x2.vx, x2.vy)),
+                            ((x3.x, x3.y), (x3.vx, x3.vy)))]
     return (((x2.x, x2.y), (x3.x, x3.y)),
             ConcurrencyPoint(c=d_sel, lambdas=tuple(lambdas)))
 
