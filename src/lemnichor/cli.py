@@ -8,6 +8,14 @@ only the flags it reads.  The parser checks each flag's value as it reads it
 the --init file is read before the run starts, so a bad input writes nothing.
 The parser is built once per process, on first use.
 
+Every CSV is written by one writer, _csv, in chunks of CSV_CHUNK_ROWS rows,
+as the rows are computed.  The first chunk is formatted in process.  With more
+than one CPU, the later ones go to up to CSV_HELPERS_MAX forked helpers, as
+raw doubles over a pipe, and come back as text, in order, while the rows go
+on.  A helper only formats, imports nothing and ends by os._exit; every helper
+is reaped before the output is closed.  The bytes do not depend on which
+path formatted a chunk.
+
 JSON is strict (RFC 8259): a NaN or infinite value is written as null.  Each
 JSON output is encoded once, by one writer, _json_text, whose bytes are those
 of the stdlib's json.dumps(obj, indent=2, sort_keys=True).
@@ -18,7 +26,8 @@ tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
 Exit codes: 0 success, 1 a residual above its tolerance (a machine-readable
 report is still written) or a collision in integrate, 2 usage error, any
 construction refusal, or input whose arithmetic leaves the float range
-(integrate names the step), 3 I/O error.
+(integrate names the step), 3 I/O error (a CSV helper that ends before
+sending its chunk is one too).
 A run that fails once its --output is open leaves neither that file nor
 its sidecar.
 """
@@ -29,8 +38,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from itertools import islice
+from array import array
+from collections import deque
+from itertools import chain, islice
 from pathlib import Path
 
 # The layers that only some commands run (analytic, geometry, invariants) are
@@ -74,19 +86,28 @@ SAMPLE_FIELDS = ("t", "x", "y", "vx", "vy")
 # Rows per CSV text chunk (~0.6 MB of trajectory text): bounds the text held in
 # memory at once, whatever the number of rows.
 CSV_CHUNK_ROWS = 2048
+# At most this many forked helpers format CSV chunks.  On a 2-vCPU VM, a helper
+# took 15-24 ms to format a trajectory chunk, and the parent 7-11 ms to compute
+# one, pass it on and write a result back: a fourth helper would wait on the
+# parent.
+CSV_HELPERS_MAX = 3
 
 
 def _write_text(args: argparse.Namespace, chunks) -> None:
-    """Write the text chunks to --output (plus its sidecar) or to stdout."""
+    """Write the text chunks to --output (plus its sidecar) or to stdout.
+
+    chunks is a list, or a generator (_csv), which is closed, and so its
+    helpers are ended, before the output is.
+    """
     if args.output is None:
-        sys.stdout.writelines(chunks)
+        _write_chunks(sys.stdout, chunks)
         return
     sidecar_path = Path(str(args.output) + ".meta.json")
     # An --output that cannot be opened is left as it is.
     f = args.output.open("w", encoding="utf-8", newline="\n")
     try:
         with f:
-            f.writelines(chunks)
+            _write_chunks(f, chunks)
         import platform
 
         # Every setting of the run, and the interpreter, so that the run can be
@@ -106,20 +127,162 @@ def _write_text(args: argparse.Namespace, chunks) -> None:
         raise
 
 
+def _write_chunks(stream, chunks) -> None:
+    try:
+        stream.writelines(chunks)
+    finally:
+        # A generator that a failed write leaves half-way still holds its helpers.
+        if hasattr(chunks, "close"):
+            chunks.close()
+
+
+def _csv_text(fmt: str, values) -> str:
+    """The CSV lines of the rows held flat in values, each row in the format fmt.
+
+    One % over the whole chunk: the bytes of fmt % row for each row, joined
+    and ended by LF.
+    """
+    n_rows = len(values) // fmt.count("%")
+    return ("\n".join([fmt] * n_rows) + "\n") % tuple(values)
+
+
+def _take(rows) -> array:
+    """The values of the next CSV_CHUNK_ROWS rows, flat; empty when rows are done."""
+    values = array("d")
+    values.fromlist(list(chain.from_iterable(islice(rows, CSV_CHUNK_ROWS))))
+    return values
+
+
 def _csv(rows, header):
-    """The CSV text of an iterable of rows, in chunks of CSV_CHUNK_ROWS rows.
+    """The CSV text of an iterable of rows, in chunks of CSV_CHUNK_ROWS rows, in order.
 
     The header goes out with the first chunk, so a run that fails within its
-    first CSV_CHUNK_ROWS rows writes nothing.
+    first CSV_CHUNK_ROWS rows writes nothing.  That chunk is formatted here;
+    the later ones go round-robin to the helpers of _start_helpers, which
+    format them while rows computes the next, and their text is yielded in
+    chunk order.  When rows raises, the chunks before the failing one are
+    still yielded.  Every helper is reaped when the generator ends, fails or
+    is closed; a helper that ends early is an OSError.
     """
     fmt = ",".join(["%.17g"] * len(header))
-    text = ",".join(header) + "\n"
     rows = iter(rows)
-    while chunk := [fmt % tuple(row) for row in islice(rows, CSV_CHUNK_ROWS)]:
-        yield text + "\n".join(chunk) + "\n"
-        text = ""
-    if text:
-        yield text
+    values = _take(rows)
+    yield ",".join(header) + "\n" + (_csv_text(fmt, values) if values else "")
+    values = _take(rows)
+    helpers = _start_helpers(fmt) if values else []
+    try:
+        pending = deque()  # the readers of the helpers whose text is next, in chunk order
+        sent = 0
+        while values:
+            if not helpers:
+                yield _csv_text(fmt, values)
+            else:
+                _, to_helper, reader = helpers[sent % len(helpers)]
+                sent += 1
+                _send(to_helper, values)
+                pending.append(reader)
+                # Hold no payload while a result comes in: that keeps the
+                # peak memory to the first chunk's.
+                values = None
+                if len(pending) == len(helpers):
+                    yield _chunk_text(pending.popleft())
+            try:
+                values = _take(rows)
+            except Exception:
+                while pending:
+                    yield _chunk_text(pending.popleft())
+                raise
+        while pending:
+            yield _chunk_text(pending.popleft())
+    finally:
+        _stop_helpers(helpers)
+
+
+def _start_helpers(fmt: str) -> list[tuple[int, int, object]]:
+    """Fork the CSV helpers, (pid, fd to it, reader from it) each: one per CPU
+    this process may run on, at most CSV_HELPERS_MAX.
+
+    None with one CPU or without os.fork and os.sched_getaffinity (macOS has
+    no sched_getaffinity), and fewer if a pipe or a fork fails; the caller
+    then formats in process.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return []
+    cpus = len(os.sched_getaffinity(0))
+    helpers = []
+    for _ in range(min(cpus, CSV_HELPERS_MAX) if cpus > 1 else 0):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            break
+        inbox, to_helper, from_helper, outbox = fds
+        if pid == 0:
+            # The helper leaves only by _exit, so no buffer it inherits
+            # (stdout, --output) is ever flushed.  It keeps no pipe end of the
+            # parent's, so each inbox ends when the parent closes it.
+            code = 1
+            try:
+                os.close(to_helper)
+                os.close(from_helper)
+                for _, fd, reader in helpers:
+                    os.close(fd)
+                    reader.close()
+                _csv_helper(fmt, inbox, outbox)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(inbox)
+        os.close(outbox)
+        helpers.append((pid, to_helper, open(from_helper, "rb")))
+    return helpers
+
+
+def _csv_helper(fmt: str, inbox: int, outbox: int) -> None:
+    """Send the text of each chunk of raw doubles read from inbox to outbox,
+    until inbox ends.  Runs in a forked helper, on what the parent imported."""
+    reader = open(inbox, "rb")
+    while data := _receive(reader):
+        _send(outbox, _csv_text(fmt, memoryview(data).cast("d")).encode("ascii"))
+
+
+def _send(fd: int, data) -> None:
+    """One message down a pipe: the size of data in 8 bytes, then its bytes."""
+    view = memoryview(data).cast("B")
+    for part in (len(view).to_bytes(8, "little"), view):
+        while part:
+            part = part[os.write(fd, part):]
+
+
+def _receive(reader) -> bytes:
+    """The next message _send wrote to reader's pipe; b"" if the pipe ended first."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size) if len(head) == 8 else b""
+    return data if len(data) == size else b""
+
+
+def _chunk_text(reader) -> str:
+    data = _receive(reader)
+    if not data:
+        raise OSError("a CSV formatting helper ended before sending its chunk")
+    return data.decode("ascii")
+
+
+def _stop_helpers(helpers) -> None:
+    """End and reap the helpers: each sees its inbox end, or its outbox break."""
+    for _, to_helper, reader in helpers:
+        os.close(to_helper)
+        reader.close()
+    for pid, _, _ in helpers:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # reaped by the system: this process ignores SIGCHLD
 
 
 def _fold_max(worst: float, r: float) -> float:
@@ -188,15 +351,18 @@ def _cplx(z) -> list[float]:
 def cmd_sample(args: argparse.Namespace) -> int:
     ctx = choreography_context()
     period = ctx.period
-    rows = []
-    for j in range(args.n_samples):
-        t = j * period / args.n_samples
-        x, y, vx, vy, _, _ = coords(t, ctx)
-        rows.append([t, x, y, vx, vy])
+
+    def rows():
+        for j in range(args.n_samples):
+            t = j * period / args.n_samples
+            x, y, vx, vy, _, _ = coords(t, ctx)
+            yield t, x, y, vx, vy
+
     if args.format == "json":
-        _write_text(args, [_json_text([dict(zip(SAMPLE_FIELDS, r)) for r in rows])])
+        _write_text(args, [_json_text([dict(zip(SAMPLE_FIELDS, r)) for r in rows()])])
     else:
-        _write_text(args, _csv(rows, SAMPLE_FIELDS))
+        # As in integrate, each row is written as it is computed.
+        _write_text(args, _csv(rows(), SAMPLE_FIELDS))
     return 0
 
 

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import platform
 import random
 import re
 import shlex
+import signal
 import stat
 import subprocess
 import sys
@@ -20,7 +23,7 @@ import pytest
 from lemnichor import analytic, cli, dynamics, geometry, invariants
 from lemnichor.cli import main
 from lemnichor.elliptic import CHOREO_M, choreography_context, make_context
-from lemnichor.orbit import triple
+from lemnichor.orbit import coords, triple
 
 from conftest import position
 
@@ -63,6 +66,16 @@ def parse_csv(text):
     return header, rows
 
 
+def set_cpus(monkeypatch, n):
+    """Let the CLI see n CPUs: one takes the in-process CSV path, two fork helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def near_miss_context(monkeypatch, rel):
     """Run the CLI at the modulus m (1 + rel) instead of the choreographic m."""
     monkeypatch.setattr(cli, "choreography_context",
@@ -96,6 +109,40 @@ class TestSample:
         assert main(["sample", "--n-samples", "100", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_bytes_do_not_depend_on_the_helpers(self, cpus, ctx, monkeypatch, capsys):
+        # 5000 rows: one chunk in process, then two chunks, the last one partial.
+        # Eight CPUs start CSV_HELPERS_MAX helpers, more than some machines have cores.
+        n = 5000
+        fmt = ",".join(["%.17g"] * 5)
+        rows = []
+        for j in range(n):
+            t = j * ctx.period / n
+            rows.append(fmt % (t, *coords(t, ctx)[:4]))
+        expected = "\n".join(["t,x,y,vx,vy", *rows]) + "\n"
+        set_cpus(monkeypatch, cpus)
+        assert run_cli(["sample", "--n-samples", str(n)], capsys) == (0, expected, "")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_is_independent_of_n_samples(self, cpus, tmp_path, monkeypatch, capsys):
+        # The CSV rows stream into chunks as they are computed; only the JSON
+        # format keeps them all.
+        set_cpus(monkeypatch, cpus)
+
+        def peak(n):
+            out = tmp_path / "sample.csv"
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--n-samples", str(n), "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # lazy set-up outside the measurement
+        growth = peak(16384) - peak(2048)
+        assert growth <= 64 * 1024
 
 
 class TestVerify:
@@ -273,7 +320,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("init", ["analytic", "file"])
     @pytest.mark.parametrize("variant", ["U", "V"])
-    def test_streamed_csv_is_byte_identical(self, variant, init, tmp_path, capsys):
+    def test_streamed_csv_is_byte_identical(self, variant, init, tmp_path, capsys, monkeypatch):
+        # The same bytes whether the later chunks are formatted in process
+        # (one CPU) or by forked helpers (two).
         steps = 5000
         assert (steps + 1) % cli.CSV_CHUNK_ROWS != 0  # a partial last chunk
         ctx = choreography_context()
@@ -295,11 +344,13 @@ class TestIntegrate:
         expected = _old_trajectory_csv(rows)
 
         out = tmp_path / "traj.csv"
-        assert main(argv + ["--output", str(out)]) == 0
-        assert out.read_bytes() == expected
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert capsys.readouterr().out.encode() == expected
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            assert main(argv + ["--output", str(out)]) == 0
+            assert out.read_bytes() == expected
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == expected
 
     def test_peak_memory_is_independent_of_steps(self, tmp_path, capsys):
         # Rows stream from the Verlet loop into CSV chunks of CSV_CHUNK_ROWS
@@ -394,6 +445,75 @@ class TestIntegrate:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == [fifo]  # and no sidecar
         assert received[0].count(b"\n") == 1 + 2 * cli.CSV_CHUNK_ROWS
+
+    @pytest.mark.parametrize("how", ["raises", "exits"])
+    def test_a_helper_that_ends_early_is_an_io_error(self, how, tmp_path, capsys, monkeypatch):
+        # The helpers are forked after the patch, so they run it; the parent
+        # formats the first chunk as before.
+        set_cpus(monkeypatch, 2)
+        parent, csv_text = os.getpid(), cli._csv_text
+
+        def failing_in_a_helper(fmt, values):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("a fault in a helper")
+                os._exit(0)  # a clean exit that leaves its chunk unsent
+            return csv_text(fmt, values)
+
+        monkeypatch.setattr(cli, "_csv_text", failing_in_a_helper)
+        out = tmp_path / "traj.csv"
+        code, stdout, err = run_cli(["integrate", "--steps", "10000", "--output", str(out)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err == "i/o error: a CSV formatting helper ended before sending its chunk\n"
+        assert list(tmp_path.iterdir()) == []  # no --output file, no sidecar
+        assert_no_child_process()
+
+    class _FailsAfterFirstWrite(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+    @pytest.mark.parametrize("run, code", [
+        ("complete", 0), ("late collision", 1), ("diverged", 2), ("unwritable", 3),
+        ("failed write", 3),
+    ])
+    def test_no_helper_outlives_a_run(self, run, code, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        assert_no_child_process()
+        argv = ["integrate", "--steps", "10000"]
+        if run == "late collision":
+            self._collide_after(3 * cli.CSV_CHUNK_ROWS, monkeypatch)
+        elif run == "diverged":
+            argv = ["integrate", "--dt", "1e10", "--steps", "40"]
+        elif run == "unwritable":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            argv += ["--output", "/dev/full"]
+        elif run == "failed write":
+            # stdout fails once the helpers have started, with chunks in flight.
+            monkeypatch.setattr(sys, "stdout", self._FailsAfterFirstWrite())
+        assert main(argv) == code
+        capsys.readouterr()
+        assert_no_child_process()
+
+    def test_a_failed_write_ends_the_helpers_before_it_returns(self, monkeypatch):
+        # The chunks are still referenced, so only their closing reaps the helpers.
+        set_cpus(monkeypatch, 2)
+        chunks = cli._csv(((float(j), 0.5, -1e300) for j in range(5000)), ("a", "b", "c"))
+        with pytest.raises(OSError):
+            cli._write_chunks(self._FailsAfterFirstWrite(), chunks)
+        assert_no_child_process()
+
+    def test_a_process_that_ignores_sigchld_still_writes(self, tmp_path, monkeypatch):
+        # The system reaps the helpers itself, so waiting for them finds none.
+        set_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert main(["integrate", "--steps", "5000", "--output", str(tmp_path / "traj.csv")]) == 0
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert (tmp_path / "traj.csv").read_bytes().count(b"\n") == 5002
 
     _GOOD = [[0.0, 0.0], [0.8, 0.2], [-0.8, -0.2]]
 
