@@ -23,11 +23,11 @@ of the stdlib's json.dumps(obj, indent=2, sort_keys=True).
 Every gate is a CheckResult row, and one function, _judged, scales its
 tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
 
-Exit codes: 0 success, 1 a residual above its tolerance (a machine-readable
-report is still written) or a collision in integrate, 2 usage error, any
-construction refusal, or input whose arithmetic leaves the float range
-(integrate names the step), 3 I/O error (a CSV helper that ends before
-sending its chunk is one too).
+Exit codes, one source each: 0 success; 1 a residual above its tolerance,
+judged by _judged (a machine-readable report is still written); 2 a
+ValueError: a usage error, a construction refusal, or an integrate run that
+cannot go on, a collision or an energy that is not finite, named by its step;
+3 an OSError (a CSV helper that ends before sending its chunk is one too).
 A run that fails once its --output is open leaves neither that file nor
 its sidecar.
 """
@@ -498,17 +498,8 @@ def run(args: argparse.Namespace) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    except dynamics.CollisionError as exc:
-        sys.stderr.write(_json_text({"error": str(exc), "passed": False, "step": exc.step_index}))
-        return 1
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
-        return 2
-    except OverflowError as exc:
-        # Finite input whose arithmetic leaves the float range (an --init file
-        # with coordinates near 1e308, or a --dt the run diverges at; integrate
-        # names the step): the input is unusable, no residual failed.
-        sys.stderr.write(f"invalid input: arithmetic overflow: {exc}\n")
         return 2
 
 
@@ -528,7 +519,9 @@ def _checked(convert, ok, want: str):
     return parse
 
 
-_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+# A count enters float arithmetic (the sample times), so it must be a float too.
+_count = _checked(int, lambda n: 1 <= n <= sys.float_info.max,
+                  "an integer >= 1 within the float range")
 # The chained comparison is also False for NaN.
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _finite = _checked(float, math.isfinite, "a finite number")

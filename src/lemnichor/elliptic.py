@@ -21,6 +21,7 @@ quadrature, not direct evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -123,15 +124,10 @@ def make_context(m: float) -> EllipticContext:
     )
 
 
+@functools.cache
 def choreography_context() -> EllipticContext:
     """Context at the choreographic modulus CHOREO_M (cached)."""
-    global _CHOREO_CTX
-    if _CHOREO_CTX is None:
-        _CHOREO_CTX = make_context(CHOREO_M)
-    return _CHOREO_CTX
-
-
-_CHOREO_CTX: EllipticContext | None = None
+    return make_context(CHOREO_M)
 
 
 def _sn_cn_dn_real(t: float, plan: tuple) -> tuple[float, float, float]:

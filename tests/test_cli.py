@@ -287,15 +287,24 @@ class TestIntegrate:
                                       0.001, 8, consume=deque(maxlen=0).extend)
         assert summary["energy_drift"] == drift
 
-    @pytest.mark.parametrize("dt, steps, step", [("1e10", "40", 8), ("1e200", "3", 1), ("1e300", "3", 1)])
-    def test_diverged_run_is_refused_at_its_step(self, dt, steps, step, capsys):
+    @pytest.mark.parametrize("dt, steps, step, reason", [
+        ("1e10", "40", 8, "energy is not finite"),
+        ("1e200", "3", 1, "energy is not finite"),
+        ("1e300", "3", 1, "energy is not finite"),
+        ("0.126", "4000", 618, "bodies 0 and 2 closer than 1e-10"),
+    ], ids=["1e10-40-8", "1e200-3-1", "1e300-3-1", "0.126-4000-618"])
+    def test_diverged_run_is_refused_at_its_step(self, dt, steps, step, reason, tmp_path, capsys):
         # At 1e10 a squared separation overflows in the kernel; at 1e200 and
-        # 1e300 the energy turns NaN without a raise.  Each is one exit 2
-        # naming the step, with nothing written.
-        code, out, err = run_cli(["integrate", "--dt", dt, "--steps", steps], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == f"invalid input: arithmetic overflow: the run leaves the float range at step {step}\n"
+        # 1e300 the energy turns NaN.  At 0.126 the run diverges too, until
+        # bodies 0 and 2 coincide in floating point at (2.92e17, 7.43e16): a
+        # collision that --dt alone reaches from the analytic start.
+        # Each is one exit 2 naming the step, with nothing written.
+        argv = ["integrate", "--dt", dt, "--steps", steps]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: {reason} at step {step}\n"
+        assert run_cli(argv + ["--output", str(tmp_path / "traj.csv")], capsys)[:2] == (2, "")
+        assert list(tmp_path.iterdir()) == []  # no --output file, no sidecar
 
     def test_sidecar_written(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -371,19 +380,19 @@ class TestIntegrate:
         capsys.readouterr()
         assert growth <= 64 * 1024
 
-    @pytest.mark.parametrize("positions, velocities, dt", [
-        ([[0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]], [[0.0, 0.0]] * 3, "0.1"),
-        ([[-1e-10, 0.0], [1e-10, 0.0], [1.0, 1.0]], [[0.95, 0.0], [-0.95, 0.0], [0.0, 0.0]], "1e-10"),
+    @pytest.mark.parametrize("positions, velocities, dt, step", [
+        ([[0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]], [[0.0, 0.0]] * 3, "0.1", 0),
+        ([[-1e-10, 0.0], [1e-10, 0.0], [1.0, 1.0]], [[0.95, 0.0], [-0.95, 0.0], [0.0, 0.0]], "1e-10", 1),
     ], ids=["coincident", "approaching"])
-    def test_collision_writes_nothing(self, positions, velocities, dt, tmp_path, capsys):
+    def test_collision_writes_nothing(self, positions, velocities, dt, step, tmp_path, capsys):
         init = tmp_path / "init.json"
         init.write_text(json.dumps({"positions": positions, "velocities": velocities}))
         out = tmp_path / "traj.csv"
         code, stdout, err = run_cli(
             ["integrate", "--init", str(init), "--dt", dt, "--steps", "10", "--output", str(out)], capsys
         )
-        assert code == 1
-        assert json.loads(err)["passed"] is False
+        assert code == 2
+        assert err == f"invalid input: bodies 0 and 1 closer than 1e-10 at step {step}\n"
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [init]
 
@@ -412,9 +421,8 @@ class TestIntegrate:
         calls = 3 * cli.CSV_CHUNK_ROWS  # the kernel runs once per step, plus once at the start
         self._collide_after(calls, monkeypatch)
         code, stdout, err = run_cli(["integrate", "--steps", "10000", "--output", str(out)], capsys)
-        assert code == 1
-        assert json.loads(err) == {"error": "bodies 0 and 1 closer than 1e-10", "passed": False,
-                                   "step": calls - 1}
+        assert code == 2
+        assert err == f"invalid input: bodies 0 and 1 closer than 1e-10 at step {calls - 1}\n"
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -422,8 +430,8 @@ class TestIntegrate:
         calls = 3 * cli.CSV_CHUNK_ROWS
         self._collide_after(calls, monkeypatch)
         code, stdout, err = run_cli(["integrate", "--steps", "10000"], capsys)
-        assert code == 1
-        assert json.loads(err)["step"] == calls - 1
+        assert code == 2
+        assert err == f"invalid input: bodies 0 and 1 closer than 1e-10 at step {calls - 1}\n"
         # Whole chunks only: the rows of steps 0 .. 2 * CSV_CHUNK_ROWS - 1.
         header, rows = parse_csv(stdout)
         assert header == list(dynamics.ROW_FIELDS)
@@ -441,7 +449,7 @@ class TestIntegrate:
         finally:
             reader.join(timeout=60)
         assert not reader.is_alive()
-        assert code == 1
+        assert code == 2
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == [fifo]  # and no sidecar
         assert received[0].count(b"\n") == 1 + 2 * cli.CSV_CHUNK_ROWS
@@ -475,7 +483,7 @@ class TestIntegrate:
             return super().write(text)
 
     @pytest.mark.parametrize("run, code", [
-        ("complete", 0), ("late collision", 1), ("diverged", 2), ("unwritable", 3),
+        ("complete", 0), ("late collision", 2), ("diverged", 2), ("unwritable", 3),
         ("failed write", 3),
     ])
     def test_no_helper_outlives_a_run(self, run, code, capsys, monkeypatch):
@@ -870,8 +878,14 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_usage_error_bad_counts(self, capsys):
+        # A count beyond the float range cannot enter the sample times.
+        huge = "1" + "0" * 400
         for argv, flag in ((["sample", "--n-samples", "0"], "--n-samples"),
-                           (["integrate", "--steps", "0"], "--steps")):
+                           (["integrate", "--steps", "0"], "--steps"),
+                           (["sample", "--n-samples", huge], "--n-samples"),
+                           (["verify", "--n-samples", huge], "--n-samples"),
+                           (["geometry", "--n-samples", huge], "--n-samples"),
+                           (["integrate", "--steps", huge], "--steps")):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
@@ -886,8 +900,8 @@ class TestExitCodes:
         assert "invalid input" in err
 
     def test_an_unexpected_runtime_error_is_not_a_failed_residual(self, monkeypatch, capsys):
-        # Exit 1 means a residual over its tolerance, or a collision; any
-        # other RuntimeError is a fault of the program and escapes main().
+        # Exit 1 means only a residual over its tolerance; a RuntimeError is
+        # a fault of the program and escapes main().
         def fault(*args):
             raise RuntimeError("not a residual")
 

@@ -51,6 +51,11 @@ def newton(pts, i):
     return Vec2(fx, fy)
 
 
+def raised_step(exc):
+    """The step that integrate() names at the end of the message of the run's refusal."""
+    return int(str(exc).rsplit(" at step ", 1)[1])
+
+
 def minus(a, b):
     """a - b of two (x, y) pairs, componentwise."""
     return Vec2(a[0] - b[0], a[1] - b[1])
@@ -349,8 +354,9 @@ class TestIntegrate:
         # step 1, naming it, after the start row has reached consume.
         s = triple(0.0, ctx)
         rows = []
-        with pytest.raises(OverflowError, match=r"at step 1$"):
+        with pytest.raises(ValueError, match=r"^energy is not finite at step 1$") as err:
             integrate(s.positions, s.velocities, variant, 1e300, 3, consume=rows.extend)
+        assert type(err.value) is ValueError  # a divergence, not a collision
         assert len(rows) == 1 and math.isfinite(rows[0][-1])
 
     @pytest.mark.parametrize("energies, step", [
@@ -364,7 +370,7 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "_energy", lambda *_: next(energies))
         s = triple(0.0, ctx)
         rows = []
-        with pytest.raises(OverflowError, match=rf"at step {step}$"):
+        with pytest.raises(ValueError, match=rf"^energy is not finite at step {step}$"):
             integrate(s.positions, s.velocities, U, 0.01, 3, consume=rows.extend)
         assert len(rows) == step
 
@@ -372,9 +378,8 @@ class TestIntegrate:
         pts = [Vec2(0.0, 0.0), Vec2(1e-11, 0.0), Vec2(1.0, 1.0)]
         vels = [Vec2(0.0, 0.0)] * 3
         rows = []
-        with pytest.raises(CollisionError) as err:
+        with pytest.raises(CollisionError, match=r"^bodies 0 and 1 closer than 1e-10 at step 0$"):
             integrate(pts, vels, U, dt=0.1, n_steps=10, consume=rows.extend)
-        assert err.value.step_index == 0
         assert rows == []
 
     def test_recorded_samples_uniform(self, ctx):
@@ -397,8 +402,9 @@ class TestIntegrate:
         rows = []
         with pytest.raises(CollisionError) as err:
             integrate(pts, vels, V, dt=1e-10, n_steps=10, consume=rows.extend)
-        assert err.value.step_index >= 1
-        assert len(rows) == err.value.step_index
+        step = raised_step(err.value)
+        assert step >= 1
+        assert len(rows) == step
         assert row_positions(rows[0]) == pts
         assert row_velocities(rows[0]) == vels
 
@@ -571,9 +577,8 @@ class TestCollisions:
             with pytest.raises(CollisionError, match=message):
                 call()
         rows = []
-        with pytest.raises(CollisionError, match=message) as err:
+        with pytest.raises(CollisionError, match=rf"^{message} 1e-10 at step 0$"):
             integrate(pts, vels, variant, dt=0.1, n_steps=10, consume=rows.extend)
-        assert err.value.step_index == 0
         assert rows == []
 
     @pytest.mark.parametrize("variant", [U, V])
@@ -600,7 +605,7 @@ class TestCollisions:
             lo, hi = (v, hi) if x < 0.0 else (lo, v)
         else:
             pytest.fail("the bisection found no collision")
-        assert err.step_index == k
+        assert raised_step(err) == k
         # Every step before the collision is delivered, none after it: rows of
         # steps 0 .. k - 1, bit-equal to a (k - 1)-step run, whose drift they give.
         assert len(rows) == k
