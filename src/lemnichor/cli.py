@@ -2,11 +2,13 @@
 
 Data outputs are deterministic: CSV uses '.' decimal, ',' delimiter, LF line
 endings and 17 significant digits, and carries no timestamps; run metadata
-goes to a separate ``<output>.meta.json`` sidecar.  Each subcommand takes
-only the flags it reads.  The parser checks each flag's value as it reads it
-(its ``type=`` converter), _settings checks the flags that go together, and
-the --init file is read before the run starts, so a bad input writes nothing.
-The parser is built once per process, on first use.
+goes to a separate ``<output>.meta.json`` sidecar.  SETTINGS names the
+settings of each subcommand: the flags it takes, their defaults and what its
+sidecar records.  The parser checks each flag's value (its ``type=``
+converter) and the flags its exclusive group holds apart, _settings the other
+flags that do not go together, and the --init file is read before the run
+starts, so a bad input writes nothing.  The parser is built once per process,
+on first use.
 
 Every CSV is written by one writer, _csv, in chunks of CSV_CHUNK_ROWS rows,
 as the rows are computed.  The first chunk is formatted in process.  With more
@@ -65,19 +67,16 @@ DEFAULT_TOLERANCES = {
     "hyperbola": 1e-11,
 }
 
-# Every setting of a run and its default (the geometry sweep takes 200
-# samples): a flag left out takes its default here, and the sidecar's
-# ``config`` records every setting.
+# The settings of each command, in --help order, and their defaults: the
+# command takes their flags and no other, a flag left out takes its default,
+# and the sidecar's ``config`` records them all.  A None dt is one period in
+# the default steps (filled in by _settings); None from_c and from_point, the sweep.
 SETTINGS = {
-    "n_samples": 1000,
-    "dt": None,
-    "steps": 65536,
-    "variant": "U",
-    "format": "csv",
-    "tolerance_scale": 1.0,
-    "init": "analytic",
-    "from_c": None,
-    "from_point": None,
+    "sample": {"n_samples": 1000},
+    "verify": {"n_samples": 1000, "tolerance_scale": 1.0},
+    "integrate": {"variant": "U", "dt": None, "steps": 65536, "init": "analytic"},
+    "geometry": {"tolerance_scale": 1.0, "n_samples": 200, "from_c": None, "from_point": None},
+    "analytic": {"tolerance_scale": 1.0},
 }
 
 # The columns of the sample table.
@@ -110,9 +109,9 @@ def _write_text(args: argparse.Namespace, chunks) -> None:
             _write_chunks(f, chunks)
         import platform
 
-        # Every setting of the run, and the interpreter, so that the run can be
-        # replayed from it on the same one.
-        config = {k: getattr(args, k) for k in SETTINGS}
+        # Every setting of the command, and the interpreter, so that the run
+        # can be replayed from it on the same one.
+        config = {k: getattr(args, k) for k in SETTINGS[args.command]}
         sidecar = {"command": args.command, "config": config, "python": platform.python_version(),
                    "tool": f"lemnichor {__version__}"}
         sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
@@ -358,11 +357,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             x, y, vx, vy, _, _ = coords(t, ctx)
             yield t, x, y, vx, vy
 
-    if args.format == "json":
-        _write_text(args, [_json_text([dict(zip(SAMPLE_FIELDS, r)) for r in rows()])])
-    else:
-        # As in integrate, each row is written as it is computed.
-        _write_text(args, _csv(rows(), SAMPLE_FIELDS))
+    # As in integrate, each row is written as it is computed.
+    _write_text(args, _csv(rows(), SAMPLE_FIELDS))
     return 0
 
 
@@ -419,7 +415,6 @@ def _load_init(path: Path) -> list[list[tuple[float, float]]]:
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     ctx = choreography_context()
-    dt = args.dt if args.dt is not None else ctx.period / SETTINGS["steps"]
     if args.init == "analytic":
         start = triple(0.0, ctx)
         positions, velocities = start.positions, start.velocities
@@ -427,11 +422,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         positions, velocities = _load_init(Path(args.init))
     # Each row is written as the Verlet loop reaches it; only the last is kept.
     drift, last = dynamics.integrate(
-        positions, velocities, dynamics.PotentialVariant(args.variant), dt, args.steps,
+        positions, velocities, dynamics.PotentialVariant(args.variant), args.dt, args.steps,
         consume=lambda rows: _write_text(args, _csv(rows, dynamics.ROW_FIELDS)),
     )
 
-    summary = {"final_time": args.steps * dt, "energy_drift": drift}
+    summary = {"final_time": args.steps * args.dt, "energy_drift": drift}
     if args.init == "analytic":
         # Only the analytic start has a reference orbit to compare against.
         # Body k's x and y are the columns x{k}, y{k} (1, 2; 5, 6; 9, 10) of the row.
@@ -541,56 +536,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, summary, n_samples=False, tolerance=False):
+    # The flag of each setting, by its dest.
+    flags = {
+        "n_samples": dict(type=_count),
+        "tolerance_scale": dict(type=_positive,
+                                help="multiply every tolerance by this finite positive factor"),
+        "variant": dict(choices=("U", "V")),
+        "dt": dict(type=_positive, help=f"step (default: period / {SETTINGS['integrate']['steps']})"),
+        "steps": dict(type=_count),
+        "init": dict(help="'analytic' or a JSON file with positions/velocities"),
+        "from_c": dict(type=_point, metavar="CX,CY", help="construct the triple from a hyperbola point"),
+        "from_point": dict(type=_finite, metavar="S", help="construct the triple from one orbit phase"),
+    }
+    summaries = {
+        "sample": "sample the analytic orbit over one period",
+        "verify": "run the conservation-law suite",
+        "integrate": "velocity-Verlet integration",
+        "geometry": "tangent-line geometry sweep or constructions",
+        "analytic": "run the complex-analytic check suite",
+    }
+    for name, settings in SETTINGS.items():
         # A flag left out is absent from the namespace; _settings fills it in.
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=summaries[name], argument_default=argparse.SUPPRESS)
         p.add_argument("--output", type=Path, default=None, help="write data here (default: stdout)")
-        if n_samples:
-            p.add_argument("--n-samples", type=_count)
-        if tolerance:
-            p.add_argument("--tolerance-scale", type=_positive,
-                           help="multiply every tolerance by this finite positive factor")
-        return p
-
-    p = add("sample", "sample the analytic orbit over one period", n_samples=True)
-    p.add_argument("--format", choices=("csv", "json"))
-
-    add("verify", "run the conservation-law suite", n_samples=True, tolerance=True)
-
-    p = add("integrate", "velocity-Verlet integration")
-    p.add_argument("--variant", choices=("U", "V"))
-    p.add_argument("--dt", type=_positive, help=f"step (default: period / {SETTINGS['steps']})")
-    p.add_argument("--steps", type=_count)
-    p.add_argument("--init", help="'analytic' or a JSON file with positions/velocities")
-
-    p = add("geometry", "tangent-line geometry sweep or constructions",
-            n_samples=True, tolerance=True)
-    construction = p.add_mutually_exclusive_group()
-    construction.add_argument("--from-c", type=_point, metavar="CX,CY",
-                              help="construct the triple from a hyperbola point")
-    construction.add_argument("--from-point", type=_finite, metavar="S",
-                              help="construct the triple from one orbit phase")
-
-    add("analytic", "run the complex-analytic check suite", tolerance=True)
+        # A construction builds one triple from one input: no sample count.
+        one_input = p.add_mutually_exclusive_group() if "from_c" in settings else p
+        for dest in settings:
+            holder = one_input if dest in ("n_samples", "from_c", "from_point") else p
+            holder.add_argument("--" + dest.replace("_", "-"), **flags[dest])
     return parser
 
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The flags given over the SETTINGS defaults.
+    """The flags given over the defaults of the command's SETTINGS.
 
-    Raises ValueError on flags that do not go together, and on a --from-c
-    point off the hyperbola.
+    Raises ValueError on --tolerance-scale with --from-point, and on a
+    --from-c point off the hyperbola.
     """
     given = vars(args)
-    # A construction builds one triple, and --from-point checks nothing
-    # against a tolerance: a flag it would ignore is refused.
-    if "n_samples" in given and ("from_c" in given or "from_point" in given):
-        raise ValueError("--n-samples is not taken by --from-c or --from-point")
+    # --from-point checks nothing against a tolerance, so the flag is refused.
     if "tolerance_scale" in given and "from_point" in given:
         raise ValueError("--tolerance-scale is not taken by --from-point")
-    defaults = dict(SETTINGS, n_samples=200) if args.command == "geometry" else SETTINGS
+    defaults = SETTINGS[args.command]
     args = argparse.Namespace(**{**defaults, **given})
-    if args.from_c is not None:
+    if "dt" in defaults and args.dt is None:
+        args.dt = choreography_context().period / defaults["steps"]
+    if "from_c" in given:
         from . import geometry
 
         # Off the curve the phases would not be 4K/3 apart.

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -96,13 +97,6 @@ class TestSample:
             assert row[1] == pytest.approx(p.x, abs=1e-15)
             assert row[2] == pytest.approx(p.y, abs=1e-15)
 
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(["sample", "--n-samples", "3", "--format", "json"], capsys)
-        assert code == 0
-        data = json.loads(out)
-        assert len(data) == 3
-        assert set(data[0]) == {"t", "x", "y", "vx", "vy"}
-
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sample", "--n-samples", "100", "--output", str(a)]) == 0
@@ -127,8 +121,7 @@ class TestSample:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_memory_is_independent_of_n_samples(self, cpus, tmp_path, monkeypatch, capsys):
-        # The CSV rows stream into chunks as they are computed; only the JSON
-        # format keeps them all.
+        # The CSV rows stream into chunks as they are computed, and none is kept.
         set_cpus(monkeypatch, cpus)
 
         def peak(n):
@@ -314,6 +307,17 @@ class TestIntegrate:
         assert meta["config"]["steps"] == 4
         assert meta["config"]["init"] == "analytic"
         assert meta["python"] == platform.python_version()
+
+    def test_recorded_dt_replays_the_run(self, tmp_path):
+        # The sidecar holds the step the default took, and the run it names
+        # has the same bytes.
+        out = tmp_path / "traj.csv"
+        assert main(["integrate", "--steps", "3000", "--output", str(out)]) == 0
+        dt = json.loads((tmp_path / "traj.csv.meta.json").read_text())["config"]["dt"]
+        assert type(dt) is float
+        replay = tmp_path / "replay.csv"
+        assert main(["integrate", "--steps", "3000", "--dt", repr(dt), "--output", str(replay)]) == 0
+        assert replay.read_bytes() == out.read_bytes()
 
     def test_sidecar_names_the_init_file(self, ctx, tmp_path):
         s = triple(0.3, ctx)
@@ -674,7 +678,7 @@ class TestGeometry:
         assert main(argv + ["--output", str(out)]) == 0
         config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
         assert config[key] == value
-        assert {"init", "from_c", "from_point"} <= set(config)
+        assert set(config) == {"n_samples", "tolerance_scale", "from_c", "from_point"}
 
     def test_from_c_takes_tolerance_scale(self, tmp_path, capsys):
         # It scales the on-curve check: |cx^2 - cy^2 - 1| / |c|^2 = 3.5e-8
@@ -1011,6 +1015,8 @@ class TestExitCodes:
         ["geometry", "--from-point", "0.55", "--n-samples", "7", "--tolerance-scale", "1e-30"],
         # The deleted --affine: its y = m sin cn / (1 + cn^2) lay on no orbit.
         ["sample", "--affine"],
+        # The deleted JSON sample: no claim read it.
+        ["sample", "--format", "json"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, tmp_path, capsys):
         out = tmp_path / "out.dat"
@@ -1137,12 +1143,9 @@ def test_analytic_bytes_do_not_depend_on_the_hash_seed():
 
 
 # CLI branches that no README command reaches, pinned by (exit code, sha256 of
-# stdout, sha256 of stderr): the JSON sample, the lower branch of --from-c,
-# and a --from-c 1e-6 off the axis next to a vertex, which the axis rule lets through.
+# stdout, sha256 of stderr): the lower branch of --from-c, and a --from-c 1e-6
+# off the axis next to a vertex, which the axis rule lets through.
 BRANCH_DIGESTS = {
-    "sample --n-samples 50 --format json": (
-        0, "0b723a075118f959e92c0469a10e520aac18b29c8a3c9fb57fbffe225269f964",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "geometry --from-c=-1.4142135623730951,-1": (
         0, "4248769c13b303e4702f08a3e484cf6d4177601ff43c2762aaba667abfe7def4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -1178,11 +1181,35 @@ def test_unlisted_branch_bytes(capsys):
     assert digest.hexdigest() == CONSTRUCTIONS_DIGEST
 
 
+# A short run of each subcommand, a construction for geometry.
+ONE_RUN_EACH = {
+    "sample": ["sample", "--n-samples", "12"],
+    "verify": ["verify", "--n-samples", "10"],
+    "integrate": ["integrate", "--steps", "4"],
+    "geometry": ["geometry", "--from-point", "0.55"],
+    "analytic": ["analytic"],
+}
+
+
+def test_sidecar_records_the_flags_of_its_command(tmp_path):
+    # The settings a sidecar records are read from the table, the flags from
+    # the parser: each checks the other.
+    commands = next(a.choices for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(ONE_RUN_EACH)
+    for name, argv in ONE_RUN_EACH.items():
+        out = tmp_path / f"{name}.out"
+        assert main(argv + ["--output", str(out)]) == 0
+        config = json.loads(Path(f"{out}.meta.json").read_text())["config"]
+        dests = {a.dest for a in commands[name]._actions if a.option_strings} - {"help", "output"}
+        assert set(config) == dests, name
+
+
 # One parser serves every main() call of a process.  The usage errors, in the
 # order of their checks: a type= converter, _settings, the exclusive group.
 REFUSALS = (
     ["verify", "--n-samples", "0"],
-    ["geometry", "--from-point", "0.55", "--n-samples", "7"],
+    ["geometry", "--from-point", "0.55", "--tolerance-scale", "2"],
     ["geometry", "--from-c=1.4142135623730951,1", "--from-point", "0.55"],
 )
 HELPS = (["--help"], ["geometry", "--help"])
