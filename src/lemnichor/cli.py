@@ -592,13 +592,20 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The subparser of each command, whose usage line and errors name it."""
+    return next(a.choices for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         args = _settings(args)
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2 before any output is written
+        # Reported as the command's other usage errors are; exits 2 before
+        # any output is written.
+        _command_parsers()[args.command].error(str(exc))
     return run(args)
 
 

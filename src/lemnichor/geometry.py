@@ -20,7 +20,8 @@ Two construction procedures are implemented and cross-validated:
 
 Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
 scanned once on a grid of TANGENCY_NODES phases, and each sign change is
-refined by safeguarded Newton (rtsafe, Numerical Recipes 9.4) with the exact
+refined by safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the
+bracket's regula-falsi point, read off the two scanned gaps, with the exact
 slope g'(s) = (c - x(s)) x a(s), which the same elliptic evaluation as g
 provides.  For c on the hyperbola every tangency point is found; off it, two
 contact points that share one scan cell can be missed.
@@ -140,12 +141,11 @@ def relative_hyperbola_residual(c: tuple[float, float], h: float) -> float:
 
 @lru_cache(maxsize=4)
 def _scan_grid(ctx: EllipticContext):
-    # Flat orbit samples (x, y, vx, vy), one elliptic evaluation per node,
-    # reused by every tangency scan against the same context.
+    # One row (x, y, vx, vy) per node, one elliptic evaluation each, reused
+    # by every tangency scan against the same context.
     period = ctx.period
     n = TANGENCY_NODES
-    xs, ys, vxs, vys, _, _ = zip(*(coords(j * period / n, ctx) for j in range(n)))
-    return xs, ys, vxs, vys
+    return tuple(coords(j * period / n, ctx)[:4] for j in range(n))
 
 
 def _gap_and_slope(cx: float, cy: float, s: float, ctx: EllipticContext) -> tuple[float, float]:
@@ -157,14 +157,16 @@ def _gap_and_slope(cx: float, cy: float, s: float, ctx: EllipticContext) -> tupl
     return ex * vy - ey * vx, ex * ay - ey * ax
 
 
-def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float,
+def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float, g_hi: float,
             ctx: EllipticContext) -> float:
-    # Safeguarded Newton (Numerical Recipes 9.4) on a bracket [lo, hi] over
-    # which the gap changes sign, starting at its midpoint.  A Newton step
-    # that would leave the bracket, or that fails to halve the step before
-    # last, is replaced by a bisection; a NaN gap or slope also bisects.
+    # Safeguarded Newton (Numerical Recipes 9.4) on a bracket [lo, hi] whose
+    # end gaps g_lo and g_hi have strictly opposite signs, starting at the
+    # regula-falsi point, where the chord through both ends crosses zero; it
+    # lies inside the bracket.  A Newton step that would leave the bracket,
+    # or that fails to halve the step before last, is replaced by a
+    # bisection; a NaN gap or slope also bisects.
     xl, xh = (lo, hi) if g_lo < 0.0 else (hi, lo)
-    s = 0.5 * (lo + hi)
+    s = lo + (hi - lo) * g_lo / (g_lo - g_hi)
     dx = dx_old = hi - lo
     for _ in range(NEWTON_MAXIT):
         g, dg = _gap_and_slope(cx, cy, s, ctx)
@@ -192,21 +194,22 @@ def tangents_from_point(c: tuple[float, float], ctx: EllipticContext) -> list[Ta
 
     The tangency gap g(s) = (c - x(s)) x v(s) is scanned once on a grid of
     TANGENCY_NODES phases over one period, and each sign change is refined
-    to BISECT_TOL in s by safeguarded Newton (rtsafe) with the exact slope
-    g'(s) = (c - x(s)) x a(s), bisecting whenever Newton would leave the
-    bracket; roots within 1e-9 are merged across the period seam.  Every root
-    is found when c lies on the hyperbola (generically four); off it, two
-    contact points sharing one scan cell can be missed.
+    to BISECT_TOL in s by safeguarded Newton (rtsafe) from the bracket's
+    regula-falsi point with the exact slope g'(s) = (c - x(s)) x a(s),
+    bisecting whenever Newton would leave the bracket; roots within 1e-9 are
+    merged across the period seam.  Every root is found when c lies on the
+    hyperbola (generically four); off it, two contact points sharing one
+    scan cell can be missed.
     """
     period = ctx.period
     n = TANGENCY_NODES
     cx, cy = c
-    xs, ys, vxs, vys = _scan_grid(ctx)
-    g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in zip(xs, ys, vxs, vys)]
-    # A zero gap at node j is a root; a sign change to node j + 1 (cyclically) a bracket.
-    roots = [j * period / n if gj == 0.0 else
-             _rtsafe(cx, cy, j * period / n, (j + 1) * period / n, gj, ctx)
-             for j, (gj, gk) in enumerate(zip(g, g[1:] + g[:1])) if gj == 0.0 or gj * gk < 0.0]
+    g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in _scan_grid(ctx)]
+    g.append(g[0])  # node n is node 0 one period on
+    # A zero gap at node j is a root; a sign change to node j + 1 a bracket.
+    roots = [j * period / n if g[j] == 0.0 else
+             _rtsafe(cx, cy, j * period / n, (j + 1) * period / n, g[j], g[j + 1], ctx)
+             for j in range(n) if g[j] == 0.0 or g[j] * g[j + 1] < 0.0]
 
     merged: list[float] = []
     for r in sorted(roots):

@@ -1,4 +1,3 @@
-import argparse
 import errno
 import hashlib
 import io
@@ -42,8 +41,10 @@ def run_cli(args, capsys):
 CONSTRUCTION_REFUSALS = {
     "--from-c=1,0": "invalid input: point (1.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-c=1.37,0.94": (
-        "usage: lemnichor [-h] {sample,verify,integrate,geometry,analytic} ...\n"
-        "lemnichor: error: --from-c is off the hyperbola cx^2 - cy^2 = 1, got 1.37,0.94\n"),
+        "usage: lemnichor geometry [-h] [--output OUTPUT]\n"
+        "                          [--tolerance-scale TOLERANCE_SCALE]\n"
+        "                          [--n-samples N_SAMPLES | --from-c CX,CY | --from-point S]\n"
+        "lemnichor geometry: error: --from-c is off the hyperbola cx^2 - cy^2 = 1, got 1.37,0.94\n"),
     "--from-point=0": "invalid input: point (0.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-point=1.845375430245845":
         "invalid input: tangent line is parallel to an asymptote of the hyperbola\n",
@@ -968,7 +969,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, err", CONSTRUCTION_REFUSALS.items(),
                              ids=list(CONSTRUCTION_REFUSALS))
-    def test_construction_refusal_bytes(self, flag, err, capsys):
+    def test_construction_refusal_bytes(self, flag, err, capsys, monkeypatch):
+        # A usage error wraps the usage line of its subcommand at the width.
+        monkeypatch.setenv("COLUMNS", "80")
         try:
             code = main(["geometry", flag])
         except SystemExit as exc:  # the off-hyperbola check is a usage error
@@ -998,6 +1001,20 @@ class TestExitCodes:
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--from-c=1.37,0.94"],  # refused by _settings
+        ["--from-point", "0.55", "--tolerance-scale", "2"],  # refused by _settings
+        ["--from-point", "0.55", "--n-samples", "7"],  # refused by the exclusive group
+    ])
+    def test_usage_error_names_its_subcommand(self, flags, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main(["geometry", *flags, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out, list(tmp_path.iterdir())) == (2, "", [])
+        assert captured.err.startswith("usage: lemnichor geometry [-h]")
+        assert captured.err.splitlines()[-1].startswith("lemnichor geometry: error: ")
 
     @pytest.mark.parametrize("argv", [
         ["integrate", "--format", "json"],
@@ -1147,14 +1164,14 @@ def test_analytic_bytes_do_not_depend_on_the_hash_seed():
 # off the axis next to a vertex, which the axis rule lets through.
 BRANCH_DIGESTS = {
     "geometry --from-c=-1.4142135623730951,-1": (
-        0, "4248769c13b303e4702f08a3e484cf6d4177601ff43c2762aaba667abfe7def4",
+        0, "57004ce98c2c2035474e23e27aa1783e31858b527f6dfec60beba29ca6f8bfec",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "geometry --from-c=1.0000000000005,1e-6": (
-        0, "8cabe92ca136fe1322e3ec99ef9e1c09c0998edc124e58a054a4a81315694b3f",
+        0, "1b635a3b7cd040c3981c534e10e0e2499afe89661d8267e71a3eddf19e71b0fa",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 # One sha256 over 100 seeded constructions, every one of which exits 0.
-CONSTRUCTIONS_DIGEST = "d007c1c902f0f0219da23a1afd314ae1c9d2e2fa2a7c6d61e0f84bf1ebffd7da"
+CONSTRUCTIONS_DIGEST = "3f56c39683937653ff47c8c25a7c6997ac78e7ad094c1082a5eae3666b70cd56"
 
 
 def test_unlisted_branch_bytes(capsys):
@@ -1194,8 +1211,7 @@ ONE_RUN_EACH = {
 def test_sidecar_records_the_flags_of_its_command(tmp_path):
     # The settings a sidecar records are read from the table, the flags from
     # the parser: each checks the other.
-    commands = next(a.choices for a in cli._build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
+    commands = cli._command_parsers()
     assert sorted(commands) == sorted(ONE_RUN_EACH)
     for name, argv in ONE_RUN_EACH.items():
         out = tmp_path / f"{name}.out"

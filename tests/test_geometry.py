@@ -22,7 +22,7 @@ from lemnichor.geometry import (
     tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, coords, reduce_phase, triple, velocity
+from lemnichor.orbit import Vec2, coords, reduce_phase, triple, triple_phases, velocity
 
 from conftest import OracleVec, cross, dot, line_distance, oracle_sum, position
 
@@ -360,6 +360,91 @@ class TestTangentsFromPoint:
             g_up, _ = _gap_and_slope(cx, cy, s + h, ctx)
             g_down, _ = _gap_and_slope(cx, cy, s - h, ctx)
             assert slope == pytest.approx((g_up - g_down) / (2.0 * h), rel=1e-7, abs=1e-8)
+
+
+def hyperbola_points(seed, n, u_min=0.0):
+    """n seeded points (±cosh u, sinh u) of the hyperbola, u_min <= |u| <= 3."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        u = rng.choice((-1.0, 1.0)) * rng.uniform(u_min, 3.0)
+        points.append(Vec2(rng.choice((-1.0, 1.0)) * math.cosh(u), math.sinh(u)))
+    return points
+
+
+class TestSearchBudget:
+    """The cost of a tangency search and the accuracy it buys.
+
+    Each root starts at its bracket's regula-falsi point and is returned as
+    the point after the last Newton step: a start at the midpoint costs about
+    one elliptic evaluation more per root, and returning the last evaluated
+    iterate instead loses digits in the phases.
+    """
+
+    def test_mean_evaluations_per_search(self, ctx, monkeypatch):
+        points = hyperbola_points(404, 300)
+        tangents_from_point(points[0], ctx)  # the scan grid is built once, outside the count
+        calls = 0
+        real = geometry.coords
+
+        def counted(s, c):
+            nonlocal calls
+            calls += 1
+            return real(s, c)
+
+        monkeypatch.setattr(geometry, "coords", counted)
+        for c in points:
+            assert len(tangents_from_point(c, ctx)) == 4
+        # Four roots of about 3.3 Newton evaluations each, and one coords
+        # call per returned candidate; the midpoint start took ~20.6.
+        assert calls / len(points) <= 18.5
+
+    def test_refined_roots_lie_in_their_brackets(self, ctx, monkeypatch):
+        h = ctx.period / geometry.TANGENCY_NODES
+        seen = []
+        real = geometry._rtsafe
+
+        def recorded(cx, cy, lo, hi, *rest):
+            s = real(cx, cy, lo, hi, *rest)
+            seen.append((lo, s, hi))
+            return s
+
+        monkeypatch.setattr(geometry, "_rtsafe", recorded)
+        for c in hyperbola_points(405, 300):
+            tangents_from_point(c, ctx)
+        assert len(seen) >= 4 * 300
+        for lo, s, hi in seen:
+            j = round(lo / h)
+            assert (lo, hi) == (j * h, (j + 1) * h)
+            assert lo <= s <= hi
+
+    def test_selected_phases_are_a_third_of_a_period_apart(self, ctx, period):
+        # Two contact points merge at a vertex, so there the phases follow the
+        # rounding of c off the curve: at |cy| ~ 1e-4 one ulp of cx moves the
+        # spacing by ~2e-12, at |cy| >= 0.05 by under 1e-14.  The search near
+        # the vertices is held to the dense-bisection oracle above instead.
+        worst = 0.0
+        for c in hyperbola_points(406, 300, u_min=0.05):
+            s = sorted(cand.s for cand in select_choreographic(c, tangents_from_point(c, ctx)))
+            for d in (s[1] - s[0], s[2] - s[1], s[0] + period - s[2]):
+                worst = max(worst, abs(reduce_phase(d - period / 3.0, ctx)))
+        assert worst <= 5e-14
+
+    def test_from_point_round_trip(self, ctx):
+        rng = random.Random(407)
+        worst = 0.0
+        done = 0
+        for _ in range(300):
+            t = rng.uniform(-25.0, 25.0)
+            try:
+                (x2, x3), _ = complete_triple_from_point(t, ctx)
+            except ConstructionRefusal:
+                continue
+            for x, p in zip((x2, x3), triple_phases(t, ctx)[1:]):
+                worst = max(worst, math.dist(x, position(p, ctx)))
+            done += 1
+        assert done >= 280
+        assert worst <= 1e-12
 
 
 class TestSelectChoreographic:
