@@ -375,7 +375,7 @@ def check_eom_pole_cancellation(samples: list[complex], ctx: EllipticContext) ->
 
 
 def checks(ctx: EllipticContext) -> list[CheckResult]:
-    """The rows of ``lemnichor analytic``, in its order, at unit tolerance scale.
+    """The rows of ``lemnichor analytic``, in its order, each with its own tolerance.
 
     This is the one list of the analytic claims: the CLI judges and writes
     it, and the tests read it.  A new claim is a new row here.

@@ -4,11 +4,11 @@ Data outputs are deterministic: CSV uses '.' decimal, ',' delimiter, LF line
 endings and 17 significant digits, and carries no timestamps; run metadata
 goes to a separate ``<output>.meta.json`` sidecar.  SETTINGS names the
 settings of each subcommand: the flags it takes, their defaults and what its
-sidecar records.  The parser checks each flag's value (its ``type=``
-converter) and the flags its exclusive group holds apart, _settings the other
-flags that do not go together, and the --init file is read before the run
-starts, so a bad input writes nothing.  The parser is built once per process,
-on first use.
+sidecar records.  The parser makes every usage check: each flag's value (its
+``type=`` converter, which for --from-c also holds the point to the
+hyperbola), the flags its exclusive group holds apart and the flags a command
+does not take.  The --init file is read before the run starts, so a bad input
+writes nothing.  The parser is built once per process, on first use.
 
 Every CSV is written by one writer, _csv, in chunks of CSV_CHUNK_ROWS rows,
 as the rows are computed.  The first chunk is formatted in process.  With more
@@ -22,14 +22,15 @@ JSON is strict (RFC 8259): a NaN or infinite value is written as null.  Each
 JSON output is encoded once, by one writer, _json_text, whose bytes are those
 of the stdlib's json.dumps(obj, indent=2, sort_keys=True).
 
-Every gate is a CheckResult row, and one function, _judged, scales its
-tolerance by --tolerance-scale and judges it by CheckResult.passed (NaN fails).
+Every gate is a CheckResult row, judged at its own tolerance by
+CheckResult.passed (NaN fails); no input changes a tolerance.
 
-Exit codes, one source each: 0 success; 1 a residual above its tolerance,
-judged by _judged (a machine-readable report is still written); 2 a
-ValueError: a usage error, a construction refusal, or an integrate run that
-cannot go on, a collision or an energy that is not finite, named by its step;
-3 an OSError (a CSV helper that ends before sending its chunk is one too).
+Exit codes, one source each: 0 success; 1 a residual above its tolerance (a
+machine-readable report is still written); 2 a usage error, reported by the
+parser, or a ValueError: a malformed --init file, a construction refusal, or
+an integrate run that cannot go on, a collision or an energy that is not
+finite, named by its step; 3 an OSError (a CSV helper that ends before
+sending its chunk is one too).
 A run that fails once its --output is open leaves neither that file nor
 its sidecar.
 """
@@ -53,7 +54,7 @@ from . import __version__, dynamics
 from .elliptic import choreography_context
 from .orbit import CheckResult, coords, triple
 
-# Default residual tolerances, overridable by --tolerance-scale.  The hyperbola
+# The residual tolerance of each gate, which no input changes.  The hyperbola
 # residual is relative, |cx^2 - cy^2 - 1| / max(1, |c|^2).
 DEFAULT_TOLERANCES = {
     "center_of_mass": 1e-10,
@@ -69,14 +70,16 @@ DEFAULT_TOLERANCES = {
 
 # The settings of each command, in --help order, and their defaults: the
 # command takes their flags and no other, a flag left out takes its default,
-# and the sidecar's ``config`` records them all.  A None dt is one period in
-# the default steps (filled in by _settings); None from_c and from_point, the sweep.
+# and the sidecar's ``config`` records each one that is not None.  A None dt
+# is one period in the default steps (filled in by _settings).  geometry takes
+# one input: a construction's point, --from-c or --from-point, or else the
+# sweep's n_samples (None under a construction).
 SETTINGS = {
     "sample": {"n_samples": 1000},
-    "verify": {"n_samples": 1000, "tolerance_scale": 1.0},
+    "verify": {"n_samples": 1000},
     "integrate": {"variant": "U", "dt": None, "steps": 65536, "init": "analytic"},
-    "geometry": {"tolerance_scale": 1.0, "n_samples": 200, "from_c": None, "from_point": None},
-    "analytic": {"tolerance_scale": 1.0},
+    "geometry": {"n_samples": 200, "from_c": None, "from_point": None},
+    "analytic": {},
 }
 
 # The columns of the sample table.
@@ -109,9 +112,10 @@ def _write_text(args: argparse.Namespace, chunks) -> None:
             _write_chunks(f, chunks)
         import platform
 
-        # Every setting of the command, and the interpreter, so that the run
-        # can be replayed from it on the same one.
-        config = {k: getattr(args, k) for k in SETTINGS[args.command]}
+        # Every setting the run took, and the interpreter, so that the run can
+        # be replayed from it on the same one.
+        config = {k: v for k, v in vars(args).items()
+                  if k in SETTINGS[args.command] and v is not None}
         sidecar = {"command": args.command, "config": config, "python": platform.python_version(),
                    "tool": f"lemnichor {__version__}"}
         sidecar_path.write_text(_json_text(sidecar), encoding="utf-8")
@@ -294,12 +298,6 @@ def _gate(name: str, residual: float) -> CheckResult:
     return CheckResult(name, 0.0, residual, residual, DEFAULT_TOLERANCES[name])
 
 
-def _judged(rows: list[CheckResult], scale: float) -> tuple[list[CheckResult], bool]:
-    """The rows with each tolerance times scale, and whether every one passes."""
-    rows = [r._replace(tolerance=r.tolerance * scale) for r in rows]
-    return rows, all(r.passed for r in rows)
-
-
 _json_str = json.encoder.encode_basestring_ascii
 
 
@@ -374,7 +372,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         eom = [("eom_residual", dynamics.eom_residual(t, v, ctx)) for v in dynamics.PotentialVariant]
         for name, r in [*rep.residuals.items(), *eom]:
             worst[name] = _fold_max(worst.get(name, 0.0), r)
-    rows, ok = _judged([_gate(k, r) for k, r in worst.items()], args.tolerance_scale)
+    rows = [_gate(k, r) for k, r in worst.items()]
+    ok = all(r.passed for r in rows)
     report = {
         "n_samples": args.n_samples,
         "max_residuals": {r.name: r.residual for r in rows},
@@ -458,23 +457,29 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                                        "lambdas": cp.lambdas})])
         return 0
 
-    rows = [geometry.sweep_row((j + 0.431) * ctx.period / args.n_samples, ctx)
-            for j in range(args.n_samples)]
-    # Every row counts: tangent lines that meet at infinity give c = (inf, inf) and a NaN.
-    worst = functools.reduce(_fold_max, (geometry.relative_hyperbola_residual((cx, cy), h)
-                                         for _, cx, cy, *_, h in rows), 0.0)
-    _write_text(args, _csv(rows, geometry.SWEEP_FIELDS))
-    return 0 if _judged([_gate("hyperbola", worst)], args.tolerance_scale)[1] else 1
+    worst = 0.0
+
+    def rows():
+        # Each row is written as it is computed, and every row counts: tangent
+        # lines that meet at infinity give c = (inf, inf) and a NaN.
+        nonlocal worst
+        for j in range(args.n_samples):
+            row = geometry.sweep_row((j + 0.431) * ctx.period / args.n_samples, ctx)
+            worst = _fold_max(worst, geometry.relative_hyperbola_residual(row[1:3], row[-1]))
+            yield row
+
+    _write_text(args, _csv(rows(), geometry.SWEEP_FIELDS))
+    return 0 if _gate("hyperbola", worst).passed else 1
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     from . import analytic
 
-    results, ok = _judged(analytic.checks(choreography_context()), args.tolerance_scale)
+    results = analytic.checks(choreography_context())
     report = [{**r._asdict(), "claimed": _cplx(r.claimed), "observed": _cplx(r.observed),
                "pass": r.passed} for r in results]
     _write_text(args, [_json_text(report)])
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 _COMMANDS = {
@@ -524,6 +529,18 @@ _point = _checked(lambda text: tuple(map(float, text.split(","))),
                   lambda c: len(c) == 2 and all(map(math.isfinite, c)), "CX,CY, two finite numbers")
 
 
+def _on_hyperbola(c: tuple[float, float]) -> bool:
+    # Off the curve the phases would not be 4K/3 apart.  Only a --from-c
+    # imports geometry while parsing.
+    from . import geometry
+
+    h = geometry.hyperbola_residual(c)
+    return _gate("hyperbola", geometry.relative_hyperbola_residual(c, h)).passed
+
+
+_from_c = _checked(_point, _on_hyperbola, "a point on the hyperbola cx^2 - cy^2 = 1")
+
+
 # argparse keeps no state of a parse on the parser, and reads the terminal
 # width when it prints, so one parser serves every main() call; nothing may
 # change it once built.
@@ -539,13 +556,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # The flag of each setting, by its dest.
     flags = {
         "n_samples": dict(type=_count),
-        "tolerance_scale": dict(type=_positive,
-                                help="multiply every tolerance by this finite positive factor"),
         "variant": dict(choices=("U", "V")),
         "dt": dict(type=_positive, help=f"step (default: period / {SETTINGS['integrate']['steps']})"),
         "steps": dict(type=_count),
         "init": dict(help="'analytic' or a JSON file with positions/velocities"),
-        "from_c": dict(type=_point, metavar="CX,CY", help="construct the triple from a hyperbola point"),
+        "from_c": dict(type=_from_c, metavar="CX,CY", help="construct the triple from a hyperbola point"),
         "from_point": dict(type=_finite, metavar="S", help="construct the triple from one orbit phase"),
     }
     summaries = {
@@ -559,54 +574,28 @@ def _build_parser() -> argparse.ArgumentParser:
         # A flag left out is absent from the namespace; _settings fills it in.
         p = sub.add_parser(name, help=summaries[name], argument_default=argparse.SUPPRESS)
         p.add_argument("--output", type=Path, default=None, help="write data here (default: stdout)")
-        # A construction builds one triple from one input: no sample count.
-        one_input = p.add_mutually_exclusive_group() if "from_c" in settings else p
+        # geometry's settings are its one input: a construction builds one
+        # triple from one point, with no sample count.
+        holder = p.add_mutually_exclusive_group() if name == "geometry" else p
         for dest in settings:
-            holder = one_input if dest in ("n_samples", "from_c", "from_point") else p
             holder.add_argument("--" + dest.replace("_", "-"), **flags[dest])
     return parser
 
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The flags given over the defaults of the command's SETTINGS.
-
-    Raises ValueError on --tolerance-scale with --from-point, and on a
-    --from-c point off the hyperbola.
-    """
+    """The flags given over the defaults of the command's SETTINGS."""
     given = vars(args)
-    # --from-point checks nothing against a tolerance, so the flag is refused.
-    if "tolerance_scale" in given and "from_point" in given:
-        raise ValueError("--tolerance-scale is not taken by --from-point")
     defaults = SETTINGS[args.command]
+    if given.keys() & {"from_c", "from_point"}:
+        defaults = {**defaults, "n_samples": None}  # a construction takes no sample count
     args = argparse.Namespace(**{**defaults, **given})
     if "dt" in defaults and args.dt is None:
         args.dt = choreography_context().period / defaults["steps"]
-    if "from_c" in given:
-        from . import geometry
-
-        # Off the curve the phases would not be 4K/3 apart.
-        c = args.from_c
-        h = geometry.relative_hyperbola_residual(c, geometry.hyperbola_residual(c))
-        if not _judged([_gate("hyperbola", h)], args.tolerance_scale)[1]:
-            raise ValueError(f"--from-c is off the hyperbola cx^2 - cy^2 = 1, got {c[0]!r},{c[1]!r}")
     return args
 
 
-def _command_parsers() -> dict[str, argparse.ArgumentParser]:
-    """The subparser of each command, whose usage line and errors name it."""
-    return next(a.choices for a in _build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        args = _settings(args)
-    except ValueError as exc:
-        # Reported as the command's other usage errors are; exits 2 before
-        # any output is written.
-        _command_parsers()[args.command].error(str(exc))
-    return run(args)
+    return run(_settings(_build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

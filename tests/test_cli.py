@@ -42,9 +42,9 @@ CONSTRUCTION_REFUSALS = {
     "--from-c=1,0": "invalid input: point (1.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-c=1.37,0.94": (
         "usage: lemnichor geometry [-h] [--output OUTPUT]\n"
-        "                          [--tolerance-scale TOLERANCE_SCALE]\n"
         "                          [--n-samples N_SAMPLES | --from-c CX,CY | --from-point S]\n"
-        "lemnichor geometry: error: --from-c is off the hyperbola cx^2 - cy^2 = 1, got 1.37,0.94\n"),
+        "lemnichor geometry: error: argument --from-c: expected a point on the hyperbola"
+        " cx^2 - cy^2 = 1, got '1.37,0.94'\n"),
     "--from-point=0": "invalid input: point (0.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-point=1.845375430245845":
         "invalid input: tangent line is parallel to an asymptote of the hyperbola\n",
@@ -147,15 +147,6 @@ class TestVerify:
         assert report["passed"] is True
         assert report["failures"] == {}
         assert report["max_residuals"]["moment_of_inertia"] < 1e-10
-
-    def test_fails_when_scaled_down(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--n-samples", "16", "--tolerance-scale", "1e-9"], capsys
-        )
-        assert code == 1
-        report = json.loads(out)
-        assert report["passed"] is False
-        assert report["failures"]
 
     @pytest.mark.parametrize("rel", [1e-8, -1e-8])
     def test_near_miss_modulus_fails_every_gate(self, rel, monkeypatch, capsys):
@@ -675,28 +666,68 @@ class TestGeometry:
         (["geometry", "--from-point", "0.55"], "from_point", 0.55),
     ])
     def test_sidecar_names_the_construction(self, argv, key, value, tmp_path):
+        # A construction records its one input, and no sample count.
         out = tmp_path / "g.json"
         assert main(argv + ["--output", str(out)]) == 0
         config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
-        assert config[key] == value
-        assert set(config) == {"n_samples", "tolerance_scale", "from_c", "from_point"}
+        assert config == {key: value}
 
-    def test_from_c_takes_tolerance_scale(self, tmp_path, capsys):
-        # It scales the on-curve check: |cx^2 - cy^2 - 1| / |c|^2 = 3.5e-8
-        # here, above the 1e-11 allowed at 1x and below the 1e-7 at 1e4x.
-        argv = ["geometry", "--from-c=1.4142136,1"]
+    @pytest.mark.parametrize("flags, n", [([], 200), (["--n-samples", "4"], 4)],
+                             ids=["default", "4"])
+    def test_sidecar_of_the_sweep_records_its_count(self, flags, n, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["geometry", *flags, "--output", str(out)]) == 0
+        config = json.loads((tmp_path / "sweep.csv.meta.json").read_text())["config"]
+        assert config == {"n_samples": n}
+
+    @pytest.mark.parametrize("cx, relative, taken", [
+        ("1.4142135623783982", 5.0e-12, True),
+        ("1.4142135623943084", 2.0e-11, False),
+    ], ids=["5e-12", "2e-11"])
+    def test_from_c_on_curve_bound_at_its_edge(self, cx, relative, taken, tmp_path, capsys):
+        # The point (cx, 1) is off the curve by |cx^2 - cy^2 - 1| / max(1, |c|^2)
+        # = relative, on either side of the fixed bound 1e-11.
+        c = (float(cx), 1.0)
+        h = geometry.relative_hyperbola_residual(c, geometry.hyperbola_residual(c))
+        assert h == pytest.approx(relative, rel=1e-3)
+        assert (h <= cli.DEFAULT_TOLERANCES["hyperbola"]) == taken
         out = tmp_path / "g.json"
-        assert main(argv + ["--tolerance-scale", "1e4", "--output", str(out)]) == 0
-        config = json.loads((tmp_path / "g.json.meta.json").read_text())["config"]
-        assert config["tolerance_scale"] == 1e4
+        argv = ["geometry", f"--from-c={cx},1", "--output", str(out)]
+        if taken:
+            assert main(argv) == 0
+            assert len(json.loads(out.read_text())["selected_phases"]) == 3
+            return
         with pytest.raises(SystemExit) as err:
             main(argv)
-        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out, list(tmp_path.iterdir())) == (2, "", [])
+        assert "argument --from-c: expected a point on the hyperbola" in captured.err
 
     # One stubbed row among real ones fails the sweep: a NaN residual at a
     # finite c; tangent lines that meet at infinity, c = (inf, inf) with a
     # NaN residual; and c far out on a branch (|c| = 141 >= 50) at 125x the
     # relative tolerance (absolute 2.5e-5).
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_is_independent_of_n_samples(self, cpus, tmp_path, monkeypatch, capsys):
+        # The sweep's rows stream into CSV chunks as they are computed, and
+        # their worst hyperbola residual is folded in as they pass: none is kept.
+        set_cpus(monkeypatch, cpus)
+
+        def peak(n):
+            out = tmp_path / "sweep.csv"
+            tracemalloc.start()
+            try:
+                assert main(["geometry", "--n-samples", str(n), "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Lazy set-up, and the interpreter's free lists that a first full
+        # chunk fills, outside the measurement.
+        peak(cli.CSV_CHUNK_ROWS)
+        growth = peak(2 * cli.CSV_CHUNK_ROWS) - peak(cli.CSV_CHUNK_ROWS)
+        assert growth <= 64 * 1024
+
     @pytest.mark.parametrize("c, residual", [
         (None, math.nan),
         ((math.inf, math.inf), math.nan),
@@ -718,6 +749,36 @@ class TestGeometry:
         assert hit
         assert code == 1
         assert len(parse_csv(out)[1]) == 8  # the table is still written
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_do_not_depend_on_the_helpers(self, cpus, ctx, monkeypatch, capsys):
+        # Three chunks, the last of one row: the later two go to helpers on two
+        # CPUs.  The quadrant columns are integers, written as such either way.
+        n = 2 * cli.CSV_CHUNK_ROWS + 1
+        fmt = ",".join(["%.17g"] * len(geometry.SWEEP_FIELDS))
+        rows = [fmt % geometry.sweep_row((j + 0.431) * ctx.period / n, ctx) for j in range(n)]
+        expected = "\n".join([",".join(geometry.SWEEP_FIELDS), *rows]) + "\n"
+        set_cpus(monkeypatch, cpus)
+        assert run_cli(["geometry", "--n-samples", str(n)], capsys) == (0, expected, "")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_row_in_a_later_chunk_fails_the_sweep(self, cpus, monkeypatch, capsys):
+        # The residuals are folded in as the rows stream, those that helpers
+        # format included: a NaN in the last row of the third chunk fails.
+        set_cpus(monkeypatch, cpus)
+        n = 2 * cli.CSV_CHUNK_ROWS + 1
+        real = geometry.sweep_row
+        calls = []
+
+        def stub(t, ctx):
+            calls.append(t)
+            rec = real(t, ctx)
+            return (*rec[:-1], math.nan) if len(calls) == n else rec
+
+        monkeypatch.setattr(geometry, "sweep_row", stub)
+        code, out, _ = run_cli(["geometry", "--n-samples", str(n)], capsys)
+        assert (code, len(calls), len(parse_csv(out)[1])) == (1, n, n)
 
 
 TRIPLE_ZERO_ROWS = (
@@ -765,30 +826,28 @@ class TestAnalytic:
         assert [e["claimed"] for e in strips] == [[-2.0, 0.0], [2.0, 0.0], [-2.0, 0.0], [2.0, 0.0]]
         assert all(e["residual"] <= 1e-9 for e in strips)
 
-    # Each row's tolerance times the scale: the bytes and the exit code at
-    # each scale are those of the checks that multiplied it in themselves.
-    @pytest.mark.parametrize("scale, digest, failed", [
-        ("1", "9b84e4ec7ba3fd8fbe39b5db661db51bbd883624f265bbc33c7807aa85071ded", 0),
-        ("100", "5002a7d96c36826b0613c9ca93e0ef67557cd940e12af6c9c289aafffd80fd06", 0),
-        ("1e-30", "914101288fce9ffe3db8b91690c9d9803701cf00d169e477b45f7587bb79459c", 44),
-        ("1e-3", "300a12ae546b345ffca4c684217dda130742990dcbcfd601cc7fef0fc7913aec", 0),
-    ])
-    def test_tolerance_scale_reaches_every_row(self, scale, digest, failed, capsys):
-        code, out, _ = run_cli(["analytic", "--tolerance-scale", scale], capsys)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1 if failed else 0, digest)
+    def test_every_row_is_judged(self, monkeypatch, capsys):
+        # Every tolerance 1e-30 times its own, so below every nonzero
+        # residual: only the three special values whose residual is exactly
+        # 0.0 still pass, and each row reports the tolerance it was judged by.
+        checks = analytic.checks
+        monkeypatch.setattr(analytic, "checks", lambda ctx: [
+            r._replace(tolerance=r.tolerance * 1e-30) for r in checks(ctx)])
+        code, out, _ = run_cli(["analytic"], capsys)
+        assert code == 1
         report = strict_json(out)
         assert len(report) == 47
-        assert sum(not e["pass"] for e in report) == failed
-        # Each row reports the scaled tolerance that its pass was judged by.
         assert all(e["pass"] == (e["residual"] <= e["tolerance"]) for e in report)
-        if scale == "1e-30":
-            # Every tolerance is below every nonzero residual: only the three
-            # special values whose residual is exactly 0.0 still pass.
-            passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
-            assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
-        if scale == "1e-3":
-            # Every row keeps 10^3 headroom; the least is 2009x, on a strip winding.
-            assert min(e["tolerance"] / e["residual"] for e in report if e["residual"]) > 2.0
+        passed = [(e["name"], e["residual"]) for e in report if e["pass"]]
+        assert passed == [("sn(1K/3)", 0.0), ("dn(1K/3)", 0.0), ("cn(2K/3)", 0.0)]
+
+    def test_least_headroom_of_the_default_rows(self, ctx):
+        # Each row's tolerance over its residual, as every report prints them
+        # side by side: the least is 2009x (measured), on a strip winding.
+        rows = [r for r in analytic.checks(ctx) if r.residual]
+        least = min(rows, key=lambda r: r.tolerance / r.residual)
+        assert least.tolerance / least.residual > 2000.0
+        assert analytic_group(least.name) == "strips"
 
     def test_wrong_pole_count_is_a_failed_row(self, capsys, monkeypatch):
         # line_windings takes x^+'/x^+ from (sn, cn, dn) on its line grid.
@@ -833,32 +892,48 @@ class TestAnalytic:
             "oddness: coefficients h^0, h^2, h^4"}
 
 
-# One function scales every tolerance and judges every gate.  At 1e-30 each
-# tolerance is below each nonzero residual: all eight verify gates fail, the
-# sweep fails, every analytic row fails but the three special values whose
-# residual is exactly 0.0, and --from-c refuses a point 1.5e-16 off the curve.
+# Every gate of DEFAULT_TOLERANCES is judged.  At 1e-30 times each tolerance,
+# below each nonzero residual, all eight verify gates fail, the sweep fails,
+# and --from-c refuses a point 1.5e-16 off the curve.
 @pytest.mark.parametrize("argv", [
     ["verify", "--n-samples", "16"],
     ["geometry", "--n-samples", "200"],
-    ["analytic"],
     ["geometry", "--from-c=1.4142135623730951,1"],
-], ids=["verify", "sweep", "analytic", "from-c"])
-def test_tolerance_scale_reaches_every_gate(argv, capsys):
-    argv = argv + ["--tolerance-scale", "1e-30"]
+], ids=["verify", "sweep", "from-c"])
+def test_every_gate_is_judged(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DEFAULT_TOLERANCES",
+                        {k: v * 1e-30 for k, v in cli.DEFAULT_TOLERANCES.items()})
     if argv[1].startswith("--from-c"):
         with pytest.raises(SystemExit) as err:
             main(argv)
-        assert err.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert (err.value.code, capsys.readouterr().out) == (2, "")
         return
     code, out, _ = run_cli(argv, capsys)
     assert code == 1
     if argv[0] == "verify":
         gates = sorted(k for k in cli.DEFAULT_TOLERANCES if k != "hyperbola")
         assert len(gates) == 8 and sorted(strict_json(out)["failures"]) == gates
-    if argv[0] == "analytic":
-        report = strict_json(out)
-        assert [e["pass"] for e in report] == [e["residual"] == 0.0 for e in report]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-samples", "200"],
+    ["geometry", "--n-samples", "200"],
+    ["analytic"],
+], ids=["verify", "sweep", "analytic"])
+def test_a_failed_gate_exits_1_through_the_entry_point(argv):
+    # The exit code reaches the process: each judging command at a modulus
+    # 1e-8 off the choreographic one, through sys.exit(main()) as the console
+    # script runs it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    program = ("import sys; from lemnichor import cli, elliptic as e; "
+               "cli.choreography_context = lambda: e.make_context(e.CHOREO_M * (1 + 1e-8)); "
+               f"sys.exit(cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    if argv[0] == "verify":
+        report = strict_json(proc.stdout.decode("utf-8"))
+        assert report["passed"] is False and len(report["failures"]) == 8
 
 
 class TestExitCodes:
@@ -923,14 +998,8 @@ class TestExitCodes:
         assert err == "invalid input: tangent line is parallel to an asymptote of the hyperbola\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    @pytest.mark.parametrize("command, flag", [
-        ("integrate", "--dt"),
-        ("verify", "--tolerance-scale"),
-        ("geometry", "--tolerance-scale"),
-        ("analytic", "--tolerance-scale"),
-    ])
+    @pytest.mark.parametrize("command, flag", [("integrate", "--dt")])
     def test_non_finite_or_non_positive_value_rejected(self, command, flag, value, tmp_path, capsys):
-        # A NaN tolerance would make every "residual > tolerance" gate pass.
         out = tmp_path / "out.dat"
         with pytest.raises(SystemExit) as err:
             main([command, f"{flag}={value}", "--output", str(out)])
@@ -1003,8 +1072,8 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags", [
-        ["--from-c=1.37,0.94"],  # refused by _settings
-        ["--from-point", "0.55", "--tolerance-scale", "2"],  # refused by _settings
+        ["--from-c=1.37,0.94"],  # refused by the --from-c converter
+        ["--from-point", "nan"],  # refused by the --from-point converter
         ["--from-point", "0.55", "--n-samples", "7"],  # refused by the exclusive group
     ])
     def test_usage_error_names_its_subcommand(self, flags, tmp_path, capsys):
@@ -1024,8 +1093,7 @@ class TestExitCodes:
         ["verify", "--format", "json"],
         ["sample", "--tolerance-scale", "2"],
         ["integrate", "--tolerance-scale", "2"],
-        # A construction builds one triple from one input: no samples, and
-        # --from-point checks nothing against a tolerance.
+        # A construction builds one triple from one input: no samples.
         ["geometry", "--from-point", "0.55", "--n-samples", "7"],
         ["geometry", "--from-c=1.4142135623730951,1", "--n-samples", "7"],
         ["geometry", "--from-point", "0.55", "--tolerance-scale", "2"],
@@ -1034,6 +1102,10 @@ class TestExitCodes:
         ["sample", "--affine"],
         # The deleted JSON sample: no claim read it.
         ["sample", "--format", "json"],
+        # The deleted --tolerance-scale: every gate is judged at its own tolerance.
+        ["verify", "--tolerance-scale", "2"],
+        ["geometry", "--tolerance-scale", "2"],
+        ["analytic", "--tolerance-scale", "2"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, tmp_path, capsys):
         out = tmp_path / "out.dat"
@@ -1198,34 +1270,44 @@ def test_unlisted_branch_bytes(capsys):
     assert digest.hexdigest() == CONSTRUCTIONS_DIGEST
 
 
-# A short run of each subcommand, a construction for geometry.
-ONE_RUN_EACH = {
-    "sample": ["sample", "--n-samples", "12"],
-    "verify": ["verify", "--n-samples", "10"],
-    "integrate": ["integrate", "--steps", "4"],
-    "geometry": ["geometry", "--from-point", "0.55"],
-    "analytic": ["analytic"],
-}
+# A short run of each subcommand, and of each of geometry's three inputs.
+ONE_RUN_EACH = (
+    ["sample", "--n-samples", "12"],
+    ["verify", "--n-samples", "10"],
+    ["integrate", "--steps", "4"],
+    ["geometry", "--n-samples", "4"],
+    ["geometry", "--from-point", "0.55"],
+    ["geometry", "--from-c=1.4142135623730951,1"],
+    ["analytic"],
+)
 
 
-def test_sidecar_records_the_flags_of_its_command(tmp_path):
+def test_sidecar_records_the_flags_of_its_command(tmp_path, capsys):
     # The settings a sidecar records are read from the table, the flags from
-    # the parser: each checks the other.
-    commands = cli._command_parsers()
-    assert sorted(commands) == sorted(ONE_RUN_EACH)
-    for name, argv in ONE_RUN_EACH.items():
-        out = tmp_path / f"{name}.out"
+    # the usage line of the command's --help: each checks the other.  geometry
+    # records the one input it took, and its three runs its three flags.
+    recorded = {}
+    for j, argv in enumerate(ONE_RUN_EACH):
+        out = tmp_path / f"{j}.out"
         assert main(argv + ["--output", str(out)]) == 0
         config = json.loads(Path(f"{out}.meta.json").read_text())["config"]
-        dests = {a.dest for a in commands[name]._actions if a.option_strings} - {"help", "output"}
-        assert set(config) == dests, name
+        if argv[0] == "geometry":
+            assert list(config) == [argv[1].split("=")[0][2:].replace("-", "_")], argv
+        recorded.setdefault(argv[0], set()).update(config)
+    capsys.readouterr()
+    for name, settings in recorded.items():
+        code, usage, _ = _exit_bytes([name, "--help"], capsys)
+        flags = set(re.findall(r"(?:\[|\| )--([a-z-]+)", usage.split("\n\n")[0])) - {"output"}
+        assert (code, {f.replace("-", "_") for f in flags}) == (0, settings), name
+    assert sorted(recorded) == sorted(cli.SETTINGS)
 
 
-# One parser serves every main() call of a process.  The usage errors, in the
-# order of their checks: a type= converter, _settings, the exclusive group.
+# One parser serves every main() call of a process.  The usage errors: a
+# type= converter, the --from-c converter that reads the hyperbola, and the
+# exclusive group.
 REFUSALS = (
     ["verify", "--n-samples", "0"],
-    ["geometry", "--from-point", "0.55", "--tolerance-scale", "2"],
+    ["geometry", "--from-c=1.37,0.94"],
     ["geometry", "--from-c=1.4142135623730951,1", "--from-point", "0.55"],
 )
 HELPS = (["--help"], ["geometry", "--help"])

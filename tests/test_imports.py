@@ -72,7 +72,9 @@ def test_cli_import_loads_no_command_layer():
         (["sample", "--n-samples", "2"], set()),
         (["integrate", "--steps", "2"], set()),
         (["verify", "--n-samples", "2"], {"lemnichor.invariants"}),
+        (["geometry", "--n-samples", "2"], {"lemnichor.geometry"}),
         (["geometry", "--from-point", "0.55"], {"lemnichor.geometry"}),
+        (["geometry", "--from-c=1.4142135623730951,1"], {"lemnichor.geometry"}),
         (["analytic"], {"lemnichor.analytic", "lemnichor.invariants"}),
     )
 ])
