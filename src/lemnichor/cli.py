@@ -85,13 +85,16 @@ SETTINGS = {
 # The columns of the sample table.
 SAMPLE_FIELDS = ("t", "x", "y", "vx", "vy")
 
-# Rows per CSV text chunk (~0.6 MB of trajectory text): bounds the text held in
-# memory at once, whatever the number of rows.
-CSV_CHUNK_ROWS = 2048
+# Rows per CSV text chunk (~0.28 MB of trajectory text): bounds the text held in
+# memory at once, whatever the number of rows.  Each chunk is held several
+# times over (doubles, then text and bytes in a helper and again in the parent),
+# so it is the smallest power of two that still holds sample's default 1000
+# rows and the sweep's 200 in one chunk: those outputs never fork a helper.
+CSV_CHUNK_ROWS = 1024
 # At most this many forked helpers format CSV chunks.  On a 2-vCPU VM, a helper
-# took 15-24 ms to format a trajectory chunk, and the parent 7-11 ms to compute
-# one, pass it on and write a result back: a fourth helper would wait on the
-# parent.
+# took 7-8 ms to format a trajectory chunk, and the parent about 3 ms to compute
+# one, pack it and write a result back (a ratio of 2.5): a fourth helper would
+# wait on the parent.
 CSV_HELPERS_MAX = 3
 
 

@@ -107,7 +107,7 @@ class TestSample:
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_bytes_do_not_depend_on_the_helpers(self, cpus, ctx, monkeypatch, capsys):
-        # 5000 rows: one chunk in process, then two chunks, the last one partial.
+        # 5000 rows: one chunk in process, then four chunks, the last one partial.
         # Eight CPUs start CSV_HELPERS_MAX helpers, more than some machines have cores.
         n = 5000
         fmt = ",".join(["%.17g"] * 5)
@@ -357,10 +357,13 @@ class TestIntegrate:
             assert main(argv) == 0
             assert capsys.readouterr().out.encode() == expected
 
-    def test_peak_memory_is_independent_of_steps(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_is_independent_of_steps(self, cpus, tmp_path, monkeypatch, capsys):
         # Rows stream from the Verlet loop into CSV chunks of CSV_CHUNK_ROWS
-        # rows, so only one chunk of text is held, whatever the step count.
+        # rows, so only one chunk of text is held, whatever the step count,
+        # and whether or not helpers format the later chunks.
         assert cli.CSV_CHUNK_ROWS <= 2048  # both runs hold one full chunk
+        set_cpus(monkeypatch, cpus)
 
         def peak(steps):
             out = tmp_path / "traj.csv"
@@ -372,9 +375,36 @@ class TestIntegrate:
                 tracemalloc.stop()
 
         peak(16)  # lazy set-up outside the measurement
-        growth = peak(65536) - peak(2048)
+        small, full = peak(16), peak(65536)
+        growth = full - peak(2048)
         capsys.readouterr()
         assert growth <= 64 * 1024
+        # The working set of one chunk: 0.93 MiB at 1024 rows, 1.88 MiB at 2048.
+        assert full - small <= 1.25 * 2**20
+
+    def test_peak_memory_of_a_helper_chunk(self, ctx):
+        # A helper formats and encodes one full trajectory chunk at a time, as
+        # _csv_helper does: 0.83 MiB at 1024 rows, 1.66 MiB at 2048.
+        chunks = []
+
+        def consume(rows):
+            rows = iter(rows)
+            while values := cli._take(rows):
+                chunks.append(values.tobytes())
+
+        s = triple(0.0, ctx)
+        dynamics.integrate(s.positions, s.velocities, dynamics.PotentialVariant.U_CENTRAL,
+                           ctx.period / 65536.0, cli.CSV_CHUNK_ROWS - 1, consume=consume)
+        [raw] = chunks
+        assert len(raw) == 8 * cli.CSV_CHUNK_ROWS * len(dynamics.ROW_FIELDS)
+        fmt = ",".join(["%.17g"] * len(dynamics.ROW_FIELDS))
+        tracemalloc.start()
+        try:
+            cli._csv_text(fmt, memoryview(raw).cast("d")).encode("ascii")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
 
     @pytest.mark.parametrize("positions, velocities, dt, step", [
         ([[0.5, 0.0], [0.5, 0.0], [-1.0, 0.0]], [[0.0, 0.0]] * 3, "0.1", 0),
@@ -1221,6 +1251,27 @@ def test_readme_cli_example_in_a_fresh_interpreter(words, tmp_path):
     want = json.loads(README_DIGESTS.read_text(encoding="utf-8"))[" ".join(words[1:])]
     path = tmp_path / "out.dat"
     _check_output_files(path, *_entry_point(words[1:] + ["--output", str(path)]), want)
+
+
+@pytest.mark.parametrize("command", ["sample", "geometry"])
+def test_default_outputs_never_fork(command, ctx, monkeypatch, capsys):
+    # Their default tables, 1000 and 200 rows, fit in the first CSV chunk,
+    # which is formatted in process: even on two CPUs no helper is forked.
+    def no_fork():
+        pytest.fail(f"{command} at its default size forked a CSV helper")
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run_cli([command], capsys)
+    assert (code, err) == (0, "")
+    if command == "sample":
+        n = cli.SETTINGS["sample"]["n_samples"]
+        fmt = ",".join(["%.17g"] * 5)
+        rows = [fmt % (t, *coords(t, ctx)[:4]) for t in (j * ctx.period / n for j in range(n))]
+        assert out == "\n".join(["t,x,y,vx,vy", *rows]) + "\n"
+    else:
+        want = json.loads(README_DIGESTS.read_text(encoding="utf-8"))["geometry --n-samples 200"]
+        assert _sha256(out) == want["stdout"]
 
 
 def test_analytic_bytes_do_not_depend_on_the_hash_seed():
