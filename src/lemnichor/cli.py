@@ -52,7 +52,7 @@ from pathlib import Path
 # imported inside those commands, so that a run loads no module it does not use.
 from . import __version__, dynamics
 from .elliptic import choreography_context
-from .orbit import CheckResult, coords, triple
+from .orbit import HYPERBOLA_TOL, CheckResult, coords, triple
 
 # The residual tolerance of each gate, which no input changes.  The hyperbola
 # residual is relative, |cx^2 - cy^2 - 1| / max(1, |c|^2).
@@ -65,7 +65,7 @@ DEFAULT_TOLERANCES = {
     "sum_sq_distances": 1e-10,
     "product_sq_distances": 1e-10,
     "eom_residual": 1e-9,
-    "hyperbola": 1e-11,
+    "hyperbola": HYPERBOLA_TOL,
 }
 
 # The settings of each command, in --help order, and their defaults: the

@@ -39,6 +39,10 @@ LANDEN_MAX_ITER = 32
 # Exclusion radius around poles of sn/cn/dn for complex evaluation.
 DELTA_POLE = 1e-3
 
+# Carlson's duplication stops once every argument of R_F is within this relative
+# distance of their mean; the fifth-order series then errs by ~RF_TOL^6 / 4.
+RF_TOL = 2.5e-3
+
 
 class PoleProximityError(ValueError):
     """Complex argument too close to a pole of sn/cn/dn for direct evaluation."""
@@ -150,6 +154,31 @@ def _sn_cn_dn_real(t: float, plan: tuple) -> tuple[float, float, float]:
 def sn_cn_dn(t: float, ctx: EllipticContext) -> tuple[float, float, float]:
     """(sn(t), cn(t), dn(t)) at ctx.m for real t."""
     return _sn_cn_dn_real(t, ctx.plan)
+
+
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    # R_F(x, y, z), x, y, z >= 0 and at most one zero: Carlson's duplication,
+    # each step four times closer, then the series of DLMF 19.36.1.
+    for _ in range(LANDEN_MAX_ITER):
+        mu = (x + y + z) / 3.0
+        dx, dy, dz = 1.0 - x / mu, 1.0 - y / mu, 1.0 - z / mu
+        if max(abs(dx), abs(dy), abs(dz)) < RF_TOL:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+
+
+def inverse_sn_cn(s: float, c: float, ctx: EllipticContext) -> float:
+    """The phase t in [-2K, 2K] with sn(t) = s and cn(t) = c, for s^2 + c^2 = 1.
+
+    For cn >= 0 it is F(am | m) = sn R_F(cn^2, 1 - m sn^2, 1) (DLMF 19.25.5);
+    for cn < 0 the amplitude lies beyond +-pi/2, and t = copysign(2K, sn) - F.
+    """
+    f = s * _carlson_rf(c * c, 1.0 - ctx.m * s * s, 1.0)
+    return math.copysign(2.0 * ctx.K, s) - f if c < 0.0 else f
 
 
 def _pole_row_distance(v: float, ctx: EllipticContext) -> float:

@@ -7,27 +7,21 @@ the rectangular hyperbola cx^2 - cy^2 = 1.  Every lambda_i, of the sweep and
 of the constructions alike, is the foot of c on tangent line i,
 lambda_i = (c - x_i) . v_i / |v_i|^2, so that c = x_i + lambda_i v_i.
 
-Two construction procedures are implemented and cross-validated:
+Both constructions are closed forms.  The lemniscate is rational in
+t = tan(am(s) / 2), and for c on the hyperbola, with E = cx + cy, the tangent
+line at t passes through c exactly when
 
-  * from a point c on the hyperbola: draw the (generically four) tangent
-    lines to the lemniscate from c and keep the three contact points whose
-    quadrant differs from c's; equivalently, the three whose phase advances
-    as c moves up along the hyperbola (a closed-form rate at each root).
-  * from one body position: intersect its tangent line with the hyperbola,
-    keep the intersection in a different quadrant (equivalently, in closed
-    form, the one that moves up as the body moves forward), then as above,
-    matching the contact points to the phases of orbit.triple_phases.
+    (E t^3 + sqrt3 t^2 - sqrt3 E t - 1) (E t^3 - sqrt3 t^2 + sqrt3 E t - 1) = 0,
 
-Both rest on the tangency search: the gap g(s) = (c - x(s)) x v(s) is
-scanned once on a grid of TANGENCY_NODES phases, and each sign change is
-refined by safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the
-bracket's regula-falsi point, read off the two scanned gaps, with the exact
-slope g'(s) = (c - x(s)) x a(s), which the same elliptic evaluation as g
-provides.  For c on the hyperbola every tangency point is found; off it, two
-contact points that share one scan cell can be missed.
+a factorization found for this package, not stated in the paper.  The first
+cubic's three real roots are the bodies whose tangent lines meet at c, the
+second's one real root the fourth tangent.  From c, tangents_from_point solves
+both cubics; from one body at t1, t1 is a root of the first cubic at
+E = (1 - sqrt3 t1^2) / (t1 (t1^2 - sqrt3)), which gives c.  The paper's
+quadrant rule picks the three bodies and is held to the first cubic's roots.
 
 Quadrants are numbered 1..4 counterclockwise from (+,+); points within
-EPS_AXIS of a coordinate axis make the selection rules ambiguous.  Every
+EPS_AXIS of a coordinate axis make the quadrant rule ambiguous.  Every
 refusal of a construction, instead of a guess, is one ConstructionRefusal
 naming its reason.  Everything runs on plain floats and (x, y) pairs; only
 concurrency_point, which reads a TripleState, gives its c as a Vec2 record.
@@ -36,18 +30,14 @@ concurrency_point, which reads a TripleState, gives its c as a Vec2 record.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import EllipticContext
-from .orbit import TripleState, Vec2, coords, ordered_sum, reduce_phase, triple, triple_phases
+from .elliptic import SQRT3, EllipticContext, inverse_sn_cn, sn_cn_dn
+from .orbit import (HYPERBOLA_TOL, TripleState, Vec2, coords, ordered_sum, reduce_phase, triple,
+                    triple_phases)
 
 EPS_AXIS = 1e-8
 PARALLEL_TOL = 1e-10
-TANGENCY_NODES = 256
-BISECT_TOL = 1e-13
-NEWTON_MAXIT = 100
-DISC_TOL = 1e-12
 
 # The columns of a geometry-sweep row, the order of sweep_row's tuple.
 SWEEP_FIELDS = ("t", "cx", "cy", "lambda1", "lambda2", "lambda3",
@@ -55,8 +45,8 @@ SWEEP_FIELDS = ("t", "cx", "cy", "lambda1", "lambda2", "lambda3",
 
 
 class ConstructionRefusal(ValueError):
-    """A point on an axis, a tangent line that does not cross the hyperbola
-    twice, other than four candidates, or two selection rules that disagree."""
+    """A point off the hyperbola or on an axis, a c at infinity, other than four
+    candidates, or a quadrant rule that disagrees with the first cubic."""
 
 
 class ConcurrencyPoint(NamedTuple):
@@ -75,7 +65,7 @@ class TangencyCandidate(NamedTuple):
     quadrant: int  # 0 within EPS_AXIS of an axis
     vx: float  # v(s)
     vy: float
-    slope: float  # g'(s) = (c - x(s)) x a(s), the Newton slope of the search
+    first_cubic: bool  # a root of the first cubic: a body whose tangent line meets the others at c
 
 
 def _quadrant_or_zero(x: float, y: float) -> int:
@@ -139,91 +129,51 @@ def relative_hyperbola_residual(c: tuple[float, float], h: float) -> float:
     return abs(h) / max(1.0, cx * cx + cy * cy)
 
 
-@lru_cache(maxsize=4)
-def _scan_grid(ctx: EllipticContext):
-    # One row (x, y, vx, vy) per node, one elliptic evaluation each, reused
-    # by every tangency scan against the same context.
-    period = ctx.period
-    n = TANGENCY_NODES
-    return tuple(coords(j * period / n, ctx)[:4] for j in range(n))
+def _polished(t: float, a: float, b: float, c: float) -> float:
+    # One Newton step on the monic cubic t^3 + a t^2 + b t + c.
+    return t - (((t + a) * t + b) * t + c) / ((3.0 * t + 2.0 * a) * t + b)
 
 
-def _gap_and_slope(cx: float, cy: float, s: float, ctx: EllipticContext) -> tuple[float, float]:
-    # g(s) = (c - x(s)) x v(s) is zero exactly when the tangent line at phase
-    # s passes through c; g'(s) = (c - x(s)) x a(s) because v x v = 0.
-    x, y, vx, vy, ax, ay = coords(s, ctx)
-    ex = cx - x
-    ey = cy - y
-    return ex * vy - ey * vx, ex * ay - ey * ax
-
-
-def _rtsafe(cx: float, cy: float, lo: float, hi: float, g_lo: float, g_hi: float,
-            ctx: EllipticContext) -> float:
-    # Safeguarded Newton (Numerical Recipes 9.4) on a bracket [lo, hi] whose
-    # end gaps g_lo and g_hi have strictly opposite signs, starting at the
-    # regula-falsi point, where the chord through both ends crosses zero; it
-    # lies inside the bracket.  A Newton step that would leave the bracket,
-    # or that fails to halve the step before last, is replaced by a
-    # bisection; a NaN gap or slope also bisects.
-    xl, xh = (lo, hi) if g_lo < 0.0 else (hi, lo)
-    s = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-    dx = dx_old = hi - lo
-    for _ in range(NEWTON_MAXIT):
-        g, dg = _gap_and_slope(cx, cy, s, ctx)
-        if g == 0.0:
-            return s
-        if g < 0.0:
-            xl = s
-        else:
-            xh = s
-        if ((s - xh) * dg - g) * ((s - xl) * dg - g) < 0.0 and abs(2.0 * g) <= abs(dx_old * dg):
-            dx_old, dx = dx, g / dg
-            s -= dx
-        else:
-            dx_old, dx = dx, 0.5 * (xh - xl)
-            s = xl + dx
-        if abs(dx) < BISECT_TOL:
-            return s
-    # The iteration bound of rtsafe; pure bisection needs ~40 steps, and s
-    # still lies inside the bracket.
-    return s
+def _cubic_roots(e: float) -> tuple[list[float], float]:
+    # For |e| >= 1, the three real roots of the first cubic by Viete's
+    # trigonometric form and the real root of the second by Cardano's, in its
+    # hyperbolic form (DLMF 1.11(iii)), each polished by one Newton step.  With
+    # r = 1/e they depress to p = -(sqrt3 + r^2), q = 2 sqrt3 r^3 / 9 and
+    # p = sqrt3 - r^2, q = -2 sqrt3 r^3 / 9 under the shifts t = y -+ r / sqrt3.
+    r = 1.0 / e
+    shift = r / SQRT3
+    w = math.sqrt(SQRT3 + r * r)
+    theta = math.acos(-(r / w) ** 3)
+    first = [_polished(2.0 * w / SQRT3 * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift,
+                       SQRT3 * r, -SQRT3, -r) for k in range(3)]
+    v = math.sqrt(SQRT3 - r * r)
+    y = 2.0 * v / SQRT3 * math.sinh(math.asinh((r / v) ** 3) / 3.0)
+    return first, _polished(y + shift, -SQRT3 * r, SQRT3, -r)
 
 
 def tangents_from_point(c: tuple[float, float], ctx: EllipticContext) -> list[TangencyCandidate]:
-    """All orbit phases whose tangent line passes through c.
+    """The four orbit phases whose tangent line passes through c, sorted by s in [0, 4K).
 
-    The tangency gap g(s) = (c - x(s)) x v(s) is scanned once on a grid of
-    TANGENCY_NODES phases over one period, and each sign change is refined
-    to BISECT_TOL in s by safeguarded Newton (rtsafe) from the bracket's
-    regula-falsi point with the exact slope g'(s) = (c - x(s)) x a(s),
-    bisecting whenever Newton would leave the bracket; roots within 1e-9 are
-    merged across the period seam.  Every root is found when c lies on the
-    hyperbola (generically four); off it, two contact points sharing one
-    scan cell can be missed.
+    The roots t of the two cubics, each phase s = F(2 atan t | m) by
+    inverse_sn_cn and its state from one coords call.  When |cx - cy| > |cx + cy|
+    they are solved for the mirror image (-cx, cy), whose E = cy - cx = -1/E,
+    and reflected back (s -> s + 2K), so always at |E| >= 1.  Raises
+    ConstructionRefusal for a c that fails the hyperbola gate (HYPERBOLA_TOL).
     """
-    period = ctx.period
-    n = TANGENCY_NODES
     cx, cy = c
-    g = [(cx - x) * vy - (cy - y) * vx for x, y, vx, vy in _scan_grid(ctx)]
-    g.append(g[0])  # node n is node 0 one period on
-    # A zero gap at node j is a root; a sign change to node j + 1 a bracket.
-    roots = [j * period / n if g[j] == 0.0 else
-             _rtsafe(cx, cy, j * period / n, (j + 1) * period / n, g[j], g[j + 1], ctx)
-             for j in range(n) if g[j] == 0.0 or g[j] * g[j + 1] < 0.0]
-
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    if len(merged) > 1 and (merged[0] + period) - merged[-1] <= 1e-9:
-        merged.pop()
-
+    if not relative_hyperbola_residual(c, hyperbola_residual(c)) <= HYPERBOLA_TOL:
+        raise ConstructionRefusal(f"point ({cx!r}, {cy!r}) is off the hyperbola cx^2 - cy^2 = 1")
+    mirror = abs(cx + cy) < abs(cx - cy)
+    first, other = _cubic_roots(cy - cx if mirror else cx + cy)
     out = []
-    for r in merged:
-        x, y, vx, vy, ax, ay = coords(r, ctx)
-        out.append(TangencyCandidate(r, x, y, _quadrant_or_zero(x, y), vx, vy,
-                                     (cx - x) * ay - (cy - y) * ax))
-    return out
+    for t, is_first in [(root, True) for root in first] + [(other, False)]:
+        den = 1.0 + t * t
+        sn, cn = 2.0 * t / den, (1.0 - t) * (1.0 + t) / den
+        s = inverse_sn_cn(-sn, -cn, ctx) if mirror else inverse_sn_cn(sn, cn, ctx)
+        s = s + ctx.period if s < 0.0 else s
+        x, y, vx, vy, _, _ = coords(s, ctx)
+        out.append(TangencyCandidate(s, x, y, _quadrant_or_zero(x, y), vx, vy, is_first))
+    return sorted(out)
 
 
 def select_choreographic(
@@ -232,57 +182,36 @@ def select_choreographic(
 ) -> list[TangencyCandidate]:
     """Pick the three contact points that are choreographic partners of c.
 
-    Quadrant rule: keep candidates whose quadrant differs from c's.  The
-    forward rule is the cross-check: as c moves up along dc = sign(cx) (cy, cx),
-    the tangent of its level set of cx^2 - cy^2, implicit differentiation of
-    the gap g(s) = (c - x(s)) x v(s) gives ds/de = -(dc x v(s)) / g'(s).  The
-    kept phases must advance and the discarded one must retreat.  Raises
-    ConstructionRefusal when they disagree, and for a c within EPS_AXIS of an
-    axis before the candidates are counted; this refuses the hyperbola
-    vertices (+-1, 0), where two contact points merge.
+    The quadrant rule keeps the candidates whose quadrant differs from c's;
+    they must be the first cubic's roots.  Refuses a c within EPS_AXIS of an
+    axis (the vertices (+-1, 0) among them), other than four candidates, and a
+    candidate there: one at the origin means c is too far out.
     """
     cx, cy = c
     qc = quadrant(cx, cy)
     if len(candidates) != 4:
         raise ConstructionRefusal(f"need exactly 4 candidates, got {len(candidates)}")
     for cand in candidates:
+        if abs(cand.x) < EPS_AXIS and abs(cand.y) < EPS_AXIS:
+            raise ConstructionRefusal(f"contact point at s={cand.s} lies within {EPS_AXIS} of the"
+                                      " origin: c is too far out for the quadrant rule")
         if cand.quadrant == 0:
             raise ConstructionRefusal(f"candidate at s={cand.s} lies on an axis")
 
-    selected = [cand for cand in candidates if cand.quadrant != qc]
-    rejected = [cand for cand in candidates if cand.quadrant == qc]
-    if len(selected) != 3:
-        raise ConstructionRefusal(f"quadrant rule kept {len(selected)} of 4 candidates")
-
-    sign = math.copysign(1.0, cx)
-    dcx, dcy = sign * cy, sign * cx
-    # The sign of ds/de, as a product so that a zero slope gives 0, not an error.
-    advance = [-(dcx * cand.vy - dcy * cand.vx) * cand.slope for cand in selected + rejected]
-    if not (all(a > 0.0 for a in advance[:3]) and advance[3] < 0.0):
-        raise ConstructionRefusal("forward-motion rule disagrees with the quadrant rule")
-    return selected
+    if not all(cand.first_cubic == (cand.quadrant != qc) for cand in candidates):
+        raise ConstructionRefusal("quadrant rule disagrees with the first cubic")
+    return [cand for cand in candidates if cand.quadrant != qc]
 
 
-def tangent_hyperbola_intersections(x: float, y: float,
-                                    vx: float, vy: float) -> list[tuple[float, float]]:
-    """The two crossings (x, y) of the line (x, y) + lam (vx, vy) with cx^2 - cy^2 = 1.
-
-    Raises ConstructionRefusal, naming the reason, for a line parallel to an
-    asymptote (one crossing at most), one that misses the hyperbola, or one
-    tangent to it.
-    """
-    a = vx * vx - vy * vy
-    b = 2.0 * (x * vx - y * vy)
-    cterm = hyperbola_residual((x, y))
-    if abs(a) < 1e-14:
-        raise ConstructionRefusal("tangent line is parallel to an asymptote of the hyperbola")
-    disc = b * b - 4.0 * a * cterm
-    if disc < -DISC_TOL:
-        raise ConstructionRefusal("tangent line misses the hyperbola")
-    if disc <= DISC_TOL:
-        raise ConstructionRefusal("tangent line is tangent to the hyperbola")
-    sq = math.sqrt(disc)
-    return [(x + lam * vx, y + lam * vy) for lam in ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))]
+def _concurrency_of(t: float) -> tuple[float, float]:
+    # c = ((E + 1/E) / 2, (E - 1/E) / 2), where the tangent line at t meets
+    # those of its partners; E = 0 or infinite puts c at infinity.
+    den = t * (t * t - SQRT3)
+    e = (1.0 - SQRT3 * t * t) / den if den else 0.0
+    c = (0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)) if e else (math.inf, math.inf)
+    if math.isfinite(c[0]) and math.isfinite(c[1]):
+        return c
+    raise ConstructionRefusal(f"tangent line at t={t!r} is parallel to an asymptote of the hyperbola")
 
 
 def complete_triple_from_point(
@@ -290,41 +219,27 @@ def complete_triple_from_point(
 ) -> tuple[tuple[tuple[float, float], tuple[float, float]], ConcurrencyPoint]:
     """Recover the other two choreographic positions from one body's phase.
 
-    The tangent line at x1 crosses the hyperbola in d1, d2; the concurrency
-    point is the crossing in a different quadrant from x1 (cross-checked:
-    it is the one that moves up as x1 moves forward).  The remaining two
-    bodies are then read off the tangent construction at that point: x2 and
-    x3 are the contact points nearest the phases of the second and third
-    bodies of triple_phases(x1_phase), (x1 + 4K/3, x1 - 4K/3), and their
-    lambdas are those of these contact points.  An x1 within EPS_AXIS of an
-    axis, the origin among them, is refused by quadrant().
+    c comes from t1 = sn / (1 + cn), or (1 - cn) / sn when cn < -1/2, at x1's
+    reduced phase, and must lie in another quadrant than x1.  x2 and x3 are
+    the contact points from c nearest the phases x1 +- 4K/3 of triple_phases,
+    with their lambdas.  quadrant() refuses an x1 within EPS_AXIS of an axis.
     """
     phases = triple_phases(x1_phase, ctx)
-    x, y, vx, vy, ax, ay = coords(phases[0], ctx)
+    x, y, vx, vy, _, _ = coords(phases[0], ctx)
     q1 = quadrant(x, y)
+    sn, cn, _ = sn_cn_dn(phases[0], ctx)
+    c = _concurrency_of((1.0 - cn) / sn if cn < -0.5 else sn / (1.0 + cn))
+    if quadrant(*c) == q1:
+        raise ConstructionRefusal(f"c = ({c[0]!r}, {c[1]!r}) lies in the quadrant of"
+                                  f" x1 = ({x!r}, {y!r})")
 
-    ds = tangent_hyperbola_intersections(x, y, vx, vy)
-    picked = [d for d in ds if quadrant(*d) != q1]
-    if len(picked) != 1:
-        raise ConstructionRefusal(f"quadrant rule is ambiguous for intersections {ds}")
-    d_sel = picked[0]
-    d_rej = ds[0] if ds[1] is d_sel else ds[1]
-
-    def rise(d: tuple[float, float]) -> float:
-        # d'_y of the crossing d = x1 + lam v1 as x1 moves forward, from
-        # d_x^2 - d_y^2 = 1; the denominator is nonzero at a simple crossing.
-        return _foot_lambda(d, x, y, vx, vy) * d[0] * (vx * ay - vy * ax) / (d[0] * vx - d[1] * vy)
-
-    if not rise(d_sel) > 0.0 > rise(d_rej):
-        raise ConstructionRefusal("upward-motion rule disagrees with the quadrant rule")
-
-    partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
+    partners = select_choreographic(c, tangents_from_point(c, ctx))
     nearest = [min(partners, key=lambda cand: abs(reduce_phase(cand.s - p, ctx)))
                for p in phases[1:]]
     x2, x3 = ((cand.x, cand.y) for cand in nearest)
-    lambdas = (_foot_lambda(d_sel, x, y, vx, vy),
-               *(_foot_lambda(d_sel, cand.x, cand.y, cand.vx, cand.vy) for cand in nearest))
-    return (x2, x3), ConcurrencyPoint(c=d_sel, lambdas=lambdas)
+    lambdas = (_foot_lambda(c, x, y, vx, vy),
+               *(_foot_lambda(c, cand.x, cand.y, cand.vx, cand.vy) for cand in nearest))
+    return (x2, x3), ConcurrencyPoint(c=c, lambdas=lambdas)
 
 
 def sweep_row(t: float, ctx: EllipticContext) -> tuple:

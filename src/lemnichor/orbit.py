@@ -20,7 +20,8 @@ reductions are needed, since r +- 4K/3 reaches +-10K/3.  Vec2 is a named
 (x, y) pair built only by triple() and geometry.concurrency_point(), whose
 results are read by .x and .y outside the package; everything else is floats
 and plain (x, y) pairs.  CheckResult is the one row type of every claim the
-package checks against a tolerance.
+package checks against a tolerance; HYPERBOLA_TOL, the hyperbola gate's,
+sits here so that the CLI reads it without loading geometry.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def ordered_sum(values):
     for v in values:
         total += v
     return total
+
+
+# The hyperbola gate: |cx^2 - cy^2 - 1| / max(1, |c|^2) at most this.  The
+# sweep's c, a --from-c point and the c of every construction are held to it.
+HYPERBOLA_TOL = 1e-11
 
 
 class Vec2(NamedTuple):

@@ -36,8 +36,9 @@ def run_cli(args, capsys):
 
 # The stderr of each kind of construction refusal, byte for byte (exit 2, no
 # stdout): c at a hyperbola vertex, c off the hyperbola, a body at the origin
-# (on both axes), a tangent line parallel to an asymptote, and
-# c = (cosh 20, sinh 20), so far out that the search finds three contact points.
+# (on both axes), and two c so far out that a contact point lies at the
+# origin: that of the tangent line at phase 2K/3, parallel to an asymptote, and
+# c = (cosh 20, sinh 20).
 CONSTRUCTION_REFUSALS = {
     "--from-c=1,0": "invalid input: point (1.0, 0.0) lies within 1e-08 of an axis\n",
     "--from-c=1.37,0.94": (
@@ -46,9 +47,12 @@ CONSTRUCTION_REFUSALS = {
         "lemnichor geometry: error: argument --from-c: expected a point on the hyperbola"
         " cx^2 - cy^2 = 1, got '1.37,0.94'\n"),
     "--from-point=0": "invalid input: point (0.0, 0.0) lies within 1e-08 of an axis\n",
-    "--from-point=1.845375430245845":
-        "invalid input: tangent line is parallel to an asymptote of the hyperbola\n",
-    "--from-c=242582597.70489514,242582597.70489514": "invalid input: need exactly 4 candidates, got 3\n",
+    "--from-point=1.845375430245845": (
+        "invalid input: contact point at s=5.536126290737535 lies within 1e-08 of the origin:"
+        " c is too far out for the quadrant rule\n"),
+    "--from-c=242582597.70489514,242582597.70489514": (
+        "invalid input: contact point at s=2.3800151975121475e-09 lies within 1e-08 of the origin:"
+        " c is too far out for the quadrant rule\n"),
 }
 
 
@@ -680,7 +684,7 @@ class TestGeometry:
     def test_from_c_exact_point_far_out(self, u, sx, ctx, capsys):
         # Far out, rounding alone makes cx^2 - cy^2 - 1 ~1e-8; relative to
         # |c|^2 the point is on the curve.  Near the vertices (|u| <= 1e-5)
-        # two contact points nearly merge, and the one scan still finds both.
+        # two contact points nearly merge, and the cubics still give both.
         cx, cy = sx * math.cosh(u), math.sinh(u)
         code, out, _ = run_cli(["geometry", f"--from-c={cx!r},{cy!r}"], capsys)
         assert code == 0
@@ -1021,11 +1025,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
     def test_tangent_parallel_to_an_asymptote_is_refused(self, capsys):
-        # The tangent line at phase 2K/3 is parallel to y = x: it crosses the
-        # hyperbola once at most, and the refusal says so.
+        # The tangent line at phase 2K/3 is parallel to y = x, so its c is at
+        # infinity.  In floats c lands ~4e15 out, and the partner at phase 2K,
+        # the origin, has no quadrant: the refusal says so.
         code, out, err = run_cli(["geometry", "--from-point=1.845375430245845"], capsys)
         assert (code, out) == (2, "")
-        assert err == "invalid input: tangent line is parallel to an asymptote of the hyperbola\n"
+        assert err == CONSTRUCTION_REFUSALS["--from-point=1.845375430245845"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize("command, flag", [("integrate", "--dt")])
@@ -1079,16 +1084,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--from-c=1.4142135623730951,1", "--from-point=0.55"])
     def test_rule_disagreement_is_a_refusal(self, flag, tmp_path, capsys, monkeypatch):
-        # Every Newton slope reversed flips the sign of every ds/de, so the
-        # forward rule parts from the quadrant rule: a refusal, not a failed
-        # residual.
+        # Every first-cubic flag flipped, the quadrant rule's three are no
+        # longer the first cubic's roots: a refusal, not a failed residual.
         real = geometry.select_choreographic
         monkeypatch.setattr(geometry, "select_choreographic", lambda c, candidates: real(
-            c, [cand._replace(slope=-cand.slope) for cand in candidates]))
+            c, [cand._replace(first_cubic=not cand.first_cubic) for cand in candidates]))
         out = tmp_path / "out.json"
         code, stdout, err = run_cli(["geometry", flag, "--output", str(out)], capsys)
         assert (code, stdout, err) == (
-            2, "", "invalid input: forward-motion rule disagrees with the quadrant rule\n")
+            2, "", "invalid input: quadrant rule disagrees with the first cubic\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("c", ["1.37,0.94", "1.5,0.5"])
@@ -1287,14 +1291,14 @@ def test_analytic_bytes_do_not_depend_on_the_hash_seed():
 # off the axis next to a vertex, which the axis rule lets through.
 BRANCH_DIGESTS = {
     "geometry --from-c=-1.4142135623730951,-1": (
-        0, "57004ce98c2c2035474e23e27aa1783e31858b527f6dfec60beba29ca6f8bfec",
+        0, "bbd7d6a9b9addeab4b29bcb2d6bc7bc4dee7232e50c357d05f0f3ec345e1cdc3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "geometry --from-c=1.0000000000005,1e-6": (
-        0, "1b635a3b7cd040c3981c534e10e0e2499afe89661d8267e71a3eddf19e71b0fa",
+        0, "66eaabf4bdfe0306a6a40aa205c7b21055bd0cc381a880a0008f301ce7b3868d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 # One sha256 over 100 seeded constructions, every one of which exits 0.
-CONSTRUCTIONS_DIGEST = "3f56c39683937653ff47c8c25a7c6997ac78e7ad094c1082a5eae3666b70cd56"
+CONSTRUCTIONS_DIGEST = "13dab74b9f60b135516289d9c4fb9a5fcf2b3c690fdaad123521e84e48bcb849"
 
 
 def test_unlisted_branch_bytes(capsys):

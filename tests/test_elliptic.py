@@ -11,6 +11,7 @@ from lemnichor.elliptic import (
     DELTA_POLE,
     PoleProximityError,
     _landen_chain,
+    inverse_sn_cn,
     make_context,
     sn_cn_dn,
     sn_cn_dn_points,
@@ -138,6 +139,36 @@ class TestRealEvaluation:
                 assert s == pytest.approx(se, abs=1e-10)
                 assert c == pytest.approx(ce, abs=1e-10)
                 assert d == pytest.approx(de, abs=1e-10)
+
+
+class TestInverse:
+    def test_against_mpmath_ellipf(self, ctx):
+        # At amplitudes phi in (-pi, pi), the phase is F(phi | m); mpmath
+        # continues F past +-pi/2, as the cn < 0 branch does.
+        rng = random.Random(41)
+        with mpmath.workdps(30):
+            for _ in range(500):
+                phi = rng.uniform(-math.pi, math.pi)
+                want = float(mpmath.ellipf(phi, ctx.m))
+                assert inverse_sn_cn(math.sin(phi), math.cos(phi), ctx) == pytest.approx(
+                    want, rel=0.0, abs=4e-15), phi
+
+    @pytest.mark.parametrize("m", [CHOREO_M, 0.5])
+    def test_round_trip_through_the_kernel(self, m):
+        # 4.9e-15 at worst at CHOREO_M, 2.2e-15 at m = 1/2.
+        ctx = make_context(m)
+        rng = random.Random(42)
+        for _ in range(2000):
+            t = rng.uniform(-2.0 * ctx.K, 2.0 * ctx.K)
+            s, c, _ = sn_cn_dn(t, ctx)
+            assert abs(inverse_sn_cn(s, c, ctx) - t) <= 1e-14, t
+
+    def test_special_values(self, ctx):
+        assert inverse_sn_cn(0.0, 1.0, ctx) == 0.0
+        assert inverse_sn_cn(1.0, 0.0, ctx) == pytest.approx(ctx.K, rel=0.0, abs=1e-15)
+        # At cn = -1 the sign of a zero sn picks the end of [-2K, 2K].
+        assert inverse_sn_cn(0.0, -1.0, ctx) == 2.0 * ctx.K
+        assert inverse_sn_cn(-0.0, -1.0, ctx) == -2.0 * ctx.K
 
 
 class TestComplexEvaluation:

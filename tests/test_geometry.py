@@ -7,22 +7,20 @@ import pytest
 
 from lemnichor import geometry
 from lemnichor.cli import main
+from lemnichor.elliptic import sn_cn_dn
 from lemnichor.geometry import (
-    BISECT_TOL,
     SWEEP_FIELDS,
     ConcurrencyPoint,
     ConstructionRefusal,
-    _gap_and_slope,
     complete_triple_from_point,
     concurrency_point,
     hyperbola_residual,
     quadrant,
     select_choreographic,
     sweep_row,
-    tangent_hyperbola_intersections,
     tangents_from_point,
 )
-from lemnichor.orbit import Vec2, coords, reduce_phase, triple, triple_phases, velocity
+from lemnichor.orbit import HYPERBOLA_TOL, Vec2, coords, reduce_phase, triple, triple_phases, velocity
 
 from conftest import OracleVec, cross, dot, line_distance, oracle_sum, position
 
@@ -37,8 +35,9 @@ def sample_times(period, n, skip_large_c=None):
     return [(j + 0.431) * period / n for j in range(n)]
 
 
-# Grid of the bisection oracle, 16 times denser than the tangency scan.
+# Grid of the bisection oracle, and the width in s it bisects each bracket to.
 ORACLE_NODES = 4096
+BISECT_TOL = 1e-13
 
 
 @lru_cache(maxsize=1)
@@ -87,7 +86,7 @@ def dense_bisection_roots(c, ctx):
     return merged
 
 
-def assert_search_matches_oracle(points, ctx):
+def assert_roots_match_oracle(points, ctx):
     """Same root count and roots within 1e-12 at every point."""
     for c in points:
         ref = dense_bisection_roots(c, ctx)
@@ -109,7 +108,7 @@ def _nudge_up_hyperbola(c, delta):
 def fd_phase_shifts(c, candidates, ctx):
     """Finite-difference forward rule: how far each candidate's phase moves
     when c is nudged up its hyperbola branch by PERTURB, found by a second
-    tangency search and nearest-neighbour matching of the phases."""
+    construction and nearest-neighbour matching of the phases."""
     moved = tangents_from_point(_nudge_up_hyperbola(c, PERTURB), ctx)
     shifts = []
     for cand in candidates:
@@ -118,13 +117,23 @@ def fd_phase_shifts(c, candidates, ctx):
     return shifts
 
 
+def line_hyperbola_crossings(x, y, vx, vy):
+    """The two crossings of the line (x, y) + lam (vx, vy) with cx^2 - cy^2 = 1,
+    by the quadratic formula: an oracle for the c of a tangent line that does
+    not go through the cubic."""
+    a = vx * vx - vy * vy
+    b = 2.0 * (x * vx - y * vy)
+    sq = math.sqrt(b * b - 4.0 * a * hyperbola_residual((x, y)))
+    return [(x + lam * vx, y + lam * vy) for lam in ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))]
+
+
 def fd_rising_crossings(t, ctx):
     """Finite-difference upward rule: the crossings of the tangent line at
     phase t with the hyperbola that move up when t advances by PERTURB."""
     x, y, vx, vy, _, _ = coords(t, ctx)
     mx, my, mvx, mvy, _, _ = coords(t + PERTURB, ctx)
-    moved = tangent_hyperbola_intersections(mx, my, mvx, mvy)
-    return [d for d in tangent_hyperbola_intersections(x, y, vx, vy)
+    moved = line_hyperbola_crossings(mx, my, mvx, mvy)
+    return [d for d in line_hyperbola_crossings(x, y, vx, vy)
             if min(moved, key=lambda p: math.dist(p, d))[1] > d[1]]
 
 
@@ -253,9 +262,9 @@ class TestHyperbolaResidual:
         assert hyperbola_residual(Vec2(2.0, 0.0)) == pytest.approx(3.0)
 
     def test_the_construction_reads_it(self, capsys, monkeypatch):
-        # The tangent line's crossing with the hyperbola takes its constant
-        # term from hyperbola_residual, so a wrong formula there moves the
-        # construction too.
+        # tangents_from_point holds its c to the hyperbola gate through
+        # hyperbola_residual, so a wrong formula there refuses the
+        # construction.
         def run():
             code = main(["geometry", "--from-point", "0.55"])
             return code, capsys.readouterr().out
@@ -298,9 +307,11 @@ class TestTangentsFromPoint:
             assert math.dist((cand.x, cand.y), position(cand.s, ctx)) <= 1e-10
 
     def test_axis_point_candidates_pair_up(self, ctx, period):
-        # For c on the x axis the tangency phases come in mirror pairs
-        # s <-> 2K - s (mod 4K), reflecting the lemniscate's y symmetry.
-        c = Vec2(1.5, 0.0)
+        # For c on the x axis, the vertex (1, 0), the tangency phases come in
+        # mirror pairs s <-> 2K - s (mod 4K), reflecting the lemniscate's y
+        # symmetry; the body at c itself, s = K, is its own mirror and a root
+        # of both cubics.
+        c = Vec2(1.0, 0.0)
         cands = tangents_from_point(c, ctx)
         phases = [cand.s for cand in cands]
         for s in phases:
@@ -310,17 +321,33 @@ class TestTangentsFromPoint:
                 for p in phases
             ) <= 1e-8
 
-    def test_degenerate_point_returns_oracle_count(self, ctx):
-        # Off the hyperbola a count other than four is returned as it is,
-        # without a warning (warnings are errors in this suite).
-        c = Vec2(0.5, 0.05)
-        cands = tangents_from_point(c, ctx)
-        assert len(cands) != 4
-        assert len(cands) == len(dense_bisection_roots(c, ctx))
+    @pytest.mark.parametrize("c", [
+        Vec2(0.5, 0.05),  # two tangents, by the dense-bisection oracle
+        Vec2(math.nan, 1.0),
+        Vec2(1.5, 0.0),
+        Vec2(math.inf, math.inf),
+        Vec2(math.sqrt(2.0), 1.0 + 1e-10),
+    ], ids=["inside", "nan", "axis", "infinite", "1e-10 off"])
+    def test_off_curve_point_is_refused(self, c, ctx):
+        # Off the hyperbola the cubics would answer for another point.
+        with pytest.raises(ConstructionRefusal, match=r"is off the hyperbola cx\^2 - cy\^2 = 1$"):
+            tangents_from_point(c, ctx)
 
-    def test_nan_point_brackets_nothing(self, ctx):
-        # A NaN gap has no sign, so no node opens a bracket.
-        assert tangents_from_point(Vec2(math.nan, 1.0), ctx) == []
+    @pytest.mark.parametrize("cx, taken", [
+        ("1.4142135623783982", True),
+        ("1.4142135623943084", False),
+    ], ids=["5e-12", "2e-11"])
+    def test_hyperbola_gate_at_its_edge(self, cx, taken, ctx):
+        # (cx, 1) is 5e-12 and 2e-11 off the curve, relative: the gate is the
+        # CLI's, at the one tolerance HYPERBOLA_TOL.
+        c = (float(cx), 1.0)
+        relative = geometry.relative_hyperbola_residual(c, hyperbola_residual(c))
+        assert (relative <= HYPERBOLA_TOL) == taken
+        if taken:
+            assert len(tangents_from_point(c, ctx)) == 4
+        else:
+            with pytest.raises(ConstructionRefusal):
+                tangents_from_point(c, ctx)
 
     def test_matches_dense_bisection_on_hyperbola(self, ctx):
         rng = random.Random(20021)
@@ -333,33 +360,20 @@ class TestTangentsFromPoint:
                 for sy in (-1.0, 1.0):
                     points.append(Vec2(sx * math.sqrt(1.0 + cy * cy), sy * cy))
         assert {quadrant(*c) for c in points} == {1, 2, 3, 4}
-        # On the hyperbola the one scan finds every root.
-        assert_search_matches_oracle(points, ctx)
+        # The closed forms against the independent search, near the vertices too.
+        assert_roots_match_oracle(points, ctx)
 
-    def test_matches_dense_bisection_in_box(self, ctx, period):
-        rng = random.Random(20022)
-        points = [Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(1000)]
-        assert_search_matches_oracle(points, ctx)
-        # 1e-5 off the curve two tangency roots can share one scan cell and
-        # be missed; every root that is returned is still a true one.
-        for _ in range(200):
-            x, y, vx, vy, _, _ = coords(rng.uniform(0.0, period), ctx)
-            off = rng.choice((-1e-5, 1e-5)) / math.hypot(vx, vy)
-            c = Vec2(x - off * vy, y + off * vx)
-            ref = dense_bisection_roots(c, ctx)
-            for cand in tangents_from_point(c, ctx):
-                assert min(abs(reduce_phase(cand.s - r, ctx)) for r in ref) <= 1e-12, c
-
-    def test_newton_slope_matches_central_difference(self, ctx, period):
-        rng = random.Random(20023)
-        h = 1e-5
-        for _ in range(200):
-            cx, cy = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
-            s = rng.uniform(0.0, period)
-            _, slope = _gap_and_slope(cx, cy, s, ctx)
-            g_up, _ = _gap_and_slope(cx, cy, s + h, ctx)
-            g_down, _ = _gap_and_slope(cx, cy, s - h, ctx)
-            assert slope == pytest.approx((g_up - g_down) / (2.0 * h), rel=1e-7, abs=1e-8)
+    def test_first_cubic_flags_the_bodies(self, ctx):
+        # Three candidates are first-cubic roots, and their phases are the
+        # phases of the triple whose tangent lines meet at c.
+        t = ctx.K / 7.0
+        cp = concurrency_point(triple(t, ctx))
+        cands = tangents_from_point(cp.c, ctx)
+        assert [cand.s for cand in cands] == sorted(cand.s for cand in cands)
+        bodies = [cand.s for cand in cands if cand.first_cubic]
+        assert len(bodies) == 3
+        for p in triple_phases(t, ctx):
+            assert min(abs(reduce_phase(s - p, ctx)) for s in bodies) <= 1e-13
 
 
 def hyperbola_points(seed, n, u_min=0.0):
@@ -370,81 +384,6 @@ def hyperbola_points(seed, n, u_min=0.0):
         u = rng.choice((-1.0, 1.0)) * rng.uniform(u_min, 3.0)
         points.append(Vec2(rng.choice((-1.0, 1.0)) * math.cosh(u), math.sinh(u)))
     return points
-
-
-class TestSearchBudget:
-    """The cost of a tangency search and the accuracy it buys.
-
-    Each root starts at its bracket's regula-falsi point and is returned as
-    the point after the last Newton step: a start at the midpoint costs about
-    one elliptic evaluation more per root, and returning the last evaluated
-    iterate instead loses digits in the phases.
-    """
-
-    def test_mean_evaluations_per_search(self, ctx, monkeypatch):
-        points = hyperbola_points(404, 300)
-        tangents_from_point(points[0], ctx)  # the scan grid is built once, outside the count
-        calls = 0
-        real = geometry.coords
-
-        def counted(s, c):
-            nonlocal calls
-            calls += 1
-            return real(s, c)
-
-        monkeypatch.setattr(geometry, "coords", counted)
-        for c in points:
-            assert len(tangents_from_point(c, ctx)) == 4
-        # Four roots of about 3.3 Newton evaluations each, and one coords
-        # call per returned candidate; the midpoint start took ~20.6.
-        assert calls / len(points) <= 18.5
-
-    def test_refined_roots_lie_in_their_brackets(self, ctx, monkeypatch):
-        h = ctx.period / geometry.TANGENCY_NODES
-        seen = []
-        real = geometry._rtsafe
-
-        def recorded(cx, cy, lo, hi, *rest):
-            s = real(cx, cy, lo, hi, *rest)
-            seen.append((lo, s, hi))
-            return s
-
-        monkeypatch.setattr(geometry, "_rtsafe", recorded)
-        for c in hyperbola_points(405, 300):
-            tangents_from_point(c, ctx)
-        assert len(seen) >= 4 * 300
-        for lo, s, hi in seen:
-            j = round(lo / h)
-            assert (lo, hi) == (j * h, (j + 1) * h)
-            assert lo <= s <= hi
-
-    def test_selected_phases_are_a_third_of_a_period_apart(self, ctx, period):
-        # Two contact points merge at a vertex, so there the phases follow the
-        # rounding of c off the curve: at |cy| ~ 1e-4 one ulp of cx moves the
-        # spacing by ~2e-12, at |cy| >= 0.05 by under 1e-14.  The search near
-        # the vertices is held to the dense-bisection oracle above instead.
-        worst = 0.0
-        for c in hyperbola_points(406, 300, u_min=0.05):
-            s = sorted(cand.s for cand in select_choreographic(c, tangents_from_point(c, ctx)))
-            for d in (s[1] - s[0], s[2] - s[1], s[0] + period - s[2]):
-                worst = max(worst, abs(reduce_phase(d - period / 3.0, ctx)))
-        assert worst <= 5e-14
-
-    def test_from_point_round_trip(self, ctx):
-        rng = random.Random(407)
-        worst = 0.0
-        done = 0
-        for _ in range(300):
-            t = rng.uniform(-25.0, 25.0)
-            try:
-                (x2, x3), _ = complete_triple_from_point(t, ctx)
-            except ConstructionRefusal:
-                continue
-            for x, p in zip((x2, x3), triple_phases(t, ctx)[1:]):
-                worst = max(worst, math.dist(x, position(p, ctx)))
-            done += 1
-        assert done >= 280
-        assert worst <= 1e-12
 
 
 class TestSelectChoreographic:
@@ -465,7 +404,7 @@ class TestSelectChoreographic:
 
     def test_methods_agree_at_hundred_points(self, ctx, period):
         # select_choreographic raises ConstructionRefusal internally if the
-        # quadrant rule and the forward rule ever part ways.
+        # quadrant rule and the first cubic ever part ways.
         checked = 0
         for t in sample_times(period, 120):
             if checked >= 100:
@@ -481,7 +420,20 @@ class TestSelectChoreographic:
             checked += 1
         assert checked >= 100
 
+    def test_selected_phases_are_a_third_of_a_period_apart(self, ctx, period):
+        # The three roots of the first cubic at 300 seeded hyperbola points,
+        # each phase one R_F inversion of its root.
+        worst = 0.0
+        for c in hyperbola_points(406, 300, u_min=0.05):
+            s = sorted(cand.s for cand in select_choreographic(c, tangents_from_point(c, ctx)))
+            for d in (s[1] - s[0], s[2] - s[1], s[0] + period - s[2]):
+                worst = max(worst, abs(reduce_phase(d - period / 3.0, ctx)))
+        assert worst <= 5e-14
+
     def test_closed_form_matches_finite_difference_oracle(self, ctx):
+        # The three that the quadrant rule keeps advance as c moves up its
+        # branch, and the fourth retreats: a second construction PERTURB up
+        # the hyperbola, matched by nearest phase.
         rng = random.Random(20024)
         points = []
         for _ in range(1000):
@@ -526,22 +478,12 @@ class TestCompleteTripleFromPoint:
             complete_triple_from_point(0.0, ctx)
         assert str(err.value) == "point (0.0, 0.0) lies within 1e-08 of an axis"
 
-    def test_selected_intersection_moves_up_under_forward_nudge(self, ctx):
-        t = ctx.K / 5.0
-        x1, v1 = position(t, ctx), velocity(t, ctx)
-        ds = tangent_hyperbola_intersections(*x1, *v1)
-        assert len(ds) == 2
-        sel = [d for d in ds if quadrant(*d) != quadrant(*x1)][0]
-        rej = ds[0] if ds[1] is sel else ds[1]
-        moved = tangent_hyperbola_intersections(
-            *position(t + 1e-5, ctx), *velocity(t + 1e-5, ctx)
-        )
-        sel2 = min(moved, key=lambda p: math.dist(p, sel))
-        rej2 = min(moved, key=lambda p: math.dist(p, rej))
-        assert sel2[1] > sel[1]
-        assert rej2[1] < rej[1]
-
     def test_closed_form_matches_finite_difference_oracle(self, ctx, period):
+        # The closed-form c is the crossing of x1's tangent line with the
+        # hyperbola, by the quadratic formula, that moves up as x1 moves
+        # forward.  Far out the line is nearly parallel to an asymptote, and a
+        # rounding of its direction moves the crossing by ~1e-16 |c|^2 (the
+        # oracle reads 3.9e-13 |c|^2 at worst here).
         rng = random.Random(20025)
         done = 0
         for _ in range(1000):
@@ -550,14 +492,60 @@ class TestCompleteTripleFromPoint:
                 _, cp = complete_triple_from_point(t, ctx)
             except ConstructionRefusal:
                 continue
-            assert fd_rising_crossings(t, ctx) == [cp.c], t
+            (d,) = fd_rising_crossings(t, ctx)
+            assert math.dist(d, cp.c) <= 1e-12 * max(1.0, math.hypot(*cp.c)) ** 2, t
             done += 1
         assert done >= 990
+
+    def test_from_point_round_trip(self, ctx):
+        rng = random.Random(407)
+        worst = 0.0
+        done = 0
+        for _ in range(300):
+            t = rng.uniform(-25.0, 25.0)
+            try:
+                (x2, x3), _ = complete_triple_from_point(t, ctx)
+            except ConstructionRefusal:
+                continue
+            for x, p in zip((x2, x3), triple_phases(t, ctx)[1:]):
+                worst = max(worst, math.dist(x, position(p, ctx)))
+            done += 1
+        assert done >= 280
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("t", [
+        0.0,  # x1 at the origin: the denominator t1 (t1^2 - sqrt3) is 0
+        1e150,  # the denominator overflows: E = -0.0
+        1e-320,  # the denominator is subnormal: E = -inf
+        math.inf,  # E is NaN
+        math.nan,
+    ])
+    def test_c_at_infinity_is_a_refusal(self, t, tmp_path, capsys, monkeypatch):
+        # t1 = sn / (1 + cn) is pinned through the kernel's (sn, cn) = (t1, 0)
+        # at x1.  No ZeroDivisionError or OverflowError reaches cli.run, which
+        # does not map them to exit 2.
+        monkeypatch.setattr(geometry, "sn_cn_dn", lambda s, c: (t, 0.0, 1.0))
+        out = tmp_path / "out.json"
+        code = main(["geometry", "--from-point", "0.55", "--output", str(out)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"invalid input: tangent line at t={t!r} is parallel to an asymptote"
+                   " of the hyperbola\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_c_in_the_quadrant_of_x1_is_a_refusal(self, ctx, monkeypatch):
+        # The paper's rule, which no phase breaks: x1 at 0.55 lies in quadrant
+        # 1, and so does the hyperbola point put in place of its c.
+        monkeypatch.setattr(geometry, "_concurrency_of", lambda t: (math.sqrt(2.0), 1.0))
+        x, y = position(0.55, ctx)
+        with pytest.raises(ConstructionRefusal) as err:
+            complete_triple_from_point(0.55, ctx)
+        assert str(err.value) == (f"c = ({math.sqrt(2.0)!r}, 1.0) lies in the quadrant of"
+                                  f" x1 = ({x!r}, {y!r})")
 
     def test_far_concurrency_point(self, ctx, capsys):
         # A body 6e-5 from the origin puts c ~4659 out on an asymptote, where
         # a finite-difference nudge of PERTURB is too coarse to tell the
-        # crossings apart; the closed-form rule is not.
+        # crossings apart; the closed form is not.
         t = 23.98975665873551
         code = main(["geometry", f"--from-point={t!r}"])
         assert code == 0
@@ -637,23 +625,13 @@ def offset_matching_phases(ctx):
 def offset_matching_oracle(x1_phase, ctx):
     """complete_triple_from_point as it matched partners by phase offset."""
     x1_phase = reduce_phase(x1_phase, ctx)
-    x, y, vx, vy, ax, ay = coords(x1_phase, ctx)
-    x1, v1 = OracleVec(x, y), OracleVec(vx, vy)
-    q1 = quadrant(*x1)
-    ds = tangent_hyperbola_intersections(*x1, *v1)
-    picked = [d for d in ds if quadrant(*d) != q1]
-    if len(picked) != 1:
-        raise ConstructionRefusal(f"quadrant rule is ambiguous for intersections {ds}")
-    d_sel = picked[0]
-    d_rej = ds[0] if ds[1] is d_sel else ds[1]
-
-    def rise(d):
-        d = OracleVec(*d)
-        lam = dot(d - x1, v1) / dot(v1, v1)
-        return lam * d.x * v1.cross(OracleVec(ax, ay)) / (d.x * v1.x - d.y * v1.y)
-
-    if not rise(d_sel) > 0.0 > rise(d_rej):
-        raise ConstructionRefusal("upward-motion rule disagrees with the quadrant rule")
+    x, y, vx, vy, _, _ = coords(x1_phase, ctx)
+    q1 = quadrant(x, y)
+    sn, cn, _ = sn_cn_dn(x1_phase, ctx)
+    d_sel = geometry._concurrency_of((1.0 - cn) / sn if cn < -0.5 else sn / (1.0 + cn))
+    if quadrant(*d_sel) == q1:
+        raise ConstructionRefusal(f"c = ({d_sel[0]!r}, {d_sel[1]!r}) lies in the quadrant of"
+                                  f" x1 = ({x!r}, {y!r})")
     partners = select_choreographic(d_sel, tangents_from_point(d_sel, ctx))
     period = ctx.period
     third = period / 3.0
@@ -676,29 +654,6 @@ def _outcome(construct, t, ctx):
     except ConstructionRefusal as err:
         return type(err).__name__, str(err)
     return "ok", [v.hex() for v in (*x2, *x3, *cp.c, *cp.lambdas)]
-
-
-class TestTangentHyperbolaIntersections:
-    def test_miss_raises(self):
-        # Vertical line through the origin never meets cx^2 - cy^2 = 1.
-        with pytest.raises(ConstructionRefusal, match="misses"):
-            tangent_hyperbola_intersections(0.0, 0.0, 0.0, 1.0)
-
-    def test_line_parallel_to_an_asymptote_raises(self):
-        # The line through (0.5, 0) along y = x meets the hyperbola once.
-        with pytest.raises(ConstructionRefusal, match="parallel to an asymptote"):
-            tangent_hyperbola_intersections(0.5, 0.0, 1.0, 1.0)
-
-    def test_tangent_line_raises(self):
-        # The vertical line x = 1 touches the hyperbola at its vertex.
-        with pytest.raises(ConstructionRefusal, match="tangent to the hyperbola"):
-            tangent_hyperbola_intersections(1.0, 0.5, 0.0, 1.0)
-
-    def test_intersections_on_hyperbola(self, ctx):
-        for t in (0.3, 1.1, 2.7):
-            ds = tangent_hyperbola_intersections(*position(t, ctx), *velocity(t, ctx))
-            for d in ds:
-                assert abs(hyperbola_residual(d)) <= 1e-10
 
 
 class TestObservedProperties:

@@ -5,8 +5,7 @@ import pytest
 from lemnichor import analytic, cli
 from lemnichor.analytic import PoleSpec
 from lemnichor.dynamics import PotentialVariant, eom_residual
-from lemnichor.elliptic import CHOREO_M, make_context
-from lemnichor.geometry import _scan_grid, concurrency_point, tangents_from_point
+from lemnichor.geometry import concurrency_point, tangents_from_point
 from lemnichor.invariants import full_report
 from lemnichor.orbit import (
     CheckResult,
@@ -206,11 +205,3 @@ class TestValueTypes:
 
     def test_repr(self):
         assert repr(Vec2(1.0, 2.0)) == "Vec2(x=1.0, y=2.0)"
-
-    def test_context_is_a_value_key(self, ctx):
-        # EllipticContext keys the _scan_grid cache: a context rebuilt for the
-        # same modulus is equal, hashes the same and hits the cache.
-        again = make_context(CHOREO_M)
-        assert again is not ctx and again == ctx and hash(again) == hash(ctx)
-        assert _scan_grid(again) is _scan_grid(ctx)
-        assert make_context(0.5) != ctx
